@@ -8,9 +8,10 @@
 //! keyed to each consumer individually, a value feeding three heads would
 //! be regenerated three times — same bits, triple the recompute FLOPs.
 //! This test pins both faces of the contract: the per-step and cumulative
-//! replay counters, and bit-identity of every gradient against the
-//! stash-all reference, on the legacy interpreter and the plan-driven path
-//! alike.
+//! replay counters (equal to what the plan promises,
+//! `ExecPlan::planned_replays()`), and bit-identity of every gradient
+//! against the oracle (`echo_graph::reference`), with the plan installed
+//! up front and planned on demand alike.
 
 use echo_graph::{ExecOptions, Executor, Graph, NodeId, SegmentId, StashPlan, StashPolicy};
 use echo_memory::{DeviceMemory, LayerKind};
@@ -97,15 +98,23 @@ struct Outcome {
     grad_bits: Vec<(NodeId, Vec<u32>)>,
     step_replays: Vec<u64>,
     cumulative_replays: u64,
+    planned_replays: u64,
 }
 
-fn run(fx: &Fixture, plan: StashPlan, planned: bool, steps: usize) -> Outcome {
+fn bits(grads: Vec<(NodeId, Tensor)>) -> Vec<(NodeId, Vec<u32>)> {
+    grads
+        .into_iter()
+        .map(|(id, t)| (id, t.data().iter().map(|v| v.to_bits()).collect()))
+        .collect()
+}
+
+fn run(fx: &Fixture, plan: StashPlan, install: bool, steps: usize) -> Outcome {
     let mem = DeviceMemory::with_overhead_model(1 << 30, 0, 0.0);
     let mut exec = Executor::new(Arc::clone(&fx.graph), plan, mem);
     for (id, value) in &fx.params {
         exec.bind_param(*id, value.clone()).expect("bind param");
     }
-    if planned {
+    if install {
         let plan = exec
             .plan_for(&fx.bindings, fx.loss, ExecOptions::default())
             .expect("plan builds");
@@ -122,13 +131,13 @@ fn run(fx: &Fixture, plan: StashPlan, planned: bool, steps: usize) -> Outcome {
     }
     Outcome {
         loss_bits,
-        grad_bits: exec
-            .export_grads()
-            .into_iter()
-            .map(|(id, t)| (id, t.data().iter().map(|v| v.to_bits()).collect()))
-            .collect(),
+        grad_bits: bits(exec.export_grads()),
         step_replays,
         cumulative_replays: exec.replays(),
+        planned_replays: exec
+            .exec_plan()
+            .expect("the steps ran a plan")
+            .planned_replays(),
     }
 }
 
@@ -136,31 +145,41 @@ fn run(fx: &Fixture, plan: StashPlan, planned: bool, steps: usize) -> Outcome {
 fn shared_recomputed_value_replays_once_per_step() {
     let fx = fixture();
     const STEPS: usize = 4;
-    let reference = run(&fx, StashPlan::stash_all(), false, STEPS);
-    assert_eq!(reference.step_replays, vec![0; STEPS]);
-    assert_eq!(reference.cumulative_replays, 0);
+    let params: HashMap<NodeId, Tensor> = fx.params.iter().cloned().collect();
+    let (oracle_loss, oracle_grads) =
+        echo_graph::reference::train_step(&fx.graph, &params, &fx.bindings, fx.loss)
+            .expect("oracle step");
+    let oracle_grads = bits(oracle_grads);
 
-    for planned in [false, true] {
-        let out = run(&fx, recompute_shared(&fx), planned, STEPS);
-        // One replay per step despite three backward consumers of `t`.
+    let stash_all = run(&fx, StashPlan::stash_all(), true, STEPS);
+    assert_eq!(stash_all.step_replays, vec![0; STEPS]);
+    assert_eq!(stash_all.cumulative_replays, 0);
+    assert_eq!(stash_all.grad_bits, oracle_grads);
+
+    for install in [false, true] {
+        let out = run(&fx, recompute_shared(&fx), install, STEPS);
+        // One replay per step despite three backward consumers of `t` —
+        // and that is what the plan says a step costs.
+        assert_eq!(out.planned_replays, 1);
         assert_eq!(
             out.step_replays,
             vec![1; STEPS],
-            "replay-once violated (planned: {planned})"
+            "replay-once violated (installed plan: {install})"
         );
         // The executor's cumulative counter sums the per-step counts.
         assert_eq!(
             out.cumulative_replays, STEPS as u64,
-            "cumulative replays() drifted (planned: {planned})"
+            "cumulative replays() drifted (installed plan: {install})"
         );
         // Recomputation must be invisible in the numbers.
         assert_eq!(
-            out.loss_bits, reference.loss_bits,
-            "loss bits diverged (planned: {planned})"
+            out.loss_bits,
+            oracle_loss.to_bits(),
+            "loss bits diverged (installed plan: {install})"
         );
         assert_eq!(
-            out.grad_bits, reference.grad_bits,
-            "gradient bits diverged from stash-all (planned: {planned})"
+            out.grad_bits, oracle_grads,
+            "gradient bits diverged from the oracle (installed plan: {install})"
         );
     }
 }

@@ -1,10 +1,21 @@
-//! The dual-plane executor: forward, backward, recomputation replay,
-//! memory accounting and kernel dispatch.
+//! The dual-plane executor: one plan-driven interpreter for forward,
+//! seeded backward, recomputation replay, memory accounting and kernel
+//! dispatch.
+//!
+//! Every entry point — [`Executor::forward`], [`Executor::forward_many`],
+//! [`Executor::train_step`], [`Executor::stage_step`] — resolves an
+//! [`ExecPlan`] for its signature (outputs, seeds, captures, training
+//! flag, binding shapes) and walks that plan's tables: one forward loop
+//! and one backward loop per scheduling mode (serial, wavefront). A
+//! training step is the seeded step with ones at the loss and nothing
+//! captured; a pipeline stage seeds its send interface and captures its
+//! received one. There is no other interpreter: an execution no cached
+//! plan serves builds its plan first and memoizes it in the executor.
 
 use crate::graph::{Graph, NodeId, NodeKind};
-use crate::op::{KernelLaunch, LaunchSpec, Operator, Saved, StashNeeds};
-use crate::plan::ExecPlan;
-use crate::policy::{StashPlan, StashPolicy};
+use crate::op::{KernelLaunch, LaunchSpec, Operator, Saved};
+use crate::plan::{ExecPlan, PlanKey};
+use crate::policy::StashPlan;
 use crate::{GraphError, Result};
 use echo_device::DeviceSim;
 use echo_memory::{
@@ -33,14 +44,14 @@ impl Default for ExecOptions {
     }
 }
 
-/// How the plan-driven executor schedules independent plan entries.
+/// How the executor schedules independent plan entries.
 ///
 /// Wavefront execution groups the plan's forward and backward schedules
 /// into dependency levels (see `ExecPlan`'s wave tables) and runs each
 /// level's entries concurrently on a worker pool, committing results
 /// serially in schedule order. The commit discipline — and the fixed
 /// per-element reduction order of every kernel underneath — keeps planned
-/// steps bit-identical to the serial interpreter at any thread count.
+/// steps bit-identical to the serial loops at any thread count.
 ///
 /// Wavefront scheduling only ever engages on the numeric plane with no
 /// device simulator attached: kernel dispatch order is part of a
@@ -119,6 +130,12 @@ pub struct StageStepOutput {
     pub stats: IterationStats,
 }
 
+/// Plans an executor keeps memoized, most recently used first. A trainer
+/// needs two (step and evaluation forward), a pipeline stage two (fill
+/// and drain), a serving worker re-installs its batch-size plan before
+/// every step; the rest absorbs bucketed batch shapes.
+const PLAN_CACHE_SLOTS: usize = 8;
+
 /// Runs a [`Graph`] under a [`StashPlan`] against a simulated device.
 ///
 /// The executor owns the parameter values, their gradient buffers, and the
@@ -132,30 +149,36 @@ pub struct Executor {
     params: HashMap<NodeId, Tensor>,
     param_shapes: HashMap<NodeId, Shape>,
     grads: HashMap<NodeId, Tensor>,
-    param_allocs: Vec<Allocation>,
-    /// Ahead-of-time execution plan; when it matches the requested
-    /// execution, `forward`/`train_step` run the plan-driven hot loop.
-    exec_plan: Option<Arc<ExecPlan>>,
-    /// Step-persistent interpreter state for the plan-driven path.
+    /// Persistent value + gradient space per bound parameter.
+    param_allocs: HashMap<NodeId, Allocation>,
+    /// Memoized execution plans, most recently used first; at most
+    /// [`PLAN_CACHE_SLOTS`]. Every execution runs one of these.
+    plans: Vec<Arc<ExecPlan>>,
+    /// Whether the caller installed a plan since the cache was last
+    /// emptied — only then is planning on demand a *fallback*.
+    plan_installed: bool,
+    /// Plans this executor had to build on demand.
+    plans_memoized: u64,
+    /// Step-persistent interpreter state.
     state: PlanState,
     /// Cumulative segment replays across every step this executor ran.
     replays_total: u64,
-    /// How planned steps schedule independent entries.
+    /// How steps schedule independent entries.
     wavefront: WavefrontMode,
 }
 
-/// Dense per-node tables the plan-driven interpreter reuses across steps
-/// instead of re-allocating `vec![None; n]` every iteration, plus the
-/// [`TensorPool`] that recycles executor-controlled tensor storage (the
-/// gradient seed, freed transients and gradients).
+/// Dense per-node tables the interpreter reuses across steps instead of
+/// re-allocating `vec![None; n]` every iteration, plus the [`TensorPool`]
+/// that recycles executor-controlled tensor storage (gradient seeds, freed
+/// transients and gradients).
 #[derive(Default)]
 struct PlanState {
     values: Vec<Option<Tensor>>,
     saved: Vec<Option<Saved>>,
     grads: Vec<Option<Tensor>>,
     grad_present: Vec<bool>,
-    needed: Vec<bool>,
-    fwd_uses: Vec<usize>,
+    fwd_uses: Vec<u32>,
+    bwd_done: Vec<bool>,
     pool: TensorPool,
 }
 
@@ -168,8 +191,8 @@ impl PlanState {
             self.saved.resize_with(n, || None);
             self.grads.resize_with(n, || None);
             self.grad_present.resize(n, false);
-            self.needed.resize(n, false);
             self.fwd_uses.resize(n, 0);
+            self.bwd_done.resize(n, false);
         }
     }
 }
@@ -184,6 +207,13 @@ impl std::fmt::Debug for Executor {
     }
 }
 
+fn shapes_of(bindings: &HashMap<NodeId, Tensor>) -> HashMap<NodeId, Shape> {
+    bindings
+        .iter()
+        .map(|(&id, t)| (id, t.shape().clone()))
+        .collect()
+}
+
 impl Executor {
     /// Creates an executor for `graph` with stashing decisions `plan`,
     /// allocating from `mem`.
@@ -196,15 +226,17 @@ impl Executor {
             params: HashMap::new(),
             param_shapes: HashMap::new(),
             grads: HashMap::new(),
-            param_allocs: Vec::new(),
-            exec_plan: None,
+            param_allocs: HashMap::new(),
+            plans: Vec::new(),
+            plan_installed: false,
+            plans_memoized: 0,
             state: PlanState::default(),
             replays_total: 0,
             wavefront: WavefrontMode::Auto,
         }
     }
 
-    /// Selects how planned steps schedule independent entries (see
+    /// Selects how steps schedule independent entries (see
     /// [`WavefrontMode`]). Defaults to [`WavefrontMode::Auto`].
     pub fn set_wavefront_mode(&mut self, mode: WavefrontMode) {
         self.wavefront = mode;
@@ -228,9 +260,9 @@ impl Executor {
         &self.mem
     }
 
-    /// Counters of the step-persistent [`TensorPool`] backing the
-    /// plan-driven hot loop. Reuse hits climbing across repeated steps is
-    /// the signal that storage is recycled rather than reallocated.
+    /// Counters of the step-persistent [`TensorPool`] backing the hot
+    /// loop. Reuse hits climbing across repeated steps is the signal that
+    /// storage is recycled rather than reallocated.
     pub fn tensor_pool_stats(&self) -> echo_memory::TensorPoolStats {
         self.state.pool.stats()
     }
@@ -250,12 +282,12 @@ impl Executor {
 
     /// Replaces the stash plan (used when re-compiling with the Echo pass).
     ///
-    /// Any attached [`ExecPlan`] is dropped: it was derived from the old
-    /// stashing decisions.
+    /// Every cached [`ExecPlan`] is dropped: they were derived from the
+    /// old stashing decisions.
     pub fn set_plan(&mut self, plan: StashPlan) {
         self.plan = plan;
         self.pools.clear();
-        self.exec_plan = None;
+        self.clear_exec_plan();
     }
 
     /// The active stash plan.
@@ -268,8 +300,8 @@ impl Executor {
     /// id-preserving — same node count, same node kinds — so existing
     /// parameter bindings, stash plans and targets stay valid.
     ///
-    /// Any attached [`ExecPlan`] and cached pools are dropped: they were
-    /// derived from the old node definitions.
+    /// Every cached [`ExecPlan`] and pool is dropped: they were derived
+    /// from the old node definitions.
     ///
     /// # Errors
     ///
@@ -302,15 +334,17 @@ impl Executor {
         }
         self.graph = graph;
         self.pools.clear();
-        self.exec_plan = None;
+        self.clear_exec_plan();
         Ok(())
     }
 
-    /// Attaches an ahead-of-time execution plan. `forward`/`train_step`
-    /// use the plan-driven hot loop whenever the plan matches the
-    /// requested execution (same target, training mode and binding
-    /// shapes), and silently fall back to the legacy interpreter
-    /// otherwise — results are bit-identical either way.
+    /// Installs an ahead-of-time execution plan: it goes to the front of
+    /// the executor's plan cache, and every execution it serves (same
+    /// outputs, seeds, captures, training mode and binding shapes) runs it
+    /// without planning. An execution no cached plan serves plans its own
+    /// signature first, memoizes that plan here, and is counted by
+    /// [`plan_fallbacks`](crate::plan_fallbacks) — results are
+    /// bit-identical either way.
     ///
     /// # Errors
     ///
@@ -340,18 +374,67 @@ impl Executor {
                 }
             }
         }
-        self.exec_plan = Some(plan);
+        self.remember_plan(plan);
+        self.plan_installed = true;
         Ok(())
     }
 
-    /// The attached execution plan, when one is installed.
+    /// The plan most recently installed or run, when the cache holds one.
     pub fn exec_plan(&self) -> Option<&Arc<ExecPlan>> {
-        self.exec_plan.as_ref()
+        self.plans.first()
     }
 
-    /// Removes the execution plan, forcing the legacy interpreter.
+    /// Empties the plan cache; the next execution plans its signature
+    /// afresh (and is not a fallback: nothing is installed any more).
     pub fn clear_exec_plan(&mut self) {
-        self.exec_plan = None;
+        self.plans.clear();
+        self.plan_installed = false;
+    }
+
+    /// Number of plans this executor built on demand because no cached
+    /// plan served an execution. Steady-state steps leave it unchanged.
+    pub fn plans_memoized(&self) -> u64 {
+        self.plans_memoized
+    }
+
+    /// Moves `plan` to the front of the cache, inserting it (and dropping
+    /// the least recently used entry beyond the cap) when it is new.
+    fn remember_plan(&mut self, plan: Arc<ExecPlan>) {
+        match self.plans.iter().position(|p| Arc::ptr_eq(p, &plan)) {
+            Some(pos) => self.plans[..=pos].rotate_right(1),
+            None => {
+                self.plans.insert(0, plan);
+                self.plans.truncate(PLAN_CACHE_SLOTS);
+            }
+        }
+    }
+
+    /// The plan that drives the execution `key` describes: a cached one
+    /// when any serves it, otherwise one built for exactly this signature
+    /// and memoized.
+    fn resolve_plan(
+        &mut self,
+        bindings: &HashMap<NodeId, Tensor>,
+        key: PlanKey<'_>,
+    ) -> Result<Arc<ExecPlan>> {
+        let n = self.graph.len();
+        if let Some(pos) = self.plans.iter().position(|p| p.serves(n, bindings, &key)) {
+            self.plans[..=pos].rotate_right(1);
+            return Ok(Arc::clone(&self.plans[0]));
+        }
+        if self.plan_installed {
+            crate::plan::record_plan_fallback();
+        }
+        let plan = Arc::new(ExecPlan::build_keyed(
+            &self.graph,
+            &self.plan,
+            key,
+            &shapes_of(bindings),
+            &self.param_shapes,
+        )?);
+        self.plans_memoized += 1;
+        self.remember_plan(Arc::clone(&plan));
+        Ok(plan)
     }
 
     /// Builds an execution plan for running `target` under `opts` with
@@ -368,15 +451,11 @@ impl Executor {
         target: NodeId,
         opts: ExecOptions,
     ) -> Result<Arc<ExecPlan>> {
-        let binding_shapes: HashMap<NodeId, Shape> = bindings
-            .iter()
-            .map(|(&id, t)| (id, t.shape().clone()))
-            .collect();
         Ok(Arc::new(ExecPlan::build(
             &self.graph,
             &self.plan,
             opts,
-            &binding_shapes,
+            &shapes_of(bindings),
             &self.param_shapes,
             target,
         )?))
@@ -395,13 +474,9 @@ impl Executor {
         bindings: &HashMap<NodeId, Tensor>,
         outputs: &[NodeId],
     ) -> Result<Arc<ExecPlan>> {
-        let binding_shapes: HashMap<NodeId, Shape> = bindings
-            .iter()
-            .map(|(&id, t)| (id, t.shape().clone()))
-            .collect();
         Ok(Arc::new(ExecPlan::build_inference(
             &self.graph,
-            &binding_shapes,
+            &shapes_of(bindings),
             &self.param_shapes,
             outputs,
         )?))
@@ -410,24 +485,14 @@ impl Executor {
     /// Binds a parameter's value, allocating persistent device space for
     /// the value and its gradient (both tagged as weights, matching the
     /// paper's "Weights" category which includes gradients and optimizer
-    /// state).
+    /// state). Binding an already-bound parameter replaces its value,
+    /// zeroes its gradient and re-uses its device space.
     ///
     /// # Errors
     ///
     /// Returns an error for a foreign id, a non-param node, or device OOM.
     pub fn bind_param(&mut self, id: NodeId, value: Tensor) -> Result<()> {
-        let node = self.graph.node(id)?;
-        if !matches!(node.kind, NodeKind::Param) {
-            return Err(GraphError::Operator {
-                op: node.name.clone(),
-                message: "bind_param on a non-parameter node".to_string(),
-            });
-        }
-        let bytes = value.num_bytes() as u64;
-        let tag = AllocationTag::new(node.layer, DataStructureKind::Weight, node.name.clone());
-        // Value + gradient.
-        self.param_allocs.push(self.mem.alloc(bytes * 2, tag)?);
-        self.param_shapes.insert(id, value.shape().clone());
+        self.bind_param_shape(id, value.shape().clone())?;
         self.grads.insert(id, Tensor::zeros(value.shape().clone()));
         self.params.insert(id, value);
         Ok(())
@@ -443,13 +508,21 @@ impl Executor {
         if !matches!(node.kind, NodeKind::Param) {
             return Err(GraphError::Operator {
                 op: node.name.clone(),
-                message: "bind_param_shape on a non-parameter node".to_string(),
+                message: "binding a non-parameter node".to_string(),
             });
         }
-        let bytes = shape.num_bytes() as u64;
+        // Value + gradient. A re-bind releases the previous allocation
+        // first, so the parameter never occupies the device twice.
+        self.param_allocs.remove(&id);
         let tag = AllocationTag::new(node.layer, DataStructureKind::Weight, node.name.clone());
-        self.param_allocs.push(self.mem.alloc(bytes * 2, tag)?);
-        self.param_shapes.insert(id, shape);
+        let alloc = self.mem.alloc(shape.num_bytes() as u64 * 2, tag)?;
+        self.param_allocs.insert(id, alloc);
+        if let Some(old) = self.param_shapes.insert(id, shape.clone()) {
+            if old != shape {
+                // Cached plans were specialized to the old shape.
+                self.clear_exec_plan();
+            }
+        }
         Ok(())
     }
 
@@ -560,9 +633,10 @@ impl Executor {
         for id in shape_only {
             replica.bind_param_shape(id, self.param_shapes[&id].clone())?;
         }
-        // The execution plan is immutable and shape-derived, so replicas
-        // share it: K replicas cost one planning pass.
-        replica.exec_plan = self.exec_plan.clone();
+        // Execution plans are immutable and shape-derived, so replicas
+        // share them: K replicas cost one planning pass.
+        replica.plans = self.plans.clone();
+        replica.plan_installed = self.plan_installed;
         replica.wavefront = self.wavefront.clone();
         Ok(replica)
     }
@@ -578,8 +652,9 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Propagates operator, binding and OOM errors; requesting the value in
-    /// a symbolic run yields [`GraphError::SymbolicPlane`].
+    /// Propagates planning, operator, binding and OOM errors; requesting
+    /// the value in a symbolic run yields [`GraphError::SymbolicPlane`]
+    /// (after the pass has been accounted and dispatched).
     pub fn forward(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -587,74 +662,21 @@ impl Executor {
         opts: ExecOptions,
         device: Option<&mut DeviceSim>,
     ) -> Result<Tensor> {
-        if let Some(plan) = &self.exec_plan {
-            if plan.matches(self.graph.len(), bindings, target, opts) {
-                let plan = Arc::clone(plan);
-                return self.planned_forward(plan, bindings, target, opts, device);
-            }
-            crate::plan::record_plan_fallback();
-        }
-        let mut run = Run::new(self, bindings, opts, device);
-        run.forward(target)?;
-        let out = if opts.numeric {
-            run.values[target.index()]
-                .clone()
-                .or_else(|| bindings.get(&target).cloned())
-                .ok_or(GraphError::SymbolicPlane {
-                    what: "output value",
-                })
-        } else {
-            Err(GraphError::SymbolicPlane {
-                what: "output value",
-            })
-        };
-        run.finish();
-        out
-    }
-
-    fn planned_forward(
-        &mut self,
-        plan: Arc<ExecPlan>,
-        bindings: &HashMap<NodeId, Tensor>,
-        target: NodeId,
-        opts: ExecOptions,
-        device: Option<&mut DeviceSim>,
-    ) -> Result<Tensor> {
-        self.mem
-            .record_planned_peak(plan.fwd_delta, 0, &plan.fwd_peak_breakdown)?;
-        let mut run = Run::new_planned(self, bindings, opts, device, plan);
-        let result = run.plan_forward();
-        let out = match result {
-            Ok(()) if opts.numeric => run.values[target.index()]
-                .clone()
-                .or_else(|| bindings.get(&target).cloned())
-                .ok_or(GraphError::SymbolicPlane {
-                    what: "output value",
-                }),
-            Ok(()) => Err(GraphError::SymbolicPlane {
-                what: "output value",
-            }),
-            Err(e) => Err(e),
-        };
-        run.finish();
-        out
+        let mut out = self.run_forward(bindings, &[target], opts, device)?;
+        Ok(out.pop().expect("one value per requested output"))
     }
 
     /// Runs one forward pass and returns the values of several nodes at
     /// once — the multi-output primitive stateful inference is built on
     /// (one decode step yields logits *and* every layer's new hidden and
-    /// cell state).
-    ///
-    /// When an installed plan [`matches_many`](ExecPlan::matches_many) the
-    /// plan-driven hot loop runs (pooled storage, static launch tables,
-    /// one accounting call); otherwise the legacy interpreter executes the
-    /// union cone of `outputs` with every output kept alive. Results are
-    /// bit-identical either way. `outputs` must be distinct.
+    /// cell state) and the fill phase of a pipeline stage runs. Executes
+    /// the union cone of `outputs` with every output kept alive;
+    /// `outputs` must be distinct.
     ///
     /// # Errors
     ///
-    /// Propagates operator, binding and OOM errors; requesting values in a
-    /// symbolic run yields [`GraphError::SymbolicPlane`].
+    /// Propagates planning, operator, binding and OOM errors; requesting
+    /// values in a symbolic run yields [`GraphError::SymbolicPlane`].
     pub fn forward_many(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -662,80 +684,48 @@ impl Executor {
         opts: ExecOptions,
         device: Option<&mut DeviceSim>,
     ) -> Result<Vec<Tensor>> {
-        if let Some(plan) = &self.exec_plan {
-            if plan.matches_many(self.graph.len(), bindings, outputs, opts) {
-                let plan = Arc::clone(plan);
-                return self.planned_forward_many(plan, bindings, outputs, opts, device);
-            }
-            crate::plan::record_plan_fallback();
-        }
         if !opts.numeric {
             return Err(GraphError::SymbolicPlane {
                 what: "output values",
             });
         }
-        let mut run = Run::new(self, bindings, opts, device);
-        let result = run.forward_multi(outputs);
-        let out = result.and_then(|()| {
-            outputs
-                .iter()
-                .map(|&id| {
-                    run.values[id.index()]
-                        .clone()
-                        .or_else(|| bindings.get(&id).cloned())
-                        .ok_or(GraphError::SymbolicPlane {
-                            what: "output value",
-                        })
-                })
-                .collect()
-        });
-        run.finish();
-        out
+        self.run_forward(bindings, outputs, opts, device)
     }
 
-    fn planned_forward_many(
+    fn run_forward(
         &mut self,
-        plan: Arc<ExecPlan>,
         bindings: &HashMap<NodeId, Tensor>,
         outputs: &[NodeId],
         opts: ExecOptions,
         device: Option<&mut DeviceSim>,
     ) -> Result<Vec<Tensor>> {
-        if !opts.numeric {
-            return Err(GraphError::SymbolicPlane {
-                what: "output values",
-            });
-        }
-        self.mem
-            .record_planned_peak(plan.fwd_delta, 0, &plan.fwd_peak_breakdown)?;
-        let mut run = Run::new_planned(self, bindings, opts, device, plan);
-        let result = run.plan_forward();
-        let out = result.and_then(|()| {
-            outputs
-                .iter()
-                .map(|&id| {
-                    // `take` hands ownership straight to the caller; the
-                    // storage would otherwise be recycled by `finish`.
-                    run.values[id.index()]
-                        .take()
-                        .or_else(|| bindings.get(&id).cloned())
-                        .ok_or(GraphError::SymbolicPlane {
-                            what: "output value",
-                        })
-                })
-                .collect()
-        });
+        let key = PlanKey {
+            outputs,
+            backward: None,
+            training: opts.training,
+        };
+        let plan = self.resolve_plan(bindings, key)?;
+        let acc = &plan.accounting;
+        self.mem.record_planned_peak(
+            acc.fwd_delta,
+            0,
+            &acc.fwd_peak_breakdown,
+            &acc.fwd_max_breakdown,
+        )?;
+        let mut run = Run::new(self, bindings, opts, device, plan);
+        let result = run.forward().and_then(|()| run.take_outputs(outputs));
         run.finish();
-        out
+        result
     }
 
     /// Runs a full training iteration (forward + backward from a scalar
-    /// `loss` node), leaving parameter gradients in the executor.
+    /// `loss` node), leaving parameter gradients in the executor: the
+    /// seeded step with ones at the loss and nothing captured.
     ///
     /// # Errors
     ///
-    /// Propagates operator, binding and OOM errors. In the numeric plane a
-    /// non-scalar loss is rejected.
+    /// Propagates planning, operator, binding and OOM errors. In the
+    /// numeric plane a non-scalar loss is rejected.
     pub fn train_step(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -743,50 +733,27 @@ impl Executor {
         opts: ExecOptions,
         device: Option<&mut DeviceSim>,
     ) -> Result<IterationStats> {
-        if let Some(plan) = &self.exec_plan {
-            if plan.training && plan.matches(self.graph.len(), bindings, loss, opts) {
-                let plan = Arc::clone(plan);
-                return self.planned_train_step(plan, bindings, loss, opts, device);
-            }
-            crate::plan::record_plan_fallback();
-        }
-        self.zero_grads();
-        let peak_before = {
-            self.mem.reset_peak();
-            self.mem.peak_bytes()
+        let target = [loss];
+        let key = PlanKey {
+            outputs: &target,
+            backward: Some((&target, &[])),
+            training: opts.training,
         };
-        let sim_start = device.as_ref().map(|d| d.elapsed_ns());
-        let mut run = Run::new(self, bindings, opts, device);
-        run.forward(loss)?;
-
-        let loss_value = if opts.numeric {
-            let t = run.values[loss.index()]
-                .as_ref()
-                .ok_or(GraphError::SymbolicPlane { what: "loss value" })?;
-            if t.len() != 1 {
+        let plan = self.resolve_plan(bindings, key)?;
+        let mut seeds = Vec::new();
+        if opts.numeric {
+            let shape = plan.shape(loss.index());
+            if shape.num_elements() != 1 {
                 return Err(GraphError::NonScalarLoss {
-                    shape: t.shape().to_string(),
+                    shape: shape.to_string(),
                 });
             }
-            Some(t.data()[0])
-        } else {
-            None
-        };
-
-        run.backward(loss)?;
-        let replays = run.replays;
-        let sim_ns = match (&run.device, sim_start) {
-            (Some(d), Some(start)) => Some(d.elapsed_ns().saturating_sub(start)),
-            _ => None,
-        };
-        run.finish();
-        self.replays_total += replays;
-        let peak = self.mem.peak_bytes().max(peak_before);
+            seeds.push((loss, Tensor::full(shape.clone(), 1.0)));
+        }
+        let out = self.run_step(plan, bindings, &seeds, opts, device)?;
         Ok(IterationStats {
-            loss: loss_value,
-            peak_bytes: peak,
-            replays,
-            sim_ns,
+            loss: out.outputs.first().map(|t| t.data()[0]),
+            ..out.stats
         })
     }
 
@@ -797,18 +764,21 @@ impl Executor {
     /// interface) instead of discarding them.
     ///
     /// This is [`train_step`](Executor::train_step) generalized to a
-    /// subgraph: the last pipeline stage seeds its scalar loss with a
-    /// ones tensor (making `stage_step` on a single-stage partition
-    /// bit-identical to `train_step`), every other stage seeds its send
-    /// interface with the gradients received from the next stage.
-    /// Parameter gradients accumulate into the executor exactly as in a
-    /// training step. Always runs the legacy interpreter — the seeded
-    /// walk has no ahead-of-time plan.
+    /// subgraph, on the same plan tables and the same loops: the last
+    /// pipeline stage seeds its scalar loss with a ones tensor (making
+    /// `stage_step` on a single-stage partition bit-identical to
+    /// `train_step`), every other stage seeds its send interface with the
+    /// gradients received from the next stage. Each seed is installed
+    /// before the walk, so in-walk contributions from this subgraph's
+    /// consumers `axpy` onto it in descending node order — exactly the
+    /// association the whole-graph walk uses when downstream consumers
+    /// have larger indices. Parameter gradients accumulate into the
+    /// executor exactly as in a training step.
     ///
     /// # Errors
     ///
     /// Rejects symbolic or inference options ([`GraphError::SymbolicPlane`])
-    /// and propagates operator, binding and OOM errors.
+    /// and propagates planning, operator, binding and OOM errors.
     pub fn stage_step(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -823,34 +793,42 @@ impl Executor {
                 what: "stage step (numeric training only)",
             });
         }
+        let seed_ids: Vec<NodeId> = seeds.iter().map(|(id, _)| *id).collect();
+        let key = PlanKey {
+            outputs,
+            backward: Some((&seed_ids, capture)),
+            training: true,
+        };
+        let plan = self.resolve_plan(bindings, key)?;
+        self.run_step(plan, bindings, seeds, opts, device)
+    }
+
+    /// One seeded step under `plan`: no per-node device bookkeeping, one
+    /// accounting call for the whole iteration.
+    fn run_step(
+        &mut self,
+        plan: Arc<ExecPlan>,
+        bindings: &HashMap<NodeId, Tensor>,
+        seeds: &[(NodeId, Tensor)],
+        opts: ExecOptions,
+        device: Option<&mut DeviceSim>,
+    ) -> Result<StageStepOutput> {
         self.zero_grads();
-        let peak_before = {
-            self.mem.reset_peak();
-            self.mem.peak_bytes()
-        };
+        self.mem.reset_peak();
+        let peak_before = self.mem.peak_bytes();
+        // The whole step's accounting, up front: liveness-driven peak,
+        // breakdown snapshot, category maxima and OOM check come from the
+        // plan's static timeline instead of hundreds of tagged allocations.
+        let acc = &plan.accounting;
+        self.mem.record_planned_peak(
+            acc.step_delta,
+            acc.assumed_workspace,
+            &acc.peak_breakdown,
+            &acc.max_breakdown,
+        )?;
         let sim_start = device.as_ref().map(|d| d.elapsed_ns());
-        let mut run = Run::new(self, bindings, opts, device);
-        let result = run.forward_multi(outputs);
-        let out_values = result.and_then(|()| {
-            outputs
-                .iter()
-                .map(|&id| {
-                    run.values[id.index()]
-                        .clone()
-                        .or_else(|| bindings.get(&id).cloned())
-                        .ok_or(GraphError::SymbolicPlane {
-                            what: "stage output value",
-                        })
-                })
-                .collect::<Result<Vec<Tensor>>>()
-        });
-        let seeded: Vec<(NodeId, Option<Tensor>)> =
-            seeds.iter().map(|(id, t)| (*id, Some(t.clone()))).collect();
-        let grads = if out_values.is_ok() {
-            run.backward_seeded(&seeded, capture)
-        } else {
-            Ok(Vec::new())
-        };
+        let mut run = Run::new(self, bindings, opts, device, plan);
+        let result = run.step(seeds);
         let replays = run.replays;
         let sim_ns = match (&run.device, sim_start) {
             (Some(d), Some(start)) => Some(d.elapsed_ns().saturating_sub(start)),
@@ -858,278 +836,232 @@ impl Executor {
         };
         run.finish();
         self.replays_total += replays;
-        let peak = self.mem.peak_bytes().max(peak_before);
-        let outputs = out_values?;
-        let input_grads = grads?;
+        let (outputs, input_grads) = result?;
         Ok(StageStepOutput {
             outputs,
             input_grads,
             stats: IterationStats {
                 loss: None,
-                peak_bytes: peak,
+                peak_bytes: self.mem.peak_bytes().max(peak_before),
                 replays,
                 sim_ns,
             },
         })
     }
-
-    /// The plan-driven training step: no per-node device bookkeeping, no
-    /// backward deep clones, one accounting call for the whole iteration.
-    fn planned_train_step(
-        &mut self,
-        plan: Arc<ExecPlan>,
-        bindings: &HashMap<NodeId, Tensor>,
-        loss: NodeId,
-        opts: ExecOptions,
-        device: Option<&mut DeviceSim>,
-    ) -> Result<IterationStats> {
-        self.zero_grads();
-        self.mem.reset_peak();
-        let peak_before = self.mem.peak_bytes();
-        // The whole step's accounting, up front: liveness-driven peak,
-        // breakdown snapshot and OOM check come from the plan's static
-        // timeline instead of hundreds of tagged allocations.
-        self.mem.record_planned_peak(
-            plan.step_delta,
-            plan.assumed_workspace,
-            &plan.peak_breakdown,
-        )?;
-        let sim_start = device.as_ref().map(|d| d.elapsed_ns());
-        let mut run = Run::new_planned(self, bindings, opts, device, Arc::clone(&plan));
-        let result = run.plan_step(loss);
-        let replays = run.replays;
-        let sim_ns = match (&run.device, sim_start) {
-            (Some(d), Some(start)) => Some(d.elapsed_ns().saturating_sub(start)),
-            _ => None,
-        };
-        run.finish();
-        self.replays_total += replays;
-        let loss_value = result?;
-        let peak = self.mem.peak_bytes().max(peak_before);
-        Ok(IterationStats {
-            loss: loss_value,
-            peak_bytes: peak,
-            replays,
-            sim_ns,
-        })
-    }
 }
 
-/// One in-flight execution over the graph.
+/// One in-flight execution of a plan.
 struct Run<'e> {
     exec: &'e mut Executor,
     bindings: &'e HashMap<NodeId, Tensor>,
     opts: ExecOptions,
     device: Option<&'e mut DeviceSim>,
-    /// Present on the plan-driven path; `None` for the legacy interpreter.
-    plan: Option<Arc<ExecPlan>>,
-    /// Tensor-storage recycler (plan-driven path; taken from the executor
-    /// for the duration of the run).
+    plan: Arc<ExecPlan>,
+    /// Tensor-storage recycler (taken from the executor for the duration
+    /// of the run, like the dense tables below).
     pool: TensorPool,
     /// Per-node numeric values (numeric plane only).
     values: Vec<Option<Tensor>>,
-    /// Per-node shapes (both planes).
-    shapes: Vec<Option<Shape>>,
     /// Per-node operator-private saved tensors.
     saved: Vec<Option<Saved>>,
-    /// Per-node device allocation for the output (and saved) bytes.
-    allocs: Vec<Option<Allocation>>,
     /// Remaining forward uses, for transient freeing.
-    fwd_uses: Vec<usize>,
-    /// Whether each node is in the execution cone.
-    needed: Vec<bool>,
+    fwd_uses: Vec<u32>,
     /// Gradient per node during backward (numeric).
     grads: Vec<Option<Tensor>>,
-    /// Whether a gradient is present (symbolic).
+    /// Whether a gradient is present (both planes).
     grad_present: Vec<bool>,
-    /// Gradient allocations per node (transient).
-    grad_allocs: Vec<Option<Allocation>>,
+    /// Per-node "backward entry processed" mask — the basis of the
+    /// scratch-reader refcounts, exact in serial and wave order alike.
+    bwd_done: Vec<bool>,
     /// Replay scratch per segment id.
     scratch: HashMap<usize, SegmentScratch>,
+    /// Segments mid-replay (guards mutually-referencing segments).
+    replaying: Vec<usize>,
     replays: u64,
-    /// Backward-walk cursor (node index currently being differentiated);
-    /// `usize::MAX` outside backward. Replays triggered at the cursor
-    /// count their remaining readers from here down.
-    bwd_cursor: usize,
-    /// Whether a wavefront backward is in flight. Waves visit node
-    /// indices non-monotonically, so the serial cursor disciplines —
-    /// counting scratch readers from the cursor down at replay time and
-    /// the `min_index < cursor` retirement backstop — are replaced by an
-    /// exact refcount over `bwd_done`.
-    wavefront: bool,
-    /// Per-node "backward entry processed" mask (wavefront backward
-    /// only); the basis for scratch-reader refcounts.
-    bwd_done: Vec<bool>,
 }
 
 struct SegmentScratch {
     values: HashMap<NodeId, Tensor>,
     saved: HashMap<NodeId, Saved>,
-    shapes: HashMap<NodeId, Shape>,
     /// Workspace pool the lease below came from. Exclusive access is the
-    /// sharing contract; a new same-pool replay force-retires this
-    /// scratch first.
+    /// sharing contract; a new same-pool replay evicts this scratch first.
     pool: usize,
     _lease: WorkspaceLease,
-    /// Smallest topo index in the segment: once backward passes it the
-    /// scratch is dead.
-    min_index: usize,
-    /// Remaining backward ops that may still read from this scratch
-    /// (burn-autodiff's `n_required` refcount idiom). Counted at replay
-    /// time over the rest of the descending walk, decremented as each
-    /// reader finishes; the scratch is retired at zero — which can be
-    /// earlier than `min_index` when the segment's own nodes receive no
-    /// gradient. The count is a static over-approximation (a counted op
-    /// may be skipped when no gradient reaches it), so it never frees a
-    /// scratch a later reader still needs; `min_index` stays as the
-    /// backstop.
+    /// Backward entries that will still read this scratch (burn-autodiff's
+    /// `n_required` refcount idiom): counted at replay time over the
+    /// plan's reader table minus the entries already processed,
+    /// decremented as each reader finishes — skipped or not — and the
+    /// scratch is retired at zero.
     n_required: usize,
 }
 
-/// Whether backward op `idx` would read values, saved state or shapes out
-/// of `scratch` when differentiated: it is one of the replayed nodes
-/// (output/saved state live in the scratch) or it consumes one of them as
-/// an input it declares it needs.
-fn reads_scratch(graph: &Graph, needed: &[bool], idx: usize, scratch: &SegmentScratch) -> bool {
-    if !needed[idx] {
-        return false;
-    }
-    let node = &graph.nodes()[idx];
-    match &node.kind {
-        NodeKind::Op { op, inputs } => {
-            scratch.shapes.contains_key(&node.id)
-                || (op.stash().inputs && inputs.iter().any(|i| scratch.shapes.contains_key(i)))
-        }
-        _ => false,
-    }
-}
-
-/// Shared-read value lookup for wavefront compute phases: the same
-/// resolution order as [`Run::value_of`], without borrowing the run
-/// (closures running on the worker pool only capture the tables they
-/// read).
-fn lookup_value<'a>(
+/// A read-only view of everything a kernel call may touch. Built per op
+/// by the serial loops and shared by all workers of a wave; borrowing the
+/// tables (not the run) is what lets wave closures run on the pool.
+struct RunView<'a> {
+    plan: &'a ExecPlan,
+    graph: &'a Graph,
     values: &'a [Option<Tensor>],
-    params: &'a HashMap<NodeId, Tensor>,
-    bindings: &'a HashMap<NodeId, Tensor>,
-    graph: &Graph,
-    id: NodeId,
-) -> Result<&'a Tensor> {
-    if let Some(v) = &values[id.index()] {
-        return Ok(v);
-    }
-    if let Some(v) = params.get(&id) {
-        return Ok(v);
-    }
-    if let Some(v) = bindings.get(&id) {
-        return Ok(v);
-    }
-    Err(GraphError::MissingBinding {
-        name: graph.nodes()[id.index()].name.clone(),
-    })
-}
-
-/// [`lookup_value`] extended with active replay scratches — the
-/// resolution order of [`Run::borrowed_value`].
-fn lookup_backward_value<'a>(
-    values: &'a [Option<Tensor>],
-    params: &'a HashMap<NodeId, Tensor>,
-    bindings: &'a HashMap<NodeId, Tensor>,
+    grads: &'a [Option<Tensor>],
+    saved: &'a [Option<Saved>],
     scratch: &'a HashMap<usize, SegmentScratch>,
-    graph: &Graph,
-    id: NodeId,
-) -> Result<&'a Tensor> {
-    if let Ok(v) = lookup_value(values, params, bindings, graph, id) {
-        return Ok(v);
+    params: &'a HashMap<NodeId, Tensor>,
+    bindings: &'a HashMap<NodeId, Tensor>,
+}
+
+impl RunView<'_> {
+    /// `id`'s value: computed this step, a bound parameter, a caller
+    /// binding, or — for a node forward dropped — its segment's scratch.
+    fn value(&self, id: NodeId) -> Result<&Tensor> {
+        let scratch_value = || {
+            let seg = self.plan.seg_of.get(id.index()).copied().flatten()?;
+            self.scratch.get(&(seg as usize))?.values.get(&id)
+        };
+        self.values[id.index()]
+            .as_ref()
+            .or_else(|| self.params.get(&id))
+            .or_else(|| self.bindings.get(&id))
+            .or_else(scratch_value)
+            .ok_or_else(|| GraphError::MissingBinding {
+                name: self.graph.nodes()[id.index()].name.clone(),
+            })
     }
-    for s in scratch.values() {
-        if let Some(v) = s.values.get(&id) {
-            return Ok(v);
+
+    fn op(&self, idx: usize) -> (&(dyn Operator + Send + Sync), &[NodeId]) {
+        match &self.graph.nodes()[idx].kind {
+            NodeKind::Op { op, inputs } => (op.as_ref(), inputs),
+            _ => unreachable!("kernel calls are issued for op nodes only"),
         }
     }
-    Err(GraphError::MissingBinding {
-        name: graph.nodes()[id.index()].name.clone(),
-    })
+
+    fn forward(&self, idx: usize) -> Result<(Tensor, Saved)> {
+        let (op, inputs) = self.op(idx);
+        let in_values: Vec<&Tensor> = inputs
+            .iter()
+            .map(|&i| self.value(i))
+            .collect::<Result<_>>()?;
+        op.forward(&in_values)
+    }
+
+    /// Runs op `idx`'s backward kernel over borrowed views — no tensor is
+    /// cloned. Only called once everything the op reads is replayed.
+    fn backward(&self, idx: usize) -> Result<Vec<Option<Tensor>>> {
+        let (op, inputs) = self.op(idx);
+        let id = NodeId(idx);
+        let needs = self.plan.ops[idx].as_ref().expect("op tables").needs;
+        let input_refs: Vec<Option<&Tensor>> = if needs.inputs {
+            inputs
+                .iter()
+                .map(|&i| self.value(i).map(Some))
+                .collect::<Result<_>>()?
+        } else {
+            vec![None; inputs.len()]
+        };
+        let output_ref = if needs.output {
+            Some(self.value(id)?)
+        } else {
+            None
+        };
+        let scratch_saved = || {
+            let seg = self.plan.seg_of[idx]?;
+            self.scratch.get(&(seg as usize))?.saved.get(&id)
+        };
+        let saved_ref: &[Tensor] = match &self.saved[idx] {
+            Some(s) => s,
+            None => scratch_saved().map_or(&[], |s| s.as_slice()),
+        };
+        let dy = self.grads[idx].as_ref().expect("grad present");
+        let input_grads = op.backward(&input_refs, output_ref, saved_ref, dy)?;
+        if input_grads.len() != inputs.len() {
+            return Err(GraphError::Operator {
+                op: op.name().to_string(),
+                message: format!(
+                    "backward returned {} gradients for {} inputs",
+                    input_grads.len(),
+                    inputs.len()
+                ),
+            });
+        }
+        Ok(input_grads)
+    }
 }
 
 impl<'e> Run<'e> {
+    /// Builds a run over `plan`, taking the executor's step-persistent
+    /// tables instead of allocating fresh ones.
     fn new(
-        exec: &'e mut Executor,
-        bindings: &'e HashMap<NodeId, Tensor>,
-        opts: ExecOptions,
-        device: Option<&'e mut DeviceSim>,
-    ) -> Self {
-        let n = exec.graph.len();
-        Run {
-            exec,
-            bindings,
-            opts,
-            device,
-            plan: None,
-            pool: TensorPool::default(),
-            values: vec![None; n],
-            shapes: vec![None; n],
-            saved: (0..n).map(|_| None).collect(),
-            allocs: (0..n).map(|_| None).collect(),
-            fwd_uses: vec![0; n],
-            needed: vec![false; n],
-            grads: vec![None; n],
-            grad_present: vec![false; n],
-            grad_allocs: (0..n).map(|_| None).collect(),
-            scratch: HashMap::new(),
-            replays: 0,
-            bwd_cursor: usize::MAX,
-            wavefront: false,
-            bwd_done: Vec::new(),
-        }
-    }
-
-    /// Builds a run over an execution plan, taking the executor's
-    /// step-persistent tables instead of allocating fresh ones.
-    fn new_planned(
         exec: &'e mut Executor,
         bindings: &'e HashMap<NodeId, Tensor>,
         opts: ExecOptions,
         device: Option<&'e mut DeviceSim>,
         plan: Arc<ExecPlan>,
     ) -> Self {
-        let n = exec.graph.len();
-        exec.state.ensure_len(n);
+        exec.state.ensure_len(plan.graph_len);
         let mut state = std::mem::take(&mut exec.state);
-        // `needed` and `fwd_uses` reset from the plan's static tables
-        // (memcpy into retained storage, no allocation).
-        for (dst, &src) in state.needed.iter_mut().zip(plan.in_cone.iter()) {
-            *dst = src;
-        }
-        for (dst, &src) in state.fwd_uses.iter_mut().zip(plan.fwd_uses.iter()) {
-            *dst = src as usize;
-        }
+        // Use counts reset from the plan's static table (memcpy into
+        // retained storage, no allocation).
+        state.fwd_uses[..plan.graph_len].copy_from_slice(&plan.fwd_uses);
+        state.bwd_done[..plan.graph_len].fill(false);
         Run {
             exec,
             bindings,
             opts,
             device,
-            plan: Some(plan),
+            plan,
             pool: state.pool,
             values: state.values,
-            shapes: Vec::new(),
             saved: state.saved,
-            allocs: Vec::new(),
             fwd_uses: state.fwd_uses,
-            needed: state.needed,
             grads: state.grads,
             grad_present: state.grad_present,
-            grad_allocs: Vec::new(),
+            bwd_done: state.bwd_done,
             scratch: HashMap::new(),
+            replaying: Vec::new(),
             replays: 0,
-            bwd_cursor: usize::MAX,
-            wavefront: false,
-            bwd_done: Vec::new(),
         }
+    }
+
+    /// Recycles whatever the step left behind (stashed values whose
+    /// gradients never materialized, retained values, the outputs) and
+    /// hands the tables back to the executor for the next step.
+    fn finish(mut self) {
+        for &id in &self.plan.schedule {
+            let idx = id.index();
+            if let Some(t) = self.values[idx].take() {
+                self.pool.put(t.into_vec());
+            }
+            self.saved[idx] = None;
+            if let Some(g) = self.grads[idx].take() {
+                self.pool.put(g.into_vec());
+            }
+            self.grad_present[idx] = false;
+        }
+        self.exec.state = PlanState {
+            values: self.values,
+            saved: self.saved,
+            grads: self.grads,
+            grad_present: self.grad_present,
+            fwd_uses: self.fwd_uses,
+            bwd_done: self.bwd_done,
+            pool: self.pool,
+        };
     }
 
     fn graph(&self) -> Arc<Graph> {
         Arc::clone(&self.exec.graph)
+    }
+
+    fn view(&self) -> RunView<'_> {
+        RunView {
+            plan: &self.plan,
+            graph: &self.exec.graph,
+            values: &self.values,
+            grads: &self.grads,
+            saved: &self.saved,
+            scratch: &self.scratch,
+            params: &self.exec.params,
+            bindings: self.bindings,
+        }
     }
 
     fn dispatch(&mut self, launches: &[KernelLaunch]) {
@@ -1147,794 +1079,9 @@ impl<'e> Run<'e> {
         }
     }
 
-    /// Whether this node's output should be kept as a feature map until
-    /// backward.
-    fn is_stashed(&self, id: NodeId) -> bool {
-        self.opts.training && matches!(self.exec.plan.policy(id), StashPolicy::Stash)
-    }
-
-    fn forward(&mut self, target: NodeId) -> Result<()> {
-        self.forward_multi(std::slice::from_ref(&target))
-    }
-
-    fn forward_multi(&mut self, outputs: &[NodeId]) -> Result<()> {
-        let graph = self.graph();
-        for &out in outputs {
-            for id in graph.ancestors(out) {
-                self.needed[id.index()] = true;
-            }
-        }
-        // Count in-cone forward consumers for transient freeing.
-        for node in graph.nodes() {
-            if !self.needed[node.id.index()] {
-                continue;
-            }
-            for &input in node.inputs() {
-                self.fwd_uses[input.index()] += 1;
-            }
-        }
-
-        for node in graph.nodes() {
-            let id = node.id;
-            if !self.needed[id.index()] {
-                continue;
-            }
-            match &node.kind {
-                NodeKind::Input => {
-                    let value =
-                        self.bindings
-                            .get(&id)
-                            .ok_or_else(|| GraphError::MissingBinding {
-                                name: node.name.clone(),
-                            })?;
-                    let shape = value.shape().clone();
-                    let tag = AllocationTag::new(
-                        node.layer,
-                        DataStructureKind::Placeholder,
-                        node.name.clone(),
-                    );
-                    self.allocs[id.index()] =
-                        Some(self.exec.mem.alloc(shape.num_bytes() as u64, tag)?);
-                    // Bindings are read-only for the step: ops borrow them
-                    // straight from the caller's map (see `value_of`), so
-                    // no per-step deep copy of input data is made.
-                    self.shapes[id.index()] = Some(shape);
-                }
-                NodeKind::Param => {
-                    let shape = self.exec.param_shapes.get(&id).cloned().ok_or_else(|| {
-                        GraphError::MissingBinding {
-                            name: node.name.clone(),
-                        }
-                    })?;
-                    self.shapes[id.index()] = Some(shape);
-                    // Params were allocated at bind time; values are read
-                    // from the executor map directly.
-                }
-                NodeKind::Op { op, inputs } => {
-                    let op = Arc::clone(op);
-                    let input_ids = inputs.clone();
-                    if let Some(device) = self.device.as_deref_mut() {
-                        device.dispatch_op();
-                    }
-                    // Shapes.
-                    let in_shapes: Vec<Shape> = input_ids
-                        .iter()
-                        .map(|&i| self.shape_of(i))
-                        .collect::<Result<_>>()?;
-                    let shape_refs: Vec<&Shape> = in_shapes.iter().collect();
-                    let out_shape = op.infer_shape(&shape_refs)?;
-
-                    // Numeric compute.
-                    // The declared saved bytes may exceed what forward
-                    // numerically saves (cuDNN-style conservative reserve);
-                    // the device allocation honours the larger of the two so
-                    // both planes account identically.
-                    let mut saved_bytes = op.saved_bytes(&shape_refs, &out_shape);
-                    if self.opts.numeric {
-                        let in_values: Vec<&Tensor> = input_ids
-                            .iter()
-                            .map(|&i| self.value_of(i))
-                            .collect::<Result<_>>()?;
-                        let (out, saved) = op.forward(&in_values)?;
-                        saved_bytes =
-                            saved_bytes.max(saved.iter().map(|t| t.num_bytes() as u64).sum());
-                        let keep_saved = self.opts.training && self.is_stashed(id);
-                        self.values[id.index()] = Some(out);
-                        self.saved[id.index()] = if keep_saved && !saved.is_empty() {
-                            Some(saved)
-                        } else {
-                            None
-                        };
-                    }
-
-                    // Device launches.
-                    let launches = op.forward_launches(&shape_refs, &out_shape);
-                    self.dispatch(&launches);
-
-                    // Memory: output (+ saved when stashed).
-                    let stashed = self.is_stashed(id);
-                    let kind = if stashed {
-                        DataStructureKind::FeatureMap
-                    } else {
-                        DataStructureKind::Placeholder
-                    };
-                    let bytes = out_shape.num_bytes() as u64
-                        + if stashed && self.opts.training {
-                            saved_bytes
-                        } else {
-                            0
-                        };
-                    let tag = AllocationTag::new(node.layer, kind, node.name.clone());
-                    self.allocs[id.index()] = Some(self.exec.mem.alloc(bytes, tag)?);
-                    self.shapes[id.index()] = Some(out_shape);
-
-                    // Transient freeing of this op's inputs.
-                    for &input in &input_ids {
-                        self.fwd_uses[input.index()] -= 1;
-                        self.maybe_free_after_forward(input, outputs);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Frees a node's forward value if it is transient and fully consumed.
-    fn maybe_free_after_forward(&mut self, id: NodeId, outputs: &[NodeId]) {
-        if outputs.contains(&id) || self.fwd_uses[id.index()] > 0 {
-            return;
-        }
-        let node = &self.exec.graph.nodes()[id.index()];
-        let transient = match node.kind {
-            NodeKind::Op { .. } => !self.is_stashed(id),
-            // Inputs stay bound for the iteration; params persist.
-            _ => false,
-        };
-        if transient {
-            // Recompute-policy values are dropped in training too — that is
-            // the entire point of partial forward propagation.
-            self.allocs[id.index()] = None;
-            self.values[id.index()] = None;
-            self.saved[id.index()] = None;
-        }
-    }
-
-    /// The plan's static shape for `id`, when a plan drives this run.
-    fn static_shape(&self, id: NodeId) -> Option<&Shape> {
-        self.plan
-            .as_ref()
-            .filter(|p| p.in_cone[id.index()])
-            .map(|p| p.shape(id.index()))
-    }
-
-    fn shape_of(&self, id: NodeId) -> Result<Shape> {
-        if let Some(s) = self.static_shape(id) {
-            return Ok(s.clone());
-        }
-        if let Some(s) = self.shapes.get(id.index()).and_then(|s| s.as_ref()) {
-            return Ok(s.clone());
-        }
-        Err(GraphError::MissingBinding {
-            name: self.exec.graph.nodes()[id.index()].name.clone(),
-        })
-    }
-
-    fn value_of(&self, id: NodeId) -> Result<&Tensor> {
-        if let Some(v) = &self.values[id.index()] {
-            return Ok(v);
-        }
-        if let Some(v) = self.exec.params.get(&id) {
-            return Ok(v);
-        }
-        if let Some(v) = self.bindings.get(&id) {
-            return Ok(v);
-        }
-        Err(GraphError::MissingBinding {
-            name: self.exec.graph.nodes()[id.index()].name.clone(),
-        })
-    }
-
-    /// Whether `id`'s value is on hand without a replay: computed this
-    /// step, a bound parameter, or a caller-provided binding.
-    fn value_at_hand(&self, id: NodeId) -> bool {
-        self.values[id.index()].is_some()
-            || self.exec.params.contains_key(&id)
-            || self.bindings.contains_key(&id)
-    }
-
-    /// Fetches a value for backward, replaying its segment if it was
-    /// dropped under a `Recompute` policy.
-    fn backward_value(&mut self, id: NodeId) -> Result<Tensor> {
-        if self.value_at_hand(id) {
-            return self.value_of(id).cloned();
-        }
-        let policy = self.exec.plan.policy(id);
-        if let StashPolicy::Recompute(seg) = policy {
-            self.ensure_replayed(seg.id)?;
-            if let Some(s) = self.scratch.get(&seg.id) {
-                if let Some(v) = s.values.get(&id) {
-                    return Ok(v.clone());
-                }
-            }
-        }
-        Err(GraphError::MissingBinding {
-            name: self.exec.graph.nodes()[id.index()].name.clone(),
-        })
-    }
-
-    fn backward_saved(&mut self, id: NodeId) -> Result<Saved> {
-        if let Some(s) = &self.saved[id.index()] {
-            return Ok(s.clone());
-        }
-        if let StashPolicy::Recompute(seg) = self.exec.plan.policy(id) {
-            self.ensure_replayed(seg.id)?;
-            if let Some(s) = self.scratch.get(&seg.id) {
-                if let Some(v) = s.saved.get(&id) {
-                    return Ok(v.clone());
-                }
-            }
-        }
-        Ok(Vec::new())
-    }
-
-    /// Replays segment `seg` (once): forward from stashed boundary values
-    /// into a workspace-leased scratch.
-    fn ensure_replayed(&mut self, seg: usize) -> Result<()> {
-        if self.scratch.contains_key(&seg) {
-            return Ok(());
-        }
-        let graph = self.graph();
-        let members = self.exec.plan.segment_nodes(seg);
-        if members.is_empty() {
-            return Ok(());
-        }
-        let nodes: Vec<NodeId> = members
-            .iter()
-            .copied()
-            .filter(|n| self.needed[n.index()])
-            .collect();
-        if nodes.is_empty() {
-            return Ok(());
-        }
-        let pool_id = match self.exec.plan.policy(nodes[0]) {
-            StashPolicy::Recompute(s) => s.pool,
-            StashPolicy::Stash => 0,
-        };
-        let min_index = nodes.iter().map(|n| n.index()).min().expect("non-empty");
-
-        // Compute scratch size and values.
-        let mut values: HashMap<NodeId, Tensor> = HashMap::new();
-        let mut saved: HashMap<NodeId, Saved> = HashMap::new();
-        let mut shapes: HashMap<NodeId, Shape> = HashMap::new();
-        let mut bytes = 0u64;
-
-        for &id in &nodes {
-            let node = &graph.nodes()[id.index()];
-            let (op, input_ids) = match &node.kind {
-                NodeKind::Op { op, inputs } => (Arc::clone(op), inputs.clone()),
-                _ => {
-                    return Err(GraphError::Operator {
-                        op: node.name.clone(),
-                        message: "recompute segment contains a non-op node".to_string(),
-                    })
-                }
-            };
-            // Boundary inputs are normally stashed values/params/bindings;
-            // under generic checkpointing plans (Chen et al.) a boundary
-            // input may itself belong to another recompute segment, which
-            // is replayed recursively first (topological order bounds the
-            // recursion). The numeric plane clones each fetched value out
-            // immediately after its replay: two boundary segments may
-            // share one exclusive workspace pool, in which case the later
-            // nested replay force-retires the earlier scratch — reading
-            // lazily would lose the first value.
-            let mut owned: Vec<Tensor> = Vec::with_capacity(input_ids.len());
-            if self.opts.numeric {
-                for &i in &input_ids {
-                    let v = if let Some(v) = values.get(&i) {
-                        v.clone()
-                    } else if let Some(v) = self.scratch_value(i) {
-                        v
-                    } else if self.value_at_hand(i) {
-                        self.value_of(i)?.clone()
-                    } else {
-                        if let StashPolicy::Recompute(other) = self.exec.plan.policy(i) {
-                            if other.id != seg {
-                                self.ensure_replayed(other.id)?;
-                            }
-                        }
-                        match self.scratch_value(i) {
-                            Some(v) => v,
-                            None => self.value_of(i)?.clone(),
-                        }
-                    };
-                    owned.push(v);
-                }
-            } else {
-                for &i in &input_ids {
-                    if shapes.contains_key(&i) || self.value_at_hand(i) {
-                        continue;
-                    }
-                    if let StashPolicy::Recompute(other) = self.exec.plan.policy(i) {
-                        if other.id != seg && !self.scratch_has(i) {
-                            self.ensure_replayed(other.id)?;
-                        }
-                    }
-                }
-            }
-            let in_shapes: Vec<Shape> = if self.opts.numeric {
-                owned.iter().map(|t| t.shape().clone()).collect()
-            } else {
-                input_ids
-                    .iter()
-                    .map(|&i| {
-                        shapes
-                            .get(&i)
-                            .cloned()
-                            .map(Ok)
-                            .unwrap_or_else(|| self.replay_shape_of(i))
-                    })
-                    .collect::<Result<_>>()?
-            };
-            let shape_refs: Vec<&Shape> = in_shapes.iter().collect();
-            let out_shape = op.infer_shape(&shape_refs)?;
-            let mut saved_size = op.saved_bytes(&shape_refs, &out_shape);
-
-            if self.opts.numeric {
-                let refs: Vec<&Tensor> = owned.iter().collect();
-                let (out, s) = op.forward(&refs)?;
-                saved_size = saved_size.max(s.iter().map(|t| t.num_bytes() as u64).sum());
-                values.insert(id, out);
-                if !s.is_empty() {
-                    saved.insert(id, s);
-                }
-            }
-            let launches = op.forward_launches(&shape_refs, &out_shape);
-            self.dispatch(&launches);
-            bytes += out_shape.num_bytes() as u64 + saved_size;
-            shapes.insert(id, out_shape);
-        }
-
-        let pool = self
-            .exec
-            .pools
-            .entry(pool_id)
-            .or_insert_with(|| {
-                WorkspacePool::new(
-                    self.exec.mem.clone(),
-                    graph.nodes()[min_index].layer,
-                    format!("segment_pool_{pool_id}"),
-                )
-            })
-            .clone();
-        // Workspaces are exclusive (paper §3.2): the Echo heuristic only
-        // pools segments whose replay lifetimes are disjoint, but search-
-        // produced or externally authored plans may pool segments whose
-        // reader intervals overlap in the interpreter's walk. Honour the
-        // contract by retiring any still-live scratch on this pool — its
-        // values are re-replayable on demand, so dropping early trades
-        // (deterministic) extra replays for the modeled single-workspace
-        // footprint instead of aborting. The wavefront walk pins scratches
-        // for its whole pass (see `retire_scratches`), so only the serial
-        // cursor walk force-retires.
-        if !self.wavefront {
-            self.scratch.retain(|_, s| s.pool != pool_id);
-        }
-        let lease = pool.lease(bytes)?;
-        self.replays += 1;
-        let scratch = SegmentScratch {
-            values,
-            saved,
-            shapes,
-            pool: pool_id,
-            _lease: lease,
-            min_index,
-            n_required: 0,
-        };
-        // Count the backward ops that may still read this scratch — each
-        // decrements the refcount as it finishes. The serial walk counts
-        // from the descending cursor down; a wavefront walk visits
-        // indices non-monotonically, so it counts every not-yet-processed
-        // entry instead (`bwd_done` is exact where the cursor is only a
-        // lower bound, which is what lets wavefront retirement drop the
-        // `min_index` backstop entirely).
-        let n_required = if self.wavefront {
-            (0..graph.len())
-                .filter(|&d| !self.bwd_done[d] && reads_scratch(&graph, &self.needed, d, &scratch))
-                .count()
-        } else {
-            let cursor = self.bwd_cursor.min(graph.len().saturating_sub(1));
-            (0..=cursor)
-                .filter(|&d| reads_scratch(&graph, &self.needed, d, &scratch))
-                .count()
-        };
-        self.scratch.insert(
-            seg,
-            SegmentScratch {
-                n_required,
-                ..scratch
-            },
-        );
-        Ok(())
-    }
-
-    /// Retires replay scratches after backward finished node `idx`:
-    /// decrements the `n_required` refcount of every scratch `idx` read
-    /// from (freeing at zero) and drops any scratch whose whole segment
-    /// lies at or above the cursor.
-    fn retire_scratches(&mut self, idx: usize) {
-        let graph = Arc::clone(&self.exec.graph);
-        let needed = &self.needed;
-        let wavefront = self.wavefront;
-        self.scratch.retain(|_, s| {
-            if reads_scratch(&graph, needed, idx, s) {
-                s.n_required = s.n_required.saturating_sub(1);
-                if s.n_required == 0 {
-                    return false;
-                }
-            }
-            // The `min_index` backstop assumes a monotonically descending
-            // cursor; wavefront order is non-monotonic, and its refcount
-            // is exact (every pending reader — including ones that will
-            // be skipped — was counted and decrements when processed), so
-            // the refcount alone decides retirement there.
-            wavefront || s.min_index < idx
-        });
-    }
-
-    fn backward(&mut self, loss: NodeId) -> Result<()> {
-        let seed = if self.opts.numeric {
-            let shape = self.shape_of(loss)?;
-            Some(Tensor::full(shape, 1.0))
-        } else {
-            None
-        };
-        self.backward_seeded(&[(loss, seed)], &[]).map(|_| ())
-    }
-
-    /// The seeded backward walk underlying both the whole-graph training
-    /// step and the pipelined stage step. Each `(node, grad)` seed is
-    /// installed *before* the walk — moved in when no gradient exists yet,
-    /// accumulated otherwise — so in-walk contributions from this
-    /// (sub)graph's consumers `axpy` onto the seed in descending node
-    /// order, exactly the association the serial whole-graph walk uses
-    /// when downstream consumers have larger indices. Gradients reaching
-    /// `Input` nodes listed in `capture` are returned (in `capture`
-    /// order) instead of discarded.
-    fn backward_seeded(
-        &mut self,
-        seeds: &[(NodeId, Option<Tensor>)],
-        capture: &[NodeId],
-    ) -> Result<Vec<Option<Tensor>>> {
-        let graph = self.graph();
-        for (id, seed) in seeds {
-            let idx = id.index();
-            if self.opts.numeric {
-                let t = seed.as_ref().ok_or(GraphError::SymbolicPlane {
-                    what: "gradient seed",
-                })?;
-                match &mut self.grads[idx] {
-                    Some(acc) => acc.axpy(1.0, t).map_err(GraphError::from)?,
-                    slot @ None => *slot = Some(t.clone()),
-                }
-            }
-            self.grad_present[idx] = true;
-            self.alloc_grad(*id)?;
-        }
-        let mut captured: Vec<Option<Tensor>> = vec![None; capture.len()];
-
-        // A stashed value is normally dead once the cursor passes its
-        // index: every direct reader (its own backward, its consumers'
-        // backwards) sits at or above it. Scattered segments (exact-cost
-        // search output) break that: a segment reader can sit *below* one
-        // of the segment's stashed boundary inputs, and the replay
-        // triggered there re-reads the value. Precompute each node's
-        // replay floor — the lowest backward index that may still read it
-        // through a replay — and retain such values past the cursor.
-        let mut replay_floor: Vec<usize> = vec![usize::MAX; graph.len()];
-        {
-            let mut members: HashMap<usize, Vec<NodeId>> = HashMap::new();
-            for node in graph.nodes() {
-                if let StashPolicy::Recompute(s) = self.exec.plan.policy(node.id) {
-                    members.entry(s.id).or_default().push(node.id);
-                }
-            }
-            for mem in members.values() {
-                let mut in_seg = vec![false; graph.len()];
-                for n in mem {
-                    in_seg[n.index()] = true;
-                }
-                let mut lowest = usize::MAX;
-                for d in 0..graph.len() {
-                    if !self.needed[d] {
-                        continue;
-                    }
-                    let reads = in_seg[d]
-                        || match &graph.nodes()[d].kind {
-                            NodeKind::Op { op, inputs } => {
-                                op.stash().inputs && inputs.iter().any(|i| in_seg[i.index()])
-                            }
-                            _ => false,
-                        };
-                    if reads {
-                        lowest = d;
-                        break;
-                    }
-                }
-                if lowest == usize::MAX {
-                    continue;
-                }
-                for m in mem {
-                    if let NodeKind::Op { inputs, .. } = &graph.nodes()[m.index()].kind {
-                        for i in inputs {
-                            let floor = &mut replay_floor[i.index()];
-                            *floor = (*floor).min(lowest);
-                        }
-                    }
-                }
-            }
-        }
-
-        for idx in (0..graph.len()).rev() {
-            let id = NodeId(idx);
-            self.bwd_cursor = idx;
-            if !self.needed[idx] || !self.grad_present[idx] {
-                continue;
-            }
-            let node = &graph.nodes()[idx];
-            let (op, input_ids) = match &node.kind {
-                NodeKind::Op { op, inputs } => {
-                    if let Some(device) = self.device.as_deref_mut() {
-                        device.dispatch_op();
-                    }
-                    (Arc::clone(op), inputs.clone())
-                }
-                NodeKind::Param => {
-                    // Accumulate into the executor's persistent grad buffer.
-                    if self.opts.numeric {
-                        if let Some(g) = self.grads[idx].take() {
-                            let acc = self
-                                .exec
-                                .grads
-                                .get_mut(&id)
-                                .expect("param grad buffer exists");
-                            acc.axpy(1.0, &g).map_err(GraphError::from)?;
-                        }
-                    }
-                    self.free_grad(id);
-                    continue;
-                }
-                NodeKind::Input => {
-                    // Gradients w.r.t. data are discarded — unless the
-                    // caller asked to capture them (pipelined stages
-                    // capture their received-interface gradients here).
-                    if let Some(slot) = capture.iter().position(|c| c.index() == idx) {
-                        captured[slot] = self.grads[idx].take();
-                    } else {
-                        self.grads[idx] = None;
-                    }
-                    self.free_grad(id);
-                    continue;
-                }
-            };
-
-            let needs = op.stash();
-            let mut input_grads: Vec<Option<Tensor>> = Vec::new();
-            if self.opts.numeric {
-                // Collect required values (replaying segments as needed).
-                let mut owned_inputs: Vec<Option<Tensor>> = Vec::with_capacity(input_ids.len());
-                if needs.inputs {
-                    for &i in &input_ids {
-                        owned_inputs.push(Some(self.backward_value(i)?));
-                    }
-                } else {
-                    owned_inputs.resize(input_ids.len(), None);
-                }
-                let output_owned = if needs.output {
-                    Some(self.backward_value(id)?)
-                } else {
-                    None
-                };
-                let saved = self.backward_saved(id)?;
-                let dy = self.grads[idx].clone().expect("grad present");
-                let input_refs: Vec<Option<&Tensor>> =
-                    owned_inputs.iter().map(|o| o.as_ref()).collect();
-                input_grads = op.backward(&input_refs, output_owned.as_ref(), &saved, &dy)?;
-                if input_grads.len() != input_ids.len() {
-                    return Err(GraphError::Operator {
-                        op: op.name().to_string(),
-                        message: format!(
-                            "backward returned {} gradients for {} inputs",
-                            input_grads.len(),
-                            input_ids.len()
-                        ),
-                    });
-                }
-            } else {
-                // Symbolic plane: mark all differentiable inputs as having
-                // gradients; trigger replay accounting when values would
-                // have been needed.
-                if needs.inputs {
-                    for &i in &input_ids {
-                        if !self.value_at_hand(i) {
-                            if let StashPolicy::Recompute(seg) = self.exec.plan.policy(i) {
-                                self.ensure_replayed(seg.id)?;
-                            }
-                        }
-                    }
-                }
-                if needs.output {
-                    if let StashPolicy::Recompute(seg) = self.exec.plan.policy(id) {
-                        self.ensure_replayed(seg.id)?;
-                    }
-                }
-            }
-
-            // Backward kernel launches.
-            let in_shapes: Vec<Shape> = input_ids
-                .iter()
-                .map(|&i| self.backward_shape(i))
-                .collect::<Result<_>>()?;
-            let shape_refs: Vec<&Shape> = in_shapes.iter().collect();
-            let out_shape = self.backward_shape(id)?;
-            let launches = op.backward_launches(&shape_refs, &out_shape);
-            self.dispatch(&launches);
-
-            // Propagate.
-            for (slot, &input) in input_ids.iter().enumerate() {
-                if !op.input_differentiable(slot) {
-                    continue;
-                }
-                if self.opts.numeric {
-                    if let Some(g) = input_grads[slot].take() {
-                        match &mut self.grads[input.index()] {
-                            Some(acc) => acc.axpy(1.0, &g).map_err(GraphError::from)?,
-                            slot_ref @ None => *slot_ref = Some(g),
-                        }
-                    } else {
-                        continue;
-                    }
-                }
-                if !self.grad_present[input.index()] {
-                    self.grad_present[input.index()] = true;
-                    self.alloc_grad(input)?;
-                }
-            }
-
-            // This node's grad, output feature map and saved state are dead.
-            self.grads[idx] = None;
-            self.free_grad(id);
-            self.saved[idx] = None;
-            // Keep the value (and its allocation) alive when a segment
-            // replay triggered below the cursor may still read it.
-            if replay_floor[idx] >= idx {
-                self.allocs[idx] = None;
-                self.values[idx] = None;
-            }
-
-            // Retire scratches: refcounted by remaining readers, with the
-            // min-index rule as backstop.
-            self.retire_scratches(idx);
-        }
-        self.bwd_cursor = usize::MAX;
-        self.scratch.clear();
-        Ok(captured)
-    }
-
-    /// Whether any active scratch already holds `id`'s value.
-    fn scratch_has(&self, id: NodeId) -> bool {
-        self.scratch.values().any(|s| s.shapes.contains_key(&id))
-    }
-
-    /// Fetches `id`'s value from any active scratch.
-    fn scratch_value(&self, id: NodeId) -> Option<Tensor> {
-        self.scratch
-            .values()
-            .find_map(|s| s.values.get(&id).cloned())
-    }
-
-    /// Shape lookup that also consults active replay scratches.
-    fn replay_shape_of(&self, id: NodeId) -> Result<Shape> {
-        if let Some(s) = self.shapes.get(id.index()).and_then(|s| s.as_ref()) {
-            return Ok(s.clone());
-        }
-        for scratch in self.scratch.values() {
-            if let Some(shape) = scratch.shapes.get(&id) {
-                return Ok(shape.clone());
-            }
-        }
-        self.shape_of(id)
-    }
-
-    fn backward_shape(&mut self, id: NodeId) -> Result<Shape> {
-        self.replay_shape_of(id)
-    }
-
-    fn alloc_grad(&mut self, id: NodeId) -> Result<()> {
-        if self.grad_allocs[id.index()].is_some() {
-            return Ok(());
-        }
-        let graph = self.graph();
-        let node = &graph.nodes()[id.index()];
-        if matches!(node.kind, NodeKind::Param) {
-            return Ok(()); // persistent grad space was allocated at bind
-        }
-        let shape = self.backward_shape(id)?;
-        let tag = AllocationTag::new(
-            node.layer,
-            DataStructureKind::Placeholder,
-            format!("{}_grad", node.name),
-        );
-        self.grad_allocs[id.index()] = Some(self.exec.mem.alloc(shape.num_bytes() as u64, tag)?);
-        Ok(())
-    }
-
-    fn free_grad(&mut self, id: NodeId) {
-        self.grad_allocs[id.index()] = None;
-    }
-
-    fn finish(mut self) {
-        if let Some(plan) = self.plan.take() {
-            // Recycle whatever the step left behind (stashed values whose
-            // gradients never materialized, the target value) and hand the
-            // tables back to the executor for the next step.
-            for &id in &plan.schedule {
-                let idx = id.index();
-                if let Some(t) = self.values[idx].take() {
-                    self.pool.put(t.into_vec());
-                }
-                self.saved[idx] = None;
-                if let Some(g) = self.grads[idx].take() {
-                    self.pool.put(g.into_vec());
-                }
-                self.grad_present[idx] = false;
-            }
-            self.exec.state = PlanState {
-                values: std::mem::take(&mut self.values),
-                saved: std::mem::take(&mut self.saved),
-                grads: std::mem::take(&mut self.grads),
-                grad_present: std::mem::take(&mut self.grad_present),
-                needed: std::mem::take(&mut self.needed),
-                fwd_uses: std::mem::take(&mut self.fwd_uses),
-                pool: std::mem::take(&mut self.pool),
-            };
-        }
-        // All transient allocations drop here.
-    }
-
-    // ------------------------------------------------------------------
-    // Plan-driven interpretation.
-    //
-    // Everything the legacy interpreter derives per step — the cone, use
-    // counts, shapes, saved-byte sizes, launch descriptions, stashing
-    // decisions — is read from the plan's dense tables. The op sequence,
-    // replay triggers and floating-point operations are identical to the
-    // legacy path, so results are bit-identical; only bookkeeping differs.
-    // ------------------------------------------------------------------
-
     /// Returns a freed tensor's storage to the step-persistent pool.
     fn recycle(&mut self, t: Tensor) {
         self.pool.put(t.into_vec());
-    }
-
-    /// One planned training iteration: forward, scalar check, backward.
-    fn plan_step(&mut self, loss: NodeId) -> Result<Option<f32>> {
-        self.plan_forward()?;
-        let loss_value = if self.opts.numeric {
-            let t = self.values[loss.index()]
-                .as_ref()
-                .ok_or(GraphError::SymbolicPlane { what: "loss value" })?;
-            if t.len() != 1 {
-                return Err(GraphError::NonScalarLoss {
-                    shape: t.shape().to_string(),
-                });
-            }
-            Some(t.data()[0])
-        } else {
-            None
-        };
-        self.plan_backward(loss)?;
-        Ok(loss_value)
     }
 
     /// The worker pool a wavefront execution runs on, when wavefront
@@ -1958,54 +1105,66 @@ impl<'e> Run<'e> {
         }
     }
 
-    fn plan_forward(&mut self) -> Result<()> {
-        let plan = Arc::clone(self.plan.as_ref().expect("planned run"));
+    /// Hands the requested output values to the caller (`take`: the
+    /// storage would otherwise be recycled by `finish`).
+    fn take_outputs(&mut self, outputs: &[NodeId]) -> Result<Vec<Tensor>> {
+        outputs
+            .iter()
+            .map(|&id| {
+                self.values[id.index()]
+                    .take()
+                    .or_else(|| self.bindings.get(&id).cloned())
+                    .ok_or(GraphError::SymbolicPlane {
+                        what: "output value",
+                    })
+            })
+            .collect()
+    }
+
+    /// One seeded training iteration: forward, output snapshot, backward.
+    fn step(&mut self, seeds: &[(NodeId, Tensor)]) -> Result<(Vec<Tensor>, Vec<Option<Tensor>>)> {
+        self.forward()?;
+        let mut outputs = Vec::new();
+        if self.opts.numeric {
+            let view = self.view();
+            for &id in &self.plan.outputs {
+                outputs.push(view.value(id)?.clone());
+            }
+        }
+        let captured = self.backward(seeds)?;
+        Ok((outputs, captured))
+    }
+
+    // ------------------------------------------------------------------
+    // Forward: one loop per scheduling mode, one commit.
+    // ------------------------------------------------------------------
+
+    fn forward(&mut self) -> Result<()> {
+        let plan = Arc::clone(&self.plan);
         let graph = self.graph();
         if let Some(pool) = self.wavefront_pool() {
-            return self.plan_forward_waves(&plan, &graph, pool.get());
+            return self.forward_waves(&plan, &graph, pool.get());
         }
-        let has_device = self.device.is_some();
         for &id in &plan.schedule {
             let idx = id.index();
-            let node = &graph.nodes()[idx];
-            let (op, input_ids) = match &node.kind {
-                NodeKind::Op { op, inputs } => (op, inputs),
-                // Inputs are borrowed from the caller's map on demand;
-                // params from the executor. Nothing to do at their steps.
-                _ => continue,
-            };
-            if has_device {
-                if let Some(device) = self.device.as_deref_mut() {
-                    device.dispatch_op();
-                }
+            // Inputs are borrowed from the caller's map on demand; params
+            // from the executor. Nothing to do at their steps.
+            if plan.ops[idx].is_none() {
+                continue;
+            }
+            if let Some(device) = self.device.as_deref_mut() {
+                device.dispatch_op();
                 // Launches are borrowed from the plan, not rebuilt; when
                 // no device is attached they are not touched at all.
                 let launches = &plan.ops[idx].as_ref().expect("op tables").fwd_launches;
                 self.dispatch(launches);
             }
-            if self.opts.numeric {
-                let in_values: Vec<&Tensor> = input_ids
-                    .iter()
-                    .map(|&i| self.value_of(i))
-                    .collect::<Result<_>>()?;
-                let (out, saved) = op.forward(&in_values)?;
-                self.values[idx] = Some(out);
-                self.saved[idx] = if plan.keep_saved[idx] && !saved.is_empty() {
-                    Some(saved)
-                } else {
-                    None
-                };
-            }
-            for &input in input_ids {
-                let iidx = input.index();
-                self.fwd_uses[iidx] -= 1;
-                if self.fwd_uses[iidx] == 0 && !plan.keep[iidx] && plan.transient[iidx] {
-                    if let Some(t) = self.values[iidx].take() {
-                        self.recycle(t);
-                    }
-                    self.saved[iidx] = None;
-                }
-            }
+            let computed = if self.opts.numeric {
+                Some(self.view().forward(idx)?)
+            } else {
+                None
+            };
+            self.commit_forward(&plan, &graph, idx, computed);
         }
         Ok(())
     }
@@ -2017,12 +1176,7 @@ impl<'e> Run<'e> {
     /// level strictly by producer depth) and every kernel underneath has
     /// a fixed per-element reduction order, so the step is bit-identical
     /// to serial execution at any thread count.
-    fn plan_forward_waves(
-        &mut self,
-        plan: &ExecPlan,
-        graph: &Graph,
-        pool: &WorkerPool,
-    ) -> Result<()> {
+    fn forward_waves(&mut self, plan: &ExecPlan, graph: &Graph, pool: &WorkerPool) -> Result<()> {
         type FwdOut = Result<(Tensor, Saved)>;
         let mut slots: Vec<Mutex<Option<FwdOut>>> = Vec::new();
         for w in 0..plan.fwd_waves.waves() {
@@ -2030,236 +1184,136 @@ impl<'e> Run<'e> {
             slots.clear();
             slots.resize_with(wave.len(), || Mutex::new(None));
             {
-                let values = &self.values;
-                let params = &self.exec.params;
-                let bindings = self.bindings;
+                let view = self.view();
                 let slots = &slots;
                 pool.run_indexed(wave.len(), &|k| {
-                    let idx = wave[k] as usize;
-                    let NodeKind::Op { op, inputs } = &graph.nodes()[idx].kind else {
-                        unreachable!("forward waves contain only ops");
-                    };
-                    let result = (|| -> FwdOut {
-                        let mut in_values = Vec::with_capacity(inputs.len());
-                        for &i in inputs {
-                            in_values.push(lookup_value(values, params, bindings, graph, i)?);
-                        }
-                        op.forward(&in_values)
-                    })();
+                    let result = view.forward(wave[k] as usize);
                     *slots[k].lock().expect("forward slot") = Some(result);
                 });
             }
             for (k, &entry) in wave.iter().enumerate() {
-                let idx = entry as usize;
-                let (out, saved) = slots[k]
+                let computed = slots[k]
                     .lock()
                     .expect("forward slot")
                     .take()
                     .expect("wave entry computed")?;
-                self.values[idx] = Some(out);
-                self.saved[idx] = if plan.keep_saved[idx] && !saved.is_empty() {
-                    Some(saved)
-                } else {
-                    None
-                };
-                let NodeKind::Op { inputs, .. } = &graph.nodes()[idx].kind else {
-                    unreachable!("forward waves contain only ops");
-                };
-                for &input in inputs {
-                    let iidx = input.index();
-                    self.fwd_uses[iidx] -= 1;
-                    if self.fwd_uses[iidx] == 0 && !plan.keep[iidx] && plan.transient[iidx] {
-                        if let Some(t) = self.values[iidx].take() {
-                            self.recycle(t);
-                        }
-                        self.saved[iidx] = None;
-                    }
-                }
+                self.commit_forward(plan, graph, entry as usize, Some(computed));
             }
         }
         Ok(())
     }
 
-    fn plan_backward(&mut self, loss: NodeId) -> Result<()> {
-        let plan = Arc::clone(self.plan.as_ref().expect("planned run"));
+    /// Stores op `idx`'s result and frees every input this was the last
+    /// forward use of.
+    fn commit_forward(
+        &mut self,
+        plan: &ExecPlan,
+        graph: &Graph,
+        idx: usize,
+        computed: Option<(Tensor, Saved)>,
+    ) {
+        if let Some((out, saved)) = computed {
+            self.values[idx] = Some(out);
+            self.saved[idx] = Some(saved).filter(|s| plan.keep_saved[idx] && !s.is_empty());
+        }
+        for &input in graph.nodes()[idx].inputs() {
+            let iidx = input.index();
+            self.fwd_uses[iidx] -= 1;
+            if self.fwd_uses[iidx] == 0 && plan.dropped(iidx) {
+                // Recompute-policy values are dropped in training too —
+                // that is the entire point of partial forward propagation.
+                if let Some(t) = self.values[iidx].take() {
+                    self.recycle(t);
+                }
+                self.saved[iidx] = None;
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Backward: seeds, one loop per scheduling mode, one commit.
+    // ------------------------------------------------------------------
+
+    /// The seeded backward walk. Each `(node, grad)` seed is installed
+    /// *before* the walk — copied into pooled storage when no gradient
+    /// exists yet, accumulated otherwise. Returns the gradients that
+    /// reached the plan's captured `Input` nodes, in capture order.
+    fn backward(&mut self, seeds: &[(NodeId, Tensor)]) -> Result<Vec<Option<Tensor>>> {
+        let plan = Arc::clone(&self.plan);
         let graph = self.graph();
-        // Seed d(loss)/d(loss) = 1, reusing pooled storage; `take` +
-        // `fill(1.0)` writes the same bits as `Tensor::full`.
-        if self.opts.numeric {
-            let shape = plan.shape(loss.index()).clone();
-            let mut buf = self.pool.take(shape.num_elements());
-            buf.fill(1.0);
-            self.grads[loss.index()] =
-                Some(Tensor::from_vec(shape, buf).map_err(GraphError::from)?);
+        for &id in &plan.seeds {
+            self.grad_present[id.index()] = true;
         }
-        self.grad_present[loss.index()] = true;
-
-        if let Some(pool) = self.wavefront_pool() {
-            return self.plan_backward_waves(&plan, &graph, pool.get());
-        }
-
-        for i in 0..plan.bwd_schedule.len() {
-            let id = plan.bwd_schedule[i];
+        for (id, seed) in seeds {
             let idx = id.index();
-            self.bwd_cursor = idx;
-            if !self.grad_present[idx] {
-                // The static schedule is a superset of the runtime gradient
-                // flow (an op may emit no gradient for a differentiable
-                // input); skip exactly like the legacy interpreter.
-                continue;
+            if seed.shape() != plan.shape(idx) {
+                return Err(GraphError::Operator {
+                    op: graph.nodes()[idx].name.clone(),
+                    message: format!(
+                        "gradient seed has shape {}, node has {}",
+                        seed.shape(),
+                        plan.shape(idx)
+                    ),
+                });
             }
-            let node = &graph.nodes()[idx];
-            let (op, input_ids) = match &node.kind {
-                NodeKind::Op { op, inputs } => (Arc::clone(op), inputs.clone()),
-                NodeKind::Param => {
-                    if self.opts.numeric {
-                        if let Some(g) = self.grads[idx].take() {
-                            let acc = self
-                                .exec
-                                .grads
-                                .get_mut(&id)
-                                .expect("param grad buffer exists");
-                            acc.axpy(1.0, &g).map_err(GraphError::from)?;
-                            self.recycle(g);
-                        }
-                    }
-                    self.grad_present[idx] = false;
-                    continue;
-                }
-                NodeKind::Input => {
-                    if let Some(g) = self.grads[idx].take() {
-                        self.recycle(g);
-                    }
-                    self.grad_present[idx] = false;
-                    continue;
-                }
-            };
-
-            if let Some(device) = self.device.as_deref_mut() {
-                device.dispatch_op();
-            }
-            let needs = plan.ops[idx].as_ref().expect("op tables").needs;
-
-            // Phase 1 — mutation: trigger exactly the replays the legacy
-            // interpreter would, in the same order (input values first,
-            // then this node's own output/saved state; the numeric plane
-            // always consults saved state, the symbolic plane only what
-            // `needs` declares).
-            if self.opts.numeric {
-                if needs.inputs {
-                    for &i in &input_ids {
-                        if !self.value_at_hand(i) {
-                            if let StashPolicy::Recompute(seg) = self.exec.plan.policy(i) {
-                                self.ensure_replayed(seg.id)?;
-                            }
-                        }
-                    }
-                }
-                if needs.output && !self.value_at_hand(id) {
-                    if let StashPolicy::Recompute(seg) = self.exec.plan.policy(id) {
-                        self.ensure_replayed(seg.id)?;
-                    }
-                }
-                if self.saved[idx].is_none() {
-                    if let StashPolicy::Recompute(seg) = self.exec.plan.policy(id) {
-                        self.ensure_replayed(seg.id)?;
-                    }
-                }
-            } else {
-                if needs.inputs {
-                    for &i in &input_ids {
-                        if !self.value_at_hand(i) {
-                            if let StashPolicy::Recompute(seg) = self.exec.plan.policy(i) {
-                                self.ensure_replayed(seg.id)?;
-                            }
-                        }
-                    }
-                }
-                if needs.output {
-                    if let StashPolicy::Recompute(seg) = self.exec.plan.policy(id) {
-                        self.ensure_replayed(seg.id)?;
-                    }
+            match &mut self.grads[idx] {
+                Some(acc) => acc.axpy(1.0, seed).map_err(GraphError::from)?,
+                slot @ None => {
+                    let mut buf = self.pool.take(seed.len());
+                    buf.copy_from_slice(seed.data());
+                    *slot = Some(
+                        Tensor::from_vec(seed.shape().clone(), buf).map_err(GraphError::from)?,
+                    );
                 }
             }
+        }
+        let mut captured: Vec<Option<Tensor>> = vec![None; plan.capture.len()];
+        // Wave order needs the exclusive-workspace contract to hold
+        // without evictions (see `ExecPlan::wave_safe`).
+        match self.wavefront_pool().filter(|_| plan.wave_safe) {
+            Some(pool) => self.backward_waves(&plan, &graph, pool.get(), &mut captured)?,
+            None => self.backward_serial(&plan, &graph, &mut captured)?,
+        }
+        self.scratch.clear();
+        Ok(captured)
+    }
 
-            // Phase 2 — read-only: assemble borrowed views and run the
-            // backward kernel. No tensor is cloned on this path; the
-            // values, saved state and upstream gradient are borrowed from
-            // the run tables, the parameter store, the caller's bindings
-            // or an active replay scratch.
-            let mut input_grads: Vec<Option<Tensor>> = Vec::new();
-            if self.opts.numeric {
-                let input_refs: Vec<Option<&Tensor>> = if needs.inputs {
-                    input_ids
-                        .iter()
-                        .map(|&i| self.borrowed_value(i))
-                        .collect::<Result<Vec<_>>>()?
-                        .into_iter()
-                        .map(Some)
-                        .collect()
-                } else {
-                    vec![None; input_ids.len()]
-                };
-                let output_ref = if needs.output {
-                    Some(self.borrowed_value(id)?)
-                } else {
-                    None
-                };
-                let saved_ref: &[Tensor] = match &self.saved[idx] {
-                    Some(s) => s,
-                    None => self.scratch_saved(id).map_or(&[], |s| s.as_slice()),
-                };
-                let dy = self.grads[idx].as_ref().expect("grad present");
-                input_grads = op.backward(&input_refs, output_ref, saved_ref, dy)?;
-                if input_grads.len() != input_ids.len() {
-                    return Err(GraphError::Operator {
-                        op: op.name().to_string(),
-                        message: format!(
-                            "backward returned {} gradients for {} inputs",
-                            input_grads.len(),
-                            input_ids.len()
-                        ),
-                    });
-                }
-            }
-
-            if self.device.is_some() {
-                let launches = &plan.ops[idx].as_ref().expect("op tables").bwd_launches;
-                self.dispatch(launches);
-            }
-
-            // Propagate, identically to the legacy interpreter.
-            for (slot, &input) in input_ids.iter().enumerate() {
-                if !op.input_differentiable(slot) {
-                    continue;
-                }
-                if self.opts.numeric {
-                    if let Some(g) = input_grads[slot].take() {
-                        match &mut self.grads[input.index()] {
-                            Some(acc) => acc.axpy(1.0, &g).map_err(GraphError::from)?,
-                            slot_ref @ None => *slot_ref = Some(g),
-                        }
+    fn backward_serial(
+        &mut self,
+        plan: &ExecPlan,
+        graph: &Graph,
+        captured: &mut [Option<Tensor>],
+    ) -> Result<()> {
+        for &id in &plan.bwd_schedule {
+            let idx = id.index();
+            // The static schedule is a superset of the runtime gradient
+            // flow (an op may emit no gradient for a differentiable
+            // input): entries no gradient reached only retire scratches.
+            if self.grad_present[idx] {
+                if let Some(tables) = &plan.ops[idx] {
+                    if let Some(device) = self.device.as_deref_mut() {
+                        device.dispatch_op();
+                    }
+                    // Mutation first — replay what this entry reads — then
+                    // the read-only kernel call over borrowed views.
+                    for seg in plan.required_segments(graph, idx) {
+                        self.ensure_replayed(seg)?;
+                    }
+                    let input_grads = if self.opts.numeric {
+                        Some(self.view().backward(idx)?)
                     } else {
-                        continue;
+                        None
+                    };
+                    if self.device.is_some() {
+                        self.dispatch(&tables.bwd_launches);
                     }
+                    self.commit_backward(plan, graph, idx, input_grads)?;
+                } else {
+                    self.commit_leaf(plan, graph, idx, captured)?;
                 }
-                self.grad_present[input.index()] = true;
             }
-
-            // This node's grad, output feature map and saved state are dead.
-            if let Some(g) = self.grads[idx].take() {
-                self.recycle(g);
-            }
-            self.grad_present[idx] = false;
-            if let Some(t) = self.values[idx].take() {
-                self.recycle(t);
-            }
-            self.saved[idx] = None;
-
             self.retire_scratches(idx);
         }
-        self.bwd_cursor = usize::MAX;
-        self.scratch.clear();
         Ok(())
     }
 
@@ -2267,9 +1321,8 @@ impl<'e> Run<'e> {
     /// throughout.
     ///
     /// * **Phase A (serial)** — the replay triggers of every live entry,
-    ///   in exactly the serial interpreter's per-node order. Replays
-    ///   mutate the scratch map and workspace pools, so they stay
-    ///   single-threaded.
+    ///   in exactly the serial loop's per-node order. Replays mutate the
+    ///   scratch map and workspace pools, so they stay single-threaded.
     /// * **Phase B (parallel)** — `op.backward` for every live op entry,
     ///   over borrowed views of values, saved state, scratches and the
     ///   upstream gradient, into per-entry slots. Strictly read-only.
@@ -2279,235 +1332,264 @@ impl<'e> Run<'e> {
     ///   order: the wave tables forbid a lower-index consumer from
     ///   landing in an earlier wave, and within a wave the descending
     ///   commit decides.
-    fn plan_backward_waves(
+    fn backward_waves(
         &mut self,
         plan: &ExecPlan,
         graph: &Graph,
         pool: &WorkerPool,
+        captured: &mut [Option<Tensor>],
     ) -> Result<()> {
-        enum Action {
-            /// No gradient materialized; processed for refcounts only.
-            Skip,
-            /// Param (accumulate + free) or Input (discard) entry.
-            Leaf,
-            Compute {
-                op: Arc<dyn Operator + Send + Sync>,
-                inputs: Vec<NodeId>,
-                needs: StashNeeds,
-            },
-        }
         type BwdOut = Result<Vec<Option<Tensor>>>;
-        self.wavefront = true;
-        self.bwd_done.clear();
-        self.bwd_done.resize(plan.graph_len, false);
-        let mut actions: Vec<Action> = Vec::new();
         let mut slots: Vec<Mutex<Option<BwdOut>>> = Vec::new();
         for w in 0..plan.bwd_waves.waves() {
             let wave = plan.bwd_waves.wave(w);
-
-            // Phase A — replay triggers, serial, descending.
-            actions.clear();
             for &entry in wave {
-                let idx = entry as usize;
-                let id = NodeId::from_index(idx);
-                self.bwd_cursor = idx;
-                if !self.grad_present[idx] {
-                    actions.push(Action::Skip);
-                    continue;
-                }
-                let node = &graph.nodes()[idx];
-                let (op, input_ids) = match &node.kind {
-                    NodeKind::Op { op, inputs } => (Arc::clone(op), inputs.clone()),
-                    _ => {
-                        actions.push(Action::Leaf);
-                        continue;
-                    }
-                };
-                let needs = plan.ops[idx].as_ref().expect("op tables").needs;
-                if needs.inputs {
-                    for &i in &input_ids {
-                        if !self.value_at_hand(i) {
-                            if let StashPolicy::Recompute(seg) = self.exec.plan.policy(i) {
-                                self.ensure_replayed(seg.id)?;
-                            }
-                        }
+                if self.grad_present[entry as usize] {
+                    for seg in plan.required_segments(graph, entry as usize) {
+                        self.ensure_replayed(seg)?;
                     }
                 }
-                if needs.output && !self.value_at_hand(id) {
-                    if let StashPolicy::Recompute(seg) = self.exec.plan.policy(id) {
-                        self.ensure_replayed(seg.id)?;
-                    }
-                }
-                if self.saved[idx].is_none() {
-                    if let StashPolicy::Recompute(seg) = self.exec.plan.policy(id) {
-                        self.ensure_replayed(seg.id)?;
-                    }
-                }
-                actions.push(Action::Compute {
-                    op,
-                    inputs: input_ids,
-                    needs,
-                });
             }
-
-            // Phase B — backward kernels, parallel, read-only.
             slots.clear();
             slots.resize_with(wave.len(), || Mutex::new(None));
             {
-                let values = &self.values;
-                let grads = &self.grads;
-                let saved = &self.saved;
-                let scratch = &self.scratch;
-                let params = &self.exec.params;
-                let bindings = self.bindings;
+                let view = self.view();
+                let live = &self.grad_present;
                 let slots = &slots;
-                let actions = &actions;
                 pool.run_indexed(wave.len(), &|k| {
-                    let Action::Compute { op, inputs, needs } = &actions[k] else {
-                        return;
-                    };
                     let idx = wave[k] as usize;
-                    let id = NodeId::from_index(idx);
-                    let result = (|| -> BwdOut {
-                        let input_refs: Vec<Option<&Tensor>> = if needs.inputs {
-                            let mut refs = Vec::with_capacity(inputs.len());
-                            for &i in inputs {
-                                refs.push(Some(lookup_backward_value(
-                                    values, params, bindings, scratch, graph, i,
-                                )?));
-                            }
-                            refs
-                        } else {
-                            vec![None; inputs.len()]
-                        };
-                        let output_ref = if needs.output {
-                            Some(lookup_backward_value(
-                                values, params, bindings, scratch, graph, id,
-                            )?)
-                        } else {
-                            None
-                        };
-                        let saved_ref: &[Tensor] = match &saved[idx] {
-                            Some(s) => s,
-                            None => scratch
-                                .values()
-                                .find_map(|s| s.saved.get(&id))
-                                .map_or(&[][..], |s| s.as_slice()),
-                        };
-                        let dy = grads[idx].as_ref().expect("grad present");
-                        op.backward(&input_refs, output_ref, saved_ref, dy)
-                    })();
-                    *slots[k].lock().expect("backward slot") = Some(result);
+                    if live[idx] && plan.ops[idx].is_some() {
+                        *slots[k].lock().expect("backward slot") = Some(view.backward(idx));
+                    }
                 });
             }
-
-            // Phase C — accumulate, free, retire; serial, descending.
             for (k, &entry) in wave.iter().enumerate() {
                 let idx = entry as usize;
-                let id = NodeId::from_index(idx);
-                match &actions[k] {
-                    Action::Skip => {}
-                    Action::Leaf => {
-                        match &graph.nodes()[idx].kind {
-                            NodeKind::Param => {
-                                if let Some(g) = self.grads[idx].take() {
-                                    let acc = self
-                                        .exec
-                                        .grads
-                                        .get_mut(&id)
-                                        .expect("param grad buffer exists");
-                                    acc.axpy(1.0, &g).map_err(GraphError::from)?;
-                                    self.recycle(g);
-                                }
-                            }
-                            NodeKind::Input => {
-                                if let Some(g) = self.grads[idx].take() {
-                                    self.recycle(g);
-                                }
-                            }
-                            NodeKind::Op { .. } => {
-                                unreachable!("leaf entries are params or inputs")
-                            }
-                        }
-                        self.grad_present[idx] = false;
-                    }
-                    Action::Compute { op, inputs, .. } => {
-                        let mut input_grads = slots[k]
+                if self.grad_present[idx] {
+                    if plan.ops[idx].is_some() {
+                        let input_grads = slots[k]
                             .lock()
                             .expect("backward slot")
                             .take()
                             .expect("wave entry computed")?;
-                        if input_grads.len() != inputs.len() {
-                            return Err(GraphError::Operator {
-                                op: op.name().to_string(),
-                                message: format!(
-                                    "backward returned {} gradients for {} inputs",
-                                    input_grads.len(),
-                                    inputs.len()
-                                ),
-                            });
-                        }
-                        for (slot, &input) in inputs.iter().enumerate() {
-                            if !op.input_differentiable(slot) {
-                                continue;
-                            }
-                            if let Some(g) = input_grads[slot].take() {
-                                match &mut self.grads[input.index()] {
-                                    Some(acc) => acc.axpy(1.0, &g).map_err(GraphError::from)?,
-                                    slot_ref @ None => *slot_ref = Some(g),
-                                }
-                            } else {
-                                continue;
-                            }
-                            self.grad_present[input.index()] = true;
-                        }
-                        if let Some(g) = self.grads[idx].take() {
-                            self.recycle(g);
-                        }
-                        self.grad_present[idx] = false;
-                        if let Some(t) = self.values[idx].take() {
-                            self.recycle(t);
-                        }
-                        self.saved[idx] = None;
+                        self.commit_backward(plan, graph, idx, Some(input_grads))?;
+                    } else {
+                        self.commit_leaf(plan, graph, idx, captured)?;
                     }
                 }
-                self.bwd_done[idx] = true;
                 self.retire_scratches(idx);
             }
         }
-        self.bwd_cursor = usize::MAX;
-        self.wavefront = false;
-        self.scratch.clear();
         Ok(())
     }
 
-    /// Borrows `id`'s value for backward without cloning: from the run
-    /// tables, parameters, bindings, or an active replay scratch. Only
-    /// called after phase 1 has replayed everything this node needs.
-    fn borrowed_value(&self, id: NodeId) -> Result<&Tensor> {
-        if let Some(v) = &self.values[id.index()] {
-            return Ok(v);
+    /// Propagates op `idx`'s input gradients (`None` on the symbolic
+    /// plane, where every differentiable input is marked reached) and
+    /// frees what its backward step kills: its own gradient, its saved
+    /// state, and its stashed output unless a later replay re-reads it.
+    fn commit_backward(
+        &mut self,
+        plan: &ExecPlan,
+        graph: &Graph,
+        idx: usize,
+        mut input_grads: Option<Vec<Option<Tensor>>>,
+    ) -> Result<()> {
+        let NodeKind::Op { op, inputs } = &graph.nodes()[idx].kind else {
+            unreachable!("backward commits are issued for op nodes only");
+        };
+        for (slot, &input) in inputs.iter().enumerate() {
+            if !op.input_differentiable(slot) {
+                continue;
+            }
+            if let Some(grads) = &mut input_grads {
+                let Some(g) = grads[slot].take() else {
+                    continue;
+                };
+                match &mut self.grads[input.index()] {
+                    Some(acc) => acc.axpy(1.0, &g).map_err(GraphError::from)?,
+                    slot_ref @ None => *slot_ref = Some(g),
+                }
+            }
+            self.grad_present[input.index()] = true;
         }
-        if let Some(v) = self.exec.params.get(&id) {
-            return Ok(v);
+        if let Some(g) = self.grads[idx].take() {
+            self.recycle(g);
         }
-        if let Some(v) = self.bindings.get(&id) {
-            return Ok(v);
-        }
-        for s in self.scratch.values() {
-            if let Some(v) = s.values.get(&id) {
-                return Ok(v);
+        self.grad_present[idx] = false;
+        self.saved[idx] = None;
+        if !plan.retain_value[idx] {
+            if let Some(t) = self.values[idx].take() {
+                self.recycle(t);
             }
         }
-        Err(GraphError::MissingBinding {
-            name: self.exec.graph.nodes()[id.index()].name.clone(),
-        })
+        Ok(())
     }
 
-    /// Borrows `id`'s operator-private saved tensors from an active replay
-    /// scratch.
-    fn scratch_saved(&self, id: NodeId) -> Option<&Saved> {
-        self.scratch.values().find_map(|s| s.saved.get(&id))
+    /// Backward step of a parameter (accumulate into the executor's
+    /// persistent gradient buffer) or an input (hand the gradient to the
+    /// caller when the plan captures it — pipelined stages capture their
+    /// received-interface gradients here — otherwise drop it).
+    fn commit_leaf(
+        &mut self,
+        plan: &ExecPlan,
+        graph: &Graph,
+        idx: usize,
+        captured: &mut [Option<Tensor>],
+    ) -> Result<()> {
+        self.grad_present[idx] = false;
+        let Some(g) = self.grads[idx].take() else {
+            return Ok(());
+        };
+        let id = NodeId(idx);
+        if matches!(graph.nodes()[idx].kind, NodeKind::Param) {
+            let acc = self
+                .exec
+                .grads
+                .get_mut(&id)
+                .expect("param grad buffer exists");
+            acc.axpy(1.0, &g).map_err(GraphError::from)?;
+        } else if let Some(slot) = plan.capture.iter().position(|&c| c == id) {
+            captured[slot] = Some(g);
+            return Ok(());
+        }
+        self.recycle(g);
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Replay: the one recompute mechanism.
+    // ------------------------------------------------------------------
+
+    /// Replays segment `seg` unless its scratch is live: forward from
+    /// stashed boundary values into a workspace-leased scratch.
+    fn ensure_replayed(&mut self, seg: usize) -> Result<()> {
+        if self.scratch.contains_key(&seg) || self.replaying.contains(&seg) {
+            return Ok(());
+        }
+        let plan = Arc::clone(&self.plan);
+        let Some(table) = plan.segments.get(&seg) else {
+            return Ok(());
+        };
+        let graph = self.graph();
+        let mut values: HashMap<NodeId, Tensor> = HashMap::new();
+        let mut saved: HashMap<NodeId, Saved> = HashMap::new();
+        let mut bytes = 0u64;
+        self.replaying.push(seg);
+        for &member in &table.members {
+            let idx = member as usize;
+            let NodeKind::Op { op, inputs } = &graph.nodes()[idx].kind else {
+                unreachable!("segment members are ops");
+            };
+            let tables = plan.ops[idx].as_ref().expect("op tables");
+            // Boundary inputs are normally stashed values/params/bindings;
+            // under generic checkpointing plans (Chen et al.) a boundary
+            // input may itself belong to another recompute segment, which
+            // is replayed first (topological order bounds the recursion).
+            // Its value is cloned out right after: two boundary segments
+            // may share one exclusive workspace pool, in which case the
+            // later nested replay evicts the earlier scratch — reading
+            // lazily would lose the first value.
+            let mut fetched: Vec<(usize, Tensor)> = Vec::new();
+            for (slot, &i) in inputs.iter().enumerate() {
+                let other = match plan.seg_of[i.index()] {
+                    Some(other) if other as usize != seg && plan.dropped(i.index()) => {
+                        other as usize
+                    }
+                    _ => continue,
+                };
+                self.ensure_replayed(other)?;
+                if self.opts.numeric {
+                    fetched.push((slot, self.view().value(i)?.clone()));
+                }
+            }
+            // The declared saved bytes may exceed what forward numerically
+            // saves (cuDNN-style conservative reserve); the lease honours
+            // the larger of the two.
+            let mut saved_size = tables.saved_bytes;
+            if self.opts.numeric {
+                let (out, s) = {
+                    let view = self.view();
+                    let mut refs: Vec<&Tensor> = Vec::with_capacity(inputs.len());
+                    for (slot, &i) in inputs.iter().enumerate() {
+                        refs.push(match fetched.iter().find(|(s, _)| *s == slot) {
+                            Some((_, v)) => v,
+                            None => match values.get(&i) {
+                                Some(v) => v,
+                                None => view.value(i)?,
+                            },
+                        });
+                    }
+                    op.forward(&refs)?
+                };
+                saved_size = saved_size.max(s.iter().map(|t| t.num_bytes() as u64).sum());
+                values.insert(NodeId(idx), out);
+                if !s.is_empty() {
+                    saved.insert(NodeId(idx), s);
+                }
+            }
+            self.dispatch(&tables.fwd_launches);
+            bytes += plan.shape(idx).num_bytes() as u64 + saved_size;
+        }
+        self.replaying.pop();
+
+        let layer = graph.nodes()[table.members[0] as usize].layer;
+        let pool = self
+            .exec
+            .pools
+            .entry(table.pool)
+            .or_insert_with(|| {
+                WorkspacePool::new(
+                    self.exec.mem.clone(),
+                    layer,
+                    format!("segment_pool_{}", table.pool),
+                )
+            })
+            .clone();
+        // Workspaces are exclusive (paper §3.2): the Echo heuristic only
+        // pools segments whose replay lifetimes are disjoint, but search-
+        // produced, stage-normalized or externally authored plans may pool
+        // segments whose reader intervals overlap. Honour the contract by
+        // evicting any still-live scratch on this pool — its values are
+        // re-replayable on demand, so dropping early trades
+        // (deterministic, plan-accounted) extra replays for the modeled
+        // single-workspace footprint instead of aborting. The exact
+        // refcount cannot make this unnecessary: an overlap is a property
+        // of the stash plan, not of retirement timing. Wave order never
+        // gets here with a live same-pool scratch — such plans run their
+        // backward pass serially (`ExecPlan::wave_safe`).
+        self.scratch.retain(|_, s| s.pool != table.pool);
+        let lease = pool.lease(bytes)?;
+        self.replays += 1;
+        let n_required = table
+            .readers
+            .iter()
+            .filter(|&&r| !self.bwd_done[r as usize])
+            .count();
+        self.scratch.insert(
+            seg,
+            SegmentScratch {
+                values,
+                saved,
+                pool: table.pool,
+                _lease: lease,
+                n_required,
+            },
+        );
+        Ok(())
+    }
+
+    /// Marks backward entry `idx` processed and retires every scratch no
+    /// remaining entry reads.
+    fn retire_scratches(&mut self, idx: usize) {
+        self.bwd_done[idx] = true;
+        let plan = &self.plan;
+        self.scratch.retain(|seg, s| {
+            let readers = &plan.segments[seg].readers;
+            if readers.binary_search(&(idx as u32)).is_ok() {
+                s.n_required = s.n_required.saturating_sub(1);
+            }
+            s.n_required > 0
+        });
     }
 }
 
@@ -2515,6 +1597,7 @@ impl<'e> Run<'e> {
 mod tests {
     use super::*;
     use crate::op::{KernelLaunch, StashNeeds};
+    use crate::policy::StashPolicy;
     use echo_device::{DeviceSpec, KernelCategory, KernelCost};
     use echo_memory::LayerKind;
     use echo_tensor::kernels;
@@ -2867,124 +1950,135 @@ mod tests {
         plan
     }
 
-    /// Runs one train step legacy and one plan-driven on fresh executors
-    /// and returns both `(stats, grad)` pairs.
-    fn legacy_vs_planned(
-        plan: StashPlan,
-    ) -> ((IterationStats, Tensor), (IterationStats, Tensor), u64) {
-        let (g, x, w, _, _, loss) = chain_graph();
-        let init_w = Tensor::from_fn(Shape::d1(4), |i| 0.1 * i as f32 + 0.2);
-        let init_x = Tensor::from_fn(Shape::d1(4), |i| 1.0 - 0.3 * i as f32);
-        let run = |planned: bool| {
-            let mut exec = Executor::new(Arc::clone(&g), plan.clone(), mem());
-            exec.bind_param(w, init_w.clone()).unwrap();
-            let mut bindings = HashMap::new();
-            bindings.insert(x, init_x.clone());
-            let mut planned_peak = 0;
-            if planned {
-                let ep = exec
-                    .plan_for(&bindings, loss, ExecOptions::default())
-                    .unwrap();
-                planned_peak = ep.planned_peak_bytes();
-                exec.set_exec_plan(ep).unwrap();
-            }
-            let stats = exec
-                .train_step(&bindings, loss, ExecOptions::default(), None)
-                .unwrap();
-            ((stats, exec.grad(w).unwrap().clone()), planned_peak)
-        };
-        let (legacy, _) = run(false);
-        let (planned, planned_peak) = run(true);
-        (legacy, planned, planned_peak)
+    fn chain_values() -> (Tensor, Tensor) {
+        (
+            Tensor::from_fn(Shape::d1(4), |i| 0.1 * i as f32 + 0.2),
+            Tensor::from_fn(Shape::d1(4), |i| 1.0 - 0.3 * i as f32),
+        )
     }
 
-    #[test]
-    fn planned_step_is_bit_identical_to_legacy() {
-        for plan in [StashPlan::stash_all(), recompute_t1_plan()] {
-            let ((ls, lg), (ps, pg), _) = legacy_vs_planned(plan);
-            assert_eq!(ls.loss, ps.loss, "loss bits must match");
-            assert_eq!(lg.data(), pg.data(), "gradient bits must match");
-            assert_eq!(ls.replays, ps.replays, "replay counts must match");
+    /// The oracle's `(loss, dL/dw)` for the chain graph.
+    fn chain_oracle() -> (f32, Tensor) {
+        let (g, x, w, _, _, loss) = chain_graph();
+        let (init_w, init_x) = chain_values();
+        let (value, mut grads) = crate::reference::train_step(
+            &g,
+            &HashMap::from([(w, init_w)]),
+            &HashMap::from([(x, init_x)]),
+            loss,
+        )
+        .unwrap();
+        (value, grads.remove(0).1)
+    }
+
+    /// One train step on a fresh executor — with the plan installed up
+    /// front, or planned on demand — plus that plan.
+    fn chain_step(stash: StashPlan, install: bool) -> (IterationStats, Tensor, Arc<ExecPlan>) {
+        let (g, x, w, _, _, loss) = chain_graph();
+        let (init_w, init_x) = chain_values();
+        let mut exec = Executor::new(g, stash, mem());
+        exec.bind_param(w, init_w).unwrap();
+        let bindings = HashMap::from([(x, init_x)]);
+        if install {
+            let ep = exec
+                .plan_for(&bindings, loss, ExecOptions::default())
+                .unwrap();
+            exec.set_exec_plan(ep).unwrap();
         }
+        let stats = exec
+            .train_step(&bindings, loss, ExecOptions::default(), None)
+            .unwrap();
+        let plan = Arc::clone(exec.exec_plan().expect("the step ran a plan"));
+        (stats, exec.grad(w).unwrap().clone(), plan)
+    }
+
+    /// `peak_bytes` the deleted per-node allocator walk reported for one
+    /// step of the chain graph — frozen at the last commit that had it.
+    const LEGACY_PEAK_STASH_ALL: u64 = 128;
+    const LEGACY_PEAK_RECOMPUTE_T1: u64 = 112;
+
+    #[test]
+    fn planned_step_is_bit_identical_to_oracle() {
+        let (oracle_loss, oracle_grad) = chain_oracle();
+        for stash in [StashPlan::stash_all(), recompute_t1_plan()] {
+            for install in [true, false] {
+                let (stats, grad, plan) = chain_step(stash.clone(), install);
+                assert_eq!(stats.loss, Some(oracle_loss), "loss bits must match");
+                assert_eq!(grad.data(), oracle_grad.data(), "gradient bits must match");
+                assert_eq!(stats.replays, plan.planned_replays(), "replays as planned");
+            }
+        }
+        assert_eq!(chain_step(recompute_t1_plan(), true).0.replays, 1);
     }
 
     #[test]
     fn planned_peak_equals_legacy_peak() {
-        // The plan's static accounting timeline replays the interpreter's
-        // allocator events exactly, and slot packing is size-exact — so the
-        // planned peak is not merely a bound, it is the same number.
-        for plan in [StashPlan::stash_all(), recompute_t1_plan()] {
-            let ((ls, _), (ps, _), planned_peak) = legacy_vs_planned(plan);
-            assert_eq!(ps.peak_bytes, ls.peak_bytes, "step peaks must agree");
-            assert_eq!(planned_peak, ls.peak_bytes, "static peak must agree");
+        // The plan's static accounting timeline replays the allocator
+        // events of a step exactly, and slot packing is size-exact — so
+        // the planned peak is not merely a bound on what the per-node
+        // allocator walk used to report, it is the same number.
+        for (stash, golden) in [
+            (StashPlan::stash_all(), LEGACY_PEAK_STASH_ALL),
+            (recompute_t1_plan(), LEGACY_PEAK_RECOMPUTE_T1),
+        ] {
+            let (stats, _, plan) = chain_step(stash, true);
+            assert_eq!(stats.peak_bytes, golden, "step peaks must agree");
+            assert_eq!(plan.planned_peak_bytes(), golden, "static peak must agree");
         }
     }
 
     #[test]
     fn planned_steps_are_stable_across_iterations() {
         // Pools and step-persistent tables must not drift the numbers: the
-        // loss/replay trajectory matches a fresh legacy executor stepped the
-        // same way, and the planned peak holds steady. The peak itself is
-        // allowed to sit *below* legacy on steps >= 2: legacy retains the
-        // recompute workspace buffer between steps, and that idle buffer sits
-        // underneath the early-backward transient peak, while the planned
-        // accounting reuses it — the reusing-allocator number the plan models.
+        // loss is the oracle's on every step (nothing updates the
+        // parameter), one replay per step, and the peak holds steady at
+        // the step-1 figure — the retained recompute workspace buffer is
+        // reused, not double-counted, on steps >= 2.
+        let (oracle_loss, _) = chain_oracle();
         let (g, x, w, _, _, loss) = chain_graph();
-        let run = |planned: bool| {
-            let mut exec = Executor::new(Arc::clone(&g), recompute_t1_plan(), mem());
-            exec.bind_param(w, Tensor::full(Shape::d1(4), 0.5)).unwrap();
-            let mut bindings = HashMap::new();
-            bindings.insert(x, Tensor::full(Shape::d1(4), 1.0));
-            if planned {
-                let ep = exec
-                    .plan_for(&bindings, loss, ExecOptions::default())
-                    .unwrap();
-                exec.set_exec_plan(ep).unwrap();
-            }
-            let mut out = Vec::new();
-            for _ in 0..3 {
-                let stats = exec
-                    .train_step(&bindings, loss, ExecOptions::default(), None)
-                    .unwrap();
-                out.push((stats.loss, stats.peak_bytes, stats.replays));
-            }
-            out
-        };
-        let legacy = run(false);
-        let planned = run(true);
-        for (l, p) in legacy.iter().zip(&planned) {
-            assert_eq!(p.0, l.0, "loss trajectories must agree");
-            assert_eq!(p.2, l.2, "replay counts must agree");
-            assert!(p.1 <= l.1, "planned peak {} above legacy {}", p.1, l.1);
+        let (init_w, init_x) = chain_values();
+        let mut exec = Executor::new(g, recompute_t1_plan(), mem());
+        exec.bind_param(w, init_w).unwrap();
+        let bindings = HashMap::from([(x, init_x)]);
+        for _ in 0..3 {
+            let stats = exec
+                .train_step(&bindings, loss, ExecOptions::default(), None)
+                .unwrap();
+            assert_eq!(stats.loss, Some(oracle_loss));
+            assert_eq!(stats.replays, 1);
+            assert_eq!(stats.peak_bytes, LEGACY_PEAK_RECOMPUTE_T1);
         }
-        // Planned peaks are identical every step; legacy's may creep up once
-        // the workspace pool is warm.
-        assert!(planned.iter().all(|s| s.1 == planned[0].1));
-        assert_eq!(planned[0].1, legacy[0].1);
+        assert_eq!(exec.plans_memoized(), 1, "one signature, one plan");
     }
 
     #[test]
     fn planned_forward_matches_legacy_forward() {
+        // Name kept from the two-interpreter days; the reference is the
+        // oracle now.
         let (g, x, w, _, t2, _) = chain_graph();
-        let run = |planned: bool| {
+        let params = HashMap::from([(w, Tensor::full(Shape::d1(4), 0.5))]);
+        let bindings = HashMap::from([(x, Tensor::full(Shape::d1(4), 1.0))]);
+        let oracle = crate::reference::forward(&g, &params, &bindings, &[t2]).unwrap();
+        for install in [false, true] {
             let mut exec = Executor::new(Arc::clone(&g), StashPlan::stash_all(), mem());
-            exec.bind_param(w, Tensor::full(Shape::d1(4), 0.5)).unwrap();
-            let mut bindings = HashMap::new();
-            bindings.insert(x, Tensor::full(Shape::d1(4), 1.0));
-            if planned {
+            exec.bind_param(w, params[&w].clone()).unwrap();
+            if install {
                 let ep = exec
                     .plan_for(&bindings, t2, ExecOptions::default())
                     .unwrap();
                 exec.set_exec_plan(ep).unwrap();
             }
-            exec.forward(&bindings, t2, ExecOptions::default(), None)
-                .unwrap()
-        };
-        assert_eq!(run(false).data(), run(true).data());
+            let out = exec
+                .forward(&bindings, t2, ExecOptions::default(), None)
+                .unwrap();
+            assert_eq!(out.data(), oracle[0].data());
+        }
     }
 
     #[test]
     fn planned_device_launches_match_legacy() {
+        // An installed plan and one planned on demand dispatch the same
+        // kernels: 4 forward + 4 backward, plus one per replayed op.
         let (g, x, w, _, _, loss) = chain_graph();
         let launches = |plan: StashPlan, planned: bool| {
             let mut exec = Executor::new(Arc::clone(&g), plan, mem());
@@ -3003,18 +2097,16 @@ mod tests {
             sim.api_stats().launch_calls
         };
         assert_eq!(launches(StashPlan::stash_all(), true), 8);
-        assert_eq!(
-            launches(recompute_t1_plan(), true),
-            launches(recompute_t1_plan(), false)
-        );
+        assert_eq!(launches(recompute_t1_plan(), true), 9);
+        assert_eq!(launches(recompute_t1_plan(), false), 9);
     }
 
     #[test]
-    fn mismatched_bindings_fall_back_to_legacy() {
+    fn mismatched_bindings_are_replanned() {
         // A plan is specialized to its binding shapes. Presenting a batch
         // of a different shape (a real case: NMT bucketed batches) must
-        // silently use the legacy interpreter, not fail and not misuse
-        // the plan.
+        // plan that shape and run it, not fail and not misuse the
+        // installed plan — and both plans stay cached.
         let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut g = Graph::new();
         let x = g.input("x", LayerKind::Other);
@@ -3031,13 +2123,87 @@ mod tests {
         let ep = exec
             .plan_for(&bindings, loss, ExecOptions::default())
             .unwrap();
-        exec.set_exec_plan(ep).unwrap();
+        exec.set_exec_plan(Arc::clone(&ep)).unwrap();
         let mut other = HashMap::new();
         other.insert(x, Tensor::full(Shape::d1(2048), 0.25));
-        let stats = exec
-            .train_step(&other, loss, ExecOptions::default(), None)
+        for _ in 0..2 {
+            let stats = exec
+                .train_step(&other, loss, ExecOptions::default(), None)
+                .unwrap();
+            assert_eq!(stats.loss, Some(0.25 * 2048.0));
+        }
+        assert_eq!(exec.plans_memoized(), 1, "the new shape is planned once");
+        exec.train_step(&bindings, loss, ExecOptions::default(), None)
             .unwrap();
-        assert_eq!(stats.loss, Some(0.25 * 2048.0));
+        assert_eq!(
+            exec.plans_memoized(),
+            1,
+            "the installed plan is still cached"
+        );
+        assert!(Arc::ptr_eq(exec.exec_plan().unwrap(), &ep));
+    }
+
+    #[test]
+    fn rebinding_a_parameter_replaces_its_allocation() {
+        let (g, x, w, _, _, loss) = chain_graph();
+        let m = mem();
+        let mut exec = Executor::new(g, StashPlan::stash_all(), m.clone());
+        exec.bind_param(w, Tensor::full(Shape::d1(4), 0.5)).unwrap();
+        let live = m.live_bytes();
+        for _ in 0..20 {
+            exec.bind_param(w, Tensor::full(Shape::d1(4), 0.25))
+                .unwrap();
+        }
+        assert_eq!(m.live_bytes(), live, "a re-bind must not leak device space");
+        // A re-bind under a new shape drops the plans built for the old one.
+        let bindings = HashMap::from([(x, Tensor::full(Shape::d1(4), 1.0))]);
+        exec.train_step(&bindings, loss, ExecOptions::default(), None)
+            .unwrap();
+        exec.bind_param(w, Tensor::full(Shape::d1(8), 0.25))
+            .unwrap();
+        assert!(exec.exec_plan().is_none());
+        assert_eq!(m.live_bytes(), 2 * live);
+    }
+
+    #[test]
+    fn stage_step_with_loss_seed_is_train_step() {
+        // P = 1: seeding the loss with ones and capturing the input's
+        // gradient runs the same loops as `train_step`, bit for bit.
+        let (g, x, w, _, _, loss) = chain_graph();
+        let (init_w, init_x) = chain_values();
+        let (oracle_loss, oracle_grad) = chain_oracle();
+        for stash in [StashPlan::stash_all(), recompute_t1_plan()] {
+            let mut exec = Executor::new(Arc::clone(&g), stash, mem());
+            exec.bind_param(w, init_w.clone()).unwrap();
+            let bindings = HashMap::from([(x, init_x.clone())]);
+            let out = exec
+                .stage_step(
+                    &bindings,
+                    &[loss],
+                    &[(loss, Tensor::full(Shape::scalar(), 1.0))],
+                    &[x],
+                    ExecOptions::default(),
+                    None,
+                )
+                .unwrap();
+            assert_eq!(out.outputs[0].data(), &[oracle_loss]);
+            assert_eq!(exec.grad(w).unwrap().data(), oracle_grad.data());
+            // d loss / d x = d loss / d m * w, captured instead of dropped.
+            let dx = out.input_grads[0]
+                .as_ref()
+                .expect("input gradient captured");
+            let dw = exec.grad(w).unwrap();
+            for i in 0..4 {
+                let dm = dw.data()[i] / init_x.data()[i];
+                assert!((dx.data()[i] - dm * init_w.data()[i]).abs() < 1e-6);
+            }
+            let step = exec
+                .train_step(&bindings, loss, ExecOptions::default(), None)
+                .unwrap();
+            assert_eq!(step.loss, Some(oracle_loss));
+            assert_eq!(step.replays, out.stats.replays);
+            assert_eq!(step.peak_bytes, out.stats.peak_bytes);
+        }
     }
 
     #[test]
@@ -3127,7 +2293,7 @@ mod tests {
     fn bindings_are_borrowed_not_copied_per_step() {
         // Regression test for the former `value.clone()` of every input
         // binding into the run state: the tensor an op sees must be the
-        // caller's own storage, on both the legacy and the planned path.
+        // caller's own storage, with an installed plan or without.
         let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut g = Graph::new();
         let x = g.input("embedding_input", LayerKind::Embedding);
@@ -3191,41 +2357,33 @@ mod tests {
 
     #[test]
     fn forward_many_planned_matches_legacy_bitwise() {
+        // Name kept from the two-interpreter days; the reference is the
+        // oracle now.
         let (g, x, w, t1, t2, _) = chain_graph();
-        let run = |planned: bool| {
-            let mut exec = Executor::new(Arc::clone(&g), StashPlan::stash_all(), mem());
-            exec.bind_param(w, Tensor::from_fn(Shape::d1(4), |i| 0.1 * i as f32 + 0.2))
-                .unwrap();
-            let mut bindings = HashMap::new();
-            bindings.insert(x, Tensor::from_fn(Shape::d1(4), |i| 1.0 - 0.3 * i as f32));
-            if planned {
-                let ep = exec.plan_for_inference(&bindings, &[t2, t1]).unwrap();
-                exec.set_exec_plan(ep).unwrap();
-            }
-            let opts = ExecOptions {
-                training: false,
-                numeric: true,
-            };
-            exec.forward_many(&bindings, &[t2, t1], opts, None).unwrap()
-        };
-        let legacy = run(false);
-        let planned = run(true);
-        assert_eq!(legacy.len(), 2);
-        for (l, p) in legacy.iter().zip(&planned) {
-            assert_eq!(l.data(), p.data(), "multi-output values must be bit-exact");
-        }
-        // And each output individually matches a single-target forward.
-        let mut exec = Executor::new(Arc::clone(&g), StashPlan::stash_all(), mem());
-        exec.bind_param(w, Tensor::from_fn(Shape::d1(4), |i| 0.1 * i as f32 + 0.2))
-            .unwrap();
-        let mut bindings = HashMap::new();
-        bindings.insert(x, Tensor::from_fn(Shape::d1(4), |i| 1.0 - 0.3 * i as f32));
+        let (init_w, init_x) = chain_values();
+        let params = HashMap::from([(w, init_w.clone())]);
+        let bindings = HashMap::from([(x, init_x)]);
+        let oracle = crate::reference::forward(&g, &params, &bindings, &[t2, t1]).unwrap();
         let opts = ExecOptions {
             training: false,
             numeric: true,
         };
-        let single = exec.forward(&bindings, t2, opts, None).unwrap();
-        assert_eq!(single.data(), legacy[0].data());
+        for install in [false, true] {
+            let mut exec = Executor::new(Arc::clone(&g), StashPlan::stash_all(), mem());
+            exec.bind_param(w, init_w.clone()).unwrap();
+            if install {
+                let ep = exec.plan_for_inference(&bindings, &[t2, t1]).unwrap();
+                exec.set_exec_plan(ep).unwrap();
+            }
+            let out = exec.forward_many(&bindings, &[t2, t1], opts, None).unwrap();
+            assert_eq!(out.len(), 2);
+            for (o, p) in oracle.iter().zip(&out) {
+                assert_eq!(o.data(), p.data(), "multi-output values must be bit-exact");
+            }
+            // And each output individually matches a single-target forward.
+            let single = exec.forward(&bindings, t2, opts, None).unwrap();
+            assert_eq!(single.data(), oracle[0].data());
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use cse::common_subexpr_elim;
 pub use fused::FusedGroup;
 pub use fusion::{fuse_elementwise_chains, fuse_lstm_cells};
 pub use layout::select_layouts;
-pub use stage::{partition_stages, StagePartition, StageSpec};
+pub use stage::{partition_stages, StageExecPlans, StagePartition, StageSpec};
 
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::op::Operator;

@@ -19,6 +19,7 @@
 
 use super::Gir;
 use crate::graph::{Graph, NodeId, NodeKind};
+use crate::plan::ExecPlan;
 use crate::policy::{SegmentId, StashPlan, StashPolicy};
 use crate::{GraphError, Result};
 use echo_tensor::Shape;
@@ -93,6 +94,16 @@ impl StageSpec {
             .collect()
     }
 
+    /// The subset of [`local_send`](Self::local_send) this stage computes
+    /// itself — its forward outputs. The rest of the send interface is
+    /// received activations passed through to a later stage.
+    pub fn local_send_owned(&self) -> Vec<NodeId> {
+        let mut owned = self.local_send();
+        owned
+            .retain(|&local| matches!(self.graph.nodes()[local.index()].kind, NodeKind::Op { .. }));
+        owned
+    }
+
     /// `recv_interface` mapped to local ids.
     pub fn local_recv(&self) -> Vec<NodeId> {
         self.recv_interface
@@ -114,6 +125,20 @@ impl StageSpec {
             .filter(|n| matches!(n.kind, NodeKind::Op { .. }))
             .count()
     }
+}
+
+/// The two execution plans one pipeline stage runs, built once per stage
+/// and shared by every replica of it.
+#[derive(Debug, Clone)]
+pub struct StageExecPlans {
+    /// Fill phase: an inference forward to the owned send interface.
+    /// `None` for the last stage, which sends nothing.
+    pub fill: Option<Arc<ExecPlan>>,
+    /// Drain phase: the seeded stage step — forward under the stage-local
+    /// stash plan, backward from the send-interface gradients (the ones
+    /// seed at the loss, in the last stage), received-interface gradients
+    /// captured.
+    pub step: Arc<ExecPlan>,
 }
 
 /// The result of cutting a graph into pipeline stages.
@@ -255,6 +280,80 @@ impl StagePartition {
                 p
             })
             .collect()
+    }
+
+    /// Builds every stage's [`StageExecPlans`] under the stage-local slice
+    /// of the normalized `plan`, for the shapes the partition was cut at.
+    /// `loss` (an original id) must be carried by the last stage.
+    ///
+    /// Stages are planned last to first: a stage is seeded exactly where
+    /// the next stage's plan says a gradient can reach its captured
+    /// inputs. A stage worker that receives a different seed set at run
+    /// time (an operator may emit no gradient for a differentiable input)
+    /// still runs correctly — its executor plans that signature on demand.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the last stage does not carry `loss`, and propagates
+    /// planning failures.
+    pub fn stage_exec_plans(&self, plan: &StashPlan, loss: NodeId) -> Result<Vec<StageExecPlans>> {
+        let mut plans: Vec<StageExecPlans> = Vec::with_capacity(self.specs.len());
+        for (sp, local_plan) in self.specs.iter().zip(self.stage_plans(plan)).rev() {
+            let mut binding_shapes = HashMap::new();
+            let mut param_shapes = HashMap::new();
+            for (node, shape) in sp.graph.nodes().iter().zip(&sp.shapes) {
+                match node.kind {
+                    NodeKind::Input => binding_shapes.insert(node.id, shape.clone()),
+                    NodeKind::Param => param_shapes.insert(node.id, shape.clone()),
+                    NodeKind::Op { .. } => None,
+                };
+            }
+            let (outputs, seeds, fill) = match plans.last() {
+                // `plans` is being filled back to front: its last entry is
+                // the next stage downstream.
+                Some(next) => {
+                    let next_spec = &self.specs[sp.index + 1];
+                    let outputs = sp.local_send_owned();
+                    let seeds: Vec<NodeId> = sp
+                        .send_interface
+                        .iter()
+                        .filter(|&&orig| next.step.gradient_reaches(next_spec.to_local[&orig]))
+                        .map(|orig| sp.to_local[orig])
+                        .collect();
+                    let fill = ExecPlan::build_inference(
+                        &sp.graph,
+                        &binding_shapes,
+                        &param_shapes,
+                        &outputs,
+                    )?;
+                    (outputs, seeds, Some(Arc::new(fill)))
+                }
+                None => {
+                    let local = sp.to_local(loss).ok_or_else(|| {
+                        stage_err(format!(
+                            "loss {loss} is not carried by the last stage {}",
+                            sp.index
+                        ))
+                    })?;
+                    (vec![local], vec![local], None)
+                }
+            };
+            let step = ExecPlan::build_seeded(
+                &sp.graph,
+                &local_plan,
+                &binding_shapes,
+                &param_shapes,
+                &outputs,
+                &seeds,
+                &sp.local_recv(),
+            )?;
+            plans.push(StageExecPlans {
+                fill,
+                step: Arc::new(step),
+            });
+        }
+        plans.reverse();
+        Ok(plans)
     }
 
     /// Structural self-check: every live op owned by exactly one stage,

@@ -41,11 +41,13 @@ pub mod graph;
 pub mod op;
 pub mod plan;
 pub mod policy;
+pub mod reference;
 
 pub use error::GraphError;
 pub use exec::{ExecOptions, Executor, IterationStats, StageStepOutput, WavefrontMode};
 pub use gir::{
-    check_equivalence, partition_stages, Gir, PassTrace, Rewrite, StagePartition, StageSpec,
+    check_equivalence, partition_stages, Gir, PassTrace, Rewrite, StageExecPlans, StagePartition,
+    StageSpec,
 };
 pub use graph::{Graph, Node, NodeId, NodeKind};
 pub use op::{KernelLaunch, LaunchSpec, Operator, StashNeeds};

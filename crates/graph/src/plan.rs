@@ -1,21 +1,24 @@
-//! Ahead-of-time execution plans: static schedules, liveness analysis and
-//! slot-based buffer reuse.
+//! Ahead-of-time execution plans: static schedules, liveness analysis,
+//! replay tables and slot-based buffer reuse.
 //!
-//! The executor's legacy interpreter re-derives everything per step: the
-//! execution cone, per-node shapes, saved-byte declarations, kernel-launch
-//! descriptions, and one device allocation per node output. All of that is
-//! a pure function of `(Graph, StashPlan, ExecOptions, binding shapes)` —
-//! exactly the inputs the Echo compiler already sees — so [`ExecPlan`]
-//! computes it **once**:
+//! Everything an execution needs besides tensor data is a pure function of
+//! `(Graph, StashPlan, outputs, seeds, captures, training flag, binding
+//! shapes)` — exactly the inputs the Echo compiler already sees — so
+//! [`ExecPlan`] computes it **once** and the executor's interpreter
+//! (`exec.rs`) only walks the tables:
 //!
-//! * the forward topological **schedule** over the target's cone, with
+//! * the forward topological **schedule** over the outputs' cone, with
 //!   static shapes and per-node output/saved byte sizes;
-//! * the backward schedule (nodes a gradient can statically reach);
+//! * the backward schedule: the nodes a gradient can statically reach
+//!   from the plan's **seeds**. A whole-graph training step seeds ones at
+//!   the loss; a pipeline stage seeds its send interface with the
+//!   gradients received from downstream and **captures** the gradients
+//!   that reach its received-interface `Input` nodes. Both are the same
+//!   plan shape, so both run the same interpreter loops;
 //! * **liveness intervals** for every transient value (birth at its
-//!   producing step, death at its last in-cone forward use — the same rule
-//!   the interpreter applies dynamically) and every transient gradient
-//!   (birth at its highest-index consumer's backward step, death at its
-//!   own);
+//!   producing step, death at its last in-cone forward use) and every
+//!   transient gradient (birth at its highest-index consumer's backward
+//!   step — or before the walk, for a seed — death at its own);
 //! * a greedy interval-packing **slot assignment** mapping those transient
 //!   tensors onto a small set of reusable buffers. Packing is size-exact
 //!   (a slot is reused only by a tensor of identical byte size, the rule
@@ -27,20 +30,28 @@
 //!   slot; recompute-policy nodes die at their last forward use, which is
 //!   what makes Echo's recomputation decisions directly shrink the slot
 //!   set;
-//! * a static **accounting timeline** that replays the exact allocator
-//!   event sequence of the legacy interpreter (input placeholders, stashed
-//!   feature maps + saved state, transient placeholders, gradient
-//!   placeholders, workspace-pool growth at replay trigger points) and
-//!   records the peak and its per-(layer, kind) breakdown. The plan-driven
-//!   executor feeds this to
+//! * per-segment **replay tables** (members, workspace pool, and the
+//!   backward entries that read the replayed scratch — the basis of the
+//!   interpreter's exact `n_required` retirement refcount), the stashed
+//!   values a late replay re-reads, and whether the backward wave order
+//!   honours the exclusive-workspace contract;
+//! * a static **accounting timeline** that replays the allocator events of
+//!   one step (input placeholders, stashed feature maps + saved state,
+//!   transient placeholders, gradient placeholders, workspace-pool growth
+//!   at the replay trigger points) and records the peak, its
+//!   per-(layer, kind) breakdown, and every category's own high-water
+//!   mark over the step. The executor feeds this to
 //!   [`DeviceMemory::record_planned_peak`](echo_memory::DeviceMemory::record_planned_peak)
 //!   in one call per step instead of issuing hundreds of tagged
 //!   allocations.
 //!
-//! Plans are built by `EchoCompiler::compile`/`attach` (or
-//! [`Executor::plan_for`](crate::Executor::plan_for)) and shared across
-//! data-parallel replicas as `Arc<ExecPlan>`: planning happens once per
-//! model configuration, not once per replica or per step.
+//! Plans are built by `EchoCompiler::compile`/`attach`,
+//! [`Executor::plan_for`](crate::Executor::plan_for),
+//! [`StagePartition::stage_exec_plans`](crate::StagePartition::stage_exec_plans)
+//! — or by the executor itself, on the first execution of a signature it
+//! has no plan for — and shared across data-parallel replicas as
+//! `Arc<ExecPlan>`: planning happens once per model configuration, not once
+//! per replica or per step.
 
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::op::{KernelLaunch, StashNeeds};
@@ -62,24 +73,26 @@ pub fn plans_built() -> u64 {
     PLANS_BUILT.load(Ordering::Relaxed)
 }
 
-/// Number of executions that found an installed plan inapplicable (shape,
-/// target or mode mismatch) and silently fell back to the legacy
-/// interpreter.
+/// Number of executions that found every plan installed on their executor
+/// inapplicable (shape, output, seed or mode mismatch) and had to plan
+/// their own signature first.
 ///
-/// The fallback is deliberate behaviour — bucketed NMT batches present a
-/// different shape every few steps — but it must be *observable*: a fleet
-/// that plans for batch 32 and serves batch 33 would otherwise pay the
-/// interpreter tax forever without anyone noticing. One increment per
-/// executed step, however many passes that step runs.
+/// Re-planning is deliberate behaviour — bucketed NMT batches present a
+/// different shape every few steps, and the executor memoizes the plan it
+/// builds — but it must be *observable*: a fleet that plans for batch 32
+/// and serves batch 33 would otherwise pay a planning pass nobody asked
+/// for without anyone noticing. One increment per unmatched execution;
+/// the next execution of that signature hits the memo and does not count,
+/// and an executor nobody installed a plan on never counts.
 static PLAN_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
-/// Number of plan-to-legacy fallbacks over the process lifetime.
+/// Number of executions that fell off their installed plan over the
+/// process lifetime.
 pub fn plan_fallbacks() -> u64 {
     PLAN_FALLBACKS.load(Ordering::Relaxed)
 }
 
-/// Records one plan-to-legacy fallback (called by the executor when an
-/// installed plan fails its `matches` check for a requested execution).
+/// Records one execution that no installed plan served.
 pub(crate) fn record_plan_fallback() {
     PLAN_FALLBACKS.fetch_add(1, Ordering::Relaxed);
 }
@@ -140,8 +153,8 @@ impl WaveTable {
     }
 }
 
-/// Per-op-node static tables the planned interpreter reads instead of
-/// re-deriving. Indexed by the node's dense index.
+/// Per-op-node static tables the interpreter reads instead of re-deriving.
+/// Indexed by the node's dense index.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct OpTables {
     /// What the op's backward needs kept alive.
@@ -154,18 +167,56 @@ pub(crate) struct OpTables {
     pub saved_bytes: u64,
 }
 
-/// An ahead-of-time execution plan for one `(graph, stash plan, target,
-/// training)` configuration and one set of binding shapes.
+/// Static description of one recompute segment inside a plan's cone.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SegmentTable {
+    /// In-cone member ops, ascending (= replay order).
+    pub members: Vec<u32>,
+    /// Workspace pool the replayed scratch is leased from.
+    pub pool: usize,
+    /// Backward-schedule entries that read the scratch (a member's own
+    /// backward, or a consumer that declares it needs its inputs),
+    /// ascending. A scratch replayed while `k` of these are still to come
+    /// starts with `n_required = k` and retires when the count reaches
+    /// zero.
+    pub readers: Vec<u32>,
+    /// Declared scratch bytes: member outputs plus their saved state.
+    pub bytes: u64,
+    /// Forward flops of one replay.
+    pub flops: u64,
+}
+
+/// What one execution asks of a plan, binding shapes aside.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlanKey<'a> {
+    /// Nodes whose values the caller receives.
+    pub outputs: &'a [NodeId],
+    /// `(seeds, captures)` of the backward walk; `None` for a forward-only
+    /// execution, which any plan with the same outputs and mode serves.
+    pub backward: Option<(&'a [NodeId], &'a [NodeId])>,
+    /// Training (stash for backward) vs. inference.
+    pub training: bool,
+}
+
+/// An ahead-of-time execution plan for one `(graph, stash plan, outputs,
+/// seeds, captures, training)` configuration and one set of binding
+/// shapes.
 ///
 /// Immutable once built; shared via `Arc` between the compiler, the
 /// executor and all data-parallel replicas.
 #[derive(Debug)]
 pub struct ExecPlan {
-    pub(crate) target: NodeId,
-    /// Every node whose value the caller receives. Training plans keep
-    /// exactly the target; inference plans may keep several (logits plus
-    /// recurrent state outputs).
+    /// Every node whose value the caller receives. Whole-graph training
+    /// plans keep exactly the loss; stage and inference plans may keep
+    /// several (send interface; logits plus recurrent state outputs).
     pub(crate) outputs: Vec<NodeId>,
+    /// Nodes whose gradient is installed before the backward walk: the
+    /// loss for a training step, the send interface for a pipeline stage.
+    /// Empty for forward-only plans.
+    pub(crate) seeds: Vec<NodeId>,
+    /// `Input` nodes whose gradient is handed to the caller instead of
+    /// dropped (a stage's received interface).
+    pub(crate) capture: Vec<NodeId>,
     /// Dense keep-alive mask over the graph: kept nodes are never freed
     /// during forward and never packed into a reuse slot.
     pub(crate) keep: Vec<bool>,
@@ -173,10 +224,9 @@ pub struct ExecPlan {
     pub(crate) graph_len: usize,
     /// In-cone nodes in topological (execution) order.
     pub(crate) schedule: Vec<NodeId>,
-    /// In-cone nodes a gradient statically reaches, descending.
+    /// In-cone nodes a gradient statically reaches from the seeds,
+    /// descending.
     pub(crate) bwd_schedule: Vec<NodeId>,
-    /// Whether each node is in the execution cone.
-    pub(crate) in_cone: Vec<bool>,
     /// In-cone forward consumer counts (for transient freeing).
     pub(crate) fwd_uses: Vec<u32>,
     /// Static output shape of every in-cone node.
@@ -187,6 +237,22 @@ pub struct ExecPlan {
     pub(crate) keep_saved: Vec<bool>,
     /// Per-op static tables (`None` for inputs/params/out-of-cone).
     pub(crate) ops: Vec<Option<OpTables>>,
+    /// Segment id of every in-cone op backward must replay to read.
+    pub(crate) seg_of: Vec<Option<u32>>,
+    /// Replay tables per segment id.
+    pub(crate) segments: HashMap<usize, SegmentTable>,
+    /// Stashed values that outlive their own backward step because a
+    /// segment replay triggered further down the walk re-reads them
+    /// (scattered segments: a reader may sit below one of the segment's
+    /// stashed boundary inputs).
+    pub(crate) retain_value: Vec<bool>,
+    /// Whether the backward wave order keeps the exclusive-workspace
+    /// contract: no replay finds its pool held by a live scratch or a
+    /// boundary value already freed. When it does not hold — searched and
+    /// stage-normalized plans may pool segments whose reader intervals
+    /// overlap — only the serial loop, which can evict and re-replay, runs
+    /// the backward pass, so replay counts never depend on thread count.
+    pub(crate) wave_safe: bool,
     /// Slot id for each transient value (dense node index -> slot).
     pub(crate) value_slots: Vec<Option<u32>>,
     /// Slot id for each transient gradient.
@@ -197,28 +263,12 @@ pub struct ExecPlan {
     pub(crate) input_shapes: Vec<(NodeId, Shape)>,
     /// Parameter shapes the plan assumed.
     pub(crate) param_shapes: Vec<(NodeId, Shape)>,
-    /// Absolute planned peak (parameters + gradients included).
-    pub(crate) planned_peak_bytes: u64,
-    /// Peak minus the persistent parameter base: what one training step
-    /// transiently adds on top of what is live between steps.
-    pub(crate) step_delta: u64,
-    /// Same, for a forward-only execution.
-    pub(crate) fwd_delta: u64,
-    /// Workspace bytes contained in `step_delta` that the executor serves
-    /// through real pool leases (pools retain their buffers across steps).
-    pub(crate) assumed_workspace: u64,
-    /// Full live set at the planned peak moment, per (layer, kind).
-    pub(crate) peak_breakdown: PlannedBreakdown,
-    /// Live set at the forward-only peak moment.
-    pub(crate) fwd_peak_breakdown: PlannedBreakdown,
-    /// Segment replays one training step performs.
-    pub(crate) planned_replays: u64,
+    /// What the static accounting timeline produced.
+    pub(crate) accounting: Accounting,
     /// Flops of one step's scheduled forward + backward launches,
     /// excluding replays — the no-extra-recompute work a step must do
     /// under *any* stash plan for this cone.
     pub(crate) planned_step_flops: u64,
-    /// Extra flops the step spends replaying recompute segments.
-    pub(crate) planned_recompute_flops: u64,
     /// Forward op wavefronts: ops grouped by producer depth, ascending
     /// node index within a wave. Ops in one wave share no
     /// producer-consumer edge, so the wavefront executor may compute them
@@ -232,13 +282,15 @@ pub struct ExecPlan {
     /// accumulation-chain edges (two consumers of the same node may not
     /// commit their `axpy` into its gradient out of descending-index
     /// order; same wave is allowed because within-wave commits are serial
-    /// and descending). Empty for inference plans.
+    /// and descending). Empty for forward-only plans.
     pub(crate) bwd_waves: WaveTable,
 }
 
 impl ExecPlan {
     /// Compiles `(graph, stash plan, options, binding shapes, parameter
-    /// shapes, target)` into an execution plan.
+    /// shapes, target)` into the plan of a whole-graph execution: forward
+    /// to `target` and, when `opts.training`, a backward walk seeded with
+    /// ones at `target`.
     ///
     /// `opts.numeric` is ignored: a plan drives both the numeric and the
     /// symbolic plane (they share schedule, policies and accounting by
@@ -257,7 +309,13 @@ impl ExecPlan {
         param_shapes: &HashMap<NodeId, Shape>,
         target: NodeId,
     ) -> Result<ExecPlan> {
-        Self::build_multi(graph, stash, opts, binding_shapes, param_shapes, &[target])
+        let target = [target];
+        let key = PlanKey {
+            outputs: &target,
+            backward: opts.training.then_some((&target[..], &[][..])),
+            training: opts.training,
+        };
+        Self::build_keyed(graph, stash, key, binding_shapes, param_shapes)
     }
 
     /// Compiles an **inference-mode** plan: a forward-only schedule over
@@ -281,38 +339,84 @@ impl ExecPlan {
         param_shapes: &HashMap<NodeId, Shape>,
         outputs: &[NodeId],
     ) -> Result<ExecPlan> {
-        Self::build_multi(
+        let key = PlanKey {
+            outputs,
+            backward: None,
+            training: false,
+        };
+        Self::build_keyed(
             graph,
             &StashPlan::stash_all(),
-            ExecOptions {
-                training: false,
-                numeric: true,
-            },
+            key,
             binding_shapes,
             param_shapes,
-            outputs,
         )
     }
 
-    fn build_multi(
+    /// Compiles the plan of a **seeded** training step — what a pipeline
+    /// stage runs: forward over the union cone of `outputs`, then a
+    /// backward walk started from gradients installed at `seeds`, keeping
+    /// the gradients that reach the `Input` nodes in `capture` for the
+    /// caller. [`ExecPlan::build`] in training mode is the special case
+    /// `outputs = seeds = [loss]`, no captures.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExecPlan::build`].
+    pub fn build_seeded(
         graph: &Graph,
         stash: &StashPlan,
-        opts: ExecOptions,
         binding_shapes: &HashMap<NodeId, Shape>,
         param_shapes: &HashMap<NodeId, Shape>,
         outputs: &[NodeId],
+        seeds: &[NodeId],
+        capture: &[NodeId],
     ) -> Result<ExecPlan> {
-        let target = *outputs.first().ok_or_else(|| GraphError::Operator {
+        let key = PlanKey {
+            outputs,
+            backward: Some((seeds, capture)),
+            training: true,
+        };
+        Self::build_keyed(graph, stash, key, binding_shapes, param_shapes)
+    }
+
+    pub(crate) fn build_keyed(
+        graph: &Graph,
+        stash: &StashPlan,
+        key: PlanKey<'_>,
+        binding_shapes: &HashMap<NodeId, Shape>,
+        param_shapes: &HashMap<NodeId, Shape>,
+    ) -> Result<ExecPlan> {
+        let plan_err = |message: String| GraphError::Operator {
             op: "exec_plan".to_string(),
-            message: "a plan needs at least one output".to_string(),
-        })?;
+            message,
+        };
+        let outputs = key.outputs;
+        let (seeds, capture) = key.backward.unwrap_or((&[], &[]));
+        let training = key.training;
+        if outputs.is_empty() {
+            return Err(plan_err("a plan needs at least one output".to_string()));
+        }
+        if !training && !seeds.is_empty() {
+            return Err(plan_err(
+                "a backward pass needs a training-mode plan".to_string(),
+            ));
+        }
         let n = graph.len();
         let mut in_cone = vec![false; n];
         let mut keep = vec![false; n];
         for &out in outputs {
             graph.node(out)?;
             keep[out.index()] = true;
-            for id in graph.ancestors(out) {
+        }
+        for &seed in seeds {
+            graph.node(seed)?;
+        }
+        // Seeds join the cone: a stage may be seeded at an `Input` it only
+        // passes through (an activation a later stage consumes), and that
+        // gradient still has to reach the capture list.
+        for &root in outputs.iter().chain(seeds) {
+            for id in graph.ancestors(root) {
                 in_cone[id.index()] = true;
             }
         }
@@ -370,25 +474,46 @@ impl ExecPlan {
             }
         }
 
-        // Stashing and transience, by the interpreter's exact rules.
+        // Stashing, transience and segment membership.
         let mut transient = vec![false; n];
         let mut keep_saved = vec![false; n];
+        let mut seg_of: Vec<Option<u32>> = vec![None; n];
+        let mut segments: HashMap<usize, SegmentTable> = HashMap::new();
         for &id in &schedule {
-            if ops[id.index()].is_none() {
+            let idx = id.index();
+            let Some(tables) = &ops[idx] else {
                 continue;
+            };
+            let policy = stash.policy(id);
+            let stashed = training && matches!(policy, StashPolicy::Stash);
+            transient[idx] = !stashed;
+            keep_saved[idx] = stashed;
+            if let (true, StashPolicy::Recompute(seg)) = (training, policy) {
+                seg_of[idx] = Some(seg.id as u32);
+                // The pool is the first in-cone member's.
+                let table = segments.entry(seg.id).or_insert_with(|| SegmentTable {
+                    pool: seg.pool,
+                    ..SegmentTable::default()
+                });
+                table.members.push(idx as u32);
+                table.bytes +=
+                    shapes[idx].as_ref().expect("in cone").num_bytes() as u64 + tables.saved_bytes;
+                table.flops += launch_flops(&tables.fwd_launches);
             }
-            let stashed = opts.training && matches!(stash.policy(id), StashPolicy::Stash);
-            transient[id.index()] = !stashed;
-            keep_saved[id.index()] = stashed && opts.training;
         }
 
-        // Static gradient reachability (superset of the runtime flow: an
-        // operator may return no gradient for a differentiable input, but
-        // never the reverse) and the backward schedule.
+        // Static gradient reachability from the seeds (superset of the
+        // runtime flow: an operator may return no gradient for a
+        // differentiable input, but never the reverse) and the backward
+        // schedule.
         let mut grad_reaches = vec![false; n];
+        let mut is_seed = vec![false; n];
+        for &seed in seeds {
+            grad_reaches[seed.index()] = true;
+            is_seed[seed.index()] = true;
+        }
         let mut bwd_schedule = Vec::new();
-        if opts.training {
-            grad_reaches[target.index()] = true;
+        if !seeds.is_empty() {
             for &id in schedule.iter().rev() {
                 if !grad_reaches[id.index()] {
                     continue;
@@ -440,46 +565,44 @@ impl ExecPlan {
         //    (`level >= level(prev higher-index consumer)`); landing in
         //    the same wave is fine because within-wave gradient commits
         //    are serial and descending.
-        let mut bwd_waves = WaveTable::default();
-        if opts.training {
-            let mut blevel = vec![0u32; n];
-            let mut floor = vec![0u32; n];
-            // Lowest-index contributing consumer leveled so far, per node.
-            let mut last_contrib = vec![u32::MAX; n];
-            let mut buckets: Vec<Vec<u32>> = Vec::new();
-            for &id in &bwd_schedule {
-                let idx = id.index();
-                let mut lvl = floor[idx];
-                if let NodeKind::Op { op, inputs } = &graph.nodes()[idx].kind {
-                    for (slot, &v) in inputs.iter().enumerate() {
-                        if !op.input_differentiable(slot) || !grad_reaches[v.index()] {
-                            continue;
-                        }
-                        let prev = last_contrib[v.index()];
-                        if prev != u32::MAX {
-                            lvl = lvl.max(blevel[prev as usize]);
-                        }
-                        last_contrib[v.index()] = idx as u32;
+        // Seeds sit at floor 0: they are written before the walk.
+        let mut blevel = vec![0u32; n];
+        let mut floor = vec![0u32; n];
+        // Lowest-index contributing consumer leveled so far, per node.
+        let mut last_contrib = vec![u32::MAX; n];
+        let mut buckets: Vec<Vec<u32>> = Vec::new();
+        for &id in &bwd_schedule {
+            let idx = id.index();
+            let mut lvl = floor[idx];
+            if let NodeKind::Op { op, inputs } = &graph.nodes()[idx].kind {
+                for (slot, &v) in inputs.iter().enumerate() {
+                    if !op.input_differentiable(slot) || !grad_reaches[v.index()] {
+                        continue;
                     }
-                }
-                blevel[idx] = lvl;
-                if let NodeKind::Op { op, inputs } = &graph.nodes()[idx].kind {
-                    for (slot, &v) in inputs.iter().enumerate() {
-                        if op.input_differentiable(slot) && grad_reaches[v.index()] {
-                            floor[v.index()] = floor[v.index()].max(lvl + 1);
-                        }
+                    let prev = last_contrib[v.index()];
+                    if prev != u32::MAX {
+                        lvl = lvl.max(blevel[prev as usize]);
                     }
+                    last_contrib[v.index()] = idx as u32;
                 }
-                let wave = lvl as usize;
-                if buckets.len() <= wave {
-                    buckets.resize_with(wave + 1, Vec::new);
-                }
-                // `bwd_schedule` is descending, so each wave stays sorted
-                // descending for the serial commit phase.
-                buckets[wave].push(idx as u32);
             }
-            bwd_waves = WaveTable::from_buckets(buckets);
+            blevel[idx] = lvl;
+            if let NodeKind::Op { op, inputs } = &graph.nodes()[idx].kind {
+                for (slot, &v) in inputs.iter().enumerate() {
+                    if op.input_differentiable(slot) && grad_reaches[v.index()] {
+                        floor[v.index()] = floor[v.index()].max(lvl + 1);
+                    }
+                }
+            }
+            let wave = lvl as usize;
+            if buckets.len() <= wave {
+                buckets.resize_with(wave + 1, Vec::new);
+            }
+            // `bwd_schedule` is descending, so each wave stays sorted
+            // descending for the serial commit phase.
+            buckets[wave].push(idx as u32);
         }
+        let bwd_waves = WaveTable::from_buckets(buckets);
 
         let bytes_of =
             |id: NodeId| shapes[id.index()].as_ref().expect("in cone").num_bytes() as u64;
@@ -522,13 +645,15 @@ impl ExecPlan {
                 });
             }
         }
+        // Seeds are written before the walk starts, i.e. at its first step.
+        let walk_start = 2 * n - bwd_schedule.first().map_or(0, |id| id.index());
         for &id in &bwd_schedule {
             let idx = id.index();
             if matches!(graph.nodes()[idx].kind, NodeKind::Param) {
                 continue; // parameter gradients are persistent
             }
-            let birth = if id == target {
-                2 * n - idx // the seed, written before the walk
+            let birth = if is_seed[idx] {
+                walk_start
             } else {
                 let highest_consumer = graph
                     .consumers(id)
@@ -575,33 +700,30 @@ impl ExecPlan {
         }
 
         let mut plan = ExecPlan {
-            target,
             outputs: outputs.to_vec(),
+            seeds: seeds.to_vec(),
+            capture: capture.to_vec(),
             keep,
-            training: opts.training,
+            training,
             graph_len: n,
             schedule,
             bwd_schedule,
-            in_cone,
             fwd_uses,
             shapes,
             transient,
             keep_saved,
             ops,
+            seg_of,
+            segments,
+            retain_value: vec![false; n],
+            wave_safe: true,
             value_slots,
             grad_slots,
             slot_sizes,
             input_shapes,
             param_shapes: used_params,
-            planned_peak_bytes: 0,
-            step_delta: 0,
-            fwd_delta: 0,
-            assumed_workspace: 0,
-            peak_breakdown: Vec::new(),
-            fwd_peak_breakdown: Vec::new(),
-            planned_replays: 0,
+            accounting: Accounting::default(),
             planned_step_flops: 0,
-            planned_recompute_flops: 0,
             fwd_waves,
             bwd_waves,
         };
@@ -618,29 +740,124 @@ impl ExecPlan {
             .map(|t| launch_flops(&t.bwd_launches))
             .sum();
         plan.planned_step_flops = fwd_flops + bwd_flops;
-        let sim = AccountingSim::new(graph, stash, &plan).run();
-        plan.planned_peak_bytes = sim.planned_peak_bytes;
-        plan.step_delta = sim.step_delta;
-        plan.fwd_delta = sim.fwd_delta;
-        plan.assumed_workspace = sim.assumed_workspace;
-        plan.peak_breakdown = sim.peak_breakdown;
-        plan.fwd_peak_breakdown = sim.fwd_peak_breakdown;
-        plan.planned_replays = sim.planned_replays;
-        plan.planned_recompute_flops = sim.planned_recompute_flops;
+        plan.link_segment_readers(graph);
+        let (accounting, evictions) = AccountingSim::new(graph, &plan).run();
+        plan.accounting = accounting;
+        plan.wave_safe = evictions == 0 && plan.wave_order_is_safe(graph);
         PLANS_BUILT.fetch_add(1, Ordering::Relaxed);
         Ok(plan)
     }
 
-    /// The node this plan executes to.
-    pub fn target(&self) -> NodeId {
-        self.target
+    /// Whether forward dropped op `idx`'s value, so backward can only
+    /// read it out of a replayed scratch.
+    pub(crate) fn dropped(&self, idx: usize) -> bool {
+        // Only ops are ever transient.
+        self.transient[idx] && !self.keep[idx]
     }
 
-    /// Every node the plan keeps alive for the caller. Training plans
-    /// return exactly `[target]`; inference plans return the full output
-    /// set passed to [`ExecPlan::build_inference`].
+    /// The segments backward entry `idx` reads, in trigger order: those of
+    /// the dropped inputs it declares it needs, then its own (a recomputed
+    /// node's output and saved state only ever live in its scratch).
+    pub(crate) fn required_segments<'a>(
+        &'a self,
+        graph: &'a Graph,
+        idx: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let inputs = match (&graph.nodes()[idx].kind, &self.ops[idx]) {
+            (NodeKind::Op { inputs, .. }, Some(t))
+                if t.needs.inputs && !self.segments.is_empty() =>
+            {
+                inputs.as_slice()
+            }
+            _ => &[],
+        };
+        inputs
+            .iter()
+            .filter(|i| self.dropped(i.index()))
+            .filter_map(|i| self.seg_of[i.index()])
+            .chain(self.seg_of[idx])
+            .map(|seg| seg as usize)
+    }
+
+    /// Fills every segment's reader list and the retained-value mask.
+    fn link_segment_readers(&mut self, graph: &Graph) {
+        let mut readers: HashMap<usize, Vec<u32>> = HashMap::new();
+        // Descending walk, reversed below: reader lists end up ascending.
+        for &id in &self.bwd_schedule {
+            for seg in self.required_segments(graph, id.index()) {
+                let list = readers.entry(seg).or_default();
+                if list.last() != Some(&(id.index() as u32)) {
+                    list.push(id.index() as u32);
+                }
+            }
+        }
+        for (seg, mut list) in readers {
+            list.reverse();
+            let lowest = list[0] as usize;
+            let table = self.segments.get_mut(&seg).expect("segment table");
+            // A stashed boundary input above the segment's lowest reader
+            // may be re-read by a replay triggered after its own backward.
+            for &m in &table.members {
+                for &i in graph.nodes()[m as usize].inputs() {
+                    let idx = i.index();
+                    if self.ops[idx].is_some() && !self.transient[idx] && lowest < idx {
+                        self.retain_value[idx] = true;
+                    }
+                }
+            }
+            table.readers = list;
+        }
+    }
+
+    /// Dry-runs the replay machine in backward wave order (phase A of a
+    /// wave triggers every entry's replays before any entry retires) and
+    /// reports whether it ever had to evict.
+    fn wave_order_is_safe(&self, graph: &Graph) -> bool {
+        if self.segments.is_empty() {
+            return true;
+        }
+        let mut machine = ReplayMachine::new(graph, self);
+        for w in 0..self.bwd_waves.waves() {
+            let wave = self.bwd_waves.wave(w);
+            for &entry in wave {
+                for seg in self.required_segments(graph, entry as usize) {
+                    machine.ensure(seg);
+                }
+            }
+            for &entry in wave {
+                machine.finish(entry as usize);
+            }
+        }
+        machine.evictions == 0
+    }
+
+    /// The first node this plan executes to (the loss, for a training
+    /// plan).
+    pub fn target(&self) -> NodeId {
+        self.outputs[0]
+    }
+
+    /// Every node the plan keeps alive for the caller. Whole-graph
+    /// training plans return exactly `[loss]`; stage and inference plans
+    /// return the full output set they were built for.
     pub fn outputs(&self) -> &[NodeId] {
         &self.outputs
+    }
+
+    /// The nodes a backward walk under this plan is seeded at.
+    pub fn seeds(&self) -> &[NodeId] {
+        &self.seeds
+    }
+
+    /// The `Input` nodes whose gradients the plan hands to the caller.
+    pub fn capture(&self) -> &[NodeId] {
+        &self.capture
+    }
+
+    /// Whether a gradient can statically reach `id` from the seeds — for
+    /// a captured input, whether the upstream stage should expect a seed.
+    pub fn gradient_reaches(&self, id: NodeId) -> bool {
+        self.bwd_schedule.contains(&id)
     }
 
     /// Total kernel launches in the forward (+ backward, when training)
@@ -672,15 +889,15 @@ impl ExecPlan {
             .sum()
     }
 
-    /// Whether the plan schedules a backward pass.
+    /// Whether the plan stashes for (and may schedule) a backward pass.
     pub fn training(&self) -> bool {
         self.training
     }
 
     /// Absolute planned peak footprint of one step, parameters included —
-    /// what a step of the plan-driven executor reports as `peak_bytes`.
+    /// what a step of the executor reports as `peak_bytes`.
     pub fn planned_peak_bytes(&self) -> u64 {
-        self.planned_peak_bytes
+        self.accounting.planned_peak_bytes
     }
 
     /// Number of forward wavefronts (dependency levels over the op
@@ -691,7 +908,7 @@ impl ExecPlan {
         self.fwd_waves.waves()
     }
 
-    /// Number of backward wavefronts (zero for inference plans).
+    /// Number of backward wavefronts (zero for forward-only plans).
     pub fn backward_wave_count(&self) -> usize {
         self.bwd_waves.waves()
     }
@@ -719,9 +936,9 @@ impl ExecPlan {
         self.grad_slots.get(id.index()).copied().flatten()
     }
 
-    /// Segment replays one planned training step performs.
+    /// Segment replays one training step performs.
     pub fn planned_replays(&self) -> u64 {
-        self.planned_replays
+        self.accounting.planned_replays
     }
 
     /// Flops of one step's scheduled forward + backward launches,
@@ -736,12 +953,12 @@ impl ExecPlan {
     /// the cost side of the memory/recompute trade a stash-set search
     /// optimizes under a budget.
     pub fn planned_recompute_flops(&self) -> u64 {
-        self.planned_recompute_flops
+        self.accounting.planned_recompute_flops
     }
 
     /// The full live set at the planned peak moment, per (layer, kind).
     pub fn peak_breakdown(&self) -> &PlannedBreakdown {
-        &self.peak_breakdown
+        &self.accounting.peak_breakdown
     }
 
     /// Parameter shapes the plan was built against.
@@ -749,40 +966,23 @@ impl ExecPlan {
         &self.param_shapes
     }
 
-    /// Whether this plan can drive an execution of `target` under `opts`
-    /// with the given bindings: same graph size, same target, same
-    /// training mode, and every input the plan was specialized to bound
-    /// with an identical shape.
-    pub fn matches(
+    /// Whether this plan can drive the execution `key` asks for with the
+    /// given bindings: same graph size, outputs (order-sensitive) and
+    /// training mode, the same seeds and captures when a backward pass is
+    /// asked for, and every input the plan was specialized to bound with
+    /// an identical shape.
+    pub(crate) fn serves(
         &self,
         graph_len: usize,
         bindings: &HashMap<NodeId, Tensor>,
-        target: NodeId,
-        opts: ExecOptions,
+        key: &PlanKey<'_>,
     ) -> bool {
         self.graph_len == graph_len
-            && self.outputs.len() == 1
-            && self.target == target
-            && self.training == opts.training
-            && self
-                .input_shapes
-                .iter()
-                .all(|(id, shape)| bindings.get(id).is_some_and(|t| t.shape() == shape))
-    }
-
-    /// Whether this plan can serve a forward-only execution producing
-    /// exactly `outputs` (order-sensitive) with the given bindings: the
-    /// multi-output analogue of [`ExecPlan::matches`].
-    pub fn matches_many(
-        &self,
-        graph_len: usize,
-        bindings: &HashMap<NodeId, Tensor>,
-        outputs: &[NodeId],
-        opts: ExecOptions,
-    ) -> bool {
-        self.graph_len == graph_len
-            && self.outputs == outputs
-            && self.training == opts.training
+            && self.outputs == key.outputs
+            && self.training == key.training
+            && key
+                .backward
+                .is_none_or(|(seeds, capture)| self.seeds == seeds && self.capture == capture)
             && self
                 .input_shapes
                 .iter()
@@ -794,46 +994,143 @@ impl ExecPlan {
     }
 }
 
-/// Replays the legacy interpreter's allocator event sequence statically.
+/// The replay discipline of the backward pass, run over a plan's static
+/// tables: which scratches are live, how many readers each still has, and
+/// when a replay has to evict. The accounting timeline runs it in serial
+/// order; [`ExecPlan::wave_order_is_safe`] dry-runs it in wave order. The
+/// interpreter in `exec.rs` applies the same rules to real tensors.
+struct ReplayMachine<'a> {
+    graph: &'a Graph,
+    plan: &'a ExecPlan,
+    /// Live scratches: `(segment, readers still to come)`.
+    active: Vec<(usize, usize)>,
+    /// Segments mid-replay (guards mutually-referencing segments).
+    replaying: Vec<usize>,
+    /// Backward entries processed so far.
+    done: Vec<bool>,
+    /// Segments replayed since the caller last drained this, in order.
+    replayed: Vec<usize>,
+    /// Replays that found their pool held by a live scratch (the serial
+    /// loop evicts it; it is re-replayed on demand) or re-read a boundary
+    /// value its own backward had already freed.
+    evictions: u64,
+}
+
+impl<'a> ReplayMachine<'a> {
+    fn new(graph: &'a Graph, plan: &'a ExecPlan) -> Self {
+        ReplayMachine {
+            graph,
+            plan,
+            active: Vec::new(),
+            replaying: Vec::new(),
+            done: vec![false; plan.graph_len],
+            replayed: Vec::new(),
+            evictions: 0,
+        }
+    }
+
+    fn is_active(&self, seg: usize) -> bool {
+        self.active.iter().any(|&(s, _)| s == seg)
+    }
+
+    /// Replays `seg` unless its scratch is live: boundary segments first
+    /// (a boundary input may itself be recomputed), then evict whatever
+    /// holds the pool, then count the readers still to come.
+    fn ensure(&mut self, seg: usize) {
+        let plan = self.plan;
+        if self.is_active(seg) || self.replaying.contains(&seg) {
+            return;
+        }
+        let Some(table) = plan.segments.get(&seg) else {
+            return;
+        };
+        self.replaying.push(seg);
+        for &m in &table.members {
+            for &i in self.graph.nodes()[m as usize].inputs() {
+                let idx = i.index();
+                match plan.seg_of[idx] {
+                    Some(other) if other as usize == seg => {}
+                    Some(other) if plan.dropped(idx) => {
+                        if !self.is_active(other as usize) {
+                            self.ensure(other as usize);
+                        }
+                    }
+                    _ => {
+                        if self.done[idx] && plan.ops[idx].is_some() && !plan.retain_value[idx] {
+                            self.evictions += 1;
+                        }
+                    }
+                }
+            }
+        }
+        self.replaying.pop();
+        let before = self.active.len();
+        self.active
+            .retain(|&(s, _)| plan.segments[&s].pool != table.pool);
+        if self.active.len() != before {
+            self.evictions += 1;
+        }
+        let n_required = table
+            .readers
+            .iter()
+            .filter(|&&r| !self.done[r as usize])
+            .count();
+        self.active.push((seg, n_required));
+        self.replayed.push(seg);
+    }
+
+    /// Marks backward entry `idx` processed and retires every scratch no
+    /// remaining entry reads.
+    fn finish(&mut self, idx: usize) {
+        self.done[idx] = true;
+        let plan = self.plan;
+        self.active.retain_mut(|(seg, n_required)| {
+            if plan.segments[seg]
+                .readers
+                .binary_search(&(idx as u32))
+                .is_ok()
+            {
+                *n_required = n_required.saturating_sub(1);
+            }
+            *n_required > 0
+        });
+    }
+}
+
+/// Replays one step's allocator event sequence statically.
 ///
-/// Every event mirrors one accounting action of `exec.rs`: input
-/// placeholder allocs, op output (+ stashed saved) allocs, transient frees
-/// after the last forward use, the gradient seed, per-node gradient
-/// allocs/frees, stash frees at each node's backward step, and
-/// workspace-pool growth at the exact replay trigger points of the numeric
-/// backward discipline. Byte totals therefore match what a legacy run
-/// records — the slot packing above never inflates them because it is
-/// size-exact.
+/// Every event is one accounting action of a step: input placeholder
+/// allocs, op output (+ stashed saved) allocs, transient frees after the
+/// last forward use, the gradient seeds, per-node gradient allocs/frees,
+/// stash frees at each node's backward step, and workspace-pool growth at
+/// the exact replay trigger points of the backward discipline. The slot
+/// packing above never inflates the totals because it is size-exact.
 struct AccountingSim<'a> {
     graph: &'a Graph,
-    stash: &'a StashPlan,
     plan: &'a ExecPlan,
     live: u64,
     by_tag: HashMap<(LayerKind, DataStructureKind), u64>,
     peak: u64,
     peak_by_tag: HashMap<(LayerKind, DataStructureKind), u64>,
-    /// Active replay scratches: segment id -> min node index.
-    active: HashMap<usize, usize>,
+    /// Each category's own high-water mark so far.
+    max_by_tag: HashMap<(LayerKind, DataStructureKind), u64>,
+    machine: ReplayMachine<'a>,
     /// Pool id -> (layer at creation, high-water bytes).
     pools: HashMap<usize, (LayerKind, u64)>,
-    replays: u64,
-    replay_flops: u64,
 }
 
 impl<'a> AccountingSim<'a> {
-    fn new(graph: &'a Graph, stash: &'a StashPlan, plan: &'a ExecPlan) -> Self {
+    fn new(graph: &'a Graph, plan: &'a ExecPlan) -> Self {
         AccountingSim {
             graph,
-            stash,
             plan,
             live: 0,
             by_tag: HashMap::new(),
             peak: 0,
             peak_by_tag: HashMap::new(),
-            active: HashMap::new(),
+            max_by_tag: HashMap::new(),
+            machine: ReplayMachine::new(graph, plan),
             pools: HashMap::new(),
-            replays: 0,
-            replay_flops: 0,
         }
     }
 
@@ -842,7 +1139,10 @@ impl<'a> AccountingSim<'a> {
             return;
         }
         self.live += bytes;
-        *self.by_tag.entry((layer, kind)).or_default() += bytes;
+        let tagged = self.by_tag.entry((layer, kind)).or_default();
+        *tagged += bytes;
+        let high = self.max_by_tag.entry((layer, kind)).or_default();
+        *high = (*high).max(*tagged);
         if self.live > self.peak {
             self.peak = self.live;
             self.peak_by_tag = self.by_tag.clone();
@@ -860,80 +1160,19 @@ impl<'a> AccountingSim<'a> {
         self.plan.shape(idx).num_bytes() as u64
     }
 
-    fn saved_bytes_of(&self, idx: usize) -> u64 {
-        self.plan.ops[idx].as_ref().map_or(0, |t| t.saved_bytes)
+    /// Bytes a stashed op holds from forward to its backward step.
+    fn stash_bytes_of(&self, idx: usize) -> u64 {
+        self.bytes_of(idx) + self.plan.ops[idx].as_ref().map_or(0, |t| t.saved_bytes)
     }
 
-    /// Whether backward would find this node's value missing (and so
-    /// trigger a replay if it is recomputable).
-    fn value_missing(&self, idx: usize) -> bool {
-        self.plan.transient[idx] && self.plan.ops[idx].is_some()
-    }
-
-    fn sim_replay(&mut self, seg: usize) {
-        if self.active.contains_key(&seg) {
-            return;
-        }
-        let nodes: Vec<NodeId> = self
-            .stash
-            .segment_nodes(seg)
-            .into_iter()
-            .filter(|id| self.plan.in_cone[id.index()])
-            .collect();
-        if nodes.is_empty() {
-            return;
-        }
-        let pool_id = match self.stash.policy(nodes[0]) {
-            StashPolicy::Recompute(s) => s.pool,
-            StashPolicy::Stash => 0,
-        };
-        let min_index = nodes.iter().map(|id| id.index()).min().expect("non-empty");
-        // Mark active before recursing so mutually-referencing segments
-        // terminate, mirroring the scratch-map insertion order guarantee
-        // that topological order gives the interpreter.
-        self.active.insert(seg, min_index);
-        let mut bytes = 0u64;
-        for &id in &nodes {
-            if let NodeKind::Op { inputs, .. } = &self.graph.nodes()[id.index()].kind {
-                for &i in inputs {
-                    let in_this_seg = nodes.contains(&i);
-                    if in_this_seg || !self.value_missing(i.index()) || self.scratch_has(i) {
-                        continue;
-                    }
-                    if let StashPolicy::Recompute(other) = self.stash.policy(i) {
-                        if other.id != seg {
-                            self.sim_replay(other.id);
-                        }
-                    }
-                }
-            }
-            bytes += self.bytes_of(id.index()) + self.saved_bytes_of(id.index());
-            self.replay_flops += self.plan.ops[id.index()]
-                .as_ref()
-                .map_or(0, |t| launch_flops(&t.fwd_launches));
-        }
-        let layer = self.graph.nodes()[min_index].layer;
-        let entry = self.pools.entry(pool_id).or_insert((layer, 0));
-        let (pool_layer, high) = *entry;
-        if bytes > high {
-            entry.1 = bytes;
-            self.add(pool_layer, DataStructureKind::Workspace, bytes - high);
-        }
-        self.replays += 1;
-    }
-
-    fn scratch_has(&self, id: NodeId) -> bool {
-        self.active
-            .keys()
-            .any(|&seg| self.stash.segment_nodes(seg).contains(&id))
-    }
-
-    fn run(mut self) -> SimResults {
-        let n = self.plan.graph_len;
-        let mut results = SimResults::default();
+    /// Returns the accounting results and how many replays had to evict.
+    fn run(mut self) -> (Accounting, u64) {
+        let plan = self.plan;
+        let n = plan.graph_len;
+        let mut results = Accounting::default();
         // Persistent base: every parameter's value + gradient, allocated
         // at bind time.
-        for (id, shape) in &self.plan.param_shapes {
+        for (id, shape) in &plan.param_shapes {
             let layer = self.graph.nodes()[id.index()].layer;
             self.add(
                 layer,
@@ -944,9 +1183,8 @@ impl<'a> AccountingSim<'a> {
         let persistent = self.live;
 
         // Forward.
-        let mut uses = self.plan.fwd_uses.clone();
-        for i in 0..self.plan.schedule.len() {
-            let id = self.plan.schedule[i];
+        let mut uses = plan.fwd_uses.clone();
+        for &id in &plan.schedule {
             let idx = id.index();
             let node = &self.graph.nodes()[idx];
             match &node.kind {
@@ -959,31 +1197,27 @@ impl<'a> AccountingSim<'a> {
                 }
                 NodeKind::Param => {}
                 NodeKind::Op { inputs, .. } => {
-                    let stashed = !self.plan.transient[idx];
-                    let kind = if stashed {
-                        DataStructureKind::FeatureMap
+                    if plan.transient[idx] {
+                        self.add(
+                            node.layer,
+                            DataStructureKind::Placeholder,
+                            self.bytes_of(idx),
+                        );
                     } else {
-                        DataStructureKind::Placeholder
-                    };
-                    let bytes = self.bytes_of(idx)
-                        + if stashed && self.plan.training {
-                            self.saved_bytes_of(idx)
-                        } else {
-                            0
-                        };
-                    self.add(node.layer, kind, bytes);
-                    for &input in inputs.clone().iter() {
-                        uses[input.index()] -= 1;
-                        if uses[input.index()] == 0
-                            && !self.plan.keep[input.index()]
-                            && self.plan.transient[input.index()]
-                        {
-                            let in_node = &self.graph.nodes()[input.index()];
-                            let layer = in_node.layer;
+                        self.add(
+                            node.layer,
+                            DataStructureKind::FeatureMap,
+                            self.stash_bytes_of(idx),
+                        );
+                    }
+                    for &input in inputs {
+                        let iidx = input.index();
+                        uses[iidx] -= 1;
+                        if uses[iidx] == 0 && plan.dropped(iidx) {
                             self.sub(
-                                layer,
+                                self.graph.nodes()[iidx].layer,
                                 DataStructureKind::Placeholder,
-                                self.bytes_of(input.index()),
+                                self.bytes_of(iidx),
                             );
                         }
                     }
@@ -992,115 +1226,126 @@ impl<'a> AccountingSim<'a> {
         }
         results.fwd_delta = self.peak - persistent;
         results.fwd_peak_breakdown = breakdown_vec(&self.peak_by_tag);
+        results.fwd_max_breakdown = breakdown_vec(&self.max_by_tag);
 
-        if self.plan.training {
-            // Backward: seed first, then the descending walk.
-            let target_idx = self.plan.target.index();
-            let target_layer = self.graph.nodes()[target_idx].layer;
-            let mut grad_born = vec![false; n];
-            grad_born[target_idx] = true;
-            self.add(
-                target_layer,
-                DataStructureKind::Placeholder,
-                self.bytes_of(target_idx),
-            );
-            for i in 0..self.plan.bwd_schedule.len() {
-                let id = self.plan.bwd_schedule[i];
-                let idx = id.index();
-                let node = &self.graph.nodes()[idx];
-                match &node.kind {
-                    NodeKind::Param => {}
-                    NodeKind::Input => {
-                        if grad_born[idx] {
-                            self.sub(
-                                node.layer,
-                                DataStructureKind::Placeholder,
-                                self.bytes_of(idx),
-                            );
-                        }
-                    }
-                    NodeKind::Op { op, inputs } => {
-                        if !grad_born[idx] {
-                            continue;
-                        }
-                        let inputs = inputs.clone();
-                        let needs = self.plan.ops[idx].as_ref().expect("op tables").needs;
-                        // Replay triggers, in the numeric backward's order:
-                        // required input values, then the node's own
-                        // output/saved state.
-                        if needs.inputs {
-                            for &input in &inputs {
-                                if self.value_missing(input.index()) {
-                                    if let StashPolicy::Recompute(seg) = self.stash.policy(input) {
-                                        self.sim_replay(seg.id);
-                                    }
-                                }
-                            }
-                        }
-                        if let StashPolicy::Recompute(seg) = self.stash.policy(id) {
-                            self.sim_replay(seg.id);
-                        }
-                        // Gradient births at first propagation.
-                        for (slot, &input) in inputs.iter().enumerate() {
-                            let iidx = input.index();
-                            if !op.input_differentiable(slot)
-                                || grad_born[iidx]
-                                || matches!(self.graph.nodes()[iidx].kind, NodeKind::Param)
-                            {
-                                continue;
-                            }
-                            grad_born[iidx] = true;
-                            let in_layer = self.graph.nodes()[iidx].layer;
-                            self.add(
-                                in_layer,
-                                DataStructureKind::Placeholder,
-                                self.bytes_of(iidx),
-                            );
-                        }
-                        // Frees: this node's gradient, its stashed output
-                        // and saved state; retire dead scratches (their
-                        // pool buffers stay live).
+        // Backward: the seeds first, then the descending walk.
+        let mut grad_born = vec![false; n];
+        for &seed in &plan.seeds {
+            let idx = seed.index();
+            let node = &self.graph.nodes()[idx];
+            if !grad_born[idx] && !matches!(node.kind, NodeKind::Param) {
+                self.add(
+                    node.layer,
+                    DataStructureKind::Placeholder,
+                    self.bytes_of(idx),
+                );
+            }
+            grad_born[idx] = true;
+        }
+        for &id in &plan.bwd_schedule {
+            let idx = id.index();
+            let node = &self.graph.nodes()[idx];
+            match &node.kind {
+                NodeKind::Param => {}
+                NodeKind::Input => {
+                    if grad_born[idx] {
                         self.sub(
                             node.layer,
                             DataStructureKind::Placeholder,
                             self.bytes_of(idx),
                         );
-                        if !self.plan.transient[idx] {
-                            let bytes = self.bytes_of(idx)
-                                + if self.plan.training {
-                                    self.saved_bytes_of(idx)
-                                } else {
-                                    0
-                                };
-                            self.sub(node.layer, DataStructureKind::FeatureMap, bytes);
-                        }
-                        self.active.retain(|_, &mut min| min < idx);
                     }
                 }
+                NodeKind::Op { op, inputs } if grad_born[idx] => {
+                    // Replay triggers: workspace pools grow to the largest
+                    // scratch they ever serve.
+                    for seg in plan.required_segments(self.graph, idx) {
+                        self.machine.ensure(seg);
+                    }
+                    for seg in std::mem::take(&mut self.machine.replayed) {
+                        let table = &plan.segments[&seg];
+                        let layer = self.graph.nodes()[table.members[0] as usize].layer;
+                        let entry = self.pools.entry(table.pool).or_insert((layer, 0));
+                        let (pool_layer, high) = *entry;
+                        if table.bytes > high {
+                            entry.1 = table.bytes;
+                            self.add(pool_layer, DataStructureKind::Workspace, table.bytes - high);
+                        }
+                        results.planned_replays += 1;
+                        results.planned_recompute_flops += table.flops;
+                    }
+                    // Gradient births at first propagation.
+                    for (slot, &input) in inputs.iter().enumerate() {
+                        let iidx = input.index();
+                        let in_node = &self.graph.nodes()[iidx];
+                        if !op.input_differentiable(slot)
+                            || grad_born[iidx]
+                            || matches!(in_node.kind, NodeKind::Param)
+                        {
+                            continue;
+                        }
+                        grad_born[iidx] = true;
+                        self.add(
+                            in_node.layer,
+                            DataStructureKind::Placeholder,
+                            self.bytes_of(iidx),
+                        );
+                    }
+                    // Frees: this node's gradient, and its stashed output
+                    // and saved state unless a later replay re-reads them.
+                    self.sub(
+                        node.layer,
+                        DataStructureKind::Placeholder,
+                        self.bytes_of(idx),
+                    );
+                    if !plan.transient[idx] && !plan.retain_value[idx] {
+                        self.sub(
+                            node.layer,
+                            DataStructureKind::FeatureMap,
+                            self.stash_bytes_of(idx),
+                        );
+                    }
+                }
+                NodeKind::Op { .. } => {}
             }
+            self.machine.finish(idx);
         }
 
         results.planned_peak_bytes = self.peak;
         results.step_delta = self.peak - persistent;
         results.assumed_workspace = self.pools.values().map(|&(_, high)| high).sum();
         results.peak_breakdown = breakdown_vec(&self.peak_by_tag);
-        results.planned_replays = self.replays;
-        results.planned_recompute_flops = self.replay_flops;
-        results
+        results.max_breakdown = breakdown_vec(&self.max_by_tag);
+        (results, self.machine.evictions)
     }
 }
 
 /// What the static accounting timeline produces.
-#[derive(Default)]
-struct SimResults {
-    planned_peak_bytes: u64,
-    step_delta: u64,
-    fwd_delta: u64,
-    assumed_workspace: u64,
-    peak_breakdown: PlannedBreakdown,
-    fwd_peak_breakdown: PlannedBreakdown,
-    planned_replays: u64,
-    planned_recompute_flops: u64,
+#[derive(Debug, Default)]
+pub(crate) struct Accounting {
+    /// Absolute planned peak (parameters + gradients included).
+    pub planned_peak_bytes: u64,
+    /// Peak minus the persistent parameter base: what one training step
+    /// transiently adds on top of what is live between steps.
+    pub step_delta: u64,
+    /// Same, for a forward-only execution.
+    pub fwd_delta: u64,
+    /// Workspace bytes contained in `step_delta` that the executor serves
+    /// through real pool leases (pools retain their buffers across steps).
+    pub assumed_workspace: u64,
+    /// Full live set at the planned peak moment, per (layer, kind).
+    pub peak_breakdown: PlannedBreakdown,
+    /// Live set at the forward-only peak moment.
+    pub fwd_peak_breakdown: PlannedBreakdown,
+    /// Every (layer, kind)'s own high-water mark over the step — the
+    /// category-by-category profiler view; the maxima need not coincide.
+    pub max_breakdown: PlannedBreakdown,
+    /// Same, over the forward pass alone.
+    pub fwd_max_breakdown: PlannedBreakdown,
+    /// Segment replays one training step performs.
+    pub planned_replays: u64,
+    /// Extra flops the step spends replaying recompute segments.
+    pub planned_recompute_flops: u64,
 }
 
 fn breakdown_vec(map: &HashMap<(LayerKind, DataStructureKind), u64>) -> PlannedBreakdown {

@@ -300,7 +300,8 @@ impl DeviceMemory {
     /// Records one *planned* execution phase in a single call: the caller
     /// has statically computed that the phase will transiently hold
     /// `delta` bytes on top of what is live now, with the given
-    /// per-(layer, kind) breakdown at the phase's peak moment.
+    /// per-(layer, kind) breakdown at the phase's peak moment and the
+    /// given per-(layer, kind) high-water marks over the whole phase.
     ///
     /// A plan-driven executor uses this instead of issuing one `alloc` per
     /// node per step. `assumed_workspace` names the portion of `delta`
@@ -312,7 +313,10 @@ impl DeviceMemory {
     /// The peak breakdown snapshot is replaced by `breakdown` when the
     /// planned phase sets a new peak; `breakdown` must therefore describe
     /// the full live set at the phase peak (persistent allocations
-    /// included), not just the delta.
+    /// included), not just the delta. `maxima` is folded into
+    /// [`max_breakdown`](DeviceMemory::max_breakdown): each category's own
+    /// maximum over the phase, which need not occur at the peak moment —
+    /// exactly what per-allocation accounting would have recorded.
     ///
     /// # Errors
     ///
@@ -324,6 +328,7 @@ impl DeviceMemory {
         delta: u64,
         assumed_workspace: u64,
         breakdown: &[((LayerKind, DataStructureKind), u64)],
+        maxima: &[((LayerKind, DataStructureKind), u64)],
     ) -> Result<(), OomError> {
         let mut inner = self.inner.lock();
         let live_workspace: u64 = inner
@@ -346,7 +351,7 @@ impl DeviceMemory {
                 ),
             });
         }
-        for &(key, bytes) in breakdown {
+        for &(key, bytes) in maxima {
             let e = inner.max_by_tag.entry(key).or_default();
             *e = (*e).max(bytes);
         }
@@ -497,5 +502,36 @@ mod tests {
             .alloc(500, tag(LayerKind::Rnn, DataStructureKind::Weight))
             .unwrap();
         assert_eq!(clone.live_bytes(), 500);
+    }
+
+    #[test]
+    fn planned_peak_records_category_maxima_not_just_the_peak_snapshot() {
+        // A phase whose feature maps peak early and whose placeholders
+        // peak late: the snapshot at the peak moment understates the
+        // placeholder category, the maxima do not.
+        let mem = plain_device(10_000);
+        let _w = mem
+            .alloc(100, tag(LayerKind::Rnn, DataStructureKind::Weight))
+            .unwrap();
+        let fm = (LayerKind::Rnn, DataStructureKind::FeatureMap);
+        let ph = (LayerKind::Rnn, DataStructureKind::Placeholder);
+        let w = (LayerKind::Rnn, DataStructureKind::Weight);
+        mem.record_planned_peak(
+            900,
+            0,
+            &[(fm, 800), (ph, 100), (w, 100)],
+            &[(fm, 800), (ph, 300), (w, 100)],
+        )
+        .unwrap();
+        assert_eq!(mem.peak_bytes(), 1000);
+        assert_eq!(mem.peak_breakdown()[&ph], 100);
+        assert_eq!(mem.max_breakdown()[&ph], 300);
+        assert_eq!(mem.max_breakdown()[&fm], 800);
+        assert_eq!(mem.live_bytes(), 100, "a planned phase allocates nothing");
+        // Over capacity: rejected up front, nothing recorded.
+        assert!(mem
+            .record_planned_peak(10_000, 0, &[], &[(ph, 9_999)])
+            .is_err());
+        assert_eq!(mem.max_breakdown()[&ph], 300);
     }
 }

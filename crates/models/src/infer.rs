@@ -229,9 +229,9 @@ impl WordLmDecoder {
     }
 
     /// Compiles and installs an inference-mode execution plan for decode
-    /// steps with exactly `batch` lanes. Steps at any other batch size
-    /// fall back to the legacy interpreter (observable via
-    /// [`echo_graph::plan_fallbacks`]), bit-identically. Returns the
+    /// steps with exactly `batch` lanes. A step at any other batch size
+    /// is planned by the executor on first sight and memoized (observable
+    /// via [`echo_graph::plan_fallbacks`]), bit-identically. Returns the
     /// shared plan.
     ///
     /// # Errors
@@ -430,14 +430,14 @@ mod tests {
     fn inference_plan_drives_identical_bits() {
         let vocab = 19;
         let (dec, mut planned) = decoder_exec(vocab, 2);
-        let (_, mut legacy) = decoder_exec(vocab, 2);
+        let (_, mut on_demand) = decoder_exec(vocab, 2);
         let plan = dec.install_inference_plan(&mut planned, 2).unwrap();
         assert!(!plan.training());
         let states = vec![LmState::zero(dec.hyper.layers, dec.hyper.hidden); 2];
         let tokens = [4u32, 11];
         let (pl, ps) = dec.infer_step(&mut planned, &tokens, &states).unwrap();
-        let (ll, ls) = dec.infer_step(&mut legacy, &tokens, &states).unwrap();
-        assert_eq!(pl, ll, "planned logits must match legacy bitwise");
-        assert_eq!(ps, ls, "planned states must match legacy bitwise");
+        let (ll, ls) = dec.infer_step(&mut on_demand, &tokens, &states).unwrap();
+        assert_eq!(pl, ll, "installed and on-demand plans must agree bitwise");
+        assert_eq!(ps, ls, "installed and on-demand plans must agree bitwise");
     }
 }

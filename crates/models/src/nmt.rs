@@ -526,8 +526,9 @@ impl NmtModel {
     /// Compiles and installs an ahead-of-time execution plan for training
     /// steps with `batch` lanes (the graph's fixed bucket lengths), using
     /// the executor's current stash plan and bound parameter shapes.
-    /// Batches of any other shape silently fall back to the legacy
-    /// interpreter. Returns the shared plan.
+    /// A batch of any other shape is planned by the executor on first
+    /// sight, memoized, and counted by [`echo_graph::plan_fallbacks`].
+    /// Returns the shared plan.
     ///
     /// # Errors
     ///
@@ -546,9 +547,9 @@ impl NmtModel {
     /// forward-only runs to the logits at `batch` lanes: no backward
     /// schedule, no stash table, a strictly smaller slot arena than the
     /// training plan's. [`predict_teacher_forced`] and
-    /// [`infer_step`](NmtModel::infer_step) then run the plan-driven hot
-    /// loop whenever the batch matches; other shapes fall back to the
-    /// legacy interpreter bit-identically.
+    /// [`infer_step`](NmtModel::infer_step) then run this plan whenever
+    /// the batch matches; any other shape is planned by the executor on
+    /// first sight and runs bit-identically.
     ///
     /// [`predict_teacher_forced`]: NmtModel::predict_teacher_forced
     ///

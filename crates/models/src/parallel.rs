@@ -165,10 +165,19 @@ pub struct StageStepStats {
     pub sim_ns: u64,
     /// Peak device bytes across this worker's micro-batches.
     pub peak_bytes: u64,
+    /// Device bytes still live in this worker's executor memory after
+    /// the step: its parameters, their gradients and retained workspace
+    /// buffers. Constant from step to step.
+    pub live_bytes: u64,
     /// Segment replays performed by this worker's stage backwards.
     pub replays: u64,
     /// Host wall-clock nanoseconds the worker spent in the step.
     pub compute_host_ns: u64,
+    /// Execution plans this worker's executor has had to build on demand
+    /// so far (cumulative). The stage's plans are installed at
+    /// construction, so this stays at zero unless a step presents a
+    /// signature they do not serve.
+    pub plans_built: u64,
 }
 
 /// Per-replica statistics for one global step.

@@ -18,7 +18,7 @@
 //!
 //! Stages are contiguous original-index ranges, so every consumer of an
 //! activation in a *later* stage has a larger original id than any
-//! consumer in its own stage. The seeded stage backward
+//! consumer in its own stage. The seeded stage step
 //! ([`Executor::stage_step`]) applies the downstream partial first and
 //! then accumulates in-stage contributions in descending order — the
 //! exact association of the serial descending-index backward walk. By
@@ -36,6 +36,15 @@
 //! normalized full-graph plan performs the same replays as the pipeline
 //! — the determinism suite's replay-count contract.
 //!
+//! # One interpreter
+//!
+//! A stage runs the same plan-driven loops as the serial trainer. Its two
+//! execution plans — the fill-phase inference forward and the seeded
+//! drain-phase step ([`StagePartition::stage_exec_plans`]) — are built
+//! once per stage in [`PipelineTrainer::new`] and installed on all `K`
+//! replicas' executors, so stage workers get buffer reuse and wavefront
+//! scheduling, and plan nothing at step time.
+//!
 //! # Fault containment
 //!
 //! A worker that fails — an executor error or a panic in stage code —
@@ -51,7 +60,9 @@ use crate::word_lm::WordLm;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use echo_data::{LmBatch, MicrobatchPlan};
 use echo_device::DeviceSim;
-use echo_graph::{ExecOptions, Executor, NodeId, NodeKind, StagePartition, StageSpec, StashPlan};
+use echo_graph::{
+    ExecOptions, Executor, NodeId, StageExecPlans, StagePartition, StageSpec, StashPlan,
+};
 use echo_memory::DeviceMemory;
 use echo_tensor::{Shape, Tensor};
 use std::collections::HashMap;
@@ -140,16 +151,18 @@ impl PipelineStepReport {
 struct StageWiring {
     spec: Arc<StageSpec>,
     plan: StashPlan,
+    /// The stage's fill and drain execution plans.
+    exec_plans: StageExecPlans,
     /// `(original, local)` ids of the batch inputs this stage binds.
     batch_pairs: Vec<(NodeId, NodeId)>,
+    /// `(original, local)` ids of the parameters this stage owns.
+    param_pairs: Vec<(NodeId, NodeId)>,
     /// Received interface, local ids (ascending original order).
     recv_local: Vec<NodeId>,
     /// Sent interface, local ids (ascending original order).
     send_local: Vec<NodeId>,
-    /// `send_local[i]` is an op owned by this stage (vs. a pass-through
-    /// input whose value comes from the local bindings).
-    send_owned_mask: Vec<bool>,
-    /// The owned subset of `send_local` — the forward outputs.
+    /// The owned subset of `send_local` — the forward outputs; the rest
+    /// are pass-through inputs whose values come from the local bindings.
     send_owned: Vec<NodeId>,
     /// Local loss id and shape — last stage only.
     loss_local: Option<NodeId>,
@@ -160,57 +173,49 @@ impl StageWiring {
     fn build(
         spec: Arc<StageSpec>,
         plan: StashPlan,
-        loss: NodeId,
+        exec_plans: StageExecPlans,
         last: bool,
     ) -> Result<StageWiring, String> {
-        let batch_pairs = spec
-            .batch_inputs
-            .iter()
-            .map(|&orig| {
-                spec.to_local(orig)
-                    .map(|local| (orig, local))
-                    .ok_or_else(|| format!("stage {}: unmapped batch input {orig}", spec.index))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let send_local = spec.local_send();
-        let send_owned_mask: Vec<bool> = send_local
-            .iter()
-            .map(|&local| {
-                matches!(
-                    spec.graph.node(local).map(|n| &n.kind),
-                    Ok(NodeKind::Op { .. })
-                )
-            })
-            .collect();
-        let send_owned: Vec<NodeId> = send_local
-            .iter()
-            .zip(&send_owned_mask)
-            .filter(|(_, &owned)| owned)
-            .map(|(&local, _)| local)
-            .collect();
-        let (loss_local, loss_shape) = if last {
-            let local = spec.to_local(loss).ok_or_else(|| {
-                format!(
-                    "loss {loss} is not carried by the last stage {}",
-                    spec.index
-                )
-            })?;
-            let shape = spec.shapes[local.index()].clone();
-            (Some(local), Some(shape))
-        } else {
-            (None, None)
+        let pairs = |origs: &[NodeId], what: &str| {
+            origs
+                .iter()
+                .map(|&orig| {
+                    spec.to_local(orig)
+                        .map(|local| (orig, local))
+                        .ok_or_else(|| format!("stage {}: unmapped {what} {orig}", spec.index))
+                })
+                .collect::<Result<Vec<_>, String>>()
         };
+        let batch_pairs = pairs(&spec.batch_inputs, "batch input")?;
+        let param_pairs = pairs(&spec.params, "parameter")?;
+        // The last stage's step plan is seeded at (exactly) the loss.
+        let loss_local = last.then(|| exec_plans.step.target());
+        let loss_shape = loss_local.map(|local| spec.shapes[local.index()].clone());
         Ok(StageWiring {
             recv_local: spec.local_recv(),
+            send_local: spec.local_send(),
+            send_owned: spec.local_send_owned(),
             spec,
             plan,
+            exec_plans,
             batch_pairs,
-            send_local,
-            send_owned_mask,
-            send_owned,
+            param_pairs,
             loss_local,
             loss_shape,
         })
+    }
+
+    /// The stage-local slice of a full-graph parameter snapshot.
+    fn local_params(&self, params: &[(NodeId, Tensor)]) -> Result<Vec<(NodeId, Tensor)>, String> {
+        self.param_pairs
+            .iter()
+            .map(|&(orig, local)| {
+                params
+                    .binary_search_by_key(&orig, |&(id, _)| id)
+                    .map(|i| (local, params[i].1.clone()))
+                    .map_err(|_| format!("stage {}: no value for param {orig}", self.spec.index))
+            })
+            .collect()
     }
 }
 
@@ -284,18 +289,8 @@ impl<B> StageWorker<B> {
     /// then the stage's cross-replica gradient fold.
     fn step(&mut self, micros: &[B], params: Option<ParamSet>) -> Result<StageDone, String> {
         if let Some(params) = params {
-            for &orig in &self.wiring.spec.params {
-                if let Ok(i) = params.binary_search_by_key(&orig, |&(id, _)| id) {
-                    let local = self
-                        .wiring
-                        .spec
-                        .to_local(orig)
-                        .expect("owned params are carried by their stage");
-                    self.exec
-                        .bind_param(local, params[i].1.clone())
-                        .map_err(|e| self.fail(&format!("param import: {e}")))?;
-                }
-            }
+            let local = self.wiring.local_params(&params)?;
+            self.exec.import_params(&local);
         }
         #[cfg(test)]
         if self.sabotage {
@@ -349,13 +344,10 @@ impl<B> StageWorker<B> {
                     .wiring
                     .send_local
                     .iter()
-                    .zip(&self.wiring.send_owned_mask)
-                    .map(|(local_id, &is_owned)| {
-                        if is_owned {
-                            produced.next().expect("one value per owned send node")
-                        } else {
-                            local[local_id].clone()
-                        }
+                    .map(|local_id| match local.get(local_id) {
+                        // A received activation passed through.
+                        Some(value) => value.clone(),
+                        None => produced.next().expect("one value per owned send node"),
                     })
                     .collect();
                 tx.send(ActMsg { micro: m, values })
@@ -364,8 +356,8 @@ impl<B> StageWorker<B> {
             stage_bindings.push(local);
         }
 
-        // Drain: seeded stage backward per micro-batch, in micro order.
-        // The stage forward is re-run inside `stage_step` under the
+        // Drain: seeded stage step per micro-batch, in micro order. The
+        // stage forward is re-run inside `stage_step` under the
         // stage-local stash plan (re-materialization), so the fill phase
         // holds no activations across micro-batches.
         let mut samples = Vec::with_capacity(micros.len());
@@ -463,8 +455,10 @@ impl<B> StageWorker<B> {
                 replica: self.replica,
                 sim_ns,
                 peak_bytes,
+                live_bytes: self.exec.memory().live_bytes(),
                 replays,
                 compute_host_ns,
+                plans_built: self.exec.plans_memoized(),
             },
             folded,
         })
@@ -524,16 +518,21 @@ impl<B: Clone + Send + 'static> PipelineTrainer<B> {
             ));
         }
         let local_plans = partition.stage_plans(stash_plan);
-        let params = Arc::new(template.export_params());
+        // One plan pair per stage, shared by its K replicas.
+        let exec_plans = partition
+            .stage_exec_plans(stash_plan, loss)
+            .map_err(|e| format!("stage planning: {e}"))?;
+        let params = template.export_params();
         let wirings: Vec<Arc<StageWiring>> = partition
             .stages()
             .iter()
             .zip(local_plans)
-            .map(|(spec, local_plan)| {
+            .zip(exec_plans)
+            .map(|((spec, local_plan), exec_plans)| {
                 StageWiring::build(
                     Arc::new(spec.clone()),
                     local_plan,
-                    loss,
+                    exec_plans,
                     spec.index == stages - 1,
                 )
                 .map(Arc::new)
@@ -603,16 +602,14 @@ impl<B: Clone + Send + 'static> PipelineTrainer<B> {
                 let mem = DeviceMemory::with_overhead_model(options.memory_capacity, 0, 0.0);
                 let mut exec =
                     Executor::new(Arc::clone(&wiring.spec.graph), wiring.plan.clone(), mem);
-                for &orig in &wiring.spec.params {
-                    let pi = params
-                        .binary_search_by_key(&orig, |&(id, _)| id)
-                        .map_err(|_| format!("stage {s}: template lacks param {orig}"))?;
-                    let local = wiring
-                        .spec
-                        .to_local(orig)
-                        .expect("owned params are carried by their stage");
-                    exec.bind_param(local, params[pi].1.clone())
+                for (local, value) in wiring.local_params(&params)? {
+                    exec.bind_param(local, value)
                         .map_err(|e| format!("stage {s} replica {k} param bind: {e}"))?;
+                }
+                let StageExecPlans { fill, step } = &wiring.exec_plans;
+                for plan in fill.iter().chain([step]) {
+                    exec.set_exec_plan(Arc::clone(plan))
+                        .map_err(|e| format!("stage {s} replica {k} plan install: {e}"))?;
                 }
                 let worker = StageWorker {
                     stage: s,
@@ -889,6 +886,56 @@ mod tests {
         }
     }
 
+    /// Regression: stage workers used to re-`bind_param` every owned
+    /// parameter each step, and every re-bind leaked the previous
+    /// allocation (~1.3 MB of simulated device memory per step on the
+    /// benchmark model). Workers now `import_params`, and a re-bind
+    /// replaces its allocation — so what a stage holds between steps is
+    /// the same after step 2 and after step 20.
+    #[test]
+    fn stage_memory_does_not_grow_across_steps() {
+        let lm = tiny_lm();
+        let lanes = 4;
+        let mut template = Executor::new(
+            Arc::clone(&lm.graph),
+            StashPlan::stash_all(),
+            DeviceMemory::with_overhead_model(1 << 30, 0, 0.0),
+        );
+        lm.bind_params(&mut template, 11).unwrap();
+        let partition = lm_partition(&lm, lanes / 2, 2);
+        let mut trainer = PipelineTrainer::for_word_lm(
+            &lm,
+            template,
+            &partition,
+            &StashPlan::stash_all(),
+            lanes,
+            &PipelineOptions::new(1, 2),
+            Box::new(Sgd::new(0.1)),
+        )
+        .unwrap();
+        let batch = synth_batch(&lm, lanes);
+        let footprint = |report: &PipelineStepReport| -> Vec<(u64, u64)> {
+            report
+                .stages
+                .iter()
+                .map(|s| (s.live_bytes, s.peak_bytes))
+                .collect()
+        };
+        let mut after_step_2 = Vec::new();
+        for step in 1..=20 {
+            let report = trainer.train_step(&batch).expect("step");
+            if step == 2 {
+                after_step_2 = footprint(&report);
+            }
+            if step == 20 {
+                assert_eq!(footprint(&report), after_step_2, "stage memory drifted");
+            }
+        }
+        assert!(after_step_2
+            .iter()
+            .all(|&(live, peak)| 0 < live && live < peak));
+    }
+
     /// Satellite: a panicking stage worker must poison the pipeline —
     /// `train_step` returns an error (and keeps failing), never
     /// deadlocks, and `Drop` still reaps every thread.
@@ -902,7 +949,7 @@ mod tests {
             DeviceMemory::with_overhead_model(1 << 30, 0, 0.0),
         );
         lm.bind_params(&mut template, 11).unwrap();
-        let partition = lm_partition(&lm, lanes, 2);
+        let partition = lm_partition(&lm, lanes / 2, 2);
         let options = PipelineOptions::new(1, 2);
         let mut trainer = PipelineTrainer::for_word_lm(
             &lm,

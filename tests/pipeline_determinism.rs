@@ -7,13 +7,15 @@
 //! search), and segment replay counts match the stage-normalized serial
 //! plan exactly.
 //!
-//! Wavefront note: pipeline stage workers execute through
-//! `stage_step`/`forward_many`, which always run the legacy interpreter
-//! (no ahead-of-time plan is installed on stage executors), so every
-//! assertion here is independent of `ECHO_WAVEFRONT` and of the
-//! executors' [`WavefrontMode`] by construction. CI re-runs this suite
-//! with `ECHO_WAVEFRONT=0` and `ECHO_NUM_THREADS=4` to pin that down
-//! empirically as well.
+//! One interpreter: pipeline stage workers execute `stage_step` and
+//! `forward_many` on the same plan-driven loops as the serial reference
+//! (`train_step`), under per-stage `ExecPlan`s built once in
+//! `PipelineTrainer::new` and shared by a stage's replicas — so stage
+//! executors plan nothing at step time (asserted below). The loops pick
+//! serial or wavefront scheduling from `ECHO_WAVEFRONT` /
+//! `ECHO_NUM_THREADS`; both commit in schedule order, so every assertion
+//! here must hold in either. CI re-runs this suite with
+//! `ECHO_WAVEFRONT=0` and with `ECHO_NUM_THREADS=4` to pin that down.
 
 use echo::analysis::infer_shapes;
 use echo::{chen_sqrt_plan, sqrt_stride, EchoCompiler, EchoConfig, StashSelection};
@@ -221,6 +223,16 @@ fn pipeline_training_is_bit_exact_for_every_stage_and_replica_count() {
                         normalized.replays[step],
                         "{plan_name}: P={stages} K={replicas} replay count drifted"
                     );
+                    // The stage plans installed at construction serve
+                    // every step: no stage executor ever plans on demand.
+                    for stage in &report.stages {
+                        assert_eq!(
+                            stage.plans_built, 0,
+                            "{plan_name}: P={stages} K={replicas} step {step}: stage {} \
+                             replica {} planned at step time",
+                            stage.stage, stage.replica
+                        );
+                    }
                     family_replays += report.total_replays();
                 }
                 assert_eq!(
@@ -434,6 +446,7 @@ fn nmt_pipeline_matches_serial_across_replicas() {
                 model.loss,
             )
             .expect("nmt pipeline trainer");
+            let mut planned_after_first_step = 0;
             for (step, batch) in nmt_batches().iter().enumerate() {
                 let report = trainer.train_step(batch).expect("nmt pipeline step");
                 assert_eq!(
@@ -445,6 +458,16 @@ fn nmt_pipeline_matches_serial_across_replicas() {
                     report.total_replays(),
                     normalized.replays[step],
                     "{plan_name}: NMT K={replicas} replay count drifted"
+                );
+                // Bucketed batches may present a new shape; whatever the
+                // first step planned, later steps of that shape reuse.
+                let built: u64 = report.stages.iter().map(|s| s.plans_built).sum();
+                if step == 0 {
+                    planned_after_first_step = built;
+                }
+                assert_eq!(
+                    built, planned_after_first_step,
+                    "{plan_name}: NMT K={replicas} stage executors planned after step 1"
                 );
             }
             assert_eq!(

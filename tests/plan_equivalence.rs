@@ -1,17 +1,21 @@
-//! Plan-driven execution must be indistinguishable from the legacy
-//! interpreter — for every stash plan and every GEMM backend.
+//! Plan-driven execution must be indistinguishable from a plain
+//! stash-everything evaluation — for every stash plan and every GEMM
+//! backend.
 //!
 //! The ahead-of-time `ExecPlan` (`echo_graph::plan`) precomputes the
-//! schedule, shapes, liveness intervals and buffer slots, and the executor
-//! interprets it instead of rebuilding per-run tables. This sweep pins the
-//! contract from the ISSUE: across {stash-all, Echo, Chen-√N, searched}
-//! stash plans and all `MatmulPolicy` backends, on both a tiny word-level LM and a
-//! hand-built GRU chain, the planned path is **bit-identical** to legacy in
-//! loss, every exported gradient, and replay counts — and the plan's static
-//! `planned_peak_bytes` never exceeds the peak the legacy interpreter
-//! actually touched. A second sweep adds the fusion axis: the pass-pipeline
-//! rewritten word LM must stay bit-identical to its unfused twin across
-//! {stash-all, Echo, searched} plans and every matmul policy.
+//! schedule, shapes, liveness intervals, replay tables and buffer slots,
+//! and the executor interprets it. This sweep pins the contract: across
+//! {stash-all, Echo, Chen-√N, searched} stash plans and all `MatmulPolicy`
+//! backends, on both a tiny word-level LM and a hand-built GRU chain, a
+//! step — under a plan installed up front or one the executor plans on
+//! demand — is **bit-identical** in loss and every exported gradient to
+//! the oracle (`echo_graph::reference`: no plan, no replay, no reuse),
+//! performs exactly `ExecPlan::planned_replays()` replays, and reports
+//! exactly the peak the deleted per-node allocator walk reported for that
+//! cell (frozen below as golden constants). A second sweep adds the fusion
+//! axis: the pass-pipeline rewritten word LM must stay bit-identical to
+//! its unfused twin across {stash-all, Echo, searched} plans and every
+//! matmul policy.
 //!
 //! One `#[test]`, not several: the matmul policy is process-global state
 //! and the harness runs `#[test]`s concurrently, so the sweep must iterate
@@ -23,7 +27,7 @@ use echo::{
     SearchConfig, StashSearch,
 };
 use echo_data::{BpttBatches, LmCorpus, Vocab};
-use echo_graph::{ExecOptions, Executor, Graph, NodeId, StashPlan};
+use echo_graph::{ExecOptions, ExecPlan, Executor, Graph, IterationStats, NodeId, StashPlan};
 use echo_memory::{DeviceMemory, LayerKind};
 use echo_models::{WordLm, WordLmHyper};
 use echo_ops::MeanAll;
@@ -168,25 +172,53 @@ fn gru_scenario() -> Scenario {
 }
 
 /// Everything observable from one train step, as bits.
+#[derive(Debug, PartialEq)]
 struct Fingerprint {
     loss_bits: u32,
     grad_bits: Vec<(NodeId, Vec<u32>)>,
-    replays: u64,
-    peak_bytes: u64,
 }
 
-fn run_step(scenario: &Scenario, stash: &StashPlan, planned: bool) -> (Fingerprint, Option<u64>) {
+fn grad_bits(grads: Vec<(NodeId, Tensor)>) -> Vec<(NodeId, Vec<u32>)> {
+    grads
+        .into_iter()
+        .map(|(id, t)| (id, t.data().iter().map(|v| v.to_bits()).collect()))
+        .collect()
+}
+
+/// The reference: a topological forward keeping every value and a
+/// descending backward, outside the executor.
+fn oracle_step(scenario: &Scenario) -> Fingerprint {
+    let params: HashMap<NodeId, Tensor> = scenario.params.iter().cloned().collect();
+    let (loss, grads) = echo_graph::reference::train_step(
+        &scenario.graph,
+        &params,
+        &scenario.bindings,
+        scenario.loss,
+    )
+    .expect("oracle step");
+    Fingerprint {
+        loss_bits: loss.to_bits(),
+        grad_bits: grad_bits(grads),
+    }
+}
+
+/// One executor step, with the plan installed up front (`install`) or
+/// planned on demand by the executor. Returns the step's bits, its stats
+/// and the plan it ran.
+fn run_step(
+    scenario: &Scenario,
+    stash: &StashPlan,
+    install: bool,
+) -> (Fingerprint, IterationStats, Arc<ExecPlan>) {
     let mem = DeviceMemory::with_overhead_model(1 << 30, 0, 0.0);
     let mut exec = Executor::new(Arc::clone(&scenario.graph), stash.clone(), mem);
     for (id, value) in &scenario.params {
         exec.bind_param(*id, value.clone()).expect("bind param");
     }
-    let mut planned_peak = None;
-    if planned {
+    if install {
         let plan = exec
             .plan_for(&scenario.bindings, scenario.loss, ExecOptions::default())
             .expect("plan builds");
-        planned_peak = Some(plan.planned_peak_bytes());
         exec.set_exec_plan(plan).expect("plan installs");
     }
     let stats = exec
@@ -197,20 +229,70 @@ fn run_step(scenario: &Scenario, stash: &StashPlan, planned: bool) -> (Fingerpri
             None,
         )
         .expect("train step");
-    let grad_bits = exec
-        .export_grads()
-        .into_iter()
-        .map(|(id, t)| (id, t.data().iter().map(|v| v.to_bits()).collect()))
-        .collect();
-    (
-        Fingerprint {
-            loss_bits: stats.loss.expect("numeric loss").to_bits(),
-            grad_bits,
-            replays: stats.replays,
-            peak_bytes: stats.peak_bytes,
-        },
-        planned_peak,
-    )
+    let plan = Arc::clone(exec.exec_plan().expect("the step ran a plan"));
+    let fingerprint = Fingerprint {
+        loss_bits: stats.loss.expect("numeric loss").to_bits(),
+        grad_bits: grad_bits(exec.export_grads()),
+    };
+    (fingerprint, stats, plan)
+}
+
+/// Checks one matrix cell against the oracle and returns its step peak.
+fn check_cell(scenario: &Scenario, stash: &StashPlan, ctx: &str) -> u64 {
+    let oracle = oracle_step(scenario);
+    let mut peaks = Vec::new();
+    for install in [true, false] {
+        let (step, stats, plan) = run_step(scenario, stash, install);
+        assert_eq!(step.loss_bits, oracle.loss_bits, "loss bits ({ctx})");
+        assert_eq!(step.grad_bits, oracle.grad_bits, "gradient bits ({ctx})");
+        assert_eq!(
+            stats.replays,
+            plan.planned_replays(),
+            "replay counts ({ctx})"
+        );
+        assert_eq!(
+            stats.peak_bytes,
+            plan.planned_peak_bytes(),
+            "step peak vs static peak ({ctx})"
+        );
+        peaks.push(stats.peak_bytes);
+    }
+    assert_eq!(peaks[0], peaks[1], "installed vs on-demand plan ({ctx})");
+    peaks[0]
+}
+
+/// `peak_bytes` the deleted per-node allocator walk reported on step 1 of
+/// each cell (identical across matmul policies), captured at the last
+/// commit that had it. `planned == legacy` used to be checked live; it
+/// survives as `planned == golden`.
+const LEGACY_PEAKS: [(&str, &str, u64); 8] = [
+    ("word-lm", "stash-all", 132_856),
+    ("word-lm", "echo", 132_856),
+    ("word-lm", "chen-sqrt-n", 130_808),
+    ("word-lm", "searched", 132_856),
+    ("gru", "stash-all", 2_304),
+    ("gru", "echo", 2_304),
+    ("gru", "chen-sqrt-n", 2_304),
+    ("gru", "searched", 2_304),
+];
+
+/// Same for the fusion sweep, where the walk's peak was only ever an upper
+/// bound on the plan's (it kept the recompute workspace retained).
+const LEGACY_FUSION_PEAKS: [(&str, &str, u64); 6] = [
+    ("unfused", "stash-all", 94_456),
+    ("fused", "stash-all", 94_456),
+    ("unfused", "echo", 94_456),
+    ("fused", "echo", 92_656),
+    ("unfused", "searched", 80_624),
+    ("fused", "searched", 80_376),
+];
+
+fn golden(table: &[(&str, &str, u64)], row: &str, plan: &str) -> u64 {
+    table
+        .iter()
+        .find(|(r, p, _)| *r == row && *p == plan)
+        .map(|&(_, _, peak)| peak)
+        .expect("every cell has a golden peak")
 }
 
 #[test]
@@ -227,22 +309,19 @@ fn planned_execution_is_bit_identical_across_plans_and_matmul_policies() {
             for &policy in &policies {
                 set_matmul_policy(policy);
                 let ctx = format!("{}/{plan_name}/{policy:?}", scenario.name);
-                let (legacy, _) = run_step(scenario, &stash, false);
-                let (planned, static_peak) = run_step(scenario, &stash, true);
-                assert_eq!(planned.loss_bits, legacy.loss_bits, "loss bits ({ctx})");
-                assert_eq!(planned.grad_bits, legacy.grad_bits, "gradient bits ({ctx})");
-                assert_eq!(planned.replays, legacy.replays, "replay counts ({ctx})");
-                let static_peak = static_peak.expect("planned run reports a static peak");
-                assert!(
-                    static_peak <= legacy.peak_bytes,
-                    "planned_peak_bytes {static_peak} above legacy peak {} ({ctx})",
-                    legacy.peak_bytes
+                let peak = check_cell(scenario, &stash, &ctx);
+                assert_eq!(
+                    peak,
+                    golden(&LEGACY_PEAKS, scenario.name, plan_name),
+                    "planned peak vs golden legacy peak ({ctx})"
                 );
+            }
+            if plan_name == "chen-sqrt-n" {
+                let (_, stats, _) = run_step(scenario, &stash, true);
                 assert!(
-                    planned.peak_bytes <= legacy.peak_bytes,
-                    "planned step peak {} above legacy peak {} ({ctx})",
-                    planned.peak_bytes,
-                    legacy.peak_bytes
+                    stats.replays > 0,
+                    "chen plan must replay ({})",
+                    scenario.name
                 );
             }
         }
@@ -251,8 +330,8 @@ fn planned_execution_is_bit_identical_across_plans_and_matmul_policies() {
     // Fusion sweep: {fusion on, fusion off} × {stash-all, Echo, searched}
     // × every matmul policy, on the word LM's `Default` backend — the
     // many-op cell graph the fusion passes actually rewrite. Within each
-    // cell the planned path must match legacy bit-for-bit in loss,
-    // gradients and replays; *across* the fusion axis loss and gradient
+    // cell the step must match the oracle bit-for-bit in loss and
+    // gradients and replay as planned; *across* the fusion axis loss and gradient
     // bits must be identical too, because the fusion admission rules only
     // absorb a producer where the gradient accumulation order is provably
     // preserved. Node ids survive the rewrite, so params and bindings
@@ -300,30 +379,18 @@ fn planned_execution_is_bit_identical_across_plans_and_matmul_policies() {
             for (variant, scenario, stash) in
                 [("unfused", &unfused, u_stash), ("fused", &fused, f_stash)]
             {
-                let (legacy, _) = run_step(scenario, stash, false);
-                let (planned, _) = run_step(scenario, stash, true);
-                assert_eq!(
-                    planned.loss_bits, legacy.loss_bits,
-                    "loss bits ({ctx}/{variant})"
-                );
-                assert_eq!(
-                    planned.grad_bits, legacy.grad_bits,
-                    "gradient bits ({ctx}/{variant})"
-                );
-                assert_eq!(
-                    planned.replays, legacy.replays,
-                    "replay counts ({ctx}/{variant})"
+                let peak = check_cell(scenario, stash, &format!("{ctx}/{variant}"));
+                let legacy = golden(&LEGACY_FUSION_PEAKS, variant, plan_name);
+                assert!(
+                    peak <= legacy,
+                    "planned peak {peak} above golden legacy peak {legacy} ({ctx}/{variant})"
                 );
             }
-            let (u_run, _) = run_step(&unfused, u_stash, true);
-            let (f_run, _) = run_step(&fused, f_stash, true);
+            let (u_run, _, _) = run_step(&unfused, u_stash, true);
+            let (f_run, _, _) = run_step(&fused, f_stash, true);
             assert_eq!(
-                f_run.loss_bits, u_run.loss_bits,
-                "fused loss bits diverge from unfused ({ctx})"
-            );
-            assert_eq!(
-                f_run.grad_bits, u_run.grad_bits,
-                "fused gradient bits diverge from unfused ({ctx})"
+                f_run, u_run,
+                "fused loss/gradient bits diverge from unfused ({ctx})"
             );
         }
     }

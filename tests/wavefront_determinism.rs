@@ -1,6 +1,6 @@
 //! Wavefront-parallel plan execution must be indistinguishable from the
-//! serial planned interpreter — for every stash plan, at every thread
-//! count.
+//! serial loops and from a plain stash-everything evaluation — for every
+//! stash plan, at every thread count.
 //!
 //! The wavefront scheduler (`echo_graph::exec`) groups an `ExecPlan`'s
 //! forward and backward schedules into dependency levels and runs each
@@ -10,8 +10,10 @@
 //! bit-exactness argument, so this sweep pins it end to end: across
 //! {stash-all, Echo, Chen-√N, searched} stash plans on a word-level LM
 //! and a fused-GRU chain, wavefront execution over pools of 1, 2 and 4
-//! threads produces bit-identical losses, bit-identical exported
-//! gradients and identical replay counts to `WavefrontMode::Off`.
+//! threads and `WavefrontMode::Off` all produce the losses and exported
+//! gradients of the oracle (`echo_graph::reference`), bit for bit, and
+//! perform exactly `ExecPlan::planned_replays()` replays — so replay
+//! counts cannot depend on the thread count either.
 //!
 //! One `#[test]`: the scenarios share process-global tensor state (the
 //! GEMM policy/kernel pins), and a single test keeps the sweep ordered.
@@ -154,17 +156,44 @@ fn gru_scenario() -> Scenario {
     }
 }
 
+#[derive(Debug, PartialEq)]
 struct Fingerprint {
     loss_bits: u32,
     grad_bits: Vec<(NodeId, Vec<u32>)>,
-    replays: u64,
 }
 
-/// One planned train step under the given wavefront mode. Two steps are
-/// run back to back and both fingerprinted: the second step reuses the
-/// step-persistent tensor pool, so it covers the recycled-storage path
-/// the first step cannot.
-fn run_steps(scenario: &Scenario, stash: &StashPlan, mode: WavefrontMode) -> Vec<Fingerprint> {
+fn grad_bits(grads: Vec<(NodeId, Tensor)>) -> Vec<(NodeId, Vec<u32>)> {
+    grads
+        .into_iter()
+        .map(|(id, t)| (id, t.data().iter().map(|v| v.to_bits()).collect()))
+        .collect()
+}
+
+/// The reference step, evaluated outside the executor.
+fn oracle_step(scenario: &Scenario) -> Fingerprint {
+    let params: HashMap<NodeId, Tensor> = scenario.params.iter().cloned().collect();
+    let (loss, grads) = echo_graph::reference::train_step(
+        &scenario.graph,
+        &params,
+        &scenario.bindings,
+        scenario.loss,
+    )
+    .expect("oracle step");
+    Fingerprint {
+        loss_bits: loss.to_bits(),
+        grad_bits: grad_bits(grads),
+    }
+}
+
+/// Two train steps back to back under the given wavefront mode, both
+/// fingerprinted with their replay counts: the second step reuses the
+/// step-persistent tensor pool, so it covers the recycled-storage path the
+/// first step cannot. Also returns the replays the plan promises.
+fn run_steps(
+    scenario: &Scenario,
+    stash: &StashPlan,
+    mode: WavefrontMode,
+) -> (Vec<(Fingerprint, u64)>, u64) {
     let mem = DeviceMemory::with_overhead_model(1 << 30, 0, 0.0);
     let mut exec = Executor::new(Arc::clone(&scenario.graph), stash.clone(), mem);
     for (id, value) in &scenario.params {
@@ -173,9 +202,10 @@ fn run_steps(scenario: &Scenario, stash: &StashPlan, mode: WavefrontMode) -> Vec
     let plan = exec
         .plan_for(&scenario.bindings, scenario.loss, ExecOptions::default())
         .expect("plan builds");
+    let planned_replays = plan.planned_replays();
     exec.set_exec_plan(plan).expect("plan installs");
     exec.set_wavefront_mode(mode);
-    (0..2)
+    let steps = (0..2)
         .map(|_| {
             let stats = exec
                 .train_step(
@@ -185,17 +215,14 @@ fn run_steps(scenario: &Scenario, stash: &StashPlan, mode: WavefrontMode) -> Vec
                     None,
                 )
                 .expect("train step");
-            Fingerprint {
+            let fingerprint = Fingerprint {
                 loss_bits: stats.loss.expect("numeric loss").to_bits(),
-                grad_bits: exec
-                    .export_grads()
-                    .into_iter()
-                    .map(|(id, t)| (id, t.data().iter().map(|v| v.to_bits()).collect()))
-                    .collect(),
-                replays: stats.replays,
-            }
+                grad_bits: grad_bits(exec.export_grads()),
+            };
+            (fingerprint, stats.replays)
         })
-        .collect()
+        .collect();
+    (steps, planned_replays)
 }
 
 #[test]
@@ -206,15 +233,20 @@ fn wavefront_execution_is_bit_identical_at_every_thread_count() {
         .collect();
     let scenarios = [word_lm_scenario(), gru_scenario()];
     for scenario in &scenarios {
+        // Nothing updates the parameters, so both steps equal the oracle's.
+        let oracle = oracle_step(scenario);
         for (plan_name, stash) in scenario.stash_plans() {
-            let serial = run_steps(scenario, &stash, WavefrontMode::Off);
-            for (threads, pool) in &pools {
-                let waved = run_steps(scenario, &stash, WavefrontMode::Pool(Arc::clone(pool)));
-                for (step, (s, wv)) in serial.iter().zip(&waved).enumerate() {
-                    let ctx = format!("{}/{plan_name}/{threads}t/step{step}", scenario.name);
-                    assert_eq!(wv.loss_bits, s.loss_bits, "loss bits ({ctx})");
-                    assert_eq!(wv.grad_bits, s.grad_bits, "gradient bits ({ctx})");
-                    assert_eq!(wv.replays, s.replays, "replay counts ({ctx})");
+            let modes = std::iter::once(("off".to_string(), WavefrontMode::Off)).chain(
+                pools
+                    .iter()
+                    .map(|(t, pool)| (format!("{t}t"), WavefrontMode::Pool(Arc::clone(pool)))),
+            );
+            for (mode_name, mode) in modes {
+                let (steps, planned_replays) = run_steps(scenario, &stash, mode);
+                for (step, (fingerprint, replays)) in steps.iter().enumerate() {
+                    let ctx = format!("{}/{plan_name}/{mode_name}/step{step}", scenario.name);
+                    assert_eq!(fingerprint, &oracle, "loss and gradient bits ({ctx})");
+                    assert_eq!(*replays, planned_replays, "replay counts ({ctx})");
                 }
             }
         }
