@@ -3,8 +3,9 @@
 //! column-major (`Yᵀ = WXᵀ`) formulations, on this machine's caches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use echo_tensor::gemm::{fc_col_major, fc_row_major};
 use echo_tensor::init::{seeded_rng, uniform};
-use echo_tensor::{gemm, MatView, MatViewMut, MatrixLayout, Shape};
+use echo_tensor::{MatView, MatViewMut, MatrixLayout, Shape};
 
 fn bench_layouts(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig09_gemm_layout");
@@ -20,11 +21,9 @@ fn bench_layouts(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("row_major_y_eq_xwt", name), |bench| {
             let mut out = vec![0.0f32; b * o];
             bench.iter(|| {
-                gemm::gemm_blocked(
-                    1.0,
+                fc_row_major(
                     x.as_mat(),
-                    w.as_mat().t(),
-                    0.0,
+                    w.as_mat(),
                     &mut MatViewMut::new(&mut out, b, o, MatrixLayout::RowMajor),
                 )
                 .expect("gemm");
@@ -33,11 +32,9 @@ fn bench_layouts(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("col_major_yt_eq_wxt", name), |bench| {
             let mut out = vec![0.0f32; o * b];
             bench.iter(|| {
-                gemm::gemm_blocked(
-                    1.0,
+                fc_col_major(
                     w.as_mat(),
-                    MatView::new(xt.data(), b, h, MatrixLayout::ColMajor).t(),
-                    0.0,
+                    MatView::new(xt.data(), b, h, MatrixLayout::ColMajor),
                     &mut MatViewMut::new(&mut out, o, b, MatrixLayout::RowMajor),
                 )
                 .expect("gemm");

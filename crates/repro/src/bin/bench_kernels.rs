@@ -1,10 +1,10 @@
 //! Kernel and train-step benchmark harness — the perf trajectory anchor.
 //!
-//! Times the GEMM backends on LSTM-shaped products from the paper's
+//! Times the two GEMM kernels on LSTM-shaped products from the paper's
 //! configurations (word-LM: B=64, H=512 → 4H gate blocks; NMT: H=1024)
 //! plus end-to-end `word_lm`/`nmt` train steps under the naive-pinned and
-//! autotuned matmul policies, and writes `BENCH_kernels.json` at the repo
-//! root so every future PR can be compared against this baseline.
+//! default (`Auto`) matmul policies, and writes `BENCH_kernels.json` at the
+//! repo root so every future PR can be compared against this baseline.
 //!
 //! Flags:
 //!
@@ -95,7 +95,6 @@ struct GemmShapeResult {
     k: usize,
     n: usize,
     naive_us: f64,
-    blocked_us: f64,
     packed_us: f64,
 }
 
@@ -122,16 +121,6 @@ fn bench_gemm_shape(
         )
         .expect("gemm");
     });
-    let blocked_us = median_us(reps, || {
-        gemm::gemm_blocked(
-            1.0,
-            a.as_mat(),
-            b.as_mat(),
-            0.0,
-            &mut MatViewMut::new(&mut c, m, n, MatrixLayout::RowMajor),
-        )
-        .expect("gemm");
-    });
     let packed_us = median_us(reps, || {
         gemm_packed_parallel(
             1.0,
@@ -149,7 +138,6 @@ fn bench_gemm_shape(
         k,
         n,
         naive_us,
-        blocked_us,
         packed_us,
     }
 }
@@ -264,7 +252,7 @@ fn threads_worker(quick: bool) {
             stats.loss.expect("loss").to_bits(),
         )
     };
-    step(); // warm-up: pools, autotune, plan caches
+    step(); // warm-up: pools, plan caches
     let mut ns = Vec::with_capacity(steps);
     let mut bits = Vec::with_capacity(steps);
     for _ in 0..steps {
@@ -888,12 +876,10 @@ fn main() {
     for &(name, m, k, n) in &shapes {
         let r = bench_gemm_shape(name, m, k, n, reps);
         let speedup_packed = r.naive_us / r.packed_us;
-        let speedup_blocked = r.naive_us / r.blocked_us;
         packed_speedups.push(speedup_packed);
         gemm_rows.push(vec![
             r.name.to_string(),
             format!("{:.0}", r.naive_us),
-            format!("{:.0}", r.blocked_us),
             format!("{:.0}", r.packed_us),
             format!("{speedup_packed:.2}x"),
         ]);
@@ -901,15 +887,13 @@ fn main() {
             "name": r.name,
             "m": r.m, "k": r.k, "n": r.n,
             "naive_us": r.naive_us,
-            "blocked_us": r.blocked_us,
             "packed_us": r.packed_us,
-            "speedup_blocked_vs_naive": speedup_blocked,
             "speedup_packed_vs_naive": speedup_packed,
         }));
     }
     echo_repro::print_table(
-        "GEMM backends (median us)",
-        &["shape", "naive", "blocked", "packed", "packed-speedup"],
+        "GEMM kernels (median us)",
+        &["shape", "naive", "packed", "packed-speedup"],
         &gemm_rows,
     );
 
@@ -1361,10 +1345,6 @@ fn main() {
     let autotune = echo_tensor::policy::autotune_outcome().map(|o| {
         json!({
             "chosen": o.chosen.name(),
-            "blocked_ns": o.blocked_ns,
-            "packed_ns": o.packed_ns,
-            "shape": [o.shape.0, o.shape.1, o.shape.2],
-            "measured": o.measured,
             "kernel": o.kernel.name(),
             "tiles_kc_mc": [o.tiles.0, o.tiles.1],
             "tiles_measured": o.tiles_measured,

@@ -6,15 +6,16 @@
 //! * the **GPU model**: both formulations through the warp-coalescing +
 //!   L2 trace simulator and the device timing model (the paper's actual
 //!   mechanism);
-//! * a **real CPU cross-check**: the same products run with the blocked
+//! * a **real CPU cross-check**: the same products run with the naive
 //!   GEMM under both layouts on this machine (also exercised by
 //!   `cargo bench -p echo-repro --bench gemm_layout`).
 
 use echo_cachesim::{simulate_gemm, CacheConfig, TiledGemmSpec};
 use echo_device::{DeviceSim, DeviceSpec};
 use echo_repro::{print_table, save_json};
+use echo_tensor::gemm::{fc_col_major, fc_row_major};
 use echo_tensor::init::{seeded_rng, uniform};
-use echo_tensor::{gemm, MatView, MatViewMut, MatrixLayout, Shape};
+use echo_tensor::{MatView, MatViewMut, MatrixLayout, Shape};
 use serde_json::json;
 use std::time::Instant;
 
@@ -52,20 +53,16 @@ fn cpu_time_us(b: usize, h: usize, o: usize, col_major: bool, reps: usize) -> f6
         .map(|_| {
             let start = Instant::now();
             if col_major {
-                gemm::gemm_blocked(
-                    1.0,
+                fc_col_major(
                     w.as_mat(),
-                    MatView::new(xt.data(), b, h, MatrixLayout::ColMajor).t(),
-                    0.0,
+                    MatView::new(xt.data(), b, h, MatrixLayout::ColMajor),
                     &mut MatViewMut::new(&mut out, o, b, MatrixLayout::RowMajor),
                 )
                 .expect("gemm");
             } else {
-                gemm::gemm_blocked(
-                    1.0,
+                fc_row_major(
                     x.as_mat(),
-                    w.as_mat().t(),
-                    0.0,
+                    w.as_mat(),
                     &mut MatViewMut::new(&mut out, b, o, MatrixLayout::RowMajor),
                 )
                 .expect("gemm");
@@ -107,7 +104,7 @@ fn main() {
         let cpu_rm = cpu_time_us(b, h, o, false, 5);
         let cpu_cm = cpu_time_us(b, h, o, true, 5);
         println!(
-            "real CPU cross-check (blocked GEMM): row-major {cpu_rm:.0} µs, col-major {cpu_cm:.0} µs"
+            "real CPU cross-check (naive GEMM): row-major {cpu_rm:.0} µs, col-major {cpu_cm:.0} µs"
         );
         all.push(json!({"panel": panel, "row_major": j_rm, "col_major": j_cm,
                         "cpu_row_major_us": cpu_rm, "cpu_col_major_us": cpu_cm}));

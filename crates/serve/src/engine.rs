@@ -27,7 +27,7 @@
 //! Because the decode path is batch-invariant (see
 //! [`echo_models::infer`]), none of these mechanics change a single bit
 //! of any session's logits: batching, lane churn, eviction + re-warm, and
-//! plan-driven vs legacy execution are all transparent.
+//! pre-installed vs planned-on-first-use execution are all transparent.
 
 use crate::batcher::{collect_batch, BatchPolicy};
 use crate::queue::{BoundedQueue, Popped, PushError};
@@ -72,8 +72,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Per-worker LRU session-state capacity.
     pub session_capacity: usize,
-    /// Install inference-mode execution plans (`false` = always use the
-    /// legacy interpreter; results are bit-identical either way).
+    /// Pre-build an inference-mode execution plan per batch size
+    /// (`false` = the executor plans each batch signature on first use
+    /// and memoizes it; results are bit-identical either way).
     pub plan: bool,
     /// Serve the fused decode graph ([`WordLmDecoder::fused_graph`]):
     /// the GIR pipeline's CSE + fusion passes shrink the per-step launch
@@ -995,8 +996,8 @@ impl Worker {
     }
 
     /// Installs the pre-built plan for batch size `b` (no-op when
-    /// planning is disabled; sizes beyond `max_batch` fall back to the
-    /// legacy interpreter bit-identically).
+    /// pre-building is disabled or `b` exceeds `max_batch`: the executor
+    /// then plans that signature on first use, bit-identically).
     pub(crate) fn install_plan(&mut self, b: usize) {
         if let Some(plan) = self.plans.get(b - 1) {
             let _ = self.exec.set_exec_plan(Arc::clone(plan));

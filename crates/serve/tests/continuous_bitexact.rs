@@ -88,7 +88,6 @@ fn continuous_batching_is_bit_identical_under_lane_churn() {
     let policies = [
         MatmulPolicy::Auto,
         MatmulPolicy::Fixed(MatmulBackend::Naive),
-        MatmulPolicy::Fixed(MatmulBackend::Blocked),
         MatmulPolicy::Fixed(MatmulBackend::PackedParallel),
     ];
     for policy in policies {

@@ -57,7 +57,6 @@ fn batched_serving_is_bit_identical_for_every_matmul_policy() {
     let policies = [
         MatmulPolicy::Auto,
         MatmulPolicy::Fixed(MatmulBackend::Naive),
-        MatmulPolicy::Fixed(MatmulBackend::Blocked),
         MatmulPolicy::Fixed(MatmulBackend::PackedParallel),
     ];
     for policy in policies {

@@ -139,159 +139,13 @@ pub fn gemm_reference(
             for p in 0..a.cols() {
                 acc += f64::from(a.get(i, p)) * f64::from(b.get(p, j));
             }
-            let v = alpha * acc as f32 + beta * c.get(i, j);
-            c.set(i, j, v);
+            // beta == 0 overwrites (BLAS semantics, and what `MatViewMut::scale`
+            // does for every kernel): a NaN/∞ already in C must not survive.
+            let prior = if beta == 0.0 { 0.0 } else { beta * c.get(i, j) };
+            c.set(i, j, alpha * acc as f32 + prior);
         }
     }
     Ok(())
-}
-
-/// Cache-blocked GEMM (`C = alpha*A*B + beta*C`) with `MC x KC x NC` tiles.
-///
-/// This is the kernel the CPU-side benchmarks use; the tile sizes are chosen
-/// to keep the working set within a typical L2 slice.
-///
-/// # Errors
-///
-/// Returns [`TensorError::GemmDimension`] when the operand shapes do not
-/// line up.
-pub fn gemm_blocked(
-    alpha: f32,
-    a: MatView<'_>,
-    b: MatView<'_>,
-    beta: f32,
-    c: &mut MatViewMut<'_>,
-) -> Result<()> {
-    const MC: usize = 64;
-    const KC: usize = 128;
-    const NC: usize = 128;
-    check_dims(&a, &b, c)?;
-    c.scale(beta);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let (ars, acs) = strides(a.layout(), m, k);
-    let (brs, bcs) = strides(b.layout(), k, n);
-    let ad = a.data();
-    let bd = b.data();
-
-    let rows = c.rows();
-    let cols = c.cols();
-    let (crs, ccs) = strides(c.layout(), rows, cols);
-    let cd = c.data_mut();
-
-    for i0 in (0..m).step_by(MC) {
-        let i1 = (i0 + MC).min(m);
-        for p0 in (0..k).step_by(KC) {
-            let p1 = (p0 + KC).min(k);
-            for j0 in (0..n).step_by(NC) {
-                let j1 = (j0 + NC).min(n);
-                for i in i0..i1 {
-                    for p in p0..p1 {
-                        // No zero-skip: see `gemm` for the IEEE rationale.
-                        let aval = alpha * ad[i * ars + p * acs];
-                        let brow = p * brs;
-                        let crow = i * crs;
-                        for j in j0..j1 {
-                            cd[crow + j * ccs] += aval * bd[brow + j * bcs];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Multi-threaded blocked GEMM: `C = alpha*A*B + beta*C`, splitting the
-/// output rows across at most `threads` bands run on the shared
-/// [worker pool](crate::pool) (no per-call thread spawning).
-///
-/// Requires a row-major `C` so each band owns a contiguous slice. Each
-/// output element is produced by exactly one band with the same serial
-/// inner loop as [`gemm_blocked`]'s k-panel order, so the result is
-/// bit-identical for every `threads` value.
-///
-/// # Errors
-///
-/// Returns [`TensorError::GemmDimension`] when the operand shapes do not
-/// line up, or when `C` is not row-major.
-pub fn gemm_parallel(
-    alpha: f32,
-    a: MatView<'_>,
-    b: MatView<'_>,
-    beta: f32,
-    c: &mut MatViewMut<'_>,
-    threads: usize,
-) -> Result<()> {
-    check_dims(&a, &b, c)?;
-    if c.layout() != MatrixLayout::RowMajor {
-        return Err(TensorError::GemmDimension {
-            a: (a.rows(), a.cols()),
-            b: (b.rows(), b.cols()),
-            c: (c.rows(), c.cols()),
-        });
-    }
-    let threads = threads.max(1);
-    let m = a.rows();
-    let n = b.cols();
-    // Degenerate shapes: an empty output means nothing to band (and
-    // `chunks_mut(rows_per * n)` would panic on a zero chunk size when
-    // n == 0); k == 0 still needs the beta-scale, which gemm_blocked does.
-    if m == 0 || n == 0 || threads == 1 || m < 2 * threads {
-        return gemm_blocked(alpha, a, b, beta, c);
-    }
-    let rows_per = m.div_ceil(threads);
-    let bands = m.div_ceil(rows_per);
-    let cbase = crate::pool::SendPtr(c.data_mut().as_mut_ptr());
-    let cbase = &cbase;
-    crate::pool::global().run_indexed(bands, &move |band_idx| {
-        let row0 = band_idx * rows_per;
-        let band_rows = rows_per.min(m - row0);
-        // SAFETY: bands partition C's rows disjointly, so each index
-        // writes a non-overlapping `band_rows × n` slice.
-        let band = unsafe { std::slice::from_raw_parts_mut(cbase.0.add(row0 * n), band_rows * n) };
-        // Re-view A's band; A may be any layout, so carve by rows
-        // logically rather than physically.
-        let a_band = BandView {
-            inner: a,
-            row0,
-            rows: band_rows,
-        };
-        let mut c_band = MatViewMut::new(band, band_rows, n, MatrixLayout::RowMajor);
-        band_gemm(alpha, &a_band, b, beta, &mut c_band);
-    });
-    Ok(())
-}
-
-/// A logical row-band of a matrix view.
-struct BandView<'a> {
-    inner: MatView<'a>,
-    row0: usize,
-    rows: usize,
-}
-
-/// Blocked kernel over a row band (serial; called per worker).
-fn band_gemm(alpha: f32, a: &BandView<'_>, b: MatView<'_>, beta: f32, c: &mut MatViewMut<'_>) {
-    c.scale(beta);
-    let k = a.inner.cols();
-    let n = b.cols();
-    let (brs, bcs) = strides(b.layout(), k, n);
-    let bd = b.data();
-    let cd = c.data_mut();
-    const KC: usize = 128;
-    for p0 in (0..k).step_by(KC) {
-        let p1 = (p0 + KC).min(k);
-        for i in 0..a.rows {
-            for p in p0..p1 {
-                // No zero-skip: see `gemm` for the IEEE rationale.
-                let aval = alpha * a.inner.get(a.row0 + i, p);
-                let brow = p * brs;
-                let crow = i * n;
-                for j in 0..n {
-                    cd[crow + j] += aval * bd[brow + j * bcs];
-                }
-            }
-        }
-    }
 }
 
 /// The paper's row-major fully-connected product: `Y = X · Wᵀ`.
@@ -322,6 +176,7 @@ pub fn fc_col_major(w: MatView<'_>, x: MatView<'_>, yt: &mut MatViewMut<'_>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm_packed::gemm_packed;
     use crate::layout::MatrixLayout::{ColMajor, RowMajor};
 
     fn rm<'a>(d: &'a [f32], r: usize, c: usize) -> MatView<'a> {
@@ -352,73 +207,12 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_reference() {
-        let (m, k, n) = (70, 130, 140); // straddles the tile boundaries
-        let a_data: Vec<f32> = (0..m * k).map(|v| ((v * 37) % 11) as f32 - 5.0).collect();
-        let b_data: Vec<f32> = (0..k * n).map(|v| ((v * 13) % 7) as f32 - 3.0).collect();
-        let mut c1 = vec![0.0f32; m * n];
-        let mut c2 = vec![0.0f32; m * n];
-        gemm_blocked(
-            1.0,
-            rm(&a_data, m, k),
-            rm(&b_data, k, n),
-            0.0,
-            &mut MatViewMut::new(&mut c1, m, n, RowMajor),
-        )
-        .unwrap();
-        gemm_reference(
-            1.0,
-            rm(&a_data, m, k),
-            rm(&b_data, k, n),
-            0.0,
-            &mut MatViewMut::new(&mut c2, m, n, RowMajor),
-        )
-        .unwrap();
-        for (x, y) in c1.iter().zip(&c2) {
-            assert!((x - y).abs() < 1e-2);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_reference() {
-        let (m, k, n) = (67, 45, 53);
-        let a_data: Vec<f32> = (0..m * k).map(|v| ((v * 31) % 13) as f32 - 6.0).collect();
-        let b_data: Vec<f32> = (0..k * n).map(|v| ((v * 17) % 9) as f32 - 4.0).collect();
-        for threads in [1usize, 2, 4] {
-            for lb in [RowMajor, ColMajor] {
-                let mut c1 = vec![0.25f32; m * n];
-                let mut c2 = c1.clone();
-                gemm_parallel(
-                    1.5,
-                    rm(&a_data, m, k),
-                    MatView::new(&b_data, k, n, lb),
-                    0.5,
-                    &mut MatViewMut::new(&mut c1, m, n, RowMajor),
-                    threads,
-                )
-                .unwrap();
-                gemm_reference(
-                    1.5,
-                    rm(&a_data, m, k),
-                    MatView::new(&b_data, k, n, lb),
-                    0.5,
-                    &mut MatViewMut::new(&mut c2, m, n, RowMajor),
-                )
-                .unwrap();
-                for (x, y) in c1.iter().zip(&c2) {
-                    assert!((x - y).abs() < 1e-2, "threads {threads} layout {lb:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn zero_times_nan_propagates_nan() {
         // A zero in A must not short-circuit past a NaN (or ∞) in B:
         // IEEE 754 says 0 × NaN = NaN and 0 × ∞ = NaN.
         let a_data = vec![0.0f32, 0.0, 1.0, 2.0]; // row 0 is all zeros
         let b_data = vec![f32::NAN, 1.0, f32::INFINITY, 2.0];
-        for kernel in [gemm, gemm_blocked] {
+        for kernel in [gemm, gemm_packed] {
             let mut c = vec![0.0f32; 4];
             kernel(
                 1.0,
@@ -435,94 +229,27 @@ mod tests {
             assert_eq!(c[1], 0.0);
             assert_eq!(c[3], 1.0 * 1.0 + 2.0 * 2.0);
         }
-        // band_gemm (via gemm_parallel with banding forced) as well.
-        let a_big = vec![0.0f32; 8 * 2];
-        let b_nan = vec![f32::NAN, 1.0, 1.0, 1.0];
-        let mut c = vec![0.0f32; 8 * 2];
-        gemm_parallel(
-            1.0,
-            rm(&a_big, 8, 2),
-            rm(&b_nan, 2, 2),
-            0.0,
-            &mut MatViewMut::new(&mut c, 8, 2, RowMajor),
-            4,
-        )
-        .unwrap();
-        assert!(c[0].is_nan(), "banded kernel must propagate NaN too");
     }
 
     #[test]
-    fn parallel_handles_degenerate_shapes() {
-        // n == 0 used to divide by zero when computing band rows.
-        let a_data = vec![1.0f32; 8];
-        let b_data: Vec<f32> = vec![];
-        let mut c: Vec<f32> = vec![];
-        gemm_parallel(
-            1.0,
-            rm(&a_data, 8, 1),
-            rm(&b_data, 1, 0),
-            0.0,
-            &mut MatViewMut::new(&mut c, 8, 0, RowMajor),
-            4,
-        )
-        .unwrap();
-
-        // m == 0: empty output, nothing to do.
-        let b2 = vec![1.0f32; 6];
-        let mut c2: Vec<f32> = vec![];
-        gemm_parallel(
-            1.0,
-            rm(&[], 0, 2),
-            rm(&b2, 2, 3),
-            0.0,
-            &mut MatViewMut::new(&mut c2, 0, 3, RowMajor),
-            4,
-        )
-        .unwrap();
-
-        // k == 0: C = beta * C exactly (no products contribute).
-        let mut c3 = vec![2.0f32; 6];
-        gemm_parallel(
-            1.0,
-            rm(&[], 2, 0),
-            rm(&[], 0, 3),
-            0.5,
-            &mut MatViewMut::new(&mut c3, 2, 3, RowMajor),
-            4,
-        )
-        .unwrap();
-        assert_eq!(c3, vec![1.0f32; 6]);
-
-        // m smaller than the band count must not mis-band.
-        let a4 = vec![1.0f32, 2.0, 3.0, 4.0];
-        let b4 = vec![1.0f32, 0.0, 0.0, 1.0];
-        let mut c4 = vec![0.0f32; 4];
-        gemm_parallel(
-            1.0,
-            rm(&a4, 2, 2),
-            rm(&b4, 2, 2),
-            0.0,
-            &mut MatViewMut::new(&mut c4, 2, 2, RowMajor),
-            8,
-        )
-        .unwrap();
-        assert_eq!(c4, a4);
-    }
-
-    #[test]
-    fn parallel_rejects_col_major_output() {
-        let a = vec![0.0f32; 4];
-        let b = vec![0.0f32; 4];
-        let mut c = vec![0.0f32; 4];
-        let err = gemm_parallel(
-            1.0,
-            rm(&a, 2, 2),
-            rm(&b, 2, 2),
-            0.0,
-            &mut MatViewMut::new(&mut c, 2, 2, ColMajor),
-            2,
-        );
-        assert!(err.is_err());
+    fn beta_zero_overwrites_nan_in_c() {
+        // BLAS: beta == 0 means C is write-only, so a NaN/∞ left in the
+        // output buffer must not leak into the product — in the oracle
+        // exactly as in the kernels it validates.
+        let a_data = vec![1.0f32, 2.0, 3.0, 4.0];
+        let b_data = vec![1.0f32, 0.0, 0.0, 1.0];
+        for kernel in [gemm_reference, gemm, gemm_packed] {
+            let mut c = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            kernel(
+                1.0,
+                rm(&a_data, 2, 2),
+                rm(&b_data, 2, 2),
+                0.0,
+                &mut MatViewMut::new(&mut c, 2, 2, RowMajor),
+            )
+            .unwrap();
+            assert_eq!(c, a_data);
+        }
     }
 
     #[test]

@@ -17,13 +17,14 @@
 //! `MR = 4, NR = 8` maps one C row of the tile onto a single 8-lane f32
 //! vector register (`ymm` on AVX2; a `float32x4` pair on NEON), with the
 //! portable scalar kernel computing the identical `[[f32; NR]; MR]`
-//! accumulator block. The micro-kernel variant is chosen once per process
-//! by [`active_micro_kernel`] — runtime feature detection, overridable via
-//! `ECHO_GEMM_KERNEL` or [`set_micro_kernel`] — and `KC`/`MC` are runtime
-//! tile sizes ([`gemm_tiles`], autotuned by the policy layer's one-shot
-//! microbench). Pack buffers are leased from a thread-local
-//! [`ScratchArena`](echo_memory::ScratchArena), so steady-state training
-//! performs **zero** heap allocation per GEMM call.
+//! accumulator block. The micro-kernel variant is what
+//! [`MicroKernel::detect`] finds on the host ([`set_micro_kernel`] pins
+//! another for tests and benchmarks) and `KC`/`MC` are the constants
+//! [`DEFAULT_KC`]/[`DEFAULT_MC`]: the candidates a tile race could try sit
+//! within run-to-run noise of each other on every shape the stack issues,
+//! so nothing is tuned at run time. Pack buffers are leased from a
+//! thread-local [`ScratchArena`](echo_memory::ScratchArena), so
+//! steady-state training performs **zero** heap allocation per GEMM call.
 //!
 //! # Bit-exactness
 //!
@@ -38,10 +39,9 @@
 //! add per step — **never** a fused multiply-add, which would round once
 //! instead of twice), so scalar, AVX2 and NEON kernels are bit-identical,
 //! as are all tile sizes (the C tile round-trips exactly through memory
-//! at every `KC`/`MC` boundary). Naive, blocked, packed, and
-//! packed-parallel at any `ways` are therefore **bit-identical**, which
-//! is what lets the dispatch layer pick a backend per problem size
-//! without perturbing training.
+//! at every `KC`/`MC` boundary). Naive, packed, and packed-parallel at any
+//! `ways` are therefore **bit-identical**, which is what lets the dispatch
+//! layer route by shape without perturbing training.
 
 use crate::error::TensorError;
 use crate::layout::MatrixLayout;
@@ -49,17 +49,15 @@ use crate::matrix::{MatView, MatViewMut};
 use crate::pool::{self, band_count, SendPtr};
 use crate::Result;
 use echo_memory::ScratchArena;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Rows per A strip / micro-tile.
 pub const MR: usize = 4;
 /// Columns per B strip / micro-tile.
 pub const NR: usize = 8;
-/// Default depth of one packed k-panel (see [`gemm_tiles`]).
+/// Depth of one packed k-panel.
 pub const DEFAULT_KC: usize = 256;
-/// Default rows of A packed per block (bounds the A pack buffer at
-/// `MC × KC`; see [`gemm_tiles`]).
+/// Rows of A packed per block (bounds the A pack buffer at `MC × KC`).
 pub const DEFAULT_MC: usize = 128;
 
 /// Element count below which B panels are packed serially — the latch
@@ -94,7 +92,7 @@ pub enum MicroKernel {
 }
 
 impl MicroKernel {
-    /// Short stable name (used by `ECHO_GEMM_KERNEL` and bench JSON).
+    /// Short stable name (bench JSON, reports).
     pub fn name(self) -> &'static str {
         match self {
             MicroKernel::Scalar => "scalar",
@@ -170,35 +168,16 @@ fn decode_kernel(v: u8) -> Option<MicroKernel> {
     }
 }
 
-/// `ECHO_GEMM_KERNEL` parsed once per process (unknown or unavailable
-/// names are ignored and detection applies).
-pub(crate) fn env_kernel() -> Option<MicroKernel> {
-    static ENV: OnceLock<Option<MicroKernel>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("ECHO_GEMM_KERNEL").ok()?;
-        let kernel = match raw.trim().to_ascii_lowercase().as_str() {
-            "scalar" => MicroKernel::Scalar,
-            "avx2" => MicroKernel::Avx2,
-            "neon" => MicroKernel::Neon,
-            _ => return None,
-        };
-        kernel.is_available().then_some(kernel)
-    })
-}
-
-/// The micro-kernel variant every packed GEMM in this process uses:
-/// explicit override ([`set_micro_kernel`]) > `ECHO_GEMM_KERNEL` >
-/// runtime detection. All variants are bit-identical, so flipping this is
-/// safe at any point; pinning one keeps the *speed* reproducible too.
+/// The micro-kernel variant every packed GEMM in this process uses: an
+/// explicit override ([`set_micro_kernel`]) or else runtime detection.
+/// All variants are bit-identical, so flipping this is safe at any point.
 pub fn active_micro_kernel() -> MicroKernel {
-    decode_kernel(KERNEL_OVERRIDE.load(Ordering::Relaxed))
-        .or_else(env_kernel)
-        .unwrap_or_else(MicroKernel::detect)
+    decode_kernel(KERNEL_OVERRIDE.load(Ordering::Relaxed)).unwrap_or_else(MicroKernel::detect)
 }
 
-/// Overrides the process-wide micro-kernel (`None` restores env/detect
-/// order). Returns `false` — leaving the state unchanged — if the
-/// requested variant is unavailable on this host.
+/// Overrides the process-wide micro-kernel (`None` restores detection).
+/// Returns `false` — leaving the state unchanged — if the requested
+/// variant is unavailable on this host.
 pub fn set_micro_kernel(kernel: Option<MicroKernel>) -> bool {
     match kernel {
         Some(k) if !k.is_available() => false,
@@ -213,65 +192,8 @@ pub fn set_micro_kernel(kernel: Option<MicroKernel>) -> bool {
     }
 }
 
-/// Installs `kernel` as the process-wide choice only if no explicit
-/// override is already present — the autotuner's entry point, so user and
-/// test pins always win. Returns whether the pin took effect.
-pub fn pin_micro_kernel_if_unset(kernel: MicroKernel) -> bool {
-    if !kernel.is_available() || env_kernel().is_some() {
-        return false;
-    }
-    KERNEL_OVERRIDE
-        .compare_exchange(
-            KERNEL_UNSET,
-            encode_kernel(kernel),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        )
-        .is_ok()
-}
-
-/// Autotuned `(KC, MC)` override, packed `kc << 32 | mc`; 0 = defaults.
-static TILE_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-
-/// `ECHO_GEMM_TILES` (`"KCxMC"`, e.g. `256x128`) parsed once per process.
-pub(crate) fn env_tiles() -> Option<(usize, usize)> {
-    static ENV: OnceLock<Option<(usize, usize)>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("ECHO_GEMM_TILES").ok()?;
-        let (kc, mc) = raw.trim().split_once(['x', 'X'])?;
-        let kc = kc.trim().parse::<usize>().ok().filter(|&v| v > 0)?;
-        let mc = mc.trim().parse::<usize>().ok().filter(|&v| v > 0)?;
-        Some((kc, mc))
-    })
-}
-
-/// The `(KC, MC)` tile sizes packed GEMM uses: `ECHO_GEMM_TILES` >
-/// [`set_gemm_tiles`] (the autotuner) > compiled defaults. Tile sizes are
-/// bit-transparent — the C tile round-trips exactly through memory at
-/// every panel boundary — so this is purely a speed knob.
-pub fn gemm_tiles() -> (usize, usize) {
-    if let Some(t) = env_tiles() {
-        return t;
-    }
-    let packed = TILE_OVERRIDE.load(Ordering::Relaxed);
-    if packed == 0 {
-        (DEFAULT_KC, DEFAULT_MC)
-    } else {
-        ((packed >> 32) as usize, (packed & u32::MAX as u64) as usize)
-    }
-}
-
-/// Installs autotuned tile sizes (subordinate to `ECHO_GEMM_TILES`).
-/// Returns `false` for degenerate or unrepresentable sizes.
-pub fn set_gemm_tiles(kc: usize, mc: usize) -> bool {
-    if kc == 0 || mc == 0 || kc > u32::MAX as usize || mc > u32::MAX as usize {
-        return false;
-    }
-    TILE_OVERRIDE.store(((kc as u64) << 32) | mc as u64, Ordering::Relaxed);
-    true
-}
-
-/// Serial packed GEMM: `C = alpha*A*B + beta*C` with a row-major `C`.
+/// Serial packed GEMM: `C = alpha*A*B + beta*C` with a row-major `C`,
+/// entirely on the calling thread.
 ///
 /// # Errors
 ///
@@ -288,14 +210,15 @@ pub fn gemm_packed(
 }
 
 /// Packed GEMM over at most `ways` row bands run on the shared
-/// [worker pool](crate::pool), with the process-wide micro-kernel and
-/// tile configuration ([`active_micro_kernel`], [`gemm_tiles`]).
+/// [worker pool](crate::pool), with the process-wide micro-kernel
+/// ([`active_micro_kernel`]) and the constant tiles. `ways == 1` never
+/// touches the pool.
 ///
 /// `B` is packed once — in parallel `(panel, strip)` items for large
-/// operands — and shared read-only by all bands; each band packs its own
-/// rows of `A` into its thread-local arena. Bands partition **output rows
-/// only**, so the per-element accumulation order is independent of `ways`
-/// (see the module docs).
+/// operands when `ways > 1` — and shared read-only by all bands; each band
+/// packs its own rows of `A` into its thread-local arena. Bands partition
+/// **output rows only**, so the per-element accumulation order is
+/// independent of `ways` (see the module docs).
 ///
 /// # Errors
 ///
@@ -309,13 +232,22 @@ pub fn gemm_packed_parallel(
     c: &mut MatViewMut<'_>,
     ways: usize,
 ) -> Result<()> {
-    let (kc, mc) = gemm_tiles();
-    gemm_packed_parallel_with(alpha, a, b, beta, c, ways, active_micro_kernel(), kc, mc)
+    gemm_packed_parallel_with(
+        alpha,
+        a,
+        b,
+        beta,
+        c,
+        ways,
+        active_micro_kernel(),
+        DEFAULT_KC,
+        DEFAULT_MC,
+    )
 }
 
 /// [`gemm_packed_parallel`] with an explicit micro-kernel and `(KC, MC)`
-/// tile configuration — the entry point tests, benches and the autotuner
-/// use to avoid racing on the process-global settings. An unavailable
+/// tile configuration — the entry point tests and benches use to compare
+/// variants without touching the process-global kernel. An unavailable
 /// `kernel` silently falls back to scalar (bit-identical result).
 ///
 /// # Errors
@@ -356,7 +288,7 @@ pub fn gemm_packed_parallel_with(
     // stored back to back and each holds kc * n_strips * NR values.
     PACK_ARENA.with(|arena| {
         arena.with_f32(k * n_strips * NR, |bpack| {
-            pack_b(b, k, n, n_strips, kc_tile, bpack);
+            pack_b(b, k, n, n_strips, kc_tile, ways, bpack);
 
             let bands = band_count(m, MR, ways);
             let cd = c.data_mut();
@@ -390,15 +322,23 @@ pub fn gemm_packed_parallel_with(
 }
 
 /// Packs all of `B` into `kc_tile`-deep panels of `NR`-column strips —
-/// in parallel `(panel, strip)` items on the pool for large operands.
-fn pack_b(b: MatView<'_>, k: usize, n: usize, n_strips: usize, kc_tile: usize, bpack: &mut [f32]) {
+/// in parallel `(panel, strip)` items on the pool for large operands,
+/// unless the caller asked for a serial GEMM (`ways <= 1`).
+fn pack_b(
+    b: MatView<'_>,
+    k: usize,
+    n: usize,
+    n_strips: usize,
+    kc_tile: usize,
+    ways: usize,
+    bpack: &mut [f32],
+) {
     let n_panels = k.div_ceil(kc_tile);
     let items = n_panels * n_strips;
-    let pool = pool::global();
-    if items > 1 && k * n >= PAR_PACK_MIN_ELEMS && pool.num_threads() > 1 {
+    if ways > 1 && items > 1 && k * n >= PAR_PACK_MIN_ELEMS {
         let base = SendPtr(bpack.as_mut_ptr());
         let base = &base;
-        pool.run_indexed(items, &move |item| {
+        pool::global().run_indexed(items, &move |item| {
             let panel = item / n_strips;
             let js = item % n_strips;
             let p0 = panel * kc_tile;
@@ -688,7 +628,7 @@ fn micro_edge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm, gemm_blocked};
+    use crate::gemm::gemm;
     use crate::layout::MatrixLayout::{ColMajor, RowMajor};
 
     fn fill(len: usize, seed: u32) -> Vec<f32> {
@@ -805,7 +745,7 @@ mod tests {
         let b_data = fill(k * n, 11);
         let mut reference = fill(m * n, 13);
         let init = reference.clone();
-        gemm_blocked(
+        gemm(
             1.0,
             MatView::new(&a_data, m, k, RowMajor),
             MatView::new(&b_data, k, n, RowMajor),
@@ -834,43 +774,80 @@ mod tests {
 
     #[test]
     fn packed_propagates_nan_from_b() {
-        let a_data = vec![0.0f32; 4 * 2];
+        // Serial, and banded with every band seeing the NaN column.
+        let a_data = vec![0.0f32; 8 * 2];
         let mut b_data = vec![1.0f32; 2 * 8];
         b_data[0] = f32::NAN;
-        let mut c = vec![0.0f32; 4 * 8];
-        gemm_packed(
-            1.0,
-            MatView::new(&a_data, 4, 2, RowMajor),
-            MatView::new(&b_data, 2, 8, RowMajor),
-            0.0,
-            &mut MatViewMut::new(&mut c, 4, 8, RowMajor),
-        )
-        .unwrap();
-        assert!(c[0].is_nan(), "0 × NaN must propagate through the pack");
+        for ways in [1usize, 4] {
+            let mut c = vec![0.0f32; 8 * 8];
+            gemm_packed_parallel(
+                1.0,
+                MatView::new(&a_data, 8, 2, RowMajor),
+                MatView::new(&b_data, 2, 8, RowMajor),
+                0.0,
+                &mut MatViewMut::new(&mut c, 8, 8, RowMajor),
+                ways,
+            )
+            .unwrap();
+            for row in 0..8 {
+                assert!(c[row * 8].is_nan(), "0 × NaN must propagate (ways {ways})");
+                assert_eq!(c[row * 8 + 1], 0.0);
+            }
+        }
     }
 
     #[test]
     fn packed_handles_degenerate_shapes() {
-        let mut c = vec![3.0f32; 6];
-        gemm_packed(
-            1.0,
-            MatView::new(&[], 2, 0, RowMajor),
-            MatView::new(&[], 0, 3, RowMajor),
-            0.5,
-            &mut MatViewMut::new(&mut c, 2, 3, RowMajor),
-        )
-        .unwrap();
-        assert_eq!(c, vec![1.5f32; 6]);
+        for ways in [1usize, 4] {
+            // k == 0: C = beta * C exactly (no products contribute).
+            let mut c = vec![3.0f32; 6];
+            gemm_packed_parallel(
+                1.0,
+                MatView::new(&[], 2, 0, RowMajor),
+                MatView::new(&[], 0, 3, RowMajor),
+                0.5,
+                &mut MatViewMut::new(&mut c, 2, 3, RowMajor),
+                ways,
+            )
+            .unwrap();
+            assert_eq!(c, vec![1.5f32; 6]);
 
-        let mut empty: Vec<f32> = vec![];
-        gemm_packed(
+            // n == 0 and m == 0: empty outputs, nothing to band.
+            let mut empty: Vec<f32> = vec![];
+            gemm_packed_parallel(
+                1.0,
+                MatView::new(&[1.0; 8], 8, 1, RowMajor),
+                MatView::new(&[], 1, 0, RowMajor),
+                0.0,
+                &mut MatViewMut::new(&mut empty, 8, 0, RowMajor),
+                ways,
+            )
+            .unwrap();
+            gemm_packed_parallel(
+                1.0,
+                MatView::new(&[], 0, 2, RowMajor),
+                MatView::new(&[1.0; 6], 2, 3, RowMajor),
+                0.0,
+                &mut MatViewMut::new(&mut empty, 0, 3, RowMajor),
+                ways,
+            )
+            .unwrap();
+        }
+
+        // m smaller than the band count must not mis-band.
+        let a = [1.0f32, 2.0, 3.0, 4.0];
+        let identity = [1.0f32, 0.0, 0.0, 1.0];
+        let mut c = vec![0.0f32; 4];
+        gemm_packed_parallel(
             1.0,
-            MatView::new(&[1.0, 2.0], 2, 1, RowMajor),
-            MatView::new(&[], 1, 0, RowMajor),
+            MatView::new(&a, 2, 2, RowMajor),
+            MatView::new(&identity, 2, 2, RowMajor),
             0.0,
-            &mut MatViewMut::new(&mut empty, 2, 0, RowMajor),
+            &mut MatViewMut::new(&mut c, 2, 2, RowMajor),
+            8,
         )
         .unwrap();
+        assert_eq!(c, a);
     }
 
     #[test]

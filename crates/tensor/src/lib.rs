@@ -44,10 +44,10 @@ pub mod shape;
 pub mod tensor;
 
 pub use error::TensorError;
-pub use gemm::{gemm, gemm_parallel, Transpose};
+pub use gemm::{gemm, Transpose};
 pub use gemm_packed::{
     active_micro_kernel, available_micro_kernels, gemm_packed, gemm_packed_parallel,
-    gemm_packed_parallel_with, gemm_tiles, set_gemm_tiles, set_micro_kernel, MicroKernel,
+    gemm_packed_parallel_with, set_micro_kernel, MicroKernel,
 };
 pub use layout::MatrixLayout;
 pub use matrix::{MatView, MatViewMut};

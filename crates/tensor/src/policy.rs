@@ -1,52 +1,52 @@
-//! Autotuned GEMM backend dispatch.
+//! GEMM dispatch: one rule, two kernels.
 //!
-//! Every matmul in the training stack funnels through [`dispatch_gemm`],
-//! which picks a kernel per problem size under the active
-//! [`MatmulPolicy`]. Because all backends are bit-identical (see
-//! [`gemm_packed`](crate::gemm_packed)), backend selection is numerically
-//! transparent: training losses and gradients do not depend on the
-//! policy, the autotune outcome, or the worker count — a property the
+//! Every matmul in the training stack funnels through [`dispatch_gemm`].
+//! The crate has two kernels — the naive strided [`gemm`] (also the
+//! bit-exact oracle and the paper's two layout formulations) and the
+//! packed register-blocked kernel — and the choice between them is
+//! computed from the operands, not measured:
+//!
+//! * `m == 1`, or a column-major `C` → naive. A single output row cannot
+//!   amortise packing `B` (the packed kernel fills one of its `MR = 4`
+//!   tile rows and is ~2× slower there), and the packed kernel only
+//!   writes row-major outputs.
+//! * everything else → packed, row-banded on the worker pool only at or
+//!   above 2²² FLOPs (`PARALLEL_FLOPS`); below that the call stays on the
+//!   calling thread and never touches the pool.
+//!
+//! Because both kernels are bit-identical (see
+//! [`gemm_packed`](crate::gemm_packed)), the rule is numerically
+//! transparent: losses and gradients do not depend on it, on the
+//! [`MatmulPolicy`] override, or on the worker count — a property the
 //! policy-determinism integration test enforces end to end.
-//!
-//! The `Auto` policy is seeded the way `echo-rnn`'s plan autotuner seeds
-//! execution plans (run the candidates once, keep the winner): the first
-//! time a large-tier GEMM is dispatched, a one-shot microbenchmark races
-//! the blocked kernel against the packed kernel on an LSTM-shaped
-//! problem and caches the winner for the rest of the process. Set
-//! `ECHO_MATMUL_AUTOTUNE=0` to skip the measurement and take the
-//! deterministic static choice (packed); set `ECHO_MATMUL_POLICY` to
-//! `naive`, `blocked`, `packed`, or `auto` to pin the policy at startup.
+//! [`set_matmul_policy`] pins one kernel for every shape; it exists so
+//! that test (and the kernel benchmark) can hold the kernel fixed.
 
-use crate::gemm::{gemm, gemm_blocked};
+use crate::gemm::gemm;
 use crate::gemm_packed::{
-    self, active_micro_kernel, available_micro_kernels, gemm_packed_parallel,
-    gemm_packed_parallel_with, gemm_tiles, pin_micro_kernel_if_unset, set_gemm_tiles, MicroKernel,
+    active_micro_kernel, gemm_packed_parallel, MicroKernel, DEFAULT_KC, DEFAULT_MC,
 };
 use crate::layout::MatrixLayout;
 use crate::matrix::{MatView, MatViewMut};
 use crate::pool;
 use crate::Result;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// A concrete GEMM kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatmulBackend {
     /// Scalar i-k-j triple loop (`gemm`).
     Naive,
-    /// Cache-blocked serial kernel (`gemm_blocked`).
-    Blocked,
     /// Packed register-blocked kernel, row-banded on the worker pool
     /// (`gemm_packed_parallel`).
     PackedParallel,
 }
 
 impl MatmulBackend {
-    /// Stable lowercase name (used in env vars, benchmark JSON, reports).
+    /// Stable lowercase name (benchmark JSON, reports).
     pub fn name(self) -> &'static str {
         match self {
             MatmulBackend::Naive => "naive",
-            MatmulBackend::Blocked => "blocked",
             MatmulBackend::PackedParallel => "packed",
         }
     }
@@ -55,12 +55,11 @@ impl MatmulBackend {
 /// How [`dispatch_gemm`] chooses its backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatmulPolicy {
-    /// Pick per problem size; the large tier is seeded by a one-shot
-    /// microbenchmark (unless `ECHO_MATMUL_AUTOTUNE=0`).
+    /// The shape rule in the module docs.
     #[default]
     Auto,
-    /// Always use the given backend (packed falls back to blocked for
-    /// column-major outputs, which is bit-identical anyway).
+    /// The given backend for every shape, banded at every size (packed
+    /// still hands a column-major `C` to naive, which is bit-identical).
     Fixed(MatmulBackend),
 }
 
@@ -74,238 +73,82 @@ impl MatmulPolicy {
     }
 }
 
-/// Below this flop count (2·m·k·n) the pack/band overhead dominates and
-/// the naive kernel wins.
-const SMALL_FLOPS: usize = 1 << 14; // e.g. 16×16×16
-/// At or above this flop count the packed tier (and the one-shot
-/// autotune) kicks in. Chosen well above every debug-mode unit-test shape
-/// so tests never pay for the microbenchmark.
-const LARGE_FLOPS: usize = 1 << 22; // e.g. 64×128×256
+/// At or above this flop count (2·m·k·n) a packed GEMM is row-banded on
+/// the worker pool; below it a pool round-trip costs more than it saves.
+const PARALLEL_FLOPS: usize = 1 << 22; // e.g. 64×128×256
 
-const POLICY_UNSET: u8 = u8::MAX;
-/// Runtime policy override; `POLICY_UNSET` defers to the env default.
-static POLICY_OVERRIDE: AtomicU8 = AtomicU8::new(POLICY_UNSET);
+/// Process-wide policy, encoded by [`encode`].
+static POLICY: AtomicU8 = AtomicU8::new(0);
 
 fn encode(p: MatmulPolicy) -> u8 {
     match p {
         MatmulPolicy::Auto => 0,
         MatmulPolicy::Fixed(MatmulBackend::Naive) => 1,
-        MatmulPolicy::Fixed(MatmulBackend::Blocked) => 2,
-        MatmulPolicy::Fixed(MatmulBackend::PackedParallel) => 3,
+        MatmulPolicy::Fixed(MatmulBackend::PackedParallel) => 2,
     }
 }
 
 fn decode(v: u8) -> MatmulPolicy {
     match v {
         1 => MatmulPolicy::Fixed(MatmulBackend::Naive),
-        2 => MatmulPolicy::Fixed(MatmulBackend::Blocked),
-        3 => MatmulPolicy::Fixed(MatmulBackend::PackedParallel),
+        2 => MatmulPolicy::Fixed(MatmulBackend::PackedParallel),
         _ => MatmulPolicy::Auto,
     }
 }
 
-fn env_default() -> MatmulPolicy {
-    static DEFAULT: OnceLock<MatmulPolicy> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        match std::env::var("ECHO_MATMUL_POLICY")
-            .unwrap_or_default()
-            .trim()
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "naive" => MatmulPolicy::Fixed(MatmulBackend::Naive),
-            "blocked" => MatmulPolicy::Fixed(MatmulBackend::Blocked),
-            "packed" => MatmulPolicy::Fixed(MatmulBackend::PackedParallel),
-            _ => MatmulPolicy::Auto,
-        }
-    })
-}
-
 /// The policy [`dispatch_gemm`] currently applies.
 pub fn matmul_policy() -> MatmulPolicy {
-    match POLICY_OVERRIDE.load(Ordering::Relaxed) {
-        POLICY_UNSET => env_default(),
-        v => decode(v),
-    }
+    decode(POLICY.load(Ordering::Relaxed))
 }
 
 /// Overrides the process-wide matmul policy (tests, benchmarks).
 pub fn set_matmul_policy(policy: MatmulPolicy) {
-    POLICY_OVERRIDE.store(encode(policy), Ordering::Relaxed);
+    POLICY.store(encode(policy), Ordering::Relaxed);
 }
 
-/// Outcome of the one-shot large-tier microbenchmark.
+/// What `bench/` prints as the process's GEMM configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct AutotuneOutcome {
-    /// Winner used for the large tier under `Auto`.
+    /// Always [`MatmulBackend::PackedParallel`].
     pub chosen: MatmulBackend,
-    /// Blocked-kernel time on the probe shape, nanoseconds (0 if skipped).
-    pub blocked_ns: u64,
-    /// Packed-kernel time on the probe shape, nanoseconds (0 if skipped).
-    pub packed_ns: u64,
-    /// Probe shape `(m, k, n)`.
-    pub shape: (usize, usize, usize),
-    /// Whether the times were actually measured (`ECHO_MATMUL_AUTOTUNE`
-    /// not `0`) or the static fallback was taken.
-    pub measured: bool,
-    /// Micro-kernel variant pinned for the packed backend (see
-    /// [`active_micro_kernel`]).
+    /// The micro-kernel in effect ([`active_micro_kernel`]).
     pub kernel: MicroKernel,
-    /// `(KC, MC)` tile sizes in effect after autotuning.
+    /// The constant `(KC, MC)` tiles.
     pub tiles: (usize, usize),
-    /// Whether the tile race actually ran (release builds with autotune
-    /// enabled and no `ECHO_GEMM_TILES` pin).
+    /// Always `false`: nothing is measured.
     pub tiles_measured: bool,
 }
 
-static AUTOTUNE: OnceLock<AutotuneOutcome> = OnceLock::new();
-
-/// The autotune outcome, if the large tier has been exercised yet.
+/// A static description of the GEMM configuration: packed, the detected
+/// micro-kernel, the constant tiles. Nothing is tuned at run time any
+/// more; the function, its `Option` and its name survive only because
+/// `bench/` compiles against them. A follow-up `benchmark` PR drops it
+/// and re-measures `bench/BASELINE.json`.
 pub fn autotune_outcome() -> Option<AutotuneOutcome> {
-    AUTOTUNE.get().copied()
+    Some(AutotuneOutcome {
+        chosen: MatmulBackend::PackedParallel,
+        kernel: active_micro_kernel(),
+        tiles: (DEFAULT_KC, DEFAULT_MC),
+        tiles_measured: false,
+    })
 }
 
-/// Runs (or fetches) the one-shot microbenchmark that seeds the large
-/// tier. Probe shape is one LSTM gate block from the paper's word-LM
-/// config scaled down to keep the probe under ~10 ms even in debug mode.
-fn large_tier_backend() -> MatmulBackend {
-    AUTOTUNE
-        .get_or_init(|| {
-            let enabled = std::env::var("ECHO_MATMUL_AUTOTUNE")
-                .map(|v| v.trim() != "0")
-                .unwrap_or(true);
-            let (m, k, n) = (32, 128, 256);
-            if !enabled {
-                return AutotuneOutcome {
-                    chosen: MatmulBackend::PackedParallel,
-                    blocked_ns: 0,
-                    packed_ns: 0,
-                    shape: (m, k, n),
-                    measured: false,
-                    kernel: active_micro_kernel(),
-                    tiles: gemm_tiles(),
-                    tiles_measured: false,
-                };
-            }
-            let a: Vec<f32> = (0..m * k).map(|v| (v % 17) as f32 * 0.25 - 2.0).collect();
-            let b: Vec<f32> = (0..k * n).map(|v| (v % 13) as f32 * 0.5 - 3.0).collect();
-            let av = MatView::new(&a, m, k, MatrixLayout::RowMajor);
-            let bv = MatView::new(&b, k, n, MatrixLayout::RowMajor);
-            let ways = pool::global().num_threads();
-            let time = |f: &dyn Fn(&mut MatViewMut<'_>)| {
-                let mut c = vec![0.0f32; m * n];
-                let mut cv = MatViewMut::new(&mut c, m, n, MatrixLayout::RowMajor);
-                f(&mut cv); // warm-up (also warms pack buffers / pool)
-                let reps = 3;
-                let start = std::time::Instant::now();
-                for _ in 0..reps {
-                    f(&mut cv);
-                }
-                (start.elapsed().as_nanos() / reps as u128) as u64
-            };
-            // The micro-kernel and tile races only run in release builds:
-            // debug timings are meaningless and every variant/tile is
-            // bit-identical anyway, so debug runs just take the detected
-            // kernel and compiled defaults.
-            let tiles_measured = !cfg!(debug_assertions) && tune_kernel_and_tiles(av, bv, ways);
-            let blocked_ns = time(&|c| {
-                gemm_blocked(1.0, av, bv, 0.0, c).expect("probe gemm");
-            });
-            let packed_ns = time(&|c| {
-                gemm_packed_parallel(1.0, av, bv, 0.0, c, ways).expect("probe gemm");
-            });
-            let chosen = if packed_ns <= blocked_ns {
-                MatmulBackend::PackedParallel
-            } else {
-                MatmulBackend::Blocked
-            };
-            AutotuneOutcome {
-                chosen,
-                blocked_ns,
-                packed_ns,
-                shape: (m, k, n),
-                measured: true,
-                kernel: active_micro_kernel(),
-                tiles: gemm_tiles(),
-                tiles_measured,
-            }
-        })
-        .chosen
-}
-
-/// One-shot micro-kernel + `(KC, MC)` race for the packed backend.
-///
-/// Every candidate is bit-identical (see `gemm_packed`), so this is purely
-/// a speed decision: the fastest variant is pinned process-wide via
-/// [`pin_micro_kernel_if_unset`] (user/test overrides and
-/// `ECHO_GEMM_KERNEL` always win) and the fastest tile pair installed via
-/// [`set_gemm_tiles`] (subordinate to `ECHO_GEMM_TILES`). Returns whether
-/// the tile race ran.
-fn tune_kernel_and_tiles(av: MatView<'_>, bv: MatView<'_>, ways: usize) -> bool {
-    let (m, n) = (av.rows(), bv.cols());
-    let time_packed = |kernel: MicroKernel, kc: usize, mc: usize| {
-        let mut c = vec![0.0f32; m * n];
-        let mut cv = MatViewMut::new(&mut c, m, n, MatrixLayout::RowMajor);
-        gemm_packed_parallel_with(1.0, av, bv, 0.0, &mut cv, ways, kernel, kc, mc)
-            .expect("probe gemm");
-        let reps = 3;
-        let start = std::time::Instant::now();
-        for _ in 0..reps {
-            gemm_packed_parallel_with(1.0, av, bv, 0.0, &mut cv, ways, kernel, kc, mc)
-                .expect("probe gemm");
-        }
-        (start.elapsed().as_nanos() / reps as u128) as u64
-    };
-
-    if gemm_packed::env_kernel().is_none() {
-        let (kc0, mc0) = gemm_tiles();
-        let winner = available_micro_kernels()
-            .into_iter()
-            .map(|kernel| (time_packed(kernel, kc0, mc0), kernel))
-            .min_by_key(|&(ns, _)| ns)
-            .map(|(_, kernel)| kernel)
-            .unwrap_or(MicroKernel::Scalar);
-        pin_micro_kernel_if_unset(winner);
-    }
-
-    if gemm_packed::env_tiles().is_some() {
-        return false;
-    }
-    let kernel = active_micro_kernel();
-    let best = [(256usize, 128usize), (128, 64), (256, 64), (512, 128)]
-        .into_iter()
-        .map(|(kc, mc)| (time_packed(kernel, kc, mc), kc, mc))
-        .min_by_key(|&(ns, _, _)| ns);
-    if let Some((_, kc, mc)) = best {
-        set_gemm_tiles(kc, mc);
-    }
-    true
-}
-
-/// The backend [`dispatch_gemm`] would use for an `m × k × n` problem
-/// under the current policy.
-pub fn backend_for(m: usize, k: usize, n: usize) -> MatmulBackend {
+/// The backend [`dispatch_gemm`] uses for an `m × k × n` product into a
+/// row-major `C` under the current policy. Only `m` enters the rule; the
+/// signature takes the whole shape so callers name the product they mean.
+pub fn backend_for(m: usize, _k: usize, _n: usize) -> MatmulBackend {
     match matmul_policy() {
         MatmulPolicy::Fixed(b) => b,
-        MatmulPolicy::Auto => {
-            let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n);
-            if flops < SMALL_FLOPS {
-                MatmulBackend::Naive
-            } else if flops < LARGE_FLOPS {
-                MatmulBackend::Blocked
-            } else {
-                large_tier_backend()
-            }
-        }
+        MatmulPolicy::Auto if m == 1 => MatmulBackend::Naive,
+        MatmulPolicy::Auto => MatmulBackend::PackedParallel,
     }
 }
 
 /// Policy-routed GEMM: `C = alpha*A*B + beta*C`.
 ///
 /// This is the single entry point the training stack uses
-/// ([`Tensor::matmul`](crate::Tensor::matmul) and everything above it).
-/// The packed backend requires a row-major `C`; for column-major outputs
-/// it falls back to the blocked kernel, which is bit-identical.
+/// ([`Tensor::matmul`](crate::Tensor::matmul) and everything above it);
+/// the module docs give the rule.
 ///
 /// # Errors
 ///
@@ -318,30 +161,29 @@ pub fn dispatch_gemm(
     beta: f32,
     c: &mut MatViewMut<'_>,
 ) -> Result<()> {
-    let backend = backend_for(a.rows(), a.cols(), b.cols());
-    match backend {
-        MatmulBackend::Naive => gemm(alpha, a, b, beta, c),
-        MatmulBackend::Blocked => gemm_blocked(alpha, a, b, beta, c),
-        MatmulBackend::PackedParallel => {
-            if c.layout() == MatrixLayout::RowMajor {
-                gemm_packed_parallel(alpha, a, b, beta, c, pool::global().num_threads())
-            } else {
-                gemm_blocked(alpha, a, b, beta, c)
-            }
-        }
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    if backend_for(m, k, n) == MatmulBackend::Naive || c.layout() != MatrixLayout::RowMajor {
+        return gemm(alpha, a, b, beta, c);
     }
+    let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n);
+    let ways = if flops >= PARALLEL_FLOPS || matmul_policy() != MatmulPolicy::Auto {
+        pool::global().num_threads()
+    } else {
+        1
+    };
+    gemm_packed_parallel(alpha, a, b, beta, c, ways)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::MatrixLayout::{ColMajor, RowMajor};
 
     #[test]
     fn policy_encoding_round_trips() {
         for p in [
             MatmulPolicy::Auto,
             MatmulPolicy::Fixed(MatmulBackend::Naive),
-            MatmulPolicy::Fixed(MatmulBackend::Blocked),
             MatmulPolicy::Fixed(MatmulBackend::PackedParallel),
         ] {
             assert_eq!(decode(encode(p)), p);
@@ -353,17 +195,54 @@ mod tests {
     #[test]
     fn policy_tiers_and_overrides() {
         set_matmul_policy(MatmulPolicy::Auto);
-        assert_eq!(backend_for(4, 4, 4), MatmulBackend::Naive);
-        assert_eq!(backend_for(32, 64, 64), MatmulBackend::Blocked);
-        // Large tier resolves to the autotuned winner — one of the two
-        // candidates, never naive.
-        let large = backend_for(64, 512, 2048);
-        assert_ne!(large, MatmulBackend::Naive);
-        assert!(autotune_outcome().is_some());
+        // One output row → naive at any size; two or more → packed from
+        // the smallest shape to the largest.
+        assert_eq!(backend_for(1, 1, 1), MatmulBackend::Naive);
+        assert_eq!(backend_for(1, 256, 10_000), MatmulBackend::Naive);
+        assert_eq!(backend_for(2, 1, 16), MatmulBackend::PackedParallel);
+        assert_eq!(backend_for(64, 512, 2048), MatmulBackend::PackedParallel);
 
-        set_matmul_policy(MatmulPolicy::Fixed(MatmulBackend::Blocked));
-        assert_eq!(backend_for(1, 1, 1), MatmulBackend::Blocked);
-        assert_eq!(backend_for(999, 999, 999), MatmulBackend::Blocked);
+        // A column-major C goes to the naive kernel, bit for bit.
+        let (m, k, n) = (5, 7, 9);
+        let a: Vec<f32> = (0..m * k).map(|v| v as f32 * 0.25 - 3.0).collect();
+        let b: Vec<f32> = (0..k * n).map(|v| (v as f32).sin()).collect();
+        let av = MatView::new(&a, m, k, RowMajor);
+        let bv = MatView::new(&b, k, n, RowMajor);
+        let mut expect = vec![0.5f32; m * n];
+        gemm(
+            1.5,
+            av,
+            bv,
+            0.5,
+            &mut MatViewMut::new(&mut expect, m, n, ColMajor),
+        )
+        .unwrap();
+        for policy in [
+            MatmulPolicy::Auto,
+            MatmulPolicy::Fixed(MatmulBackend::PackedParallel),
+        ] {
+            set_matmul_policy(policy);
+            let mut c = vec![0.5f32; m * n];
+            dispatch_gemm(
+                1.5,
+                av,
+                bv,
+                0.5,
+                &mut MatViewMut::new(&mut c, m, n, ColMajor),
+            )
+            .unwrap();
+            assert_eq!(
+                c.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{policy:?}"
+            );
+        }
+
+        for b in [MatmulBackend::Naive, MatmulBackend::PackedParallel] {
+            set_matmul_policy(MatmulPolicy::Fixed(b));
+            assert_eq!(backend_for(1, 1, 1), b);
+            assert_eq!(backend_for(999, 999, 999), b);
+        }
         set_matmul_policy(MatmulPolicy::Auto);
     }
 }

@@ -1,15 +1,15 @@
 //! The persistent shared worker pool behind every parallel kernel.
 //!
-//! The first parallel GEMM in this repo (`gemm_parallel`) spawned fresh
-//! scoped threads on *every call* — fine for a benchmark, ruinous on a
-//! training hot path where an LSTM time step issues four GEMMs. This module
-//! replaces per-call spawning with one process-wide pool: workers are
-//! spawned lazily on first use, sized from [`std::thread::available_parallelism`]
-//! (override with `ECHO_NUM_THREADS`), and fed short-lived band jobs over a
-//! shared crossbeam channel. GEMM, the element-wise tensor kernels and the
-//! softmax/layer-norm row kernels all submit to the same pool, so `K`
-//! data-parallel model replicas contend for one fixed set of threads
-//! instead of oversubscribing the host with `K × cores` transient spawns.
+//! Spawning scoped threads on every call is ruinous on a training hot
+//! path where an LSTM time step issues four GEMMs, so there is one
+//! process-wide pool: workers are spawned lazily on first use, sized from
+//! [`std::thread::available_parallelism`] (override with
+//! `ECHO_NUM_THREADS`), and fed short-lived band jobs over a shared
+//! crossbeam channel. The packed GEMM's row bands, the element-wise tensor
+//! kernels and the softmax/layer-norm row kernels all submit to the same
+//! pool, so `K` data-parallel model replicas contend for one fixed set of
+//! threads instead of oversubscribing the host with `K × cores` transient
+//! spawns.
 //!
 //! # Dispatch without allocation
 //!

@@ -1,11 +1,11 @@
 //! Training must not depend on which GEMM backend executes it.
 //!
-//! The dispatch layer (`echo_tensor::policy`) may route a matmul to the
-//! naive, blocked, or packed-parallel kernel — by static tier or by the
-//! one-shot autotune microbenchmark. Because every backend is
-//! bit-identical (see `crates/tensor/tests/gemm_bitexact.rs`), a
-//! `word_lm` train step must produce **bit-identical** losses, gradient
-//! norms, and parameters under any `MatmulPolicy`. This is the
+//! The dispatch layer (`echo_tensor::policy`) routes a matmul to the
+//! naive or the packed kernel by shape, and bands the packed kernel on
+//! the pool by size. Because the two are bit-identical (see
+//! `crates/tensor/tests/gemm_bitexact.rs`), a `word_lm` train step must
+//! produce **bit-identical** losses, gradient norms, and parameters
+//! under any `MatmulPolicy`. This is the
 //! end-to-end half of the contract: if a kernel ever reorders an FP
 //! accumulation, this test catches it at the training-loop level.
 //!
@@ -74,7 +74,6 @@ fn word_lm_training_is_bit_identical_under_every_matmul_policy() {
     let lm = WordLm::build(WordLmHyper::tiny(40, LstmBackend::CuDnn));
     let policies = [
         MatmulPolicy::Fixed(MatmulBackend::Naive),
-        MatmulPolicy::Fixed(MatmulBackend::Blocked),
         MatmulPolicy::Fixed(MatmulBackend::PackedParallel),
         MatmulPolicy::Auto,
     ];

@@ -300,7 +300,6 @@ fn planned_execution_is_bit_identical_across_plans_and_matmul_policies() {
     let scenarios = [word_lm_scenario(), gru_scenario()];
     let policies = [
         MatmulPolicy::Fixed(MatmulBackend::Naive),
-        MatmulPolicy::Fixed(MatmulBackend::Blocked),
         MatmulPolicy::Fixed(MatmulBackend::PackedParallel),
         MatmulPolicy::Auto,
     ];
