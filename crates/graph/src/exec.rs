@@ -6,11 +6,14 @@
 //! [`Executor::train_step`], [`Executor::stage_step`] — resolves an
 //! [`ExecPlan`] for its signature (outputs, seeds, captures, training
 //! flag, binding shapes) and walks that plan's tables: one forward loop
-//! and one backward loop per scheduling mode (serial, wavefront). A
-//! training step is the seeded step with ones at the loss and nothing
-//! captured; a pipeline stage seeds its send interface and captures its
-//! received one. There is no other interpreter: an execution no cached
-//! plan serves builds its plan first and memoizes it in the executor.
+//! and one backward loop, each visiting the plan's entries in schedule
+//! order on the calling thread. A training step is the seeded step with
+//! ones at the loss and nothing captured; a pipeline stage seeds its send
+//! interface and captures its received one. There is no other
+//! interpreter: an execution no cached plan serves builds its plan first
+//! and memoizes it in the executor. Thread parallelism lives inside the
+//! kernels (row-banded GEMM, elementwise, softmax, layer-norm on the
+//! global worker pool), never between plan entries.
 
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::op::{KernelLaunch, LaunchSpec, Operator, Saved};
@@ -24,7 +27,7 @@ use echo_memory::{
 };
 use echo_tensor::{Shape, Tensor, WorkerPool};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Options controlling one execution.
 #[derive(Debug, Clone, Copy)]
@@ -44,62 +47,18 @@ impl Default for ExecOptions {
     }
 }
 
-/// How the executor schedules independent plan entries.
-///
-/// Wavefront execution groups the plan's forward and backward schedules
-/// into dependency levels (see `ExecPlan`'s wave tables) and runs each
-/// level's entries concurrently on a worker pool, committing results
-/// serially in schedule order. The commit discipline — and the fixed
-/// per-element reduction order of every kernel underneath — keeps planned
-/// steps bit-identical to the serial loops at any thread count.
-///
-/// Wavefront scheduling only ever engages on the numeric plane with no
-/// device simulator attached: kernel dispatch order is part of a
-/// simulation's observable timeline, so simulated runs stay serial.
-#[derive(Clone)]
+/// Inert stub of the deleted wavefront scheduler's mode switch: plan
+/// entries always run in schedule order, whatever value is set. It exists
+/// only because `bench/` (frozen while this was removed) still names
+/// `Auto` and `Pool`; the next `benchmark` PR drops it together with
+/// [`Executor::set_wavefront_mode`] and the
+/// `graph.wavefront_pool2_step_ms` probe.
+#[derive(Debug, Clone)]
 pub enum WavefrontMode {
-    /// Use the process-global worker pool when it has more than one
-    /// thread and `ECHO_WAVEFRONT` is not `0`. The default.
+    /// Ignored.
     Auto,
-    /// Always execute plans serially.
-    Off,
-    /// Use this specific pool regardless of `ECHO_WAVEFRONT` — how tests
-    /// sweep thread counts in-process without re-spawning under a
-    /// different `ECHO_NUM_THREADS`.
+    /// Ignored; the pool is never used.
     Pool(Arc<WorkerPool>),
-}
-
-impl std::fmt::Debug for WavefrontMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WavefrontMode::Auto => f.write_str("Auto"),
-            WavefrontMode::Off => f.write_str("Off"),
-            WavefrontMode::Pool(p) => write!(f, "Pool({} threads)", p.num_threads()),
-        }
-    }
-}
-
-/// Whether `ECHO_WAVEFRONT` permits wavefront execution (anything but
-/// `0`; unset means enabled).
-fn wavefront_env_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("ECHO_WAVEFRONT").map_or(true, |v| v != "0"))
-}
-
-/// An owned handle on the pool a wavefront run executes on (owning it
-/// keeps the run free to borrow itself mutably while the handle lives).
-enum PoolRef {
-    Global,
-    Shared(Arc<WorkerPool>),
-}
-
-impl PoolRef {
-    fn get(&self) -> &WorkerPool {
-        match self {
-            PoolRef::Global => echo_tensor::pool::global(),
-            PoolRef::Shared(p) => p,
-        }
-    }
 }
 
 /// Statistics of one executed iteration.
@@ -163,8 +122,6 @@ pub struct Executor {
     state: PlanState,
     /// Cumulative segment replays across every step this executor ran.
     replays_total: u64,
-    /// How steps schedule independent entries.
-    wavefront: WavefrontMode,
 }
 
 /// Dense per-node tables the interpreter reuses across steps instead of
@@ -232,15 +189,12 @@ impl Executor {
             plans_memoized: 0,
             state: PlanState::default(),
             replays_total: 0,
-            wavefront: WavefrontMode::Auto,
         }
     }
 
-    /// Selects how steps schedule independent entries (see
-    /// [`WavefrontMode`]). Defaults to [`WavefrontMode::Auto`].
-    pub fn set_wavefront_mode(&mut self, mode: WavefrontMode) {
-        self.wavefront = mode;
-    }
+    /// Does nothing (see [`WavefrontMode`]); dropped by the next
+    /// `benchmark` PR along with the enum.
+    pub fn set_wavefront_mode(&mut self, _mode: WavefrontMode) {}
 
     /// Cumulative segment replays across every step this executor has run
     /// — the observable face of the replay-once discipline: a recomputed
@@ -637,7 +591,6 @@ impl Executor {
         // share them: K replicas cost one planning pass.
         replica.plans = self.plans.clone();
         replica.plan_installed = self.plan_installed;
-        replica.wavefront = self.wavefront.clone();
         Ok(replica)
     }
 
@@ -871,7 +824,7 @@ struct Run<'e> {
     /// Whether a gradient is present (both planes).
     grad_present: Vec<bool>,
     /// Per-node "backward entry processed" mask — the basis of the
-    /// scratch-reader refcounts, exact in serial and wave order alike.
+    /// scratch-reader refcounts.
     bwd_done: Vec<bool>,
     /// Replay scratch per segment id.
     scratch: HashMap<usize, SegmentScratch>,
@@ -895,9 +848,9 @@ struct SegmentScratch {
     n_required: usize,
 }
 
-/// A read-only view of everything a kernel call may touch. Built per op
-/// by the serial loops and shared by all workers of a wave; borrowing the
-/// tables (not the run) is what lets wave closures run on the pool.
+/// A read-only view of everything a kernel call may touch, built per op
+/// by the forward, backward and replay loops: mutation (replay, commit)
+/// happens on the run, the kernel call in between only borrows its tables.
 struct RunView<'a> {
     plan: &'a ExecPlan,
     graph: &'a Graph,
@@ -1084,27 +1037,6 @@ impl<'e> Run<'e> {
         self.pool.put(t.into_vec());
     }
 
-    /// The worker pool a wavefront execution runs on, when wavefront
-    /// scheduling applies at all: numeric plane, no device simulator
-    /// attached, and a pool with real parallelism behind it.
-    fn wavefront_pool(&self) -> Option<PoolRef> {
-        if !self.opts.numeric || self.device.is_some() {
-            return None;
-        }
-        match &self.exec.wavefront {
-            WavefrontMode::Off => None,
-            WavefrontMode::Pool(p) if p.num_threads() > 1 => Some(PoolRef::Shared(Arc::clone(p))),
-            WavefrontMode::Pool(_) => None,
-            WavefrontMode::Auto => {
-                if wavefront_env_enabled() && echo_tensor::pool::global().num_threads() > 1 {
-                    Some(PoolRef::Global)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
     /// Hands the requested output values to the caller (`take`: the
     /// storage would otherwise be recycled by `finish`).
     fn take_outputs(&mut self, outputs: &[NodeId]) -> Result<Vec<Tensor>> {
@@ -1136,15 +1068,12 @@ impl<'e> Run<'e> {
     }
 
     // ------------------------------------------------------------------
-    // Forward: one loop per scheduling mode, one commit.
+    // Forward: one loop, one commit.
     // ------------------------------------------------------------------
 
     fn forward(&mut self) -> Result<()> {
         let plan = Arc::clone(&self.plan);
         let graph = self.graph();
-        if let Some(pool) = self.wavefront_pool() {
-            return self.forward_waves(&plan, &graph, pool.get());
-        }
         for &id in &plan.schedule {
             let idx = id.index();
             // Inputs are borrowed from the caller's map on demand; params
@@ -1165,40 +1094,6 @@ impl<'e> Run<'e> {
                 None
             };
             self.commit_forward(&plan, &graph, idx, computed);
-        }
-        Ok(())
-    }
-
-    /// Wavefront forward: each wave's ops compute concurrently on `pool`
-    /// into per-entry slots, then commit serially in ascending node
-    /// order — exactly the store/free sequence of the serial loop. Every
-    /// op reads only values committed by earlier waves (the wave tables
-    /// level strictly by producer depth) and every kernel underneath has
-    /// a fixed per-element reduction order, so the step is bit-identical
-    /// to serial execution at any thread count.
-    fn forward_waves(&mut self, plan: &ExecPlan, graph: &Graph, pool: &WorkerPool) -> Result<()> {
-        type FwdOut = Result<(Tensor, Saved)>;
-        let mut slots: Vec<Mutex<Option<FwdOut>>> = Vec::new();
-        for w in 0..plan.fwd_waves.waves() {
-            let wave = plan.fwd_waves.wave(w);
-            slots.clear();
-            slots.resize_with(wave.len(), || Mutex::new(None));
-            {
-                let view = self.view();
-                let slots = &slots;
-                pool.run_indexed(wave.len(), &|k| {
-                    let result = view.forward(wave[k] as usize);
-                    *slots[k].lock().expect("forward slot") = Some(result);
-                });
-            }
-            for (k, &entry) in wave.iter().enumerate() {
-                let computed = slots[k]
-                    .lock()
-                    .expect("forward slot")
-                    .take()
-                    .expect("wave entry computed")?;
-                self.commit_forward(plan, graph, entry as usize, Some(computed));
-            }
         }
         Ok(())
     }
@@ -1231,7 +1126,7 @@ impl<'e> Run<'e> {
     }
 
     // ------------------------------------------------------------------
-    // Backward: seeds, one loop per scheduling mode, one commit.
+    // Backward: seeds, one loop, one commit.
     // ------------------------------------------------------------------
 
     /// The seeded backward walk. Each `(node, grad)` seed is installed
@@ -1268,22 +1163,6 @@ impl<'e> Run<'e> {
             }
         }
         let mut captured: Vec<Option<Tensor>> = vec![None; plan.capture.len()];
-        // Wave order needs the exclusive-workspace contract to hold
-        // without evictions (see `ExecPlan::wave_safe`).
-        match self.wavefront_pool().filter(|_| plan.wave_safe) {
-            Some(pool) => self.backward_waves(&plan, &graph, pool.get(), &mut captured)?,
-            None => self.backward_serial(&plan, &graph, &mut captured)?,
-        }
-        self.scratch.clear();
-        Ok(captured)
-    }
-
-    fn backward_serial(
-        &mut self,
-        plan: &ExecPlan,
-        graph: &Graph,
-        captured: &mut [Option<Tensor>],
-    ) -> Result<()> {
         for &id in &plan.bwd_schedule {
             let idx = id.index();
             // The static schedule is a superset of the runtime gradient
@@ -1296,7 +1175,7 @@ impl<'e> Run<'e> {
                     }
                     // Mutation first — replay what this entry reads — then
                     // the read-only kernel call over borrowed views.
-                    for seg in plan.required_segments(graph, idx) {
+                    for seg in plan.required_segments(&graph, idx) {
                         self.ensure_replayed(seg)?;
                     }
                     let input_grads = if self.opts.numeric {
@@ -1307,80 +1186,15 @@ impl<'e> Run<'e> {
                     if self.device.is_some() {
                         self.dispatch(&tables.bwd_launches);
                     }
-                    self.commit_backward(plan, graph, idx, input_grads)?;
+                    self.commit_backward(&plan, &graph, idx, input_grads)?;
                 } else {
-                    self.commit_leaf(plan, graph, idx, captured)?;
+                    self.commit_leaf(&plan, &graph, idx, &mut captured)?;
                 }
             }
             self.retire_scratches(idx);
         }
-        Ok(())
-    }
-
-    /// Wavefront backward: three phases per wave, descending node index
-    /// throughout.
-    ///
-    /// * **Phase A (serial)** — the replay triggers of every live entry,
-    ///   in exactly the serial loop's per-node order. Replays mutate the
-    ///   scratch map and workspace pools, so they stay single-threaded.
-    /// * **Phase B (parallel)** — `op.backward` for every live op entry,
-    ///   over borrowed views of values, saved state, scratches and the
-    ///   upstream gradient, into per-entry slots. Strictly read-only.
-    /// * **Phase C (serial)** — gradient accumulation, frees and scratch
-    ///   retirement, in descending order. Two consumers of one node
-    ///   therefore `axpy` into its gradient in exactly the serial walk's
-    ///   order: the wave tables forbid a lower-index consumer from
-    ///   landing in an earlier wave, and within a wave the descending
-    ///   commit decides.
-    fn backward_waves(
-        &mut self,
-        plan: &ExecPlan,
-        graph: &Graph,
-        pool: &WorkerPool,
-        captured: &mut [Option<Tensor>],
-    ) -> Result<()> {
-        type BwdOut = Result<Vec<Option<Tensor>>>;
-        let mut slots: Vec<Mutex<Option<BwdOut>>> = Vec::new();
-        for w in 0..plan.bwd_waves.waves() {
-            let wave = plan.bwd_waves.wave(w);
-            for &entry in wave {
-                if self.grad_present[entry as usize] {
-                    for seg in plan.required_segments(graph, entry as usize) {
-                        self.ensure_replayed(seg)?;
-                    }
-                }
-            }
-            slots.clear();
-            slots.resize_with(wave.len(), || Mutex::new(None));
-            {
-                let view = self.view();
-                let live = &self.grad_present;
-                let slots = &slots;
-                pool.run_indexed(wave.len(), &|k| {
-                    let idx = wave[k] as usize;
-                    if live[idx] && plan.ops[idx].is_some() {
-                        *slots[k].lock().expect("backward slot") = Some(view.backward(idx));
-                    }
-                });
-            }
-            for (k, &entry) in wave.iter().enumerate() {
-                let idx = entry as usize;
-                if self.grad_present[idx] {
-                    if plan.ops[idx].is_some() {
-                        let input_grads = slots[k]
-                            .lock()
-                            .expect("backward slot")
-                            .take()
-                            .expect("wave entry computed")?;
-                        self.commit_backward(plan, graph, idx, Some(input_grads))?;
-                    } else {
-                        self.commit_leaf(plan, graph, idx, captured)?;
-                    }
-                }
-                self.retire_scratches(idx);
-            }
-        }
-        Ok(())
+        self.scratch.clear();
+        Ok(captured)
     }
 
     /// Propagates op `idx`'s input gradients (`None` on the symbolic
@@ -1554,9 +1368,7 @@ impl<'e> Run<'e> {
         // (deterministic, plan-accounted) extra replays for the modeled
         // single-workspace footprint instead of aborting. The exact
         // refcount cannot make this unnecessary: an overlap is a property
-        // of the stash plan, not of retirement timing. Wave order never
-        // gets here with a live same-pool scratch — such plans run their
-        // backward pass serially (`ExecPlan::wave_safe`).
+        // of the stash plan, not of retirement timing.
         self.scratch.retain(|_, s| s.pool != table.pool);
         let lease = pool.lease(bytes)?;
         self.replays += 1;

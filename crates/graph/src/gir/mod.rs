@@ -7,7 +7,7 @@
 //! elementwise-chain fusion, and layout selection are ordered rewrites,
 //! each reporting what it changed as a [`PassTrace`]. The GIR then
 //! **lowers** to the launch-level IR, the [`ExecPlan`](crate::ExecPlan)
-//! tables (schedule, launch table, slot packing, wave tables), which the
+//! tables (schedule, launch table, slot packing, replay tables), which the
 //! executor interprets.
 //!
 //! Every rewrite here is **id-preserving**: the rewritten graph has the

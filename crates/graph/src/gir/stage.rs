@@ -224,8 +224,9 @@ impl StagePartition {
         // but the per-stage pieces of a split segment get distinct pools —
         // exactly the physical situation in the pipeline, where each stage
         // worker owns its own executor and pools. Keeping the original
-        // pool across a cut would let a wavefront backward hold two
-        // concurrent leases on one exclusive workspace.
+        // pool across a cut would make the serial oracle running the
+        // normalized plan evict and re-replay where the pipeline, with a
+        // pool per stage, does not.
         let mut pool_map: BTreeMap<(usize, usize), usize> = BTreeMap::new();
         let mut next = 0usize;
         let mut next_pool = 0usize;

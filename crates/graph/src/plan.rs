@@ -32,9 +32,10 @@
 //!   set;
 //! * per-segment **replay tables** (members, workspace pool, and the
 //!   backward entries that read the replayed scratch — the basis of the
-//!   interpreter's exact `n_required` retirement refcount), the stashed
-//!   values a late replay re-reads, and whether the backward wave order
-//!   honours the exclusive-workspace contract;
+//!   interpreter's exact `n_required` retirement refcount) and the
+//!   stashed values a late replay re-reads. Workspace sharing across
+//!   segments is exact for one backward order, the schedule's, which is
+//!   the only order the interpreter runs;
 //! * a static **accounting timeline** that replays the allocator events of
 //!   one step (input placeholders, stashed feature maps + saved state,
 //!   transient placeholders, gradient placeholders, workspace-pool growth
@@ -113,44 +114,6 @@ pub fn launch_flops(launches: &[KernelLaunch]) -> u64 {
             }
         })
         .sum()
-}
-
-/// A wavefront schedule: node indices grouped into dependency levels.
-///
-/// Wave `w` contains entries whose dependencies all complete in waves
-/// `< w`, so every entry of one wave can execute concurrently. The
-/// grouping is stored flat (`order`) with per-wave `bounds` so reading a
-/// wave is a slice, not an allocation.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WaveTable {
-    /// Node indices, contiguous by wave.
-    pub order: Vec<u32>,
-    /// Wave boundaries into `order`: wave `w` is
-    /// `order[bounds[w]..bounds[w + 1]]`. Always `waves() + 1` long.
-    pub bounds: Vec<u32>,
-}
-
-impl WaveTable {
-    fn from_buckets(buckets: Vec<Vec<u32>>) -> WaveTable {
-        let mut order = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
-        let mut bounds = Vec::with_capacity(buckets.len() + 1);
-        bounds.push(0);
-        for bucket in buckets {
-            order.extend_from_slice(&bucket);
-            bounds.push(order.len() as u32);
-        }
-        WaveTable { order, bounds }
-    }
-
-    /// Number of waves.
-    pub fn waves(&self) -> usize {
-        self.bounds.len().saturating_sub(1)
-    }
-
-    /// The node indices of wave `w`.
-    pub fn wave(&self, w: usize) -> &[u32] {
-        &self.order[self.bounds[w] as usize..self.bounds[w + 1] as usize]
-    }
 }
 
 /// Per-op-node static tables the interpreter reads instead of re-deriving.
@@ -246,13 +209,6 @@ pub struct ExecPlan {
     /// (scattered segments: a reader may sit below one of the segment's
     /// stashed boundary inputs).
     pub(crate) retain_value: Vec<bool>,
-    /// Whether the backward wave order keeps the exclusive-workspace
-    /// contract: no replay finds its pool held by a live scratch or a
-    /// boundary value already freed. When it does not hold — searched and
-    /// stage-normalized plans may pool segments whose reader intervals
-    /// overlap — only the serial loop, which can evict and re-replay, runs
-    /// the backward pass, so replay counts never depend on thread count.
-    pub(crate) wave_safe: bool,
     /// Slot id for each transient value (dense node index -> slot).
     pub(crate) value_slots: Vec<Option<u32>>,
     /// Slot id for each transient gradient.
@@ -269,21 +225,6 @@ pub struct ExecPlan {
     /// excluding replays — the no-extra-recompute work a step must do
     /// under *any* stash plan for this cone.
     pub(crate) planned_step_flops: u64,
-    /// Forward op wavefronts: ops grouped by producer depth, ascending
-    /// node index within a wave. Ops in one wave share no
-    /// producer-consumer edge, so the wavefront executor may compute them
-    /// concurrently (committing results serially in index order keeps the
-    /// step bit-identical to the serial interpreter).
-    pub(crate) fwd_waves: WaveTable,
-    /// Backward wavefronts over `bwd_schedule`, descending node index
-    /// within a wave. Levels respect two edge kinds: *strict* edges (a
-    /// node's backward runs only after every contributing consumer's
-    /// backward has committed its gradient) and *non-strict*
-    /// accumulation-chain edges (two consumers of the same node may not
-    /// commit their `axpy` into its gradient out of descending-index
-    /// order; same wave is allowed because within-wave commits are serial
-    /// and descending). Empty for forward-only plans.
-    pub(crate) bwd_waves: WaveTable,
 }
 
 impl ExecPlan {
@@ -529,81 +470,6 @@ impl ExecPlan {
             }
         }
 
-        // Forward wavefronts: an op's level is one past the deepest of its
-        // producers (inputs and params sit at level 0 — they are bindings,
-        // not compute). The schedule is ascending, so pushing in schedule
-        // order keeps every wave sorted ascending for the serial commit.
-        let mut fwd_level = vec![0u32; n];
-        let mut fwd_buckets: Vec<Vec<u32>> = Vec::new();
-        for &id in &schedule {
-            if let NodeKind::Op { inputs, .. } = &graph.nodes()[id.index()].kind {
-                let lvl = 1 + inputs
-                    .iter()
-                    .map(|i| fwd_level[i.index()])
-                    .max()
-                    .unwrap_or(0);
-                fwd_level[id.index()] = lvl;
-                let wave = (lvl - 1) as usize;
-                if fwd_buckets.len() <= wave {
-                    fwd_buckets.resize_with(wave + 1, Vec::new);
-                }
-                fwd_buckets[wave].push(id.index() as u32);
-            }
-        }
-        let fwd_waves = WaveTable::from_buckets(fwd_buckets);
-
-        // Backward wavefronts. Walking `bwd_schedule` (descending) levels
-        // every entry after all of its consumers:
-        //  * strict edges — each contributing consumer `c` of node `v`
-        //    (an op for which `v` sits in a differentiable slot) raises
-        //    `v`'s floor to `level(c) + 1`, so `v`'s own backward runs
-        //    only once its gradient is fully accumulated;
-        //  * non-strict accumulation-chain edges — consumers of `v`
-        //    accumulate into `v`'s gradient in descending index order in
-        //    the serial interpreter. A lower-index consumer therefore may
-        //    not land in an *earlier* wave than a higher-index one
-        //    (`level >= level(prev higher-index consumer)`); landing in
-        //    the same wave is fine because within-wave gradient commits
-        //    are serial and descending.
-        // Seeds sit at floor 0: they are written before the walk.
-        let mut blevel = vec![0u32; n];
-        let mut floor = vec![0u32; n];
-        // Lowest-index contributing consumer leveled so far, per node.
-        let mut last_contrib = vec![u32::MAX; n];
-        let mut buckets: Vec<Vec<u32>> = Vec::new();
-        for &id in &bwd_schedule {
-            let idx = id.index();
-            let mut lvl = floor[idx];
-            if let NodeKind::Op { op, inputs } = &graph.nodes()[idx].kind {
-                for (slot, &v) in inputs.iter().enumerate() {
-                    if !op.input_differentiable(slot) || !grad_reaches[v.index()] {
-                        continue;
-                    }
-                    let prev = last_contrib[v.index()];
-                    if prev != u32::MAX {
-                        lvl = lvl.max(blevel[prev as usize]);
-                    }
-                    last_contrib[v.index()] = idx as u32;
-                }
-            }
-            blevel[idx] = lvl;
-            if let NodeKind::Op { op, inputs } = &graph.nodes()[idx].kind {
-                for (slot, &v) in inputs.iter().enumerate() {
-                    if op.input_differentiable(slot) && grad_reaches[v.index()] {
-                        floor[v.index()] = floor[v.index()].max(lvl + 1);
-                    }
-                }
-            }
-            let wave = lvl as usize;
-            if buckets.len() <= wave {
-                buckets.resize_with(wave + 1, Vec::new);
-            }
-            // `bwd_schedule` is descending, so each wave stays sorted
-            // descending for the serial commit phase.
-            buckets[wave].push(idx as u32);
-        }
-        let bwd_waves = WaveTable::from_buckets(buckets);
-
         let bytes_of =
             |id: NodeId| shapes[id.index()].as_ref().expect("in cone").num_bytes() as u64;
 
@@ -716,7 +582,6 @@ impl ExecPlan {
             seg_of,
             segments,
             retain_value: vec![false; n],
-            wave_safe: true,
             value_slots,
             grad_slots,
             slot_sizes,
@@ -724,8 +589,6 @@ impl ExecPlan {
             param_shapes: used_params,
             accounting: Accounting::default(),
             planned_step_flops: 0,
-            fwd_waves,
-            bwd_waves,
         };
         let fwd_flops: u64 = plan
             .schedule
@@ -741,9 +604,7 @@ impl ExecPlan {
             .sum();
         plan.planned_step_flops = fwd_flops + bwd_flops;
         plan.link_segment_readers(graph);
-        let (accounting, evictions) = AccountingSim::new(graph, &plan).run();
-        plan.accounting = accounting;
-        plan.wave_safe = evictions == 0 && plan.wave_order_is_safe(graph);
+        plan.accounting = AccountingSim::new(graph, &plan).run();
         PLANS_BUILT.fetch_add(1, Ordering::Relaxed);
         Ok(plan)
     }
@@ -807,28 +668,6 @@ impl ExecPlan {
             }
             table.readers = list;
         }
-    }
-
-    /// Dry-runs the replay machine in backward wave order (phase A of a
-    /// wave triggers every entry's replays before any entry retires) and
-    /// reports whether it ever had to evict.
-    fn wave_order_is_safe(&self, graph: &Graph) -> bool {
-        if self.segments.is_empty() {
-            return true;
-        }
-        let mut machine = ReplayMachine::new(graph, self);
-        for w in 0..self.bwd_waves.waves() {
-            let wave = self.bwd_waves.wave(w);
-            for &entry in wave {
-                for seg in self.required_segments(graph, entry as usize) {
-                    machine.ensure(seg);
-                }
-            }
-            for &entry in wave {
-                machine.finish(entry as usize);
-            }
-        }
-        machine.evictions == 0
     }
 
     /// The first node this plan executes to (the loss, for a training
@@ -898,19 +737,6 @@ impl ExecPlan {
     /// what a step of the executor reports as `peak_bytes`.
     pub fn planned_peak_bytes(&self) -> u64 {
         self.accounting.planned_peak_bytes
-    }
-
-    /// Number of forward wavefronts (dependency levels over the op
-    /// schedule). A stacked multi-step LSTM cone has fewer waves than ops
-    /// whenever layers or gates are independent — the headroom the
-    /// wavefront executor converts into parallelism.
-    pub fn forward_wave_count(&self) -> usize {
-        self.fwd_waves.waves()
-    }
-
-    /// Number of backward wavefronts (zero for forward-only plans).
-    pub fn backward_wave_count(&self) -> usize {
-        self.bwd_waves.waves()
     }
 
     /// Number of reusable transient buffers the plan packs values and
@@ -996,9 +822,9 @@ impl ExecPlan {
 
 /// The replay discipline of the backward pass, run over a plan's static
 /// tables: which scratches are live, how many readers each still has, and
-/// when a replay has to evict. The accounting timeline runs it in serial
-/// order; [`ExecPlan::wave_order_is_safe`] dry-runs it in wave order. The
-/// interpreter in `exec.rs` applies the same rules to real tensors.
+/// when a replay has to evict. The accounting timeline runs it in schedule
+/// order; the interpreter in `exec.rs` applies the same rules to real
+/// tensors in the same order.
 struct ReplayMachine<'a> {
     graph: &'a Graph,
     plan: &'a ExecPlan,
@@ -1010,10 +836,6 @@ struct ReplayMachine<'a> {
     done: Vec<bool>,
     /// Segments replayed since the caller last drained this, in order.
     replayed: Vec<usize>,
-    /// Replays that found their pool held by a live scratch (the serial
-    /// loop evicts it; it is re-replayed on demand) or re-read a boundary
-    /// value its own backward had already freed.
-    evictions: u64,
 }
 
 impl<'a> ReplayMachine<'a> {
@@ -1025,7 +847,6 @@ impl<'a> ReplayMachine<'a> {
             replaying: Vec::new(),
             done: vec![false; plan.graph_len],
             replayed: Vec::new(),
-            evictions: 0,
         }
     }
 
@@ -1048,28 +869,16 @@ impl<'a> ReplayMachine<'a> {
         for &m in &table.members {
             for &i in self.graph.nodes()[m as usize].inputs() {
                 let idx = i.index();
-                match plan.seg_of[idx] {
-                    Some(other) if other as usize == seg => {}
-                    Some(other) if plan.dropped(idx) => {
-                        if !self.is_active(other as usize) {
-                            self.ensure(other as usize);
-                        }
-                    }
-                    _ => {
-                        if self.done[idx] && plan.ops[idx].is_some() && !plan.retain_value[idx] {
-                            self.evictions += 1;
-                        }
+                if let Some(other) = plan.seg_of[idx] {
+                    if other as usize != seg && plan.dropped(idx) {
+                        self.ensure(other as usize);
                     }
                 }
             }
         }
         self.replaying.pop();
-        let before = self.active.len();
         self.active
             .retain(|&(s, _)| plan.segments[&s].pool != table.pool);
-        if self.active.len() != before {
-            self.evictions += 1;
-        }
         let n_required = table
             .readers
             .iter()
@@ -1165,8 +974,7 @@ impl<'a> AccountingSim<'a> {
         self.bytes_of(idx) + self.plan.ops[idx].as_ref().map_or(0, |t| t.saved_bytes)
     }
 
-    /// Returns the accounting results and how many replays had to evict.
-    fn run(mut self) -> (Accounting, u64) {
+    fn run(mut self) -> Accounting {
         let plan = self.plan;
         let n = plan.graph_len;
         let mut results = Accounting::default();
@@ -1316,7 +1124,7 @@ impl<'a> AccountingSim<'a> {
         results.assumed_workspace = self.pools.values().map(|&(_, high)| high).sum();
         results.peak_breakdown = breakdown_vec(&self.peak_by_tag);
         results.max_breakdown = breakdown_vec(&self.max_by_tag);
-        (results, self.machine.evictions)
+        results
     }
 }
 

@@ -42,8 +42,8 @@
 //! execution plans — the fill-phase inference forward and the seeded
 //! drain-phase step ([`StagePartition::stage_exec_plans`]) — are built
 //! once per stage in [`PipelineTrainer::new`] and installed on all `K`
-//! replicas' executors, so stage workers get buffer reuse and wavefront
-//! scheduling, and plan nothing at step time.
+//! replicas' executors, so stage workers get buffer reuse and plan
+//! nothing at step time.
 //!
 //! # Fault containment
 //!

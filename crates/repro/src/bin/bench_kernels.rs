@@ -220,8 +220,9 @@ struct ThreadsRow {
 /// under whatever `ECHO_NUM_THREADS` sized the global pool to, and
 /// prints one parseable result line. The parent process (`--threads`)
 /// re-invokes the binary once per thread count because the worker pool —
-/// and therefore the wavefront scheduler's engagement — is fixed at
-/// first use for the life of the process.
+/// and therefore how many row bands the GEMM, elementwise, softmax and
+/// layer-norm kernels split into — is fixed at first use for the life of
+/// the process.
 fn threads_worker(quick: bool) {
     set_matmul_policy(MatmulPolicy::Auto);
     let steps = if quick { 3 } else { 8 };
@@ -945,7 +946,7 @@ fn main() {
         for row in &threads_rows[1..] {
             assert_eq!(
                 row.loss_bits, threads_rows[0].loss_bits,
-                "planned word_lm losses diverged at {} threads — wavefront numerics bug",
+                "planned word_lm losses diverged at {} threads — kernel banding numerics bug",
                 row.threads
             );
         }

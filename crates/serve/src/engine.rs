@@ -15,57 +15,50 @@
 //! [`ExecPlan`] per batch size `1..=max_batch` from the prototype and all
 //! replicas share them.
 //!
-//! Two schedulers drive the decode loop ([`BatchMode`]):
-//!
-//! * **Continuous** (the default, [`crate::scheduler`]) — sessions join
-//!   and leave a *running* batch between decode steps; the batch never
-//!   drains to admit a newcomer and never waits to fill.
-//! * **Wave** (the PR-4 baseline, [`crate::batcher`]) — coalesce a
-//!   micro-batch, run it to completion, repeat. Kept as the measured
-//!   baseline the open-loop benchmark gates continuous batching against.
+//! One scheduler drives the decode loop ([`crate::scheduler`]): sessions
+//! join and leave a *running* batch between decode steps; the batch never
+//! drains to admit a newcomer and never waits to fill. Single-step
+//! [`Engine::submit`] requests and [`Engine::generate`] streams are the
+//! same job shape on that loop.
 //!
 //! Because the decode path is batch-invariant (see
 //! [`echo_models::infer`]), none of these mechanics change a single bit
 //! of any session's logits: batching, lane churn, eviction + re-warm, and
 //! pre-installed vs planned-on-first-use execution are all transparent.
 
-use crate::batcher::{collect_batch, BatchPolicy};
 use crate::queue::{BoundedQueue, Popped, PushError};
 use crate::scheduler::{Job, Reply};
 use crate::session::SessionCache;
 use echo_graph::{ExecPlan, Executor, StashPlan};
 use echo_memory::{DeviceMemory, TensorPoolStats};
 use echo_models::{LmState, WordLmDecoder, WordLmHyper};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Which scheduler runs the decode loop.
+/// Inert stub: the continuous loop ([`crate::scheduler`]) is the only
+/// scheduler. The enum and [`ServeConfig::mode`] exist only because
+/// `bench/` (frozen while the wave batcher was removed) still names
+/// them; the next `benchmark` PR drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchMode {
     /// Continuous in-flight batching: sessions join and leave a running
     /// batch between decode steps (lane compaction over the pre-built
-    /// per-batch-size plans). The production default.
+    /// per-batch-size plans).
     #[default]
     Continuous,
-    /// Wave batching: coalesce, run, repeat (the PR-4 scheduler). Kept
-    /// as the baseline the serving benchmark gates continuous against.
-    Wave,
 }
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Largest micro-batch / lane count; plans are pre-built for every
-    /// size up to it.
+    /// Largest lane count; plans are pre-built for every size up to it.
+    /// The scheduler never waits to fill lanes — it admits whatever is
+    /// queued between steps.
     pub max_batch: usize,
-    /// Wave mode only: how long a batch stays open after its first
-    /// request. The continuous scheduler never waits — it admits
-    /// whatever is queued between steps.
-    pub max_wait: Duration,
     /// Per-worker admission queue depth; pushes beyond it are rejected.
     pub queue_capacity: usize,
     /// Worker threads, each with its own parameter replica.
@@ -82,7 +75,7 @@ pub struct ServeConfig {
     pub fuse: bool,
     /// Simulated device capacity per replica.
     pub mem_bytes: u64,
-    /// Which scheduler runs the decode loop.
+    /// Ignored (see [`BatchMode`]); dropped by the next `benchmark` PR.
     pub mode: BatchMode,
     /// Per-tenant cap on requests in flight (admitted but not finished);
     /// `0` disables quotas. Admission beyond the cap is rejected with
@@ -94,7 +87,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 64,
             workers: 1,
             session_capacity: 256,
@@ -283,7 +275,7 @@ impl StreamTicket {
 }
 
 /// A pending single-step response; [`wait`](Ticket::wait) blocks until
-/// the worker executes the request's batch.
+/// the worker executes the request's decode step.
 pub struct Ticket {
     pub(crate) rx: BoundedQueue<Result<StepOutput, ServeError>>,
 }
@@ -423,11 +415,10 @@ impl LatencyRecorder {
     }
 }
 
-/// Per-worker counters, published after every batch / decode step.
+/// Per-worker counters, published after every decode step.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WorkerMetrics {
     pub(crate) completed: u64,
-    pub(crate) batches: u64,
     pub(crate) max_batch: usize,
     pub(crate) steps: u64,
     pub(crate) lanes_stepped: u64,
@@ -453,11 +444,9 @@ pub struct EngineStats {
     /// Requests answered in full (single steps and whole generation
     /// streams each count once).
     pub completed: u64,
-    /// Micro-batches executed (wave scheduler).
-    pub batches: u64,
     /// Largest lane count observed in any step.
     pub max_batch_observed: usize,
-    /// Decode steps executed (continuous scheduler).
+    /// Decode steps executed.
     pub steps: u64,
     /// Total lanes across all decode steps; `/ steps` = occupancy.
     pub lanes_stepped: u64,
@@ -491,16 +480,7 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Mean lanes per executed wave batch.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.completed as f64 / self.batches as f64
-        }
-    }
-
-    /// Mean lanes per continuous decode step — the occupancy the memory
+    /// Mean lanes per decode step — the occupancy the memory
     /// savings bought.
     pub fn occupancy(&self) -> f64 {
         if self.steps == 0 {
@@ -610,24 +590,17 @@ impl Engine {
                 queue: queue.clone(),
                 cache: SessionCache::new(config.session_capacity),
                 history: HashMap::new(),
-                policy: BatchPolicy {
-                    max_batch: config.max_batch,
-                    max_wait: config.max_wait,
-                },
+                max_lanes: config.max_batch.max(1),
                 metrics: Arc::clone(&metrics),
                 ledger: Arc::clone(&ledger),
                 latency: Arc::clone(&latency),
                 slot: i,
                 exec,
             };
-            let mode = config.mode;
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("echo-serve-{i}"))
-                    .spawn(move || match mode {
-                        BatchMode::Wave => worker.run_wave(),
-                        BatchMode::Continuous => worker.run_continuous(),
-                    })
+                    .spawn(move || worker.run_continuous())
                     .expect("spawn worker thread"),
             );
         }
@@ -660,9 +633,8 @@ impl Engine {
 
     /// Submits a generation stream: prefill `prompt`, then greedily
     /// decode `max_new_tokens` tokens, streaming each one. Requests of
-    /// one session are answered in submission order; under the
-    /// continuous scheduler the stream's session occupies one lane of
-    /// the running batch until it finishes.
+    /// one session are answered in submission order; the stream's
+    /// session occupies one lane of the running batch until it finishes.
     ///
     /// # Errors
     ///
@@ -677,12 +649,7 @@ impl Engine {
         if request.max_new_tokens == 0 {
             return Err(ServeError::Invalid("max_new_tokens must be >= 1".into()));
         }
-        if let Some(&bad) = request.prompt.iter().find(|&&t| t as usize >= self.vocab) {
-            return Err(ServeError::Invalid(format!(
-                "token {bad} out of vocabulary ({})",
-                self.vocab
-            )));
-        }
+        self.check_vocab(&request.prompt)?;
         let rx = BoundedQueue::unbounded();
         let job = Job {
             session: request.session,
@@ -702,10 +669,12 @@ impl Engine {
     ///
     /// # Errors
     ///
+    /// [`ServeError::Invalid`] for an out-of-vocabulary token,
     /// [`ServeError::Overloaded`] when the session's worker queue is full
     /// (backpressure by rejection — never by blocking), or
     /// [`ServeError::ShuttingDown`] after [`Engine::shutdown`] began.
     pub fn submit(&self, session: u64, token: u32) -> Result<Ticket, ServeError> {
+        self.check_vocab(&[token])?;
         let rx = BoundedQueue::unbounded();
         let job = Job {
             session,
@@ -717,6 +686,19 @@ impl Engine {
         };
         self.enqueue(job)?;
         Ok(Ticket { rx })
+    }
+
+    /// Refuses tokens the embedding table has no row for, before anything
+    /// is enqueued: an out-of-range index would fail the whole decode
+    /// step, and with it every co-batched session's stream.
+    fn check_vocab(&self, tokens: &[u32]) -> Result<(), ServeError> {
+        match tokens.iter().find(|&&t| t as usize >= self.vocab) {
+            Some(bad) => Err(ServeError::Invalid(format!(
+                "token {bad} out of vocabulary ({})",
+                self.vocab
+            ))),
+            None => Ok(()),
+        }
     }
 
     fn enqueue(&self, job: Job) -> Result<(), ServeError> {
@@ -778,7 +760,6 @@ impl Engine {
         };
         for slot in self.metrics.iter() {
             let m = slot.lock().unwrap();
-            stats.batches += m.batches;
             stats.max_batch_observed = stats.max_batch_observed.max(m.max_batch);
             stats.steps += m.steps;
             stats.lanes_stepped += m.lanes_stepped;
@@ -820,7 +801,8 @@ pub(crate) struct Worker {
     pub(crate) queue: BoundedQueue<Job>,
     pub(crate) cache: SessionCache,
     pub(crate) history: HashMap<u64, Vec<u32>>,
-    pub(crate) policy: BatchPolicy,
+    /// Lane cap of the running batch (`ServeConfig::max_batch`, ≥ 1).
+    pub(crate) max_lanes: usize,
     pub(crate) metrics: Arc<Vec<Mutex<WorkerMetrics>>>,
     pub(crate) ledger: Arc<TenantLedger>,
     pub(crate) latency: Arc<LatencyRecorder>,
@@ -829,23 +811,6 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    /// The wave scheduler: coalesce a micro-batch, run it, repeat.
-    fn run_wave(mut self) {
-        let mut carryover = VecDeque::new();
-        let mut local = WorkerMetrics::default();
-        while let Some(batch) =
-            collect_batch(&self.queue, &mut carryover, &self.policy, |j: &Job| {
-                j.session
-            })
-        {
-            if batch.is_empty() {
-                continue;
-            }
-            self.execute_wave(batch, &mut local);
-            self.publish(&mut local);
-        }
-    }
-
     /// Copies cache / pool gauges into `local` and publishes it.
     pub(crate) fn publish(&mut self, local: &mut WorkerMetrics) {
         local.pool = self.exec.tensor_pool_stats();
@@ -853,117 +818,6 @@ impl Worker {
         local.cache_misses = self.cache.misses();
         local.evictions = self.cache.evictions();
         *self.metrics[self.slot].lock().unwrap() = *local;
-    }
-
-    /// Runs one wave micro-batch. Single-step jobs (the common wave
-    /// workload) coalesce into one batched decode; multi-token
-    /// generation jobs run alone at `B = 1` — the wave scheduler has no
-    /// notion of a lane outliving a batch, which is exactly the gap the
-    /// continuous scheduler closes.
-    fn execute_wave(&mut self, batch: Vec<Job>, local: &mut WorkerMetrics) {
-        let (singles, longs): (Vec<Job>, Vec<Job>) = batch
-            .into_iter()
-            .partition(|j| j.prompt.len() == 1 && j.max_new == 1);
-
-        if !singles.is_empty() {
-            let mut lanes = Vec::with_capacity(singles.len());
-            for job in singles {
-                match self.resolve_state(job.session, local) {
-                    Ok(state) => lanes.push((job, state)),
-                    Err(e) => {
-                        self.ledger.release(job.tenant);
-                        job.reply.fail(e);
-                    }
-                }
-            }
-            if !lanes.is_empty() {
-                let b = lanes.len();
-                let tokens: Vec<u32> = lanes.iter().map(|(j, _)| j.prompt[0]).collect();
-                let (jobs, states): (Vec<Job>, Vec<LmState>) = lanes.into_iter().unzip();
-                self.install_plan(b);
-                match self.decoder.infer_step(&mut self.exec, &tokens, &states) {
-                    Ok((logits, next)) => {
-                        local.batches += 1;
-                        local.max_batch = local.max_batch.max(b);
-                        for ((job, lane_logits), state) in jobs.into_iter().zip(logits).zip(next) {
-                            self.cache.put(job.session, state);
-                            self.history
-                                .entry(job.session)
-                                .or_default()
-                                .push(job.prompt[0]);
-                            local.completed += 1;
-                            self.ledger.release(job.tenant);
-                            self.latency.record(job.submitted.elapsed());
-                            job.reply.token(0, lane_logits, b);
-                            job.reply.done(1, job.submitted.elapsed());
-                        }
-                    }
-                    Err(e) => {
-                        let err = ServeError::Exec(e.to_string());
-                        for job in jobs {
-                            self.ledger.release(job.tenant);
-                            job.reply.fail(err.clone());
-                        }
-                    }
-                }
-            }
-        }
-
-        for job in longs {
-            self.execute_alone(job, local);
-        }
-    }
-
-    /// Runs one generation stream to completion at `B = 1` (wave mode's
-    /// only option for multi-token jobs).
-    fn execute_alone(&mut self, job: Job, local: &mut WorkerMetrics) {
-        let mut state = match self.resolve_state(job.session, local) {
-            Ok(state) => state,
-            Err(e) => {
-                self.ledger.release(job.tenant);
-                job.reply.fail(e);
-                return;
-            }
-        };
-        self.install_plan(1);
-        let mut pending: VecDeque<u32> = job.prompt.iter().copied().collect();
-        let mut next = pending.pop_front().expect("validated non-empty");
-        let mut emitted = 0usize;
-        loop {
-            match self
-                .decoder
-                .infer_step(&mut self.exec, &[next], std::slice::from_ref(&state))
-            {
-                Ok((mut logits, mut states)) => {
-                    self.history.entry(job.session).or_default().push(next);
-                    state = states.pop().expect("one lane");
-                    local.batches += 1;
-                    local.max_batch = local.max_batch.max(1);
-                    if let Some(p) = pending.pop_front() {
-                        next = p; // still prefilling
-                        continue;
-                    }
-                    let lane_logits = logits.pop().expect("one lane");
-                    let token = argmax(&lane_logits);
-                    job.reply.token(emitted, lane_logits, 1);
-                    emitted += 1;
-                    if emitted == job.max_new {
-                        break;
-                    }
-                    next = token;
-                }
-                Err(e) => {
-                    self.ledger.release(job.tenant);
-                    job.reply.fail(ServeError::Exec(e.to_string()));
-                    return;
-                }
-            }
-        }
-        self.cache.put(job.session, state);
-        local.completed += 1;
-        self.ledger.release(job.tenant);
-        self.latency.record(job.submitted.elapsed());
-        job.reply.done(emitted, job.submitted.elapsed());
     }
 
     /// A session's current state: cache hit, or transparent re-warm by

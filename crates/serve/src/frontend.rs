@@ -257,15 +257,20 @@ fn dispatch(
         Some("stats") => write_stats(writer, &engine.stats()).map(|()| true),
         Some("quit") => Ok(false),
         Some("step") => {
+            // A token beyond `u32` is refused like any other malformed
+            // field, never wrapped into some in-range id.
             let (Some(session), Some(token)) = (
                 parsed.get("session").and_then(JsonValue::as_u64),
-                parsed.get("token").and_then(JsonValue::as_u64),
+                parsed
+                    .get("token")
+                    .and_then(JsonValue::as_u64)
+                    .and_then(|t| u32::try_from(t).ok()),
             ) else {
                 write_error(writer, None, "invalid", "step needs session and token")?;
                 return Ok(true);
             };
             match engine
-                .submit(session, token as u32)
+                .submit(session, token)
                 .and_then(|t| t.wait_timeout(reply_timeout))
             {
                 Ok(out) => {
@@ -423,7 +428,7 @@ fn write_stats(writer: &mut TcpStream, s: &EngineStats) -> std::io::Result<()> {
          \"submitted\":{},\"rejected\":{},\"quota_rejected\":{},\"completed\":{},\
          \"queue_depth\":{},\"steps\":{},\"lanes_stepped\":{},\"occupancy\":{:.4},\
          \"joins\":{},\"leaves\":{},\"churn_per_step\":{:.4},\
-         \"batches\":{},\"max_batch_observed\":{},\
+         \"max_batch_observed\":{},\
          \"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4},\
          \"evictions\":{},\"rewarms\":{},\"rewarm_tokens\":{},\
          \"pool_takes\":{},\"pool_reuse_hits\":{},\
@@ -439,7 +444,6 @@ fn write_stats(writer: &mut TcpStream, s: &EngineStats) -> std::io::Result<()> {
         s.joins,
         s.leaves,
         s.churn_per_step(),
-        s.batches,
         s.max_batch_observed,
         s.cache_hits,
         s.cache_misses,

@@ -31,13 +31,10 @@
 //! per-worker queues: [`Engine::generate`] either accepts a generation
 //! stream and returns a [`StreamTicket`], or rejects immediately
 //! ([`ServeError::Overloaded`], [`ServeError::QuotaExceeded`]) —
-//! backpressure by rejection, never by blocking the caller. By default
-//! workers run the **continuous in-flight scheduler** ([`scheduler`]):
+//! backpressure by rejection, never by blocking the caller. Workers run
+//! the **continuous in-flight scheduler** ([`scheduler`]), the only one:
 //! sessions join and leave a running batch between decode steps, with
-//! per-step lane compaction over the pre-built per-batch-size plans. The
-//! PR-4 wave batcher ([`batcher`]) remains available as
-//! [`BatchMode::Wave`], and is the baseline the serving benchmark gates
-//! continuous batching against.
+//! per-step lane compaction over the pre-built per-batch-size plans.
 //!
 //! A production front end ([`Frontend`]) wraps the engine in a threaded
 //! newline-delimited-JSON TCP server: streaming token output, per-tenant
@@ -71,7 +68,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod engine;
 pub mod frontend;
 pub mod queue;
@@ -79,7 +75,6 @@ pub mod scheduler;
 pub mod session;
 pub mod wire;
 
-pub use batcher::BatchPolicy;
 pub use engine::{
     BatchMode, Engine, EngineStats, GenRequest, ServeConfig, ServeError, StepOutput, StreamEvent,
     StreamTicket, Ticket,

@@ -1,10 +1,11 @@
 //! Continuous in-flight batching: sessions join and leave a *running*
 //! batch between decode steps.
 //!
-//! The wave batcher ([`crate::batcher`]) drains a micro-batch fully
-//! before admitting the next one, so a finished session's lane sits idle
-//! until the whole wave completes, and a newly arrived session waits for
-//! the next wave. The continuous scheduler closes both gaps:
+//! A scheduler that drains a micro-batch fully before admitting the next
+//! leaves a finished session's lane idle until the slowest stream ends,
+//! makes a newly arrived session wait for the next batch, and has no way
+//! to share a step between generation streams of different lengths. This
+//! loop is the engine's only scheduler and does none of that:
 //!
 //! * **Join** — between any two decode steps, queued requests are
 //!   admitted into free lanes (non-blocking: a running batch never waits
@@ -27,8 +28,8 @@
 //! `crates/serve/tests/continuous_bitexact.rs` pins against isolated
 //! single-session decode under every matmul policy.
 //!
-//! One invariant carries over from the wave batcher: **at most one
-//! request per session in flight on the worker**. A second request for
+//! One invariant makes batching composable with session state: **at most
+//! one request per session in flight on the worker**. A second request for
 //! an active session needs the state its predecessor is still
 //! producing, so it parks in a per-session FIFO and joins when its
 //! predecessor leaves.
@@ -134,7 +135,6 @@ impl Worker {
     /// closed *and* every admitted request — active, parked or still
     /// queued — has been answered: shutdown never drops accepted work.
     pub(crate) fn run_continuous(mut self) {
-        let max_lanes = self.policy.max_batch.max(1);
         let mut lanes: Vec<Lane> = Vec::new();
         // Jobs for sessions that already have a request in flight, FIFO
         // per session. They join when their predecessor leaves.
@@ -144,7 +144,7 @@ impl Worker {
 
         loop {
             // ── Join ─────────────────────────────────────────────────
-            while lanes.len() < max_lanes {
+            while lanes.len() < self.max_lanes {
                 if let Some(job) = unpark(&mut parked, &lanes) {
                     self.admit(job, &mut lanes, &mut local);
                     continue;

@@ -15,7 +15,7 @@ use echo_graph::{Executor, StashPlan};
 use echo_memory::DeviceMemory;
 use echo_models::{LmState, WordLmDecoder, WordLmHyper};
 use echo_rnn::LstmBackend;
-use echo_serve::{BatchMode, Engine, GenRequest, ServeConfig, StreamEvent};
+use echo_serve::{Engine, GenRequest, ServeConfig, StreamEvent};
 use echo_tensor::policy::{set_matmul_policy, MatmulBackend, MatmulPolicy};
 use std::sync::Arc;
 
@@ -104,7 +104,6 @@ fn continuous_batching_is_bit_identical_under_lane_churn() {
                 max_batch: MAX_LANES,
                 queue_capacity: 64,
                 workers: 1,
-                mode: BatchMode::Continuous,
                 ..ServeConfig::default()
             },
         )

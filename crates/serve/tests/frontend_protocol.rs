@@ -5,7 +5,7 @@
 use echo_models::WordLmHyper;
 use echo_rnn::LstmBackend;
 use echo_serve::{
-    Engine, Frontend, FrontendConfig, GenRequest, JsonValue, ServeConfig, StreamEvent,
+    Engine, Frontend, FrontendConfig, GenRequest, JsonValue, ServeConfig, ServeError, StreamEvent,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -177,6 +177,7 @@ fn stats_endpoint_reports_service_counters() {
     ] {
         assert!(stats.get(key).is_some(), "STATS is missing {key}");
     }
+    assert!(stats.get("batches").is_none(), "no per-scheduler keys");
     assert!(stats.get("completed").and_then(JsonValue::as_u64) >= Some(1));
     assert!(stats.get("joins").and_then(JsonValue::as_u64) >= Some(1));
     assert!(stats.get("p99_us").and_then(JsonValue::as_f64).unwrap() > 0.0);
@@ -243,6 +244,84 @@ fn tenant_quota_rejects_over_the_wire() {
     }
     let stats = engine.stats();
     assert_eq!(stats.quota_rejected, 1);
+}
+
+/// An out-of-vocabulary single step is refused at admission. It must
+/// never reach the decode step: there it would fail the whole step, and
+/// with it the stream of every session sharing the batch.
+#[test]
+fn out_of_vocabulary_step_is_invalid_and_spares_its_neighbours() {
+    const LONG: usize = 4000;
+    let (engine, frontend) = start(ServeConfig {
+        tenant_inflight_limit: 1,
+        ..ServeConfig::default()
+    });
+    let long = engine
+        .generate(GenRequest::new(1, vec![1], LONG).with_tenant(9))
+        .unwrap();
+    let mut generated = 0usize;
+    match long.next() {
+        Some(StreamEvent::Token { .. }) => generated += 1,
+        other => panic!("the neighbour stream never started: {other:?}"),
+    }
+
+    // While session 1 is mid-stream: a token far outside the embedding
+    // table, one just outside it, and one that a 32-bit wrap would turn
+    // into the valid token 3.
+    let mut client = Client::connect(&frontend);
+    for token in [4_000_000u64, VOCAB as u64, (1 << 32) + 3] {
+        client.send(&format!(
+            "{{\"op\":\"step\",\"session\":2,\"token\":{token}}}"
+        ));
+        let frame = client.recv();
+        assert_eq!(Client::event(&frame), "error", "token {token}");
+        assert_eq!(
+            frame.get("code").and_then(JsonValue::as_str),
+            Some("invalid"),
+            "token {token}"
+        );
+    }
+    assert!(matches!(
+        engine.submit(2, VOCAB as u32),
+        Err(ServeError::Invalid(_))
+    ));
+    // Nothing was enqueued and no quota slot taken: the default tenant's
+    // single slot is still free for a valid step of the same session.
+    client.send("{\"op\":\"step\",\"session\":2,\"token\":3}");
+    assert_eq!(Client::event(&client.recv()), "token");
+
+    loop {
+        match long.next() {
+            Some(StreamEvent::Token { .. }) => generated += 1,
+            Some(StreamEvent::Done { generated: n, .. }) => {
+                assert_eq!(n, LONG);
+                break;
+            }
+            other => panic!("neighbour stream died after {generated} tokens: {other:?}"),
+        }
+    }
+    assert_eq!(generated, LONG);
+
+    // Quota and lanes are back to zero: tenant 9 is admitted again, and
+    // once the workers publish, every join has its leave.
+    let again = engine
+        .generate(GenRequest::new(1, vec![2], 1).with_tenant(9))
+        .unwrap();
+    while let Some(event) = again.next() {
+        assert!(!matches!(event, StreamEvent::Error(_)), "{event:?}");
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let stats = engine.stats();
+        if stats.completed == 3 && stats.joins == stats.leaves {
+            break stats;
+        }
+        assert!(std::time::Instant::now() < deadline, "{stats:?}");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    assert_eq!(stats.submitted, 3, "refused steps were never enqueued");
+    assert_eq!((stats.joins, stats.leaves), (3, 3));
+    assert_eq!(stats.quota_rejected + stats.rejected, 0);
 }
 
 #[test]

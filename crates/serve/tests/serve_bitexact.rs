@@ -1,8 +1,8 @@
 //! The serving contract: batching never changes a session's bits.
 //!
-//! For every matmul policy, an engine that coalesces concurrent sessions
-//! into micro-batches (running inference-mode plans on a worker replica)
-//! must produce, for each session, logits bit-identical to replaying that
+//! For every matmul policy, an engine that coalesces pipelined
+//! single-step `submit` requests of concurrent sessions into shared decode
+//! steps (running inference-mode plans on a worker replica) must produce, for each session, logits bit-identical to replaying that
 //! session alone, one `[1, 1]` step at a time, through a plan-less
 //! executor. This file holds a single `#[test]` on purpose: the matmul
 //! policy is process-global, so no other test in this binary may race it.
@@ -11,10 +11,9 @@ use echo_graph::{Executor, StashPlan};
 use echo_memory::DeviceMemory;
 use echo_models::{LmState, WordLmDecoder, WordLmHyper};
 use echo_rnn::LstmBackend;
-use echo_serve::{BatchMode, Engine, ServeConfig, ServeError, Ticket};
+use echo_serve::{Engine, ServeConfig, ServeError, Ticket};
 use echo_tensor::policy::{set_matmul_policy, MatmulBackend, MatmulPolicy};
 use std::sync::Arc;
-use std::time::Duration;
 
 const SEED: u64 = 41;
 const VOCAB: usize = 37;
@@ -67,13 +66,8 @@ fn batched_serving_is_bit_identical_for_every_matmul_policy() {
             SEED,
             ServeConfig {
                 max_batch: 4,
-                max_wait: Duration::from_millis(100),
                 queue_capacity: 256,
                 workers: 1,
-                // Pin the wave scheduler: this file is the wave
-                // baseline's regression test; the continuous scheduler
-                // has its own sweep in continuous_bitexact.rs.
-                mode: BatchMode::Wave,
                 ..ServeConfig::default()
             },
         )
@@ -81,8 +75,8 @@ fn batched_serving_is_bit_identical_for_every_matmul_policy() {
         assert_eq!(engine.plans().len(), 4, "one plan per batch size");
 
         // Pipeline every session's whole request stream before waiting:
-        // the worker's batcher coalesces across sessions while per-session
-        // FIFO order keeps state threading causal.
+        // the scheduler coalesces across sessions while the parked
+        // per-session FIFO keeps state threading causal.
         let mut tickets: Vec<Vec<Ticket>> = Vec::new();
         for session in 0..SESSIONS {
             let mut per_session = Vec::new();

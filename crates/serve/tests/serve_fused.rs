@@ -11,7 +11,6 @@
 use echo_models::WordLmHyper;
 use echo_rnn::LstmBackend;
 use echo_serve::{Engine, ServeConfig, ServeError, StepOutput};
-use std::time::Duration;
 
 const SEED: u64 = 53;
 const VOCAB: usize = 31;
@@ -24,7 +23,6 @@ fn start(fuse: bool) -> Engine {
         SEED,
         ServeConfig {
             max_batch: 2,
-            max_wait: Duration::from_millis(1),
             workers: 1,
             fuse,
             ..ServeConfig::default()

@@ -9,7 +9,6 @@ use echo_models::{LmState, WordLmDecoder, WordLmHyper};
 use echo_rnn::LstmBackend;
 use echo_serve::{Engine, ServeConfig};
 use std::sync::Arc;
-use std::time::Duration;
 
 const SEED: u64 = 77;
 const VOCAB: usize = 29;
@@ -35,7 +34,6 @@ fn evicted_sessions_rewarm_bit_identically() {
         SEED,
         ServeConfig {
             max_batch: 1,
-            max_wait: Duration::from_millis(1),
             queue_capacity: 64,
             workers: 1,
             session_capacity: CAPACITY,

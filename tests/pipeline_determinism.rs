@@ -11,11 +11,11 @@
 //! `forward_many` on the same plan-driven loops as the serial reference
 //! (`train_step`), under per-stage `ExecPlan`s built once in
 //! `PipelineTrainer::new` and shared by a stage's replicas — so stage
-//! executors plan nothing at step time (asserted below). The loops pick
-//! serial or wavefront scheduling from `ECHO_WAVEFRONT` /
-//! `ECHO_NUM_THREADS`; both commit in schedule order, so every assertion
-//! here must hold in either. CI re-runs this suite with
-//! `ECHO_WAVEFRONT=0` and with `ECHO_NUM_THREADS=4` to pin that down.
+//! executors plan nothing at step time (asserted below). The loops visit
+//! plan entries in schedule order on the stage's own thread; only the
+//! kernels underneath band rows across `ECHO_NUM_THREADS` workers, which
+//! changes no bit, so every assertion here must hold at any thread count.
+//! CI re-runs this suite with `ECHO_NUM_THREADS=4` to pin that down.
 
 use echo::analysis::infer_shapes;
 use echo::{chen_sqrt_plan, sqrt_stride, EchoCompiler, EchoConfig, StashSelection};

@@ -10,6 +10,7 @@
 //! step — under a plan installed up front or one the executor plans on
 //! demand — is **bit-identical** in loss and every exported gradient to
 //! the oracle (`echo_graph::reference`: no plan, no replay, no reuse),
+//! and so is the step after it, which runs on recycled pool storage;
 //! performs exactly `ExecPlan::planned_replays()` replays, and reports
 //! exactly the peak the deleted per-node allocator walk reported for that
 //! cell (frozen below as golden constants). A second sweep adds the fusion
@@ -234,6 +235,22 @@ fn run_step(
         loss_bits: stats.loss.expect("numeric loss").to_bits(),
         grad_bits: grad_bits(exec.export_grads()),
     };
+    // Nothing updates the parameters, so a second step on storage the
+    // first one recycled into the tensor pool must repeat it exactly.
+    let again = exec
+        .train_step(
+            &scenario.bindings,
+            scenario.loss,
+            ExecOptions::default(),
+            None,
+        )
+        .expect("second train step");
+    let repeat = Fingerprint {
+        loss_bits: again.loss.expect("numeric loss").to_bits(),
+        grad_bits: grad_bits(exec.export_grads()),
+    };
+    assert_eq!(repeat, fingerprint, "second step on recycled storage");
+    assert_eq!(again.replays, stats.replays, "second step's replays");
     (fingerprint, stats, plan)
 }
 
