@@ -189,8 +189,6 @@ impl Adam {
 pub struct Speedometer {
     samples: u64,
     sim_ns: u64,
-    iterations: u64,
-    replays: u64,
 }
 
 impl Speedometer {
@@ -202,19 +200,8 @@ impl Speedometer {
     /// Records one iteration of `batch` samples taking `sim_ns` simulated
     /// nanoseconds.
     pub fn record(&mut self, batch: usize, sim_ns: u64) {
-        self.record_with_replays(batch, sim_ns, 0);
-    }
-
-    /// Like [`Speedometer::record`], also accounting the iteration's
-    /// segment replays (from
-    /// [`IterationStats::replays`](echo_graph::IterationStats) or a delta
-    /// of the executor's cumulative `replays()` counter) — so training
-    /// loops can report recompute pressure next to throughput.
-    pub fn record_with_replays(&mut self, batch: usize, sim_ns: u64, replays: u64) {
         self.samples += batch as u64;
         self.sim_ns += sim_ns;
-        self.iterations += 1;
-        self.replays += replays;
     }
 
     /// Average throughput in samples per (simulated) second.
@@ -229,20 +216,6 @@ impl Speedometer {
     /// Total simulated time recorded.
     pub fn total_sim_ns(&self) -> u64 {
         self.sim_ns
-    }
-
-    /// Total segment replays recorded.
-    pub fn total_replays(&self) -> u64 {
-        self.replays
-    }
-
-    /// Average segment replays per recorded iteration.
-    pub fn replays_per_iteration(&self) -> f64 {
-        if self.iterations == 0 {
-            0.0
-        } else {
-            self.replays as f64 / self.iterations as f64
-        }
     }
 }
 

@@ -7,8 +7,7 @@
 //!   L2 trace simulator and the device timing model (the paper's actual
 //!   mechanism);
 //! * a **real CPU cross-check**: the same products run with the naive
-//!   GEMM under both layouts on this machine (also exercised by
-//!   `cargo bench -p echo-repro --bench gemm_layout`).
+//!   GEMM under both layouts on this machine.
 
 use echo_cachesim::{simulate_gemm, CacheConfig, TiledGemmSpec};
 use echo_device::{DeviceSim, DeviceSpec};

@@ -35,16 +35,22 @@
 //! is bit-exact on the wire). Failures arrive as
 //! `{"event":"error","code":"overloaded"|"quota"|"invalid"|"timeout"|
 //! "shutting_down"|"exec","error":"..."}` and never tear down the
-//! connection except on I/O errors.
+//! connection except on I/O errors and on a line longer than
+//! [`MAX_LINE_BYTES`], which is answered `invalid` and then closed.
 
 use crate::engine::{Engine, EngineStats, GenRequest, ServeError, StreamEvent};
 use crate::wire::{escape, JsonValue, WireF32};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Longest request line, newline included. `generate`'s `prompt` is the
+/// only long field; past this the handler answers `invalid` and closes
+/// rather than buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Front-end configuration.
 #[derive(Debug, Clone)]
@@ -213,7 +219,15 @@ fn handle_connection(
         if shutdown.load(Ordering::Relaxed) {
             return Ok(());
         }
-        match reader.read_line(&mut line) {
+        // Never read past the cap, so an endless line costs one buffer.
+        let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        let read = reader.by_ref().take(budget).read_line(&mut line);
+        if line.len() > MAX_LINE_BYTES {
+            let message = format!("request line over {MAX_LINE_BYTES} bytes");
+            write_error(&mut writer, None, "invalid", &message)?;
+            return Ok(());
+        }
+        match read {
             Ok(0) => return Ok(()), // client closed
             Ok(_) => {
                 let request = std::mem::take(&mut line);

@@ -11,6 +11,12 @@
 
 use std::fmt;
 
+/// Deepest container nesting a document may have. Requests nest two
+/// deep (an object holding the `prompt` array); the cap bounds the
+/// recursive parser's stack, so a hostile line is a parse error rather
+/// than a stack overflow that aborts the whole server.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -37,7 +43,7 @@ impl JsonValue {
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -109,12 +115,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits inside `depth` containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", JsonValue::Bool(false)),
@@ -203,7 +214,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // [
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -212,7 +223,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -225,7 +236,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // {
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -244,7 +255,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -332,6 +343,21 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("[1] trailing").is_err());
         assert!(JsonValue::parse("").is_err());
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_cap_without_recursing() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Deep enough to overflow a default thread stack if the parser
+        // recursed once per bracket; run on such a thread, as the front
+        // end's per-connection handlers are.
+        let hostile = "[".repeat(200_000);
+        let parsed = std::thread::spawn(move || JsonValue::parse(&hostile).is_err())
+            .join()
+            .expect("parser thread survives");
+        assert!(parsed, "depth 200,000 is a parse error");
     }
 
     #[test]

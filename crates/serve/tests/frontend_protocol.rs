@@ -1,16 +1,18 @@
 //! The line-protocol front end, end to end over real TCP: request
 //! framing, streamed token events, wire-exact logits, the `STATS`
-//! endpoint, per-tenant admission quotas, and the connection cap.
+//! endpoint, per-tenant admission quotas, hostile request lines, and the
+//! connection cap.
 
 use echo_models::WordLmHyper;
 use echo_rnn::LstmBackend;
+use echo_serve::frontend::MAX_LINE_BYTES;
 use echo_serve::{
     Engine, Frontend, FrontendConfig, GenRequest, JsonValue, ServeConfig, ServeError, StreamEvent,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 47;
 const VOCAB: usize = 41;
@@ -322,6 +324,77 @@ fn out_of_vocabulary_step_is_invalid_and_spares_its_neighbours() {
     assert_eq!(stats.submitted, 3, "refused steps were never enqueued");
     assert_eq!((stats.joins, stats.leaves), (3, 3));
     assert_eq!(stats.quota_rejected + stats.rejected, 0);
+}
+
+/// One client's lines can cost that client its connection, never the
+/// server: a nesting bomb is a parse error (not a stack overflow, which
+/// would abort the process and every client with it), and an endless
+/// line is refused at the cap instead of buffered without bound.
+#[test]
+fn hostile_lines_are_invalid_and_spare_the_server() {
+    let engine = Arc::new(Engine::start(hyper(), SEED, ServeConfig::default()).unwrap());
+    let frontend = Frontend::start(
+        Arc::clone(&engine),
+        FrontendConfig {
+            max_connections: 1,
+            ..FrontendConfig::default()
+        },
+    )
+    .unwrap();
+
+    let mut hostile = Client::connect(&frontend);
+    hostile.send(&"[".repeat(200_000));
+    let frame = hostile.recv();
+    assert_eq!(
+        frame.get("code").and_then(JsonValue::as_str),
+        Some("invalid")
+    );
+    // Exactly one byte past the cap, so the server has read all of it
+    // when it closes (unread input would turn the close into a reset).
+    hostile
+        .writer
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .unwrap();
+    let frame = hostile.recv();
+    assert_eq!(
+        frame.get("code").and_then(JsonValue::as_str),
+        Some("invalid")
+    );
+    let mut rest = String::new();
+    assert_eq!(hostile.reader.read_line(&mut rest).unwrap(), 0, "closed");
+
+    // With a cap of one connection, being admitted proves the hostile
+    // connection's slot came back. Its handler frees the slot just after
+    // the close, so listen before speaking: a refused connection is told
+    // `overloaded` at once, an admitted one hears nothing.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut client = loop {
+        let mut client = Client::connect(&frontend);
+        client
+            .writer
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        let mut line = String::new();
+        match client.reader.read_line(&mut line) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                client
+                    .writer
+                    .set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                break client;
+            }
+            _ => assert!(line.contains("overloaded"), "{line:?}"),
+        }
+        assert!(Instant::now() < deadline, "the connection slot leaked");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    client.send("{\"op\":\"ping\"}");
+    assert_eq!(Client::event(&client.recv()), "pong");
+    client.send("{\"op\":\"generate\",\"session\":4,\"prompt\":[1,2],\"max_new_tokens\":3}");
+    for _ in 0..3 {
+        assert_eq!(Client::event(&client.recv()), "token");
+    }
+    assert_eq!(Client::event(&client.recv()), "done");
 }
 
 #[test]

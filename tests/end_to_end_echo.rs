@@ -2,7 +2,7 @@
 //! compiled, trained model — data → graph → compiler pass → dual-plane
 //! executor → optimizer → metrics.
 
-use echo::{EchoCompiler, EchoConfig};
+use echo::{EchoCompiler, EchoConfig, StashSelection};
 use echo_data::{BpttBatches, LmCorpus, NmtBatch, ParallelCorpus, Vocab};
 use echo_graph::{ExecOptions, Executor, StashPlan};
 use echo_memory::DeviceMemory;
@@ -67,6 +67,70 @@ fn compiled_nmt_trains_bit_exactly_with_smaller_footprint() {
     assert!(
         (peak_echo as f64) < peak_base as f64 * 0.9,
         "echo peak {peak_echo} vs baseline {peak_base}"
+    );
+}
+
+/// The cost-model stash-set search finds a smaller footprint than the
+/// O-shape heuristic on NMT, and like every stash choice it changes
+/// which values are recomputed, never the numbers.
+#[test]
+fn searched_plan_beats_heuristic_on_nmt() {
+    let model = NmtModel::build(NmtHyper::tiny(100, 90));
+    let searched = EchoConfig {
+        selection: StashSelection::Search { flop_budget: 1.0 },
+        ..EchoConfig::default()
+    };
+    let report = EchoCompiler::new(searched)
+        .compile(
+            &model.graph,
+            &model.symbolic_bindings(8),
+            &model.param_shapes(),
+            &[model.loss, model.logits],
+        )
+        .expect("search compile")
+        .report
+        .search
+        .expect("search report");
+    assert!(
+        report.searched_peak_bytes < report.heuristic_peak_bytes
+            && report.heuristic_peak_bytes < report.stash_all_peak_bytes,
+        "planned peaks: searched {} < heuristic {} < stash-all {}",
+        report.searched_peak_bytes,
+        report.heuristic_peak_bytes,
+        report.stash_all_peak_bytes
+    );
+
+    let corpus = ParallelCorpus::synthetic(Vocab::new(100), Vocab::new(90), 200, 5..=8, 5);
+    let batch = NmtBatch::bucketed(corpus.pairs(), 8).remove(0);
+    let bindings = model.bindings(&batch);
+    let run = |config: EchoConfig| {
+        let mut exec = Executor::new(Arc::clone(&model.graph), StashPlan::stash_all(), mem());
+        model.bind_params(&mut exec, 2).expect("bind");
+        EchoCompiler::new(config)
+            .attach(
+                &mut exec,
+                &bindings,
+                &model.param_shapes(),
+                &[model.loss, model.logits],
+            )
+            .expect("attach");
+        let planned = exec.exec_plan().expect("plan attached").planned_replays();
+        let mut sgd = Sgd::new(1.0).with_clip_norm(5.0);
+        (0..3)
+            .map(|_| {
+                let stats = exec
+                    .train_step(&bindings, model.loss, ExecOptions::default(), None)
+                    .expect("step");
+                assert_eq!(stats.replays, planned, "replays as planned");
+                sgd.step(&mut exec);
+                stats.loss.unwrap().to_bits()
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        run(EchoConfig::default()),
+        run(searched),
+        "searched-plan losses must equal the heuristic plan's, bit for bit"
     );
 }
 
