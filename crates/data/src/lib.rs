@@ -14,7 +14,9 @@
 //!   token mapping plus local reordering, with noise) whose BLEU score
 //!   rises as a seq2seq+attention model learns it, standing in for
 //!   IWSLT15 En–Vi;
-//! * batching utilities matching the models' `[T, B]` time-major inputs.
+//! * batching utilities matching the models' `[T, B]` time-major inputs,
+//!   and [`MicrobatchPlan`], which cuts a global batch into the leaves of
+//!   the trainers' canonical gradient fold.
 
 #![warn(missing_docs)]
 
@@ -25,8 +27,5 @@ pub mod vocab;
 
 pub use batch::{BpttBatches, LmBatch, NmtBatch};
 pub use lm::LmCorpus;
-pub use parallel::{
-    shard_lm_batch, slice_lm_lanes, slice_nmt_lanes, MicrobatchPlan, ParallelCorpus,
-    PipelineSchedule, ScheduleEntry, SentencePair, Sharding,
-};
+pub use parallel::{slice_lm_lanes, slice_nmt_lanes, MicrobatchPlan, ParallelCorpus, SentencePair};
 pub use vocab::{Vocab, BOS, EOS, PAD, UNK};

@@ -1,6 +1,6 @@
-//! Parallelism support: the synthetic parallel (translation) corpus
-//! standing in for IWSLT15 English–Vietnamese, and the batch-sharding
-//! layer that carves global batches across data-parallel replicas.
+//! The synthetic parallel (translation) corpus standing in for IWSLT15
+//! English–Vietnamese, and the micro-batch plan that cuts global batches
+//! into the leaves the trainers fold.
 
 use crate::batch::{LmBatch, NmtBatch};
 use crate::vocab::{Vocab, NUM_SPECIAL};
@@ -8,62 +8,8 @@ use echo_tensor::{Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A contiguous partition of `total` samples into `parts` shards.
-///
-/// Shard sizes are near-equal: the first `total % parts` shards receive
-/// one extra sample. Every sample lands in exactly one shard and shards
-/// preserve sample order, so concatenating the shards reproduces the
-/// global batch. Degenerate inputs are well-defined rather than panics:
-/// with `parts > total` the tail shards are simply empty.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sharding {
-    counts: Vec<usize>,
-}
-
-impl Sharding {
-    /// Splits `total` samples into `parts` contiguous shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is zero.
-    pub fn contiguous(total: usize, parts: usize) -> Sharding {
-        assert!(parts > 0, "cannot shard into zero parts");
-        let base = total / parts;
-        let extra = total % parts;
-        Sharding {
-            counts: (0..parts).map(|p| base + usize::from(p < extra)).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn parts(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Number of samples in shard `part`.
-    pub fn len(&self, part: usize) -> usize {
-        self.counts[part]
-    }
-
-    /// Whether shard `part` received no samples (`parts > total`).
-    pub fn is_empty(&self, part: usize) -> bool {
-        self.counts[part] == 0
-    }
-
-    /// The half-open global index range owned by shard `part`.
-    pub fn range(&self, part: usize) -> std::ops::Range<usize> {
-        let start: usize = self.counts[..part].iter().sum();
-        start..start + self.counts[part]
-    }
-
-    /// All shard ranges, in order.
-    pub fn ranges(&self) -> Vec<std::ops::Range<usize>> {
-        (0..self.parts()).map(|p| self.range(p)).collect()
-    }
-}
-
 /// Extracts lanes `[lo, hi)` of a `[T, B]` language-modeling batch as a
-/// standalone batch (used to hand each replica its shard).
+/// standalone batch (used to cut micro-batches).
 ///
 /// # Panics
 ///
@@ -132,16 +78,6 @@ pub fn slice_nmt_lanes(batch: &NmtBatch, lanes: std::ops::Range<usize>) -> NmtBa
         src_len: batch.src_len,
         tgt_len: batch.tgt_len,
     }
-}
-
-/// Shards an LM batch lane-wise across `parts` replicas (near-equal
-/// contiguous shards; empty shards when `parts` exceeds the lane count).
-pub fn shard_lm_batch(batch: &LmBatch, parts: usize) -> Vec<LmBatch> {
-    Sharding::contiguous(batch.batch, parts)
-        .ranges()
-        .into_iter()
-        .map(|r| slice_lm_lanes(batch, r))
-        .collect()
 }
 
 /// The micro-batch schedule that makes data-parallel gradients bit-exact.
@@ -258,108 +194,6 @@ impl MicrobatchPlan {
         assert!(replica < replicas, "replica {replica} of {replicas}");
         let per = self.micro / replicas;
         replica * per..(replica + 1) * per
-    }
-}
-
-/// One cell of a [`PipelineSchedule`]: at time `slot`, stage `stage`
-/// processes micro-batch `micro` in the given direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduleEntry {
-    /// Discrete time slot (all stages advance in lock-step slots).
-    pub slot: usize,
-    /// Pipeline stage index.
-    pub stage: usize,
-    /// Micro-batch index.
-    pub micro: usize,
-    /// `false` for the forward pass, `true` for the backward pass.
-    pub backward: bool,
-}
-
-/// The GPipe fill–drain schedule over a [`MicrobatchPlan`]: all `M`
-/// micro-batches flow forward through the `P` stages, then flow backward
-/// in reverse stage order. Stage `s` runs micro `m` forward at slot
-/// `s + m` and backward at slot `(M + P - 1) + (P - 1 - s) + m`, giving a
-/// span of `2(M + P - 1)` slots, `2M` busy slots per stage, and exactly
-/// `2(P - 1)` idle ("bubble") slots per stage — the GPipe `P - 1` bound
-/// per pass.
-#[derive(Debug, Clone)]
-pub struct PipelineSchedule {
-    stages: usize,
-    micro: usize,
-    entries: Vec<ScheduleEntry>,
-}
-
-impl PipelineSchedule {
-    /// Builds the fill–drain schedule for `plan`'s micro-batches over
-    /// `stages` pipeline stages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is zero.
-    pub fn gpipe(plan: &MicrobatchPlan, stages: usize) -> PipelineSchedule {
-        assert!(stages > 0, "at least one pipeline stage");
-        let micro = plan.micro();
-        let fwd_span = micro + stages - 1;
-        let mut entries = Vec::with_capacity(2 * micro * stages);
-        for m in 0..micro {
-            for s in 0..stages {
-                entries.push(ScheduleEntry {
-                    slot: s + m,
-                    stage: s,
-                    micro: m,
-                    backward: false,
-                });
-            }
-        }
-        for m in 0..micro {
-            for s in (0..stages).rev() {
-                entries.push(ScheduleEntry {
-                    slot: fwd_span + (stages - 1 - s) + m,
-                    stage: s,
-                    micro: m,
-                    backward: true,
-                });
-            }
-        }
-        entries.sort_by_key(|e| (e.slot, e.stage, e.backward));
-        PipelineSchedule {
-            stages,
-            micro,
-            entries,
-        }
-    }
-
-    /// Number of pipeline stages.
-    pub fn stages(&self) -> usize {
-        self.stages
-    }
-
-    /// Number of micro-batches.
-    pub fn micro(&self) -> usize {
-        self.micro
-    }
-
-    /// All schedule entries, ordered by `(slot, stage)`.
-    pub fn entries(&self) -> &[ScheduleEntry] {
-        &self.entries
-    }
-
-    /// Total slots from first forward to last backward:
-    /// `2(M + P - 1)`.
-    pub fn span(&self) -> usize {
-        2 * (self.micro + self.stages - 1)
-    }
-
-    /// Busy slots per stage: `2M` (every stage touches every micro-batch
-    /// once per direction).
-    pub fn stage_busy(&self) -> usize {
-        2 * self.micro
-    }
-
-    /// Idle slots per stage — the fill/drain bubbles: `span - busy =
-    /// 2(P - 1)`, i.e. the GPipe `P - 1` bound in each direction.
-    pub fn bubbles_per_stage(&self) -> usize {
-        self.span() - self.stage_busy()
     }
 }
 
@@ -562,51 +396,25 @@ mod tests {
     }
 
     #[test]
-    fn sharding_partitions_without_loss() {
-        for (total, parts) in [(8, 4), (10, 3), (3, 7), (0, 2), (5, 5)] {
-            let s = Sharding::contiguous(total, parts);
-            let ranges = s.ranges();
-            assert_eq!(ranges.len(), parts);
-            let mut covered = Vec::new();
-            for r in &ranges {
-                covered.extend(r.clone());
-            }
-            assert_eq!(covered, (0..total).collect::<Vec<_>>());
-            // Near-equal: sizes differ by at most one.
-            let sizes: Vec<usize> = (0..parts).map(|p| s.len(p)).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "{sizes:?}");
-        }
-    }
-
-    #[test]
     fn lane_slices_reassemble_the_batch() {
         let batch = numbered_batch(3, 10);
-        let shards = shard_lm_batch(&batch, 4);
-        assert_eq!(shards.iter().map(|s| s.batch).sum::<usize>(), 10);
-        for (shard, range) in shards.iter().zip(Sharding::contiguous(10, 4).ranges()) {
+        let ranges = [0..3, 3..6, 6..8, 8..10];
+        for range in ranges {
+            let slice = slice_lm_lanes(&batch, range.clone());
+            assert_eq!(slice.batch, range.len());
             for t in 0..batch.seq_len {
                 for (i, b) in range.clone().enumerate() {
                     assert_eq!(
-                        shard.input.data()[t * shard.batch + i],
+                        slice.input.data()[t * slice.batch + i],
                         batch.input.data()[t * batch.batch + b]
                     );
                     assert_eq!(
-                        shard.targets.data()[t * shard.batch + i],
+                        slice.targets.data()[t * slice.batch + i],
                         batch.targets.data()[t * batch.batch + b]
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn degenerate_sharding_yields_empty_tail_shards() {
-        let batch = numbered_batch(2, 3);
-        let shards = shard_lm_batch(&batch, 8);
-        assert_eq!(shards.len(), 8);
-        assert_eq!(shards.iter().filter(|s| s.batch == 0).count(), 5);
-        assert_eq!(shards.iter().map(|s| s.batch).sum::<usize>(), 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the synthetic-data crate.
 
 use echo_data::{
-    shard_lm_batch, BpttBatches, LmCorpus, NmtBatch, ParallelCorpus, Sharding, Vocab, BOS, EOS, PAD,
+    BpttBatches, LmCorpus, MicrobatchPlan, NmtBatch, ParallelCorpus, Vocab, BOS, EOS, PAD,
 };
 use proptest::prelude::*;
 
@@ -88,58 +88,38 @@ proptest! {
         prop_assert!(a.iter().all(|&t| corpus.tgt_vocab().is_word(t)));
     }
 
-    /// Sharding partitions any batch: every sample appears in exactly one
-    /// shard, order is preserved, and shard sizes are near-equal. The
-    /// degenerate case (more replicas than samples) must not panic — it
-    /// yields empty tail shards.
-    #[test]
-    fn sharding_is_a_partition(total in 0usize..200, parts in 1usize..24) {
-        let s = Sharding::contiguous(total, parts);
-        let mut seen = Vec::new();
-        for p in 0..s.parts() {
-            let r = s.range(p);
-            prop_assert_eq!(r.len(), s.len(p));
-            prop_assert_eq!(s.is_empty(p), r.is_empty());
-            seen.extend(r);
-        }
-        // No dropped or duplicated sample, order preserved.
-        prop_assert_eq!(seen, (0..total).collect::<Vec<_>>());
-        let sizes: Vec<usize> = (0..parts).map(|p| s.len(p)).collect();
-        let min = *sizes.iter().min().unwrap();
-        let max = *sizes.iter().max().unwrap();
-        prop_assert!(max - min <= 1, "unbalanced shards: {:?}", sizes);
-    }
-
-    /// Sharding an actual LM batch moves every (t, lane) cell into exactly
-    /// one shard, unchanged, including when replicas exceed lanes.
+    /// Cutting an LM batch into micro-batches moves every (t, lane) cell
+    /// into exactly one micro-batch, unchanged and in lane order.
     #[test]
     fn lm_batch_sharding_loses_no_cell(
-        lanes in 1usize..12, seq in 1usize..6, parts in 1usize..16, seed in 0u64..100,
+        micro_pow in 0u32..4, lanes_per in 1usize..4, seq in 1usize..6, seed in 0u64..100,
     ) {
+        let micro = 1usize << micro_pow;
+        let lanes = micro * lanes_per;
         let corpus = LmCorpus::synthetic(Vocab::new(30), lanes * (seq + 2), 0.5, seed);
         let Some(batch) = BpttBatches::new(corpus.tokens(), lanes, seq).next() else {
-            // Stream too short for a full window — nothing to shard.
+            // Stream too short for a full window — nothing to cut.
             return Ok(());
         };
-        let shards = shard_lm_batch(&batch, parts);
-        prop_assert_eq!(shards.len(), parts);
-        prop_assert_eq!(shards.iter().map(|s| s.batch).sum::<usize>(), lanes);
+        let micros = MicrobatchPlan::new(lanes, micro).unwrap().cut(&batch);
+        prop_assert_eq!(micros.len(), micro);
+        prop_assert_eq!(micros.iter().map(|s| s.batch).sum::<usize>(), lanes);
         let mut lane = 0usize;
-        for shard in &shards {
-            prop_assert_eq!(shard.seq_len, seq);
-            for b in 0..shard.batch {
+        for m in &micros {
+            prop_assert_eq!(m.seq_len, seq);
+            for b in 0..m.batch {
                 for t in 0..seq {
                     prop_assert_eq!(
-                        shard.input.data()[t * shard.batch + b],
+                        m.input.data()[t * m.batch + b],
                         batch.input.data()[t * batch.batch + lane + b]
                     );
                     prop_assert_eq!(
-                        shard.targets.data()[t * shard.batch + b],
+                        m.targets.data()[t * m.batch + b],
                         batch.targets.data()[t * batch.batch + lane + b]
                     );
                 }
             }
-            lane += shard.batch;
+            lane += m.batch;
         }
     }
 
@@ -155,58 +135,6 @@ proptest! {
 }
 
 proptest! {
-    /// GPipe schedule contract: every micro-batch visits stages in order
-    /// (ascending forward, descending backward, all forwards before its
-    /// backward), per-stage occupancy never exceeds one entry per slot,
-    /// and the per-stage bubble count matches the GPipe `P - 1` bound in
-    /// each direction.
-    #[test]
-    fn gpipe_schedule_is_well_formed(
-        micro_pow in 0u32..4, lanes_per in 1usize..4, stages in 1usize..6,
-    ) {
-        let micro = 1usize << micro_pow;
-        let plan = echo_data::MicrobatchPlan::new(micro * lanes_per, micro).unwrap();
-        let sched = echo_data::PipelineSchedule::gpipe(&plan, stages);
-        prop_assert_eq!(sched.entries().len(), 2 * micro * stages);
-
-        // Per-micro stage visit order.
-        for m in 0..micro {
-            let fwd: Vec<(usize, usize)> = sched.entries().iter()
-                .filter(|e| e.micro == m && !e.backward)
-                .map(|e| (e.slot, e.stage))
-                .collect();
-            let bwd: Vec<(usize, usize)> = sched.entries().iter()
-                .filter(|e| e.micro == m && e.backward)
-                .map(|e| (e.slot, e.stage))
-                .collect();
-            prop_assert_eq!(fwd.len(), stages);
-            prop_assert_eq!(bwd.len(), stages);
-            for w in fwd.windows(2) {
-                prop_assert!(w[0].0 < w[1].0 && w[0].1 + 1 == w[1].1, "forward order {fwd:?}");
-            }
-            for w in bwd.windows(2) {
-                prop_assert!(w[0].0 < w[1].0 && w[0].1 == w[1].1 + 1, "backward order {bwd:?}");
-            }
-            // All forwards strictly precede the first backward.
-            prop_assert!(fwd.last().unwrap().0 < bwd.first().unwrap().0);
-        }
-
-        // Per-(slot, stage) occupancy <= 1.
-        let mut seen = std::collections::HashSet::new();
-        for e in sched.entries() {
-            prop_assert!(seen.insert((e.slot, e.stage)), "stage {} double-booked at slot {}", e.stage, e.slot);
-        }
-
-        // Bubble accounting: span - busy = 2 (P - 1) per stage.
-        prop_assert_eq!(sched.span(), 2 * (micro + stages - 1));
-        prop_assert_eq!(sched.stage_busy(), 2 * micro);
-        prop_assert_eq!(sched.bubbles_per_stage(), 2 * (stages - 1));
-        for s in 0..stages {
-            let busy = sched.entries().iter().filter(|e| e.stage == s).count();
-            prop_assert_eq!(busy, sched.stage_busy());
-        }
-    }
-
     /// NMT lane slicing loses no cell across any of the three tensors.
     #[test]
     fn nmt_lane_slices_are_faithful(pairs in 4usize..16, batch in 2usize..5, seed in 0u64..100) {

@@ -16,7 +16,6 @@
 pub mod infer;
 pub mod metrics;
 pub mod nmt;
-pub mod parallel;
 pub mod pipeline;
 pub mod resnet;
 pub mod trainer;
@@ -25,11 +24,7 @@ pub mod word_lm;
 pub use infer::{LmState, WordLmDecoder};
 pub use metrics::{bleu, perplexity};
 pub use nmt::{NmtHyper, NmtModel};
-pub use parallel::{
-    DataParallelOptions, MicrobatchTrainer, ParallelTrainer, PipelineOptions, ReplicaStepStats,
-    StageStepStats, StepReport,
-};
-pub use pipeline::{PipelineStepReport, PipelineTrainer};
+pub use pipeline::{PipelineOptions, PipelineTrainer, StageStepStats, StepReport};
 pub use resnet::{resnet50_iteration_ns, resnet50_memory_bytes};
-pub use trainer::{Adam, Optimizer, Sgd, Speedometer, TrainLog};
+pub use trainer::{Adam, MicrobatchTrainer, Optimizer, Sgd, Speedometer, TrainLog};
 pub use word_lm::{WordLm, WordLmHyper};

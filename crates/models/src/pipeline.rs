@@ -1,31 +1,43 @@
-//! GPipe-style pipelined training over a stage-partitioned graph, with
-//! the same bit-exactness contract as the data-parallel engine.
+//! The one multi-worker trainer: GPipe-style pipelining over `P` graph
+//! stages, replicated `K` ways. A one-stage partition is plain data
+//! parallelism — the paper's multi-GPU setting ([§6.6], Figure 17) — and
+//! `K = 1` is plain pipelining.
 //!
 //! [`echo_graph::partition_stages`] cuts the graph into `P` contiguous
 //! stages at parameter-safe boundaries. This module runs those stages on
-//! `K × P` worker threads (`K` pipeline replicas for hybrid
-//! pipeline-×-data parallelism): within a replica, activations flow
-//! downstream and activation-gradients flow upstream over channels in
-//! GPipe fill–drain order; across replicas, each stage's per-micro-batch
-//! gradient leaves join the *same canonical reduction tree* the
-//! data-parallel engine uses ([`crate::parallel`]). The coordinator owns
-//! a full-graph template executor: it folds the per-stage gradients,
+//! `K × P` worker threads: within a replica, activations flow downstream
+//! and activation-gradients flow upstream over channels in GPipe
+//! fill–drain order; across replicas, each stage's per-micro-batch
+//! gradient leaves join one canonical reduction tree. The coordinator
+//! owns a full-graph template executor: it folds the per-stage gradients,
 //! runs the optimizer once over the whole parameter set (so global
 //! clip-norm sees exactly what the serial trainer sees), and broadcasts
 //! the updated parameters with the next step command.
 //!
 //! # Bit-exactness
 //!
-//! Stages are contiguous original-index ranges, so every consumer of an
-//! activation in a *later* stage has a larger original id than any
-//! consumer in its own stage. The seeded stage step
+//! Floating-point addition is not associative, so the gradient of a step
+//! is fixed as one *canonical reduction tree*: the global batch is cut
+//! into `M` micro-batches ([`MicrobatchPlan`], `M` a power of two), their
+//! gradients are the leaves, and the step gradient is the balanced
+//! binary-tree fold of the leaves, always keeping the left operand,
+//! scaled by `1/M` at the root. Replica `k` of `K` (a power of two
+//! dividing `M`) owns the aligned span of `M/K` leaves — exactly a
+//! subtree — and folds it locally; each stage's cross-replica reduce then
+//! walks the remaining `log₂ K` levels of the *same* tree. Every addition
+//! therefore associates identically for every `K`, and identically to the
+//! serial [`MicrobatchTrainer`](crate::MicrobatchTrainer).
+//!
+//! Along the stage axis, stages are contiguous original-index ranges, so
+//! every consumer of an activation in a *later* stage has a larger
+//! original id than any consumer in its own stage. The seeded stage step
 //! ([`Executor::stage_step`]) applies the downstream partial first and
 //! then accumulates in-stage contributions in descending order — the
 //! exact association of the serial descending-index backward walk. By
 //! induction from the ones-seed at the loss in the last stage, every
 //! activation gradient, parameter gradient, and therefore the optimizer
 //! update is bit-identical to serial execution, for every `(P, K)`
-//! layout.
+//! layout. At `P = 1` the stage step is literally `train_step`.
 //!
 //! # Recomputation
 //!
@@ -53,13 +65,14 @@
 //! exit; [`PipelineTrainer::train_step`] collects the errors and returns
 //! `Err` instead of deadlocking, and the trainer stays poisoned
 //! afterwards.
+//!
+//! [§6.6]: https://arxiv.org/abs/1805.08899
 
-use crate::parallel::{tree_fold, GradSample, PipelineOptions, StageStepStats};
-use crate::trainer::Optimizer;
+use crate::trainer::{tree_fold, BindFn, GradSample, Optimizer};
 use crate::word_lm::WordLm;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use echo_data::{LmBatch, MicrobatchPlan};
-use echo_device::DeviceSim;
+use echo_device::{DeviceSim, DeviceSpec};
 use echo_graph::{
     ExecOptions, Executor, NodeId, StageExecPlans, StagePartition, StageSpec, StashPlan,
 };
@@ -71,12 +84,98 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Builds full-graph executor bindings for one micro-batch; each stage
-/// picks out the inputs it consumes directly.
-pub type PipelineBindFn<B> = dyn Fn(&B) -> HashMap<NodeId, Tensor> + Send + Sync;
-
 /// Cuts a global batch into the planned number of micro-batches.
 pub type PipelineCutFn<B> = dyn Fn(&B) -> Vec<B> + Send + Sync;
+
+/// Device-memory capacity of every stage executor.
+const STAGE_MEMORY_BYTES: u64 = 1 << 30;
+
+/// Configuration of [`PipelineTrainer`]: `K` replicas of the stage
+/// pipeline over `M` micro-batch leaves.
+#[derive(Debug, Clone)]
+pub struct PipelineOptions {
+    /// Replica count `K`. Must be a power of two dividing
+    /// `micro_batches`.
+    pub replicas: usize,
+    /// Micro-batches per global step `M` — both the pipeline's fill depth
+    /// and the leaves of the canonical reduction tree. Must be a power of
+    /// two dividing the batch lanes.
+    pub micro_batches: usize,
+    /// Simulated device per stage worker (`None` disables the device
+    /// model and its per-worker clocks).
+    pub sim_spec: Option<DeviceSpec>,
+}
+
+impl PipelineOptions {
+    /// `replicas` replicas over `micro_batches` leaves, without device
+    /// simulation.
+    pub fn new(replicas: usize, micro_batches: usize) -> Self {
+        PipelineOptions {
+            replicas,
+            micro_batches,
+            sim_spec: None,
+        }
+    }
+
+    /// Attaches a simulated device to every stage worker.
+    #[must_use]
+    pub fn with_sim(mut self, spec: DeviceSpec) -> Self {
+        self.sim_spec = Some(spec);
+        self
+    }
+}
+
+/// One worker's statistics for one global step.
+#[derive(Debug, Clone)]
+pub struct StageStepStats {
+    /// Pipeline stage index.
+    pub stage: usize,
+    /// Replica rank.
+    pub replica: usize,
+    /// Simulated device time spent by this worker.
+    pub sim_ns: u64,
+    /// Peak device bytes across this worker's micro-batches.
+    pub peak_bytes: u64,
+    /// Device bytes still live in this worker's executor memory after
+    /// the step: its parameters, their gradients and retained workspace
+    /// buffers. Constant from step to step.
+    pub live_bytes: u64,
+    /// Segment replays performed by this worker's backwards.
+    pub replays: u64,
+    /// Host wall-clock nanoseconds the worker spent in the step, before
+    /// the cross-replica reduce.
+    pub compute_host_ns: u64,
+    /// Execution plans this worker's executor has had to build on demand
+    /// so far (cumulative). A stage's plans are installed at
+    /// construction, so this stays at zero unless a step presents a
+    /// signature they do not serve; a serial executor nobody installed a
+    /// plan on counts the one it built on its first step.
+    pub plans_built: u64,
+}
+
+/// The outcome of one global training step.
+#[derive(Debug, Clone)]
+pub struct StepReport {
+    /// Mean loss over the global batch (tree-folded like the gradients,
+    /// so it is bit-identical across layouts).
+    pub loss: f32,
+    /// Pre-clip global gradient norm seen by the optimizer.
+    pub grad_norm: f64,
+    /// Per-worker statistics, sorted by `(stage, replica)`.
+    pub stages: Vec<StageStepStats>,
+}
+
+impl StepReport {
+    /// Total recomputation replays across all stages and replicas.
+    pub fn total_replays(&self) -> u64 {
+        self.stages.iter().map(|s| s.replays).sum()
+    }
+
+    /// Peak device bytes over all stage executors.
+    pub fn max_stage_peak_bytes(&self) -> u64 {
+        self.stages.iter().map(|s| s.peak_bytes).max().unwrap_or(0)
+    }
+}
 
 /// Post-step parameter snapshot (original ids, sorted), shared across
 /// all `K × P` workers with the next step command.
@@ -119,31 +218,6 @@ enum PipeCmd<B> {
     /// regression fixture.
     #[cfg(test)]
     Sabotage,
-}
-
-/// The outcome of one pipelined global step.
-#[derive(Debug, Clone)]
-pub struct PipelineStepReport {
-    /// Mean loss over the global batch (tree-folded; bit-identical to
-    /// the serial trainer).
-    pub loss: f32,
-    /// Pre-clip global gradient norm seen by the coordinator's
-    /// optimizer.
-    pub grad_norm: f64,
-    /// Per-worker statistics, sorted by `(stage, replica)`.
-    pub stages: Vec<StageStepStats>,
-}
-
-impl PipelineStepReport {
-    /// Total recomputation replays across all stages and replicas.
-    pub fn total_replays(&self) -> u64 {
-        self.stages.iter().map(|s| s.replays).sum()
-    }
-
-    /// Peak device bytes over all stage executors.
-    pub fn max_stage_peak_bytes(&self) -> u64 {
-        self.stages.iter().map(|s| s.peak_bytes).max().unwrap_or(0)
-    }
 }
 
 /// Stage-local handles a worker needs, precomputed once per stage and
@@ -225,7 +299,7 @@ struct StageWorker<B> {
     replica: usize,
     exec: Executor,
     sim: Option<DeviceSim>,
-    bind: Arc<PipelineBindFn<B>>,
+    bind: Arc<BindFn<B>>,
     wiring: Arc<StageWiring>,
     cmd_rx: Receiver<PipeCmd<B>>,
     done_tx: Sender<Result<StageDone, String>>,
@@ -239,7 +313,8 @@ struct StageWorker<B> {
     /// Activation-gradients to the previous stage (`None` at stage 0).
     grad_tx: Option<Sender<GradMsg>>,
     /// Cross-replica reduce-tree inboxes for this stage,
-    /// level-ascending (see [`crate::parallel`]).
+    /// level-ascending: at level `l` this worker receives the partial
+    /// fold of the subtree owned by replica `replica + 2^l`.
     down: Vec<Receiver<GradSample>>,
     /// Parent in the stage's reduce tree; `None` at replica rank 0.
     up: Option<Sender<GradSample>>,
@@ -503,7 +578,7 @@ impl<B: Clone + Send + 'static> PipelineTrainer<B> {
         lanes: usize,
         options: &PipelineOptions,
         opt: Box<dyn Optimizer>,
-        bind: Arc<PipelineBindFn<B>>,
+        bind: Arc<BindFn<B>>,
         cut: Arc<PipelineCutFn<B>>,
         loss: NodeId,
     ) -> Result<Self, String> {
@@ -573,8 +648,9 @@ impl<B: Clone + Send + 'static> PipelineTrainer<B> {
             }
         }
 
-        // Per-stage cross-replica reduce trees, wired exactly like the
-        // data-parallel engine's (level-ascending inboxes).
+        // Per-stage cross-replica reduce trees: at level l, replica r
+        // (aligned to 2^(l+1)) receives from replica r + 2^l. Building
+        // levels in ascending order keeps each inbox list level-ascending.
         let mut down: Vec<Vec<Receiver<GradSample>>> =
             (0..replicas * stages).map(|_| Vec::new()).collect();
         let mut up: Vec<Option<Sender<GradSample>>> =
@@ -599,7 +675,7 @@ impl<B: Clone + Send + 'static> PipelineTrainer<B> {
             for (s, stage_wiring) in wirings.iter().enumerate() {
                 let i = idx(k, s);
                 let wiring = Arc::clone(stage_wiring);
-                let mem = DeviceMemory::with_overhead_model(options.memory_capacity, 0, 0.0);
+                let mem = DeviceMemory::with_overhead_model(STAGE_MEMORY_BYTES, 0, 0.0);
                 let mut exec =
                     Executor::new(Arc::clone(&wiring.spec.graph), wiring.plan.clone(), mem);
                 for (local, value) in wiring.local_params(&params)? {
@@ -676,7 +752,7 @@ impl<B: Clone + Send + 'static> PipelineTrainer<B> {
     /// Returns the first worker failure (executor error or stage panic).
     /// After a failure the trainer is poisoned and every further call
     /// fails immediately.
-    pub fn train_step(&mut self, batch: &B) -> Result<PipelineStepReport, String> {
+    pub fn train_step(&mut self, batch: &B) -> Result<StepReport, String> {
         if let Some(earlier) = &self.poisoned {
             return Err(format!("pipeline poisoned by earlier failure: {earlier}"));
         }
@@ -767,7 +843,7 @@ impl<B: Clone + Send + 'static> PipelineTrainer<B> {
             }
         }
         stage_stats.sort_by_key(|st| (st.stage, st.replica));
-        Ok(PipelineStepReport {
+        Ok(StepReport {
             loss,
             grad_norm,
             stages: stage_stats,
@@ -840,8 +916,10 @@ mod tests {
     use super::*;
     use crate::trainer::Sgd;
     use crate::word_lm::{WordLm, WordLmHyper};
-    use echo_graph::{partition_stages, Gir};
     use echo_rnn::LstmBackend;
+
+    const LANES: usize = 4;
+    const MICRO: usize = 2;
 
     fn tiny_lm() -> WordLm {
         WordLm::build(WordLmHyper {
@@ -854,34 +932,38 @@ mod tests {
         })
     }
 
-    fn lm_partition(lm: &WordLm, batch: usize, stages: usize) -> StagePartition {
-        let binding_shapes: HashMap<NodeId, Shape> = lm
-            .symbolic_bindings(batch)
-            .iter()
-            .map(|(&id, t)| (id, t.shape().clone()))
-            .collect();
-        let gir = Gir::from_graph(
+    /// A stash-all trainer over `stages` stages and `replicas` replicas.
+    fn trainer(lm: &WordLm, stages: usize, replicas: usize) -> PipelineTrainer<LmBatch> {
+        let mut template = Executor::new(
             Arc::clone(&lm.graph),
-            &binding_shapes,
-            &lm.param_shapes(),
-            &[lm.loss],
+            StashPlan::stash_all(),
+            DeviceMemory::with_overhead_model(1 << 30, 0, 0.0),
+        );
+        lm.bind_params(&mut template, 11).unwrap();
+        PipelineTrainer::for_word_lm(
+            lm,
+            template,
+            &lm.partition(LANES / MICRO, stages).unwrap(),
+            &StashPlan::stash_all(),
+            LANES,
+            &PipelineOptions::new(replicas, MICRO),
+            Box::new(Sgd::new(0.1)),
         )
-        .unwrap();
-        partition_stages(&gir, stages).unwrap()
+        .unwrap()
     }
 
-    fn synth_batch(lm: &WordLm, lanes: usize) -> LmBatch {
+    fn synth_batch(lm: &WordLm) -> LmBatch {
         let t = lm.hyper.seq_len;
-        let ids: Vec<f32> = (0..t * lanes)
+        let ids: Vec<f32> = (0..t * LANES)
             .map(|i| ((i * 7 + 3) % lm.hyper.vocab) as f32)
             .collect();
-        let targets: Vec<f32> = (0..t * lanes)
+        let targets: Vec<f32> = (0..t * LANES)
             .map(|i| ((i * 5 + 1) % lm.hyper.vocab) as f32)
             .collect();
         LmBatch {
-            input: Tensor::from_vec(Shape::d2(t, lanes), ids).unwrap(),
-            targets: Tensor::from_vec(Shape::d1(t * lanes), targets).unwrap(),
-            batch: lanes,
+            input: Tensor::from_vec(Shape::d2(t, LANES), ids).unwrap(),
+            targets: Tensor::from_vec(Shape::d1(t * LANES), targets).unwrap(),
+            batch: LANES,
             seq_len: t,
         }
     }
@@ -895,26 +977,9 @@ mod tests {
     #[test]
     fn stage_memory_does_not_grow_across_steps() {
         let lm = tiny_lm();
-        let lanes = 4;
-        let mut template = Executor::new(
-            Arc::clone(&lm.graph),
-            StashPlan::stash_all(),
-            DeviceMemory::with_overhead_model(1 << 30, 0, 0.0),
-        );
-        lm.bind_params(&mut template, 11).unwrap();
-        let partition = lm_partition(&lm, lanes / 2, 2);
-        let mut trainer = PipelineTrainer::for_word_lm(
-            &lm,
-            template,
-            &partition,
-            &StashPlan::stash_all(),
-            lanes,
-            &PipelineOptions::new(1, 2),
-            Box::new(Sgd::new(0.1)),
-        )
-        .unwrap();
-        let batch = synth_batch(&lm, lanes);
-        let footprint = |report: &PipelineStepReport| -> Vec<(u64, u64)> {
+        let mut trainer = trainer(&lm, 2, 1);
+        let batch = synth_batch(&lm);
+        let footprint = |report: &StepReport| -> Vec<(u64, u64)> {
             report
                 .stages
                 .iter()
@@ -936,42 +1001,36 @@ mod tests {
             .all(|&(live, peak)| 0 < live && live < peak));
     }
 
-    /// Satellite: a panicking stage worker must poison the pipeline —
-    /// `train_step` returns an error (and keeps failing), never
-    /// deadlocks, and `Drop` still reaps every thread.
+    /// A panicking worker must poison the trainer — `train_step` returns
+    /// an error (and keeps failing), never deadlocks, and `Drop` still
+    /// reaps every thread. Covered on the stage axis (P = 2, K = 1) and
+    /// on the replica-only data-parallel layout (P = 1, K = 2).
     #[test]
     fn injected_stage_panic_poisons_pipeline_instead_of_deadlocking() {
         let lm = tiny_lm();
-        let lanes = 4;
-        let mut template = Executor::new(
-            Arc::clone(&lm.graph),
-            StashPlan::stash_all(),
-            DeviceMemory::with_overhead_model(1 << 30, 0, 0.0),
-        );
-        lm.bind_params(&mut template, 11).unwrap();
-        let partition = lm_partition(&lm, lanes / 2, 2);
-        let options = PipelineOptions::new(1, 2);
-        let mut trainer = PipelineTrainer::for_word_lm(
-            &lm,
-            template,
-            &partition,
-            &StashPlan::stash_all(),
-            lanes,
-            &options,
-            Box::new(Sgd::new(0.1)),
-        )
-        .unwrap();
-        let batch = synth_batch(&lm, lanes);
+        let batch = synth_batch(&lm);
+        for (stages, replicas, (stage, replica)) in [(2, 1, (1, 0)), (1, 2, (0, 1))] {
+            let layout = format!("P={stages} K={replicas}");
+            let mut trainer = trainer(&lm, stages, replicas);
+            let report = trainer.train_step(&batch).expect("healthy step succeeds");
+            assert!(report.loss.is_finite(), "{layout}");
+            assert_eq!(report.stages.len(), stages * replicas, "{layout}");
 
-        let report = trainer.train_step(&batch).expect("healthy step succeeds");
-        assert!(report.loss.is_finite());
-        assert_eq!(report.stages.len(), 2);
-
-        trainer.inject_panic(1, 0);
-        let err = trainer.train_step(&batch).unwrap_err();
-        assert!(err.contains("panicked"), "unexpected error: {err}");
-        let err2 = trainer.train_step(&batch).unwrap_err();
-        assert!(err2.contains("poisoned"), "unexpected error: {err2}");
-        // Drop must reap the remaining workers without hanging.
+            trainer.inject_panic(stage, replica);
+            let err = trainer.train_step(&batch).unwrap_err();
+            assert!(
+                err.contains("panicked"),
+                "{layout}: unexpected error: {err}"
+            );
+            let err2 = trainer.train_step(&batch).unwrap_err();
+            assert!(
+                err2.contains("poisoned"),
+                "{layout}: unexpected error: {err2}"
+            );
+            // Every worker, the dead one included, is still owed a join;
+            // dropping must reap them all without hanging.
+            assert_eq!(trainer.handles.len(), stages * replicas, "{layout}");
+            drop(trainer);
+        }
     }
 }

@@ -1,16 +1,29 @@
 //! Optimization and training bookkeeping: SGD with momentum and gradient
-//! clipping, the speedometer, and training logs.
+//! clipping, the serial micro-batch trainer and the canonical reduction
+//! tree it shares with [`crate::pipeline::PipelineTrainer`], the
+//! speedometer, and training logs.
 
-use echo_graph::{Executor, NodeId};
+use crate::pipeline::{StageStepStats, StepReport};
+use crate::word_lm::WordLm;
+use echo_data::{LmBatch, MicrobatchPlan};
+use echo_device::{DeviceSim, DeviceSpec};
+use echo_graph::{ExecOptions, Executor, NodeId};
 use echo_tensor::{kernels, Tensor};
 use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Builds executor bindings for one (micro-)batch. Shared by every
+/// worker of a trainer, so it must be thread-safe.
+pub type BindFn<B> = dyn Fn(&B) -> HashMap<NodeId, Tensor> + Send + Sync;
 
 /// A parameter-update rule over an executor's accumulated gradients.
 ///
-/// Both the serial training loops and the data-parallel
-/// [`crate::parallel::ParallelTrainer`] (where the optimizer runs on rank
-/// 0 after the gradient all-reduce) drive optimizers through this trait.
-/// `Send` is required so rank 0's worker thread can own the state.
+/// The serial training loops, [`MicrobatchTrainer`] and
+/// [`crate::pipeline::PipelineTrainer`] (where the optimizer runs once
+/// per step on the coordinator's template executor, after the canonical
+/// gradient fold) all drive optimizers through this trait. `Send` keeps
+/// every trainer that owns one movable across threads.
 pub trait Optimizer: Send {
     /// Applies one update to every parameter of `exec` from its
     /// accumulated gradients. Returns the pre-clip gradient norm.
@@ -181,6 +194,199 @@ impl Adam {
             }
         });
         norm
+    }
+}
+
+/// One leaf (or partial fold) of the canonical reduction tree: the
+/// gradients and mean loss of a micro-batch span.
+///
+/// Float addition is not associative, so the gradient of a global batch
+/// is *defined* as the balanced binary-tree fold of its `M` per-micro-batch
+/// leaves ([`MicrobatchPlan`]), scaled by `1/M` at the root. A replica
+/// owning an aligned span of leaves folds exactly a subtree, and the
+/// cross-replica levels walk the rest of the same tree, so every replica
+/// count associates every addition identically to the serial fold.
+pub(crate) struct GradSample {
+    /// `(id, grad)` sorted by id — the order [`Executor::export_grads`]
+    /// guarantees.
+    pub(crate) grads: Vec<(NodeId, Tensor)>,
+    pub(crate) loss: f32,
+}
+
+impl GradSample {
+    /// Combines `other` into `self` with `self` as the left operand —
+    /// one internal node of the canonical tree.
+    pub(crate) fn merge(&mut self, other: &GradSample) {
+        debug_assert_eq!(self.grads.len(), other.grads.len());
+        for ((id_a, grad), (id_b, incoming)) in self.grads.iter_mut().zip(&other.grads) {
+            debug_assert_eq!(id_a, id_b, "replicas must agree on parameter order");
+            grad.axpy(1.0, incoming)
+                .expect("replica gradient shapes match");
+        }
+        self.loss += other.loss;
+    }
+
+    pub(crate) fn scale(&mut self, factor: f32) {
+        for (_, grad) in &mut self.grads {
+            grad.scale_inplace(factor);
+        }
+        self.loss *= factor;
+    }
+}
+
+/// Folds a power-of-two number of leaves as a balanced binary tree,
+/// always keeping the left operand — the single float association every
+/// replica count must reproduce.
+pub(crate) fn tree_fold(mut level: Vec<GradSample>) -> GradSample {
+    assert!(
+        !level.is_empty() && level.len().is_power_of_two(),
+        "tree fold needs a power-of-two leaf count, got {}",
+        level.len()
+    );
+    while level.len() > 1 {
+        let mut next = Vec::with_capacity(level.len() / 2);
+        let mut pairs = level.into_iter();
+        while let (Some(mut left), Some(right)) = (pairs.next(), pairs.next()) {
+            left.merge(&right);
+            next.push(left);
+        }
+        level = next;
+    }
+    level.pop().expect("non-empty level")
+}
+
+/// Serial reference trainer: the canonical reduction tree of
+/// [`crate::pipeline::PipelineTrainer`] executed on one executor. This is
+/// the oracle every `(P, K)` layout is bit-exact against, and the fair
+/// serial contender for wall-clock comparisons (same micro-batching).
+pub struct MicrobatchTrainer {
+    exec: Executor,
+    plan: MicrobatchPlan,
+    opt: Box<dyn Optimizer>,
+    bind: Arc<BindFn<LmBatch>>,
+    loss: NodeId,
+    sim: Option<DeviceSim>,
+    lanes: usize,
+}
+
+impl MicrobatchTrainer {
+    /// Builds a serial micro-batch trainer around an already-bound
+    /// executor.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the violated constraint if
+    /// `micro_batches` cannot tile `lanes`.
+    pub fn new(
+        exec: Executor,
+        lanes: usize,
+        micro_batches: usize,
+        opt: Box<dyn Optimizer>,
+        bind: Arc<BindFn<LmBatch>>,
+        loss: NodeId,
+        sim_spec: Option<DeviceSpec>,
+    ) -> Result<Self, String> {
+        let plan = MicrobatchPlan::new(lanes, micro_batches)?;
+        Ok(MicrobatchTrainer {
+            exec,
+            plan,
+            opt,
+            bind,
+            loss,
+            sim: sim_spec.map(DeviceSim::new),
+            lanes,
+        })
+    }
+
+    /// Convenience constructor for the word-level LM.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`MicrobatchTrainer::new`] errors.
+    pub fn for_word_lm(
+        lm: &WordLm,
+        exec: Executor,
+        lanes: usize,
+        micro_batches: usize,
+        opt: Box<dyn Optimizer>,
+        sim_spec: Option<DeviceSpec>,
+    ) -> Result<Self, String> {
+        let model = lm.clone();
+        MicrobatchTrainer::new(
+            exec,
+            lanes,
+            micro_batches,
+            opt,
+            Arc::new(move |batch: &LmBatch| model.bindings(batch)),
+            lm.loss,
+            sim_spec,
+        )
+    }
+
+    /// Runs one global step: per-micro-batch gradients, balanced tree
+    /// fold, `1/M` scaling, optimizer update. The report carries one
+    /// [`StageStepStats`] (stage 0, replica 0).
+    ///
+    /// # Errors
+    ///
+    /// Propagates executor failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` does not have the planned lane count.
+    pub fn step(&mut self, batch: &LmBatch) -> echo_graph::Result<StepReport> {
+        assert_eq!(batch.batch, self.lanes, "batch does not match plan");
+        let host_start = Instant::now();
+        let sim_before = self.sim.as_ref().map_or(0, DeviceSim::elapsed_ns);
+        let mut samples = Vec::with_capacity(self.plan.micro());
+        let mut peak_bytes = 0u64;
+        let mut replays = 0u64;
+        for micro in self.plan.cut(batch) {
+            let bindings = (self.bind)(&micro);
+            let stats = self.exec.train_step(
+                &bindings,
+                self.loss,
+                ExecOptions::default(),
+                self.sim.as_mut(),
+            )?;
+            peak_bytes = peak_bytes.max(stats.peak_bytes);
+            replays += stats.replays;
+            samples.push(GradSample {
+                grads: self.exec.export_grads(),
+                loss: stats.loss.expect("numeric plane produces a loss"),
+            });
+        }
+        let compute_host_ns = host_start.elapsed().as_nanos() as u64;
+        let sim_ns = self.sim.as_ref().map_or(0, DeviceSim::elapsed_ns) - sim_before;
+
+        let mut folded = tree_fold(samples);
+        folded.scale(1.0 / self.plan.micro() as f32);
+        self.exec.import_grads(&folded.grads);
+        let grad_norm = self.opt.apply(&mut self.exec);
+        Ok(StepReport {
+            loss: folded.loss,
+            grad_norm,
+            stages: vec![StageStepStats {
+                stage: 0,
+                replica: 0,
+                sim_ns,
+                peak_bytes,
+                live_bytes: self.exec.memory().live_bytes(),
+                replays,
+                compute_host_ns,
+                plans_built: self.exec.plans_memoized(),
+            }],
+        })
+    }
+
+    /// Snapshots the current parameters, sorted by id.
+    pub fn export_params(&self) -> Vec<(NodeId, Tensor)> {
+        self.exec.export_params()
+    }
+
+    /// The underlying executor (e.g. for evaluation passes).
+    pub fn executor(&self) -> &Executor {
+        &self.exec
     }
 }
 
@@ -380,6 +586,45 @@ mod tests {
         // Post-clip gradient magnitude is bounded; Adam's update stays ~lr.
         let moved = 1.0 - exec.param(w).unwrap().data()[0];
         assert!(moved > 0.0 && moved < 0.11, "moved {moved}");
+    }
+
+    fn sample(v: f32) -> GradSample {
+        GradSample {
+            grads: vec![(NodeId::from_index(0), Tensor::full(Shape::d1(2), v))],
+            loss: v,
+        }
+    }
+
+    #[test]
+    fn tree_fold_is_balanced_not_sequential() {
+        // With exact powers of two the fold is checkable directly.
+        let folded = tree_fold((0..8).map(|i| sample(i as f32)).collect());
+        assert_eq!(folded.loss, 28.0);
+        assert_eq!(folded.grads[0].1.data(), &[28.0, 28.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn tree_fold_rejects_non_power_of_two() {
+        let _ = tree_fold((0..3).map(|i| sample(i as f32)).collect());
+    }
+
+    #[test]
+    fn tree_fold_matches_split_subtrees() {
+        // Folding 8 leaves whole must equal folding two 4-leaf halves and
+        // merging — the exact invariant the cross-replica reduce relies
+        // on. Use values whose pairwise sums are inexact in f32 to make
+        // association visible.
+        let values: Vec<f32> = (0..8).map(|i| 0.1 + 0.7 * i as f32).collect();
+        let whole = tree_fold(values.iter().map(|&v| sample(v)).collect());
+        let mut left = tree_fold(values[..4].iter().map(|&v| sample(v)).collect());
+        let right = tree_fold(values[4..].iter().map(|&v| sample(v)).collect());
+        left.merge(&right);
+        assert_eq!(whole.loss.to_bits(), left.loss.to_bits());
+        assert_eq!(
+            whole.grads[0].1.data()[0].to_bits(),
+            left.grads[0].1.data()[0].to_bits()
+        );
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! LSTM stack → Output projection → perplexity loss.
 
 use echo_data::{LmBatch, PAD};
-use echo_graph::{ExecOptions, ExecPlan, Executor, Graph, NodeId, Result};
+use echo_graph::{
+    partition_stages, ExecOptions, ExecPlan, Executor, Gir, Graph, NodeId, Result, StagePartition,
+};
 use echo_memory::LayerKind;
 use echo_ops::{Embedding, FullyConnected, SoftmaxCrossEntropy};
 use echo_rnn::{LstmBackend, LstmStack};
@@ -206,6 +208,28 @@ impl WordLm {
         )?;
         exec.set_exec_plan(Arc::clone(&plan))?;
         Ok(plan)
+    }
+
+    /// Cuts the training graph, at `batch` lanes per micro-batch, into
+    /// `stages` stages for [`crate::PipelineTrainer`]. One stage is data
+    /// parallelism: every replica runs the whole graph.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape-inference and partitioning failures.
+    pub fn partition(&self, batch: usize, stages: usize) -> Result<StagePartition> {
+        let binding_shapes = self
+            .symbolic_bindings(batch)
+            .iter()
+            .map(|(&id, t)| (id, t.shape().clone()))
+            .collect();
+        let gir = Gir::from_graph(
+            Arc::clone(&self.graph),
+            &binding_shapes,
+            &self.param_shapes(),
+            &[self.loss],
+        )?;
+        partition_stages(&gir, stages)
     }
 
     /// Builds shape-only bindings for a given batch size (symbolic plane).

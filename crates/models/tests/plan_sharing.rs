@@ -1,7 +1,8 @@
-//! Replica construction must not re-plan: `clone_replica` shares the
-//! template's `Arc<ExecPlan>`, so a K-replica `ParallelTrainer` performs
-//! exactly one planning pass — the template's — no matter how many workers
-//! it spawns.
+//! Replicas must not re-plan: `PipelineTrainer::new` builds one fill/step
+//! plan pair per stage and installs the same `Arc<ExecPlan>`s on every
+//! replica of that stage, so a one-stage, four-replica trainer builds
+//! exactly as many plans as a one-replica trainer, and stepping builds
+//! none.
 //!
 //! This file holds a single `#[test]` on purpose: `plans_built()` is a
 //! process-global counter, and an integration-test binary is its own
@@ -10,9 +11,7 @@
 use echo_data::{BpttBatches, LmCorpus, Vocab};
 use echo_graph::{plans_built, Executor, StashPlan};
 use echo_memory::DeviceMemory;
-use echo_models::{
-    DataParallelOptions, MicrobatchTrainer, ParallelTrainer, Sgd, WordLm, WordLmHyper,
-};
+use echo_models::{MicrobatchTrainer, PipelineOptions, PipelineTrainer, Sgd, WordLm, WordLmHyper};
 use echo_rnn::LstmBackend;
 use std::sync::Arc;
 
@@ -31,54 +30,61 @@ fn four_replicas_share_one_planning_pass() {
     let batches: Vec<_> = BpttBatches::new(corpus.tokens(), LANES, lm.hyper.seq_len)
         .take(2)
         .collect();
+    let template = || {
+        let mem = DeviceMemory::with_overhead_model(1 << 30, 0, 0.0);
+        let mut exec = Executor::new(Arc::clone(&lm.graph), StashPlan::stash_all(), mem);
+        lm.bind_params(&mut exec, 23).expect("bind");
+        exec
+    };
+    // One stage: every replica runs the whole graph.
+    let partition = lm.partition(LANES / MICRO, 1).expect("partition");
+    let trainer = |replicas| {
+        PipelineTrainer::for_word_lm(
+            &lm,
+            template(),
+            &partition,
+            &StashPlan::stash_all(),
+            LANES,
+            &PipelineOptions::new(replicas, MICRO),
+            optimizer(),
+        )
+        .expect("trainer spawns")
+    };
 
-    let mem = DeviceMemory::with_overhead_model(1 << 30, 0, 0.0);
-    let mut template = Executor::new(Arc::clone(&lm.graph), StashPlan::stash_all(), mem);
-    lm.bind_params(&mut template, 23).expect("bind");
-
-    let before = plans_built();
-    // Workers see micro-batches of LANES / MICRO lanes, so plan for that.
-    let shared = lm
-        .install_exec_plan(&mut template, LANES / MICRO)
+    // The serial oracle plans its micro-batch signature up front, so
+    // stepping it below builds nothing either.
+    let mut serial_exec = template();
+    lm.install_exec_plan(&mut serial_exec, LANES / MICRO)
         .expect("plan installs");
-    assert_eq!(plans_built() - before, 1, "installing the plan builds once");
-
-    let trainer = ParallelTrainer::for_word_lm(
-        &lm,
-        &template,
-        LANES,
-        &DataParallelOptions::new(REPLICAS, MICRO),
-        optimizer(),
-    )
-    .expect("trainer spawns");
-    assert_eq!(
-        plans_built() - before,
-        1,
-        "{REPLICAS}-replica construction must not re-plan"
-    );
-    assert!(Arc::ptr_eq(
-        template.exec_plan().expect("template keeps its plan"),
-        &shared
-    ));
-
-    // The planned parallel engine stays bit-identical to the serial
-    // micro-batch reference (which also runs plan-driven via the shared
-    // replica plan).
-    let mut parallel = trainer;
-    let serial_exec = template
-        .clone_replica(DeviceMemory::with_overhead_model(1 << 30, 0, 0.0))
-        .expect("serial replica");
     let mut serial =
         MicrobatchTrainer::for_word_lm(&lm, serial_exec, LANES, MICRO, optimizer(), None)
             .expect("serial trainer");
+
+    let before = plans_built();
+    drop(trainer(1));
+    let one_replica = plans_built() - before;
+    // The one stage is the last, so it has a step plan and no fill plan.
+    assert_eq!(one_replica, 1, "a one-stage trainer builds its step plan");
+    let before = plans_built();
+    let mut parallel = trainer(REPLICAS);
     assert_eq!(
         plans_built() - before,
-        1,
-        "replica cloning must not re-plan"
+        one_replica,
+        "{REPLICAS}-replica construction must build what one replica builds"
     );
+
+    let before = plans_built();
     for batch in &batches {
-        let p = parallel.step(batch);
+        let p = parallel.train_step(batch).expect("parallel step");
         let s = serial.step(batch).expect("serial step");
+        assert_eq!(p.stages.len(), REPLICAS);
+        for stage in &p.stages {
+            assert_eq!(
+                stage.plans_built, 0,
+                "replica {} planned at step time",
+                stage.replica
+            );
+        }
         assert_eq!(p.loss.to_bits(), s.loss.to_bits(), "loss bits diverged");
         assert_eq!(
             p.grad_norm.to_bits(),
@@ -94,5 +100,5 @@ fn four_replicas_share_one_planning_pass() {
         };
         assert_eq!(bits(t_p), bits(t_s), "parameter bits diverged");
     }
-    assert_eq!(plans_built() - before, 1, "stepping must not re-plan");
+    assert_eq!(plans_built() - before, 0, "stepping must not re-plan");
 }

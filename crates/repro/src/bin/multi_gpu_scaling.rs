@@ -1,5 +1,6 @@
-//! Multi-GPU scaling (paper §6.6, Figure 17 setting): the data-parallel
-//! trainer runs one simulated Titan Xp per replica; per-replica device
+//! Multi-GPU scaling (paper §6.6, Figure 17 setting): the trainer runs a
+//! one-stage partition replicated K ways, one simulated Titan Xp per
+//! replica; per-replica device
 //! clocks plus an analytic PCIe all-reduce model project the step time
 //! at 1, 2 and 4 GPUs — with the memory plan both untouched (stash-all,
 //! the Echo pass's own output for a pure-LSTM LM) and replay-heavy
@@ -11,7 +12,7 @@ use echo_data::{BpttBatches, LmBatch, LmCorpus, Vocab};
 use echo_device::{CommModel, DeviceSpec, ScalingReport};
 use echo_graph::{Executor, StashPlan};
 use echo_memory::DeviceMemory;
-use echo_models::{DataParallelOptions, ParallelTrainer, Sgd, WordLm, WordLmHyper};
+use echo_models::{PipelineOptions, PipelineTrainer, Sgd, WordLm, WordLmHyper};
 use echo_repro::{print_table, save_json};
 use echo_rnn::LstmBackend;
 use serde_json::json;
@@ -56,6 +57,8 @@ fn main() {
         )
         .expect("compile")
         .plan;
+    // One stage: every replica runs the whole graph.
+    let partition = lm.partition(LANES / MICRO, 1).expect("partition");
     let shapes = infer_shapes(
         &lm.graph,
         &lm.symbolic_bindings(LANES / MICRO),
@@ -80,19 +83,21 @@ fn main() {
         let mut final_loss = 0.0f32;
         let mut peak_bytes = 0u64;
         for replicas in [1usize, 2, 4] {
-            let mut trainer = ParallelTrainer::for_word_lm(
+            let mut trainer = PipelineTrainer::for_word_lm(
                 &lm,
-                &template(&lm, &plan),
+                template(&lm, &plan),
+                &partition,
+                &plan,
                 LANES,
-                &DataParallelOptions::new(replicas, MICRO).with_sim(DeviceSpec::titan_xp()),
+                &PipelineOptions::new(replicas, MICRO).with_sim(DeviceSpec::titan_xp()),
                 Box::new(Sgd::new(0.5).with_clip_norm(5.0)),
             )
             .expect("trainer");
             let mut per_replica = vec![0u64; replicas];
             for batch in &batches {
-                let report = trainer.step(batch);
+                let report = trainer.train_step(batch).expect("step");
                 final_loss = report.loss;
-                for stat in report.replicas {
+                for stat in report.stages {
                     per_replica[stat.replica] += stat.sim_ns;
                     peak_bytes = peak_bytes.max(stat.peak_bytes);
                 }

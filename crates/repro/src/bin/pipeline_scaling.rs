@@ -11,14 +11,12 @@
 use echo::{analysis::infer_shapes, chen_sqrt_plan, sqrt_stride, EchoCompiler, EchoConfig};
 use echo_data::{BpttBatches, LmBatch, LmCorpus, Vocab};
 use echo_device::{CommModel, DeviceSpec, PipelineModel};
-use echo_graph::{partition_stages, Executor, Gir, NodeId, StagePartition, StashPlan};
+use echo_graph::{Executor, StagePartition, StashPlan};
 use echo_memory::DeviceMemory;
 use echo_models::{PipelineOptions, PipelineTrainer, Sgd, WordLm, WordLmHyper};
 use echo_repro::{print_table, save_json};
 use echo_rnn::LstmBackend;
-use echo_tensor::Shape;
 use serde_json::json;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 const LANES: usize = 16;
@@ -55,19 +53,7 @@ fn batches(lm: &WordLm) -> Vec<LmBatch> {
 }
 
 fn lm_partition(lm: &WordLm, stages: usize) -> StagePartition {
-    let binding_shapes: HashMap<NodeId, Shape> = lm
-        .symbolic_bindings(LANES / MICRO)
-        .iter()
-        .map(|(&id, t)| (id, t.shape().clone()))
-        .collect();
-    let gir = Gir::from_graph(
-        Arc::clone(&lm.graph),
-        &binding_shapes,
-        &lm.param_shapes(),
-        &[lm.loss],
-    )
-    .expect("gir");
-    partition_stages(&gir, stages).expect("partition")
+    lm.partition(LANES / MICRO, stages).expect("partition")
 }
 
 /// Average per-stage device-busy nanoseconds over `STEPS` steps, plus

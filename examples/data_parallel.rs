@@ -1,7 +1,8 @@
 //! Data-parallel training across model replicas (paper §6.6, Figure 17):
-//! each worker thread owns a full executor replica and a simulated GPU,
-//! gradients are all-reduced over a binary tree every step, and the
-//! result is bit-exact equal to serial training at any replica count.
+//! `PipelineTrainer` over a one-stage partition, so each worker thread
+//! owns a full copy of the graph and a simulated GPU, gradients are folded
+//! over one binary tree every step, and the result is bit-exact equal to
+//! serial training at any replica count.
 //!
 //! ```sh
 //! cargo run -p echo --example data_parallel --release
@@ -9,11 +10,9 @@
 
 use echo_data::{BpttBatches, LmBatch, LmCorpus, Vocab};
 use echo_device::{CommModel, DeviceSpec, ScalingReport};
-use echo_graph::{Executor, StashPlan};
+use echo_graph::{Executor, StagePartition, StashPlan};
 use echo_memory::DeviceMemory;
-use echo_models::{
-    DataParallelOptions, MicrobatchTrainer, ParallelTrainer, Sgd, WordLm, WordLmHyper,
-};
+use echo_models::{MicrobatchTrainer, PipelineOptions, PipelineTrainer, Sgd, WordLm, WordLmHyper};
 use echo_rnn::LstmBackend;
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,9 +43,28 @@ fn optimizer() -> Sgd {
     Sgd::new(0.5).with_momentum(0.9).with_clip_norm(5.0)
 }
 
+/// `replicas` workers, each running the whole graph (one stage).
+fn replicated(
+    lm: &WordLm,
+    partition: &StagePartition,
+    options: PipelineOptions,
+) -> PipelineTrainer<LmBatch> {
+    PipelineTrainer::for_word_lm(
+        lm,
+        template(lm),
+        partition,
+        &StashPlan::stash_all(),
+        LANES,
+        &options,
+        Box::new(optimizer()),
+    )
+    .expect("parallel trainer")
+}
+
 fn main() {
     let lm = WordLm::build(WordLmHyper::tiny(80, LstmBackend::CuDnn));
     let batches = batches(&lm);
+    let partition = lm.partition(LANES / MICRO, 1).expect("partition");
     let grad_bytes: u64 = template(&lm)
         .export_params()
         .iter()
@@ -81,25 +99,14 @@ fn main() {
         serial_losses[serial_losses.len() - 1]
     );
 
-    let mut wall_at_4 = serial_wall;
     for replicas in [1usize, 2, 4] {
-        let mut trainer = ParallelTrainer::for_word_lm(
-            &lm,
-            &template(&lm),
-            LANES,
-            &DataParallelOptions::new(replicas, MICRO),
-            Box::new(optimizer()),
-        )
-        .expect("parallel trainer");
+        let mut trainer = replicated(&lm, &partition, PipelineOptions::new(replicas, MICRO));
         let start = Instant::now();
         let mut losses = Vec::new();
         for batch in &batches {
-            losses.push(trainer.step(batch).loss);
+            losses.push(trainer.train_step(batch).expect("step").loss);
         }
         let wall = start.elapsed();
-        if replicas == 4 {
-            wall_at_4 = wall;
-        }
         let exact = losses
             .iter()
             .zip(&serial_losses)
@@ -123,7 +130,6 @@ fn main() {
             format!("K=4 cannot beat {cores} core(s); run on a wider machine")
         }
     );
-    let _ = wall_at_4;
 
     // --- Simulated scaling: per-replica device clocks + interconnect. --
     // One simulated Titan Xp per replica; the all-reduce term comes from
@@ -141,23 +147,17 @@ fn main() {
     .expect("serial trainer");
     let mut serial_step_ns = 0;
     for batch in &batches {
-        serial_step_ns += serial_sim.step(batch).expect("step").replicas[0].sim_ns;
+        serial_step_ns += serial_sim.step(batch).expect("step").stages[0].sim_ns;
     }
     serial_step_ns /= STEPS as u64;
 
     let mut report = ScalingReport::new(serial_step_ns, grad_bytes, CommModel::pcie_gen3());
     for replicas in [1usize, 2, 4] {
-        let mut trainer = ParallelTrainer::for_word_lm(
-            &lm,
-            &template(&lm),
-            LANES,
-            &DataParallelOptions::new(replicas, MICRO).with_sim(sim_spec.clone()),
-            Box::new(optimizer()),
-        )
-        .expect("parallel trainer");
+        let options = PipelineOptions::new(replicas, MICRO).with_sim(sim_spec.clone());
+        let mut trainer = replicated(&lm, &partition, options);
         let mut per_replica = vec![0u64; replicas];
         for batch in &batches {
-            for stat in trainer.step(batch).replicas {
+            for stat in trainer.train_step(batch).expect("step").stages {
                 per_replica[stat.replica] += stat.sim_ns;
             }
         }

@@ -1,11 +1,13 @@
-//! The pipeline-parallel headline invariant: for the same global batch,
-//! seed, and optimizer, GPipe-style training with `P ∈ {1, 2, 4}` stages
-//! and `K ∈ {1, 2}` replicas per stage is **bit-exact** equal to the
-//! serial micro-batch reference — per-step losses, gradient norms, and
-//! every final parameter — under every stash-plan family (stash-all, the
-//! Echo pass, a recomputation-heavy Chen √N plan, and the exact-cost
-//! search), and segment replay counts match the stage-normalized serial
-//! plan exactly.
+//! The headline invariant of the one multi-worker trainer: for the same
+//! global batch, seed, and optimizer, GPipe-style training with
+//! `P ∈ {1, 2, 4}` stages and `K ∈ {1, 2}` replicas per stage (and
+//! `K = 4` at `P = 1`) is **bit-exact** equal to the serial micro-batch
+//! reference — per-step losses, gradient norms, and every final
+//! parameter — under every stash-plan family (stash-all, the Echo pass, a
+//! recomputation-heavy Chen √N plan, and the exact-cost search), and
+//! segment replay counts match the stage-normalized serial plan exactly.
+//! `P = 1` is data parallelism: it is also pinned on the fused-LSTM word
+//! LM, whose single LSTM op no cut can split, at `K ∈ {1, 2, 4}`.
 //!
 //! One interpreter: pipeline stage workers execute `stage_step` and
 //! `forward_many` on the same plan-driven loops as the serial reference
@@ -54,8 +56,13 @@ fn model() -> WordLm {
     })
 }
 
+/// The tiny word LM with the fused (CuDNN-style) LSTM op: one stage only.
+fn fused_model() -> WordLm {
+    WordLm::build(WordLmHyper::tiny(40, LstmBackend::CuDnn))
+}
+
 fn batches(lm: &WordLm) -> Vec<LmBatch> {
-    let corpus = LmCorpus::synthetic(Vocab::new(30), 1200, 0.9, 7);
+    let corpus = LmCorpus::synthetic(Vocab::new(lm.hyper.vocab), 1200, 0.9, 7);
     BpttBatches::new(corpus.tokens(), LANES, lm.hyper.seq_len)
         .take(STEPS)
         .collect()
@@ -69,22 +76,6 @@ fn template(lm: &WordLm, plan: &StashPlan) -> Executor {
     let mut exec = Executor::new(Arc::clone(&lm.graph), plan.clone(), mem());
     lm.bind_params(&mut exec, PARAM_SEED).expect("bind");
     exec
-}
-
-fn lm_partition(lm: &WordLm, stages: usize) -> StagePartition {
-    let binding_shapes: HashMap<NodeId, Shape> = lm
-        .symbolic_bindings(LANES / MICRO)
-        .iter()
-        .map(|(&id, t)| (id, t.shape().clone()))
-        .collect();
-    let gir = Gir::from_graph(
-        Arc::clone(&lm.graph),
-        &binding_shapes,
-        &lm.param_shapes(),
-        &[lm.loss],
-    )
-    .expect("gir");
-    partition_stages(&gir, stages).expect("partition")
 }
 
 /// The stash plans the invariant must hold under: Echo off, the Echo
@@ -153,7 +144,7 @@ fn serial_lm_run(lm: &WordLm, plan: &StashPlan) -> SerialRef {
     for batch in batches(lm) {
         let report = trainer.step(&batch).expect("serial step");
         fps.push((report.loss.to_bits(), report.grad_norm.to_bits()));
-        replays.push(report.replicas.iter().map(|r| r.replays).sum());
+        replays.push(report.total_replays());
     }
     SerialRef {
         fps,
@@ -169,17 +160,76 @@ fn param_bits(params: &[(NodeId, Tensor)]) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// Trains `lm` with `replicas` replicas of `partition` and asserts every
+/// step's loss and grad-norm bits, replay count and plan reuse, and the
+/// final parameter bits, against the serial references. Returns the
+/// replays the fleet performed.
+fn check_lm_pipeline(
+    lm: &WordLm,
+    (plan_name, plan): (&str, &StashPlan),
+    partition: &StagePartition,
+    replicas: usize,
+    canonical: &SerialRef,
+    normalized: &SerialRef,
+) -> u64 {
+    let stages = partition.stage_count();
+    let mut trainer = PipelineTrainer::for_word_lm(
+        lm,
+        template(lm, plan),
+        partition,
+        plan,
+        LANES,
+        &PipelineOptions::new(replicas, MICRO),
+        Box::new(optimizer()),
+    )
+    .expect("pipeline trainer");
+    let mut replays = 0;
+    for (step, batch) in batches(lm).iter().enumerate() {
+        let report = trainer.train_step(batch).expect("pipeline step");
+        assert_eq!(
+            (report.loss.to_bits(), report.grad_norm.to_bits()),
+            canonical.fps[step],
+            "{plan_name}: step {step} diverged at P={stages} K={replicas} \
+             (loss {} vs serial)",
+            report.loss,
+        );
+        // Every stage of every replica reports once, and the fleet's
+        // total replay work equals the normalized serial run exactly —
+        // recomputation is neither lost nor duplicated by the split.
+        assert_eq!(report.stages.len(), stages * replicas);
+        assert_eq!(
+            report.total_replays(),
+            normalized.replays[step],
+            "{plan_name}: P={stages} K={replicas} replay count drifted"
+        );
+        // The stage plans installed at construction serve every step:
+        // no stage executor ever plans on demand.
+        for stage in &report.stages {
+            assert_eq!(
+                stage.plans_built, 0,
+                "{plan_name}: P={stages} K={replicas} step {step}: stage {} \
+                 replica {} planned at step time",
+                stage.stage, stage.replica
+            );
+        }
+        replays += report.total_replays();
+    }
+    assert_eq!(
+        param_bits(&trainer.export_params()),
+        canonical.params,
+        "{plan_name}: P={stages} K={replicas} final parameters diverged"
+    );
+    replays
+}
+
 #[test]
 fn pipeline_training_is_bit_exact_for_every_stage_and_replica_count() {
     let lm = model();
-    let partitions: Vec<(usize, StagePartition)> = [1usize, 2, 4]
-        .iter()
-        .map(|&p| (p, lm_partition(&lm, p)))
-        .collect();
     for (plan_name, plan) in plans(&lm) {
         let canonical = serial_lm_run(&lm, &plan);
         let mut family_replays = 0u64;
-        for (stages, partition) in &partitions {
+        for stages in [1usize, 2, 4] {
+            let partition = lm.partition(LANES / MICRO, stages).expect("partition");
             // The stage-normalized plan (cut-interface values stashed,
             // segments split at stage boundaries) must itself be serially
             // bit-exact: stash-vs-replay decisions never change values.
@@ -193,52 +243,16 @@ fn pipeline_training_is_bit_exact_for_every_stage_and_replica_count() {
                 normalized.params, canonical.params,
                 "{plan_name}: P={stages} normalized plan parameters diverged"
             );
-            for replicas in [1usize, 2] {
-                let mut trainer = PipelineTrainer::for_word_lm(
+            // P = 1 is data parallelism; it also runs the widest fleet.
+            let replica_counts: &[usize] = if stages == 1 { &[1, 2, 4] } else { &[1, 2] };
+            for &replicas in replica_counts {
+                family_replays += check_lm_pipeline(
                     &lm,
-                    template(&lm, &plan),
-                    partition,
-                    &plan,
-                    LANES,
-                    &PipelineOptions::new(replicas, MICRO),
-                    Box::new(optimizer()),
-                )
-                .expect("pipeline trainer");
-                for (step, batch) in batches(&lm).iter().enumerate() {
-                    let report = trainer.train_step(batch).expect("pipeline step");
-                    assert_eq!(
-                        (report.loss.to_bits(), report.grad_norm.to_bits()),
-                        canonical.fps[step],
-                        "{plan_name}: step {step} diverged at P={stages} K={replicas} \
-                         (loss {} vs serial)",
-                        report.loss,
-                    );
-                    // Every stage of every replica reports once, and the
-                    // fleet's total replay work equals the normalized
-                    // serial run exactly — recomputation is neither lost
-                    // nor duplicated by the pipeline split.
-                    assert_eq!(report.stages.len(), stages * replicas);
-                    assert_eq!(
-                        report.total_replays(),
-                        normalized.replays[step],
-                        "{plan_name}: P={stages} K={replicas} replay count drifted"
-                    );
-                    // The stage plans installed at construction serve
-                    // every step: no stage executor ever plans on demand.
-                    for stage in &report.stages {
-                        assert_eq!(
-                            stage.plans_built, 0,
-                            "{plan_name}: P={stages} K={replicas} step {step}: stage {} \
-                             replica {} planned at step time",
-                            stage.stage, stage.replica
-                        );
-                    }
-                    family_replays += report.total_replays();
-                }
-                assert_eq!(
-                    param_bits(&trainer.export_params()),
-                    canonical.params,
-                    "{plan_name}: P={stages} K={replicas} final parameters diverged"
+                    (plan_name, &plan),
+                    &partition,
+                    replicas,
+                    &canonical,
+                    &normalized,
                 );
             }
         }
@@ -248,6 +262,68 @@ fn pipeline_training_is_bit_exact_for_every_stage_and_replica_count() {
             assert!(family_replays > 0, "chen plan produced no pipeline replays");
         }
     }
+}
+
+/// Data parallelism on the fused-LSTM word LM: one stage replicated
+/// `K ∈ {1, 2, 4}` ways matches the serial oracle bit for bit with the
+/// Echo pass off, on, and under a replay-heavy Chen √N plan.
+#[test]
+fn parallel_training_is_bit_exact_for_every_replica_count() {
+    let lm = fused_model();
+    let partition = lm.partition(LANES / MICRO, 1).expect("partition");
+    for (plan_name, plan) in plans(&lm) {
+        if plan_name == "searched" {
+            continue;
+        }
+        let canonical = serial_lm_run(&lm, &plan);
+        let normalized = serial_lm_run(&lm, &partition.normalized_plan(&plan));
+        assert_eq!(
+            normalized.fps, canonical.fps,
+            "{plan_name}: normalized plan diverged serially"
+        );
+        let mut replays = 0;
+        for replicas in [1usize, 2, 4] {
+            replays += check_lm_pipeline(
+                &lm,
+                (plan_name, &plan),
+                &partition,
+                replicas,
+                &canonical,
+                &normalized,
+            );
+        }
+        if plan_name == "chen-sqrt" {
+            assert!(replays > 0, "chen plan produced no replays");
+        }
+    }
+}
+
+/// Illegal layouts fail fast with a diagnostic instead of deadlocking the
+/// fleet.
+#[test]
+fn pipeline_trainer_rejects_unsupported_layouts() {
+    let lm = fused_model();
+    let plan = StashPlan::stash_all();
+    let partition = lm.partition(LANES / MICRO, 1).expect("partition");
+    let reject = |replicas, micro| {
+        PipelineTrainer::for_word_lm(
+            &lm,
+            template(&lm, &plan),
+            &partition,
+            &plan,
+            LANES,
+            &PipelineOptions::new(replicas, micro),
+            Box::new(optimizer()),
+        )
+        .err()
+        .expect("must reject")
+    };
+    // 8 replicas over 4 leaves cannot own aligned subtrees.
+    let err = reject(8, MICRO);
+    assert!(err.contains("replicas"), "unhelpful error: {err}");
+    // 3 micro-batches are not a power of two.
+    let err = reject(1, 3);
+    assert!(err.contains("power of two"), "unhelpful error: {err}");
 }
 
 /// The compiler front door: `pipeline_stages` in [`EchoConfig`] must
