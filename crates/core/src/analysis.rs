@@ -58,8 +58,8 @@ pub fn infer_shapes(
 }
 
 /// Like [`infer_shapes`], but taking input shapes directly rather than
-/// bound tensors — the form the unified pass-pipeline front end uses,
-/// since compilation never needs input *values*.
+/// bound tensors — the form the compiler uses, since compilation never
+/// needs input *values*.
 ///
 /// # Errors
 ///

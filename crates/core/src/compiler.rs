@@ -2,11 +2,10 @@
 
 use crate::analysis::{infer_shapes_from, ShapeTable};
 use crate::oshape::{build_plan, find_segments, OshapeConfig, SegmentInfo};
-use crate::pipeline::{run_structural_passes, stage_trace, PipelineMode};
 use crate::search::{SearchConfig, SearchReport, StashSearch};
 use echo_graph::{
-    partition_stages, ExecOptions, ExecPlan, Graph, GraphError, NodeId, PassTrace, StagePartition,
-    StashPlan,
+    partition_stages, ExecOptions, ExecPlan, Gir, Graph, GraphError, NodeId, PassTrace,
+    StagePartition, StashPlan,
 };
 use echo_tensor::{Shape, Tensor};
 use std::collections::HashMap;
@@ -84,24 +83,8 @@ pub struct EchoConfig {
     pub share_workspace: bool,
     /// Heuristic stash selection, or exact-cost search over stash sets.
     pub selection: StashSelection,
-    /// Run the LSTM-cell and elementwise-chain fusion passes. Off by
-    /// default: fusion rewrites the graph, so the compiled plan carries a
-    /// replacement graph ([`CompiledPlan::graph`]) the executor must swap
-    /// in — [`EchoCompiler::attach`] does that automatically.
-    pub fusion: bool,
-    /// Run the CSE pass: detect duplicate subexpressions (training
-    /// pipelines, reported in the pass trace) or merge them (inference
-    /// pipelines, where forward-only execution keeps the rewrite
-    /// bit-exact).
-    pub cse: bool,
-    /// Run device-sim-driven layout selection over operators advertising
-    /// [`layout_variants`](echo_graph::Operator::layout_variants).
-    pub layout_select: bool,
-    /// Pretty-print the GIR before the pipeline and after each pass that
-    /// changed it (also enabled by the `ECHO_DUMP_IR` env var).
-    pub dump_ir: bool,
-    /// Partition the graph into this many pipeline stages after the
-    /// structural passes (GPipe-style model parallelism; `1` disables).
+    /// Partition the graph into this many pipeline stages before stash
+    /// selection (GPipe-style model parallelism; `1` disables).
     /// The partition is returned in [`CompiledPlan::partition`] and
     /// summarized in [`PassReport::stages`]; cuts never split a
     /// parameter's consumer span or a protected interface.
@@ -115,10 +98,6 @@ impl Default for EchoConfig {
             oshape: OshapeConfig::default(),
             share_workspace: true,
             selection: StashSelection::Heuristic,
-            fusion: false,
-            cse: false,
-            layout_select: false,
-            dump_ir: false,
             pipeline_stages: 1,
         }
     }
@@ -177,11 +156,8 @@ pub struct PassReport {
     /// heuristic peak, recompute FLOPs), when
     /// [`StashSelection::Search`] ran.
     pub search: Option<SearchReport>,
-    /// One trace per pipeline stage that ran, in execution order:
-    /// structural passes (CSE, fusion, layout) followed by stash
-    /// selection and lowering. Each entry carries the stage's rewrite
-    /// count, live-cone metric deltas, wall time and the result of the
-    /// structural equivalence check.
+    /// One trace per compile stage that ran, in execution order: stage
+    /// partitioning (when requested), stash selection and lowering.
     pub passes: Vec<PassTrace>,
     /// Per-stage metrics of the pipeline partition, when one was
     /// requested ([`EchoConfig::pipeline_stages`] > 1).
@@ -263,17 +239,8 @@ impl fmt::Display for PassReport {
         for p in &self.passes {
             writeln!(
                 f,
-                "  pass {}: {} rewrites, launches {} -> {}, {:.0} us{}",
-                p.pass,
-                p.rewrites,
-                p.fwd_launches_before,
-                p.fwd_launches_after,
-                p.wall_us,
-                if p.bit_exact {
-                    ""
-                } else {
-                    " (flagged: not bit-exact)"
-                },
+                "  pass {}: {} rewrites, {:.0} us",
+                p.pass, p.rewrites, p.wall_us
             )?;
         }
         Ok(())
@@ -292,18 +259,8 @@ pub struct CompiledPlan {
     /// had no target or ran from a bare shape table
     /// ([`EchoCompiler::compile_with_shapes`]). Shareable across replicas.
     pub exec_plan: Option<Arc<ExecPlan>>,
-    /// The rewritten graph, when a structural pass (fusion, CSE merging,
-    /// layout selection) changed it. Node ids are preserved, so existing
-    /// bindings, parameters and targets stay valid — but the executor
-    /// must swap this graph in ([`Executor::set_graph`]
-    /// (echo_graph::Executor::set_graph)) before using the plan;
-    /// [`EchoCompiler::attach`] does so automatically. `None` means the
-    /// caller's graph is untouched.
-    pub graph: Option<Arc<Graph>>,
     /// The pipeline-stage partition, when [`EchoConfig::pipeline_stages`]
-    /// exceeds 1 and compilation ran a training pipeline. Built over the
-    /// final (possibly rewritten) graph, so its stage graphs are
-    /// consistent with [`CompiledPlan::graph`].
+    /// exceeds 1 and compilation ran a training pipeline.
     pub partition: Option<StagePartition>,
 }
 
@@ -341,39 +298,16 @@ impl EchoCompiler {
         &self.config
     }
 
-    /// Shared pipeline front end: clones the caller's graph behind an
-    /// `Arc`, runs the configured structural passes (CSE, fusion, layout
-    /// selection), and re-derives the shape table from the rewritten IR.
-    fn front_end(
-        &self,
-        graph: &Graph,
-        binding_shapes: &HashMap<NodeId, Shape>,
-        param_shapes: &HashMap<NodeId, Shape>,
-        protected: &[NodeId],
-        mode: PipelineMode,
-    ) -> Result<(crate::pipeline::StructuralOutput, ShapeTable), EchoError> {
-        let out = run_structural_passes(
-            &self.config,
-            Arc::new(graph.clone()),
-            binding_shapes,
-            param_shapes,
-            protected,
-            mode,
-        )?;
-        let shapes = infer_shapes_from(out.gir.graph(), binding_shapes, param_shapes)?;
-        Ok((out, shapes))
-    }
-
-    /// Compiles for training: runs the structural pass pipeline, then the
-    /// O-shape (or searched) stash-selection pass, then lowers to an
-    /// execution plan when a target is given.
+    /// Compiles for training: partitions into pipeline stages when
+    /// asked, runs the O-shape (or searched) stash selection, then lowers
+    /// to an execution plan when a target is given.
     ///
     /// `protected` nodes (execution targets such as the loss or logits)
-    /// are never recomputed or fused away.
+    /// are never recomputed.
     ///
     /// # Errors
     ///
-    /// Propagates shape-inference, pass-equivalence and plan-validation
+    /// Propagates shape-inference, partitioning and plan-validation
     /// failures.
     pub fn compile(
         &self,
@@ -386,26 +320,24 @@ impl EchoCompiler {
             .iter()
             .map(|(&id, t)| (id, t.shape().clone()))
             .collect();
-        let (fe, shapes) = self.front_end(
-            graph,
-            &binding_shapes,
-            param_shapes,
-            protected,
-            PipelineMode::Training,
-        )?;
-        let graph_r = Arc::clone(fe.gir.graph());
-        let mut passes = fe.passes;
+        let shapes = infer_shapes_from(graph, &binding_shapes, param_shapes)?;
+        let mut passes = Vec::new();
 
-        // Pipeline-stage partitioning runs on the final IR, before stash
-        // selection: the partition depends only on the graph structure,
-        // and the per-stage stash plans are later derived from whatever
-        // plan this compilation produces
-        // ([`StagePartition::stage_plans`]).
+        // Pipeline-stage partitioning runs before stash selection: the
+        // partition depends only on the graph structure, and the
+        // per-stage stash plans are later derived from whatever plan this
+        // compilation produces ([`StagePartition::stage_plans`]).
         let mut partition = None;
         let mut stage_summaries = Vec::new();
         if self.config.pipeline_stages > 1 {
             let start = Instant::now();
-            let part = partition_stages(&fe.gir, self.config.pipeline_stages)?;
+            let gir = Gir::from_graph(
+                Arc::new(graph.clone()),
+                &binding_shapes,
+                param_shapes,
+                protected,
+            )?;
+            let part = partition_stages(&gir, self.config.pipeline_stages)?;
             let cut_bytes = part.cut_bytes();
             stage_summaries = part
                 .stages()
@@ -417,12 +349,7 @@ impl EchoCompiler {
                     send_bytes: cut_bytes.get(sp.index).copied().unwrap_or(0),
                 })
                 .collect();
-            passes.push(stage_trace(
-                &fe.gir,
-                "stage-partition",
-                self.config.pipeline_stages,
-                start.elapsed().as_secs_f64() * 1e6,
-            ));
+            passes.push(trace("stage-partition", self.config.pipeline_stages, start));
             partition = Some(part);
         }
 
@@ -441,7 +368,7 @@ impl EchoCompiler {
                 ..SearchConfig::default()
             })
             .run(
-                &graph_r,
+                graph,
                 &shapes,
                 &binding_shapes,
                 param_shapes,
@@ -450,15 +377,14 @@ impl EchoCompiler {
                 self.config.share_workspace,
                 ExecOptions::default(),
             )?;
-            let mut report = self.report(&graph_r, &outcome.segments);
+            let mut report = self.report(graph, &outcome.segments);
             report.planned_peak_bytes = Some(outcome.exec_plan.planned_peak_bytes());
             report.slot_count = Some(outcome.exec_plan.slot_count());
             report.search = Some(outcome.report);
-            passes.push(stage_trace(
-                &fe.gir,
+            passes.push(trace(
                 "stash-select(search)+lower",
                 report.segments.len(),
-                start.elapsed().as_secs_f64() * 1e6,
+                start,
             ));
             report.passes = passes;
             report.stages = stage_summaries;
@@ -466,31 +392,17 @@ impl EchoCompiler {
                 plan: outcome.plan,
                 report,
                 exec_plan: Some(outcome.exec_plan),
-                graph: fe.rewritten.then_some(graph_r),
                 partition,
             });
         }
-        let (plan, mut report) = if self.config.recompute {
-            let segments = find_segments(&graph_r, &shapes, &self.config.oshape, protected);
-            let plan = build_plan(&segments, self.config.share_workspace);
-            let report = self.report(&graph_r, &segments);
-            (plan, report)
-        } else {
-            (StashPlan::stash_all(), PassReport::default())
-        };
-        passes.push(stage_trace(
-            &fe.gir,
-            "stash-select",
-            report.segments.len(),
-            start.elapsed().as_secs_f64() * 1e6,
-        ));
+        let (plan, mut report) = self.select_stash(graph, &shapes, protected, &mut passes);
 
-        // Lowering stage: GIR -> launch-level ExecPlan tables.
+        // Lowering stage: graph -> launch-level ExecPlan tables.
         let mut exec_plan = None;
         if let Some(&target) = protected.first() {
             let start = Instant::now();
             let lowered = ExecPlan::build(
-                &graph_r,
+                graph,
                 &plan,
                 ExecOptions::default(),
                 &binding_shapes,
@@ -499,12 +411,7 @@ impl EchoCompiler {
             )?;
             report.planned_peak_bytes = Some(lowered.planned_peak_bytes());
             report.slot_count = Some(lowered.slot_count());
-            passes.push(stage_trace(
-                &fe.gir,
-                "lower",
-                lowered.launch_count(),
-                start.elapsed().as_secs_f64() * 1e6,
-            ));
+            passes.push(trace("lower", lowered.launch_count(), start));
             exec_plan = Some(Arc::new(lowered));
         }
         report.passes = passes;
@@ -513,7 +420,6 @@ impl EchoCompiler {
             plan,
             report,
             exec_plan,
-            graph: fe.rewritten.then_some(graph_r),
             partition,
         })
     }
@@ -556,9 +462,6 @@ impl EchoCompiler {
         protected: &[NodeId],
     ) -> Result<PassReport, EchoError> {
         let compiled = self.compile(exec.graph(), bindings, param_shapes, protected)?;
-        if let Some(graph) = &compiled.graph {
-            exec.set_graph(Arc::clone(graph))?;
-        }
         exec.set_plan(compiled.plan);
         if let Some(exec_plan) = compiled.exec_plan {
             exec.set_exec_plan(exec_plan)?;
@@ -592,35 +495,18 @@ impl EchoCompiler {
             .iter()
             .map(|(&id, t)| (id, t.shape().clone()))
             .collect();
-        let (fe, _) = self.front_end(
-            graph,
-            &binding_shapes,
-            param_shapes,
-            outputs,
-            PipelineMode::Inference,
-        )?;
-        let graph_r = Arc::clone(fe.gir.graph());
-        let mut passes = fe.passes;
         let start = Instant::now();
-        let exec_plan =
-            ExecPlan::build_inference(&graph_r, &binding_shapes, param_shapes, outputs)?;
-        passes.push(stage_trace(
-            &fe.gir,
-            "lower",
-            exec_plan.launch_count(),
-            start.elapsed().as_secs_f64() * 1e6,
-        ));
+        let exec_plan = ExecPlan::build_inference(graph, &binding_shapes, param_shapes, outputs)?;
         let report = PassReport {
             planned_peak_bytes: Some(exec_plan.planned_peak_bytes()),
             slot_count: Some(exec_plan.slot_count()),
-            passes,
+            passes: vec![trace("lower", exec_plan.launch_count(), start)],
             ..PassReport::default()
         };
         Ok(CompiledPlan {
             plan: StashPlan::stash_all(),
             report,
             exec_plan: Some(Arc::new(exec_plan)),
-            graph: fe.rewritten.then_some(graph_r),
             partition: None,
         })
     }
@@ -640,9 +526,6 @@ impl EchoCompiler {
         outputs: &[NodeId],
     ) -> Result<PassReport, EchoError> {
         let compiled = self.compile_inference(exec.graph(), bindings, param_shapes, outputs)?;
-        if let Some(graph) = &compiled.graph {
-            exec.set_graph(Arc::clone(graph))?;
-        }
         exec.set_plan(compiled.plan);
         if let Some(exec_plan) = compiled.exec_plan {
             exec.set_exec_plan(exec_plan)?;
@@ -651,66 +534,44 @@ impl EchoCompiler {
     }
 
     /// Like [`EchoCompiler::compile`] but reusing an existing shape table
-    /// and never lowering (no execution plan is built). Same pipeline,
-    /// training configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a structural pass fails on a graph whose shapes already
-    /// inferred — a pipeline bug, not an input condition.
+    /// and never lowering or partitioning (no execution plan is built).
     pub fn compile_with_shapes(
         &self,
         graph: &Graph,
         shapes: &ShapeTable,
         protected: &[NodeId],
     ) -> CompiledPlan {
-        let mut binding_shapes: HashMap<NodeId, Shape> = HashMap::new();
-        let mut param_shapes: HashMap<NodeId, Shape> = HashMap::new();
-        for node in graph.nodes() {
-            match &node.kind {
-                echo_graph::NodeKind::Input => {
-                    binding_shapes.insert(node.id, shapes.shape(node.id).clone());
-                }
-                echo_graph::NodeKind::Param => {
-                    param_shapes.insert(node.id, shapes.shape(node.id).clone());
-                }
-                echo_graph::NodeKind::Op { .. } => {}
-            }
-        }
-        let (fe, shapes_r) = self
-            .front_end(
-                graph,
-                &binding_shapes,
-                &param_shapes,
-                protected,
-                PipelineMode::Training,
-            )
-            .expect("structural passes failed on a shape-checked graph");
-        let graph_r = Arc::clone(fe.gir.graph());
-        let mut passes = fe.passes;
-        let start = Instant::now();
-        let (plan, mut report) = if self.config.recompute {
-            let segments = find_segments(&graph_r, &shapes_r, &self.config.oshape, protected);
-            let plan = build_plan(&segments, self.config.share_workspace);
-            let report = self.report(&graph_r, &segments);
-            (plan, report)
-        } else {
-            (StashPlan::stash_all(), PassReport::default())
-        };
-        passes.push(stage_trace(
-            &fe.gir,
-            "stash-select",
-            report.segments.len(),
-            start.elapsed().as_secs_f64() * 1e6,
-        ));
+        let mut passes = Vec::new();
+        let (plan, mut report) = self.select_stash(graph, shapes, protected, &mut passes);
         report.passes = passes;
         CompiledPlan {
             plan,
             report,
             exec_plan: None,
-            graph: fe.rewritten.then_some(graph_r),
             partition: None,
         }
+    }
+
+    /// The heuristic stash-selection stage both training entry points
+    /// share: O-shape segments become a stash plan and its report (or
+    /// stash-all when recomputation is off), traced into `passes`.
+    fn select_stash(
+        &self,
+        graph: &Graph,
+        shapes: &ShapeTable,
+        protected: &[NodeId],
+        passes: &mut Vec<PassTrace>,
+    ) -> (StashPlan, PassReport) {
+        let start = Instant::now();
+        let (plan, report) = if self.config.recompute {
+            let segments = find_segments(graph, shapes, &self.config.oshape, protected);
+            let plan = build_plan(&segments, self.config.share_workspace);
+            (plan, self.report(graph, &segments))
+        } else {
+            (StashPlan::stash_all(), PassReport::default())
+        };
+        passes.push(trace("stash-select", report.segments.len(), start));
+        (plan, report)
     }
 
     fn report(&self, graph: &Graph, segments: &[SegmentInfo]) -> PassReport {
@@ -734,6 +595,15 @@ impl EchoCompiler {
             passes: Vec::new(),
             stages: Vec::new(),
         }
+    }
+}
+
+/// A report entry for one compile stage that started at `start`.
+fn trace(name: &str, rewrites: usize, start: Instant) -> PassTrace {
+    PassTrace {
+        pass: name.to_string(),
+        rewrites,
+        wall_us: start.elapsed().as_secs_f64() * 1e6,
     }
 }
 

@@ -45,7 +45,6 @@ pub mod analysis;
 pub mod baselines;
 pub mod compiler;
 pub mod oshape;
-pub mod pipeline;
 pub mod search;
 
 pub use analysis::ShapeTable;
@@ -55,7 +54,6 @@ pub use compiler::{
     StashSelection,
 };
 pub use oshape::{OshapeConfig, SegmentInfo};
-pub use pipeline::PipelineMode;
 pub use search::{segments_from_plan, SearchConfig, SearchOutcome, SearchReport, StashSearch};
 
 /// Re-export of the autotuning microbenchmark (paper §5.4).
@@ -64,5 +62,6 @@ pub use echo_rnn::autotune;
 /// Re-export of the executor the compiled plans run on.
 pub use echo_graph::Executor;
 
-/// Re-exports of the graph-level IR the pass pipeline rewrites.
+/// Re-exports of the graph-level IR stage partitioning reads and the
+/// per-stage compile trace.
 pub use echo_graph::{Gir, PassTrace};

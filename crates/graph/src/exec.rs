@@ -249,49 +249,6 @@ impl Executor {
         &self.plan
     }
 
-    /// Swaps in a rewritten graph produced by the GIR pass pipeline
-    /// (fusion, CSE, layout selection). The replacement must be
-    /// id-preserving — same node count, same node kinds — so existing
-    /// parameter bindings, stash plans and targets stay valid.
-    ///
-    /// Every cached [`ExecPlan`] and pool is dropped: they were derived
-    /// from the old node definitions.
-    ///
-    /// # Errors
-    ///
-    /// Rejects a graph with a different node count or with a node whose
-    /// kind (input/param/op) changed.
-    pub fn set_graph(&mut self, graph: Arc<Graph>) -> Result<()> {
-        if graph.len() != self.graph.len() {
-            return Err(GraphError::Operator {
-                op: "set_graph".to_string(),
-                message: format!(
-                    "replacement graph has {} nodes, executor's has {}",
-                    graph.len(),
-                    self.graph.len()
-                ),
-            });
-        }
-        for (old, new) in self.graph.nodes().iter().zip(graph.nodes()) {
-            let same_kind = matches!(
-                (&old.kind, &new.kind),
-                (NodeKind::Input, NodeKind::Input)
-                    | (NodeKind::Param, NodeKind::Param)
-                    | (NodeKind::Op { .. }, NodeKind::Op { .. })
-            );
-            if !same_kind {
-                return Err(GraphError::Operator {
-                    op: "set_graph".to_string(),
-                    message: format!("node {} changed kind in replacement graph", old.id),
-                });
-            }
-        }
-        self.graph = graph;
-        self.pools.clear();
-        self.clear_exec_plan();
-        Ok(())
-    }
-
     /// Installs an ahead-of-time execution plan: it goes to the front of
     /// the executor's plan cache, and every execution it serves (same
     /// outputs, seeds, captures, training mode and binding shapes) runs it

@@ -2,28 +2,16 @@
 //!
 //! A [`FusedGroup`] hosts a single-escape subgraph — a set of elementwise
 //! constituents whose only externally visible value is the group's last
-//! (host) output — behind the ordinary [`Operator`] interface, so every
-//! downstream layer (stash policies, O-shape detection, plan lowering,
-//! both executor paths) treats it as one node launching one kernel each
-//! way.
+//! (host) output — behind the ordinary [`Operator`] interface, so plan
+//! lowering and the executor treat it as one node launching one forward
+//! kernel.
 //!
-//! **Bit-exactness.** Forward runs the constituents in their original
+//! **Forward only.** Forward runs the constituents in their original
 //! ascending node-id order with the same input tensors the unfused graph
-//! would pass, so every value is bit-identical by construction. Backward
-//! runs them in descending id order and accumulates gradients with the
-//! executor's exact discipline — first contribution stored, later ones
-//! added via `axpy` in arrival order — which matches the serial
-//! interpreter's descending-consumer traversal of the unfused graph. The
-//! one ordering freedom fusion introduces (a group posts its combined
-//! contribution to a shared external value at the host's schedule
-//! position rather than at each constituent's) is only permitted by the
-//! fusion pass when it is provably bit-neutral; see
-//! [`fusion`](super::fusion) for the admission rules.
-//!
-//! Interior outputs are returned as operator-private `Saved` state — the
-//! analogue of cuDNN's LSTM "reserve space": fusion removes launches, not
-//! backward dependencies, so the saved bytes match what the unfused graph
-//! stashed for the same nodes.
+//! would pass, so every value is bit-identical by construction. Interior
+//! values live only inside the call. There is no backward: a training
+//! step over a fused graph fails with a typed [`GraphError`] at the first
+//! group it reaches, rather than producing gradients.
 
 use crate::op::{KernelLaunch, Operator, Saved, StashNeeds};
 use crate::{GraphError, Result};
@@ -47,19 +35,16 @@ pub struct FusedStep {
     pub op: Arc<dyn Operator + Send + Sync>,
     /// Where each of its inputs comes from.
     pub inputs: Vec<FusedInput>,
-    /// The original node name (for traces and errors).
+    /// The original node name (for traces).
     pub name: String,
 }
 
 /// A fused single-escape group of elementwise operators. See the module
-/// docs for the construction and bit-exactness contract.
+/// docs for the construction and forward-only contract.
 #[derive(Debug, Clone)]
 pub struct FusedGroup {
     name: String,
     steps: Vec<FusedStep>,
-    n_inputs: usize,
-    needs: StashNeeds,
-    differentiable: Vec<bool>,
 }
 
 impl FusedGroup {
@@ -80,48 +65,10 @@ impl FusedGroup {
                 }
             }
         }
-        // The group needs its external inputs stashed iff some
-        // constituent's backward reads an input that is external; the
-        // host's output iff the host's own backward reads its output.
-        let inputs_needed = steps.iter().any(|s| {
-            s.op.stash().inputs
-                && s.inputs
-                    .iter()
-                    .any(|i| matches!(i, FusedInput::External(_)))
-        });
-        let host_needs_output = steps.last().expect("non-empty").op.stash().output;
-        // An external input is differentiable iff any consuming slot is.
-        let mut differentiable = vec![false; n_inputs];
-        for step in &steps {
-            for (slot, input) in step.inputs.iter().enumerate() {
-                if let FusedInput::External(k) = *input {
-                    if step.op.input_differentiable(slot) {
-                        differentiable[k] = true;
-                    }
-                }
-            }
-        }
         FusedGroup {
             name: name.into(),
             steps,
-            n_inputs,
-            needs: StashNeeds {
-                inputs: inputs_needed,
-                output: host_needs_output,
-            },
-            differentiable,
         }
-    }
-
-    /// The constituents, in execution (ascending original-id) order.
-    pub fn steps(&self) -> &[FusedStep] {
-        &self.steps
-    }
-
-    /// Number of fused-away launches: constituents minus the single fused
-    /// kernel.
-    pub fn launches_saved(&self) -> usize {
-        self.steps.len().saturating_sub(1)
     }
 
     /// Shapes of every step output, computed from the external input
@@ -142,13 +89,9 @@ impl FusedGroup {
         Ok(shapes)
     }
 
-    /// Summed kernel costs of the constituents' launches, rolled into one
-    /// fused launch description.
-    fn fused_cost(
-        &self,
-        inputs: &[&Shape],
-        launches_of: impl Fn(&FusedStep, &[&Shape], &Shape) -> Vec<KernelLaunch>,
-    ) -> KernelCost {
+    /// The constituents' forward launches, rolled into one fused kernel
+    /// that reads the group inputs once and writes the host output once.
+    fn fused_cost(&self, inputs: &[&Shape]) -> KernelCost {
         let shapes = match self.step_shapes(inputs) {
             Ok(s) => s,
             Err(_) => return KernelCost::elementwise(0, 1),
@@ -164,18 +107,15 @@ impl FusedGroup {
                     FusedInput::Interior(jj) => &shapes[jj],
                 })
                 .collect();
-            let out = shapes[j].clone();
-            for launch in launches_of(step, &in_shapes, &out) {
+            for launch in step.op.forward_launches(&in_shapes, &shapes[j]) {
                 flops += crate::plan::launch_flops(std::slice::from_ref(&launch));
                 if let crate::op::LaunchSpec::Kernel(c) = &launch.spec {
                     parallelism = parallelism.max(c.parallelism);
                 }
             }
         }
-        // External traffic: the fused kernel reads the group inputs and
-        // writes the host output plus the interior (reserve-space) values.
         let in_bytes: u64 = inputs.iter().map(|s| s.num_bytes() as u64).sum();
-        let out_bytes: u64 = shapes.iter().map(|s| s.num_bytes() as u64).sum();
+        let out_bytes = shapes.last().map_or(0, |s| s.num_bytes() as u64);
         KernelCost {
             flops,
             dram_bytes: in_bytes + out_bytes,
@@ -213,133 +153,39 @@ impl Operator for FusedGroup {
                     FusedInput::Interior(j) => &values[j],
                 })
                 .collect();
-            let (y, saved) = step.op.forward(&refs)?;
-            if !saved.is_empty() {
-                return Err(GraphError::Operator {
-                    op: self.name.clone(),
-                    message: format!(
-                        "constituent {} has private saved state; not fusible",
-                        step.name
-                    ),
-                });
-            }
-            values.push(y);
+            values.push(step.op.forward(&refs)?.0);
         }
         let output = values.pop().expect("fused group is non-empty");
-        // Saved = interior outputs, in step order — the reserve space the
-        // grouped backward replays from.
-        Ok((output, values))
+        Ok((output, Vec::new()))
     }
 
     fn backward(
         &self,
-        inputs: &[Option<&Tensor>],
-        output: Option<&Tensor>,
-        saved: &[Tensor],
-        dy: &Tensor,
+        _inputs: &[Option<&Tensor>],
+        _output: Option<&Tensor>,
+        _saved: &[Tensor],
+        _dy: &Tensor,
     ) -> Result<Vec<Option<Tensor>>> {
-        let n = self.steps.len();
-        if saved.len() != n - 1 {
-            return Err(GraphError::Operator {
-                op: self.name.clone(),
-                message: format!("expected {} interior values, got {}", n - 1, saved.len()),
-            });
-        }
-        let value_of = |j: usize| -> Option<&Tensor> {
-            if j + 1 == n {
-                output
-            } else {
-                Some(&saved[j])
-            }
-        };
-        // Per-step and per-external gradient accumulators. Discipline is
-        // the interpreter's: first contribution stored, later ones added
-        // in arrival order; steps processed in descending original order.
-        let mut step_grads: Vec<Option<Tensor>> = vec![None; n];
-        let mut ext_grads: Vec<Option<Tensor>> = vec![None; self.n_inputs];
-        step_grads[n - 1] = Some(dy.clone());
-        for (j, step) in self.steps.iter().enumerate().rev() {
-            let Some(g) = step_grads[j].take() else {
-                continue;
-            };
-            let needs = step.op.stash();
-            let owned: Vec<Option<&Tensor>> = step
-                .inputs
-                .iter()
-                .map(|i| {
-                    if !needs.inputs {
-                        return None;
-                    }
-                    match *i {
-                        FusedInput::External(k) => inputs[k],
-                        FusedInput::Interior(jj) => Some(&saved[jj]),
-                    }
-                })
-                .collect();
-            let out_val = if needs.output { value_of(j) } else { None };
-            let grads = step.op.backward(&owned, out_val, &[], &g)?;
-            if grads.len() != step.inputs.len() {
-                return Err(GraphError::Operator {
-                    op: self.name.clone(),
-                    message: format!(
-                        "constituent {} returned {} gradients for {} inputs",
-                        step.name,
-                        grads.len(),
-                        step.inputs.len()
-                    ),
-                });
-            }
-            for (slot, gi) in grads.into_iter().enumerate() {
-                if !step.op.input_differentiable(slot) {
-                    continue;
-                }
-                let Some(gi) = gi else { continue };
-                let acc = match step.inputs[slot] {
-                    FusedInput::External(k) => &mut ext_grads[k],
-                    FusedInput::Interior(jj) => &mut step_grads[jj],
-                };
-                match acc {
-                    Some(t) => t.axpy(1.0, &gi).map_err(GraphError::from)?,
-                    slot_ref @ None => *slot_ref = Some(gi),
-                }
-            }
-        }
-        Ok(ext_grads)
+        Err(GraphError::Operator {
+            op: self.name.clone(),
+            message: "fused groups are forward-only; train the unfused graph".to_string(),
+        })
     }
 
     fn stash(&self) -> StashNeeds {
-        self.needs
+        StashNeeds::NONE
     }
 
     fn forward_launches(&self, inputs: &[&Shape], _output: &Shape) -> Vec<KernelLaunch> {
         vec![KernelLaunch::kernel(
             format!("{}_fwd", self.name),
             KernelCategory::Elementwise,
-            self.fused_cost(inputs, |s, i, o| s.op.forward_launches(i, o)),
+            self.fused_cost(inputs),
         )]
     }
 
-    fn backward_launches(&self, inputs: &[&Shape], _output: &Shape) -> Vec<KernelLaunch> {
-        vec![KernelLaunch::kernel(
-            format!("{}_bwd", self.name),
-            KernelCategory::Elementwise,
-            self.fused_cost(inputs, |s, i, o| s.op.backward_launches(i, o)),
-        )]
-    }
-
-    fn saved_bytes(&self, inputs: &[&Shape], _output: &Shape) -> u64 {
-        // Interior outputs (everything but the host) are saved verbatim.
-        match self.step_shapes(inputs) {
-            Ok(mut shapes) => {
-                shapes.pop();
-                shapes.iter().map(|s| s.num_bytes() as u64).sum()
-            }
-            Err(_) => 0,
-        }
-    }
-
-    fn input_differentiable(&self, index: usize) -> bool {
-        self.differentiable.get(index).copied().unwrap_or(true)
+    fn backward_launches(&self, _inputs: &[&Shape], _output: &Shape) -> Vec<KernelLaunch> {
+        Vec::new()
     }
 }
 
@@ -401,10 +247,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_chain_matches_serial_bits() {
-        // y = (a*b) * a — interior (a*b), host mul; `a` feeds both steps.
-        let group = FusedGroup::new(
+    /// y = (a*b) * a — interior (a*b), host mul; `a` feeds both steps.
+    fn chain() -> FusedGroup {
+        FusedGroup::new(
             "fused_test",
             vec![
                 FusedStep {
@@ -419,61 +264,37 @@ mod tests {
                 },
             ],
             2,
-        );
-        let a = Tensor::from_fn(Shape::d1(4), |i| 0.3 + i as f32 * 0.7);
-        let b = Tensor::from_fn(Shape::d1(4), |i| 1.1 - i as f32 * 0.2);
-        let (y, saved) = group.forward(&[&a, &b]).unwrap();
-        assert_eq!(saved.len(), 1);
-        // Serial reference.
-        let (ab, _) = TestMul.forward(&[&a, &b]).unwrap();
-        let (y_ref, _) = TestMul.forward(&[&ab, &a]).unwrap();
-        assert_eq!(y.data(), y_ref.data());
-
-        let dy = Tensor::from_fn(Shape::d1(4), |i| 0.9 - i as f32 * 0.1);
-        let grads = group
-            .backward(&[Some(&a), Some(&b)], Some(&y), &saved, &dy)
-            .unwrap();
-        // Serial reference backward, interpreter discipline: host first
-        // (descending), contributions stored-then-axpy'd.
-        let host = TestMul
-            .backward(&[Some(&ab), Some(&a)], None, &[], &dy)
-            .unwrap();
-        let d_ab = host[0].clone().unwrap();
-        let mut da = host[1].clone().unwrap(); // first contribution: stored
-        let inner = TestMul
-            .backward(&[Some(&a), Some(&b)], None, &[], &d_ab)
-            .unwrap();
-        da.axpy(1.0, inner[0].as_ref().unwrap()).unwrap(); // second: axpy
-        let db = inner[1].clone().unwrap();
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(grads[0].as_ref().unwrap()), bits(&da));
-        assert_eq!(bits(grads[1].as_ref().unwrap()), bits(&db));
+        )
     }
 
     #[test]
-    fn fused_group_declares_one_launch_and_reserve_bytes() {
-        let group = FusedGroup::new(
-            "fused_test",
-            vec![
-                FusedStep {
-                    op: Arc::new(TestMul),
-                    inputs: vec![FusedInput::External(0), FusedInput::External(1)],
-                    name: "ab".to_string(),
-                },
-                FusedStep {
-                    op: Arc::new(TestMul),
-                    inputs: vec![FusedInput::Interior(0), FusedInput::External(0)],
-                    name: "y".to_string(),
-                },
-            ],
-            2,
-        );
+    fn fused_chain_matches_serial_bits() {
+        let group = chain();
+        let a = Tensor::from_fn(Shape::d1(4), |i| 0.3 + i as f32 * 0.7);
+        let b = Tensor::from_fn(Shape::d1(4), |i| 1.1 - i as f32 * 0.2);
+        let (y, saved) = group.forward(&[&a, &b]).unwrap();
+        assert!(saved.is_empty(), "interiors never outlive the call");
+        // Serial reference.
+        let (ab, _) = TestMul.forward(&[&a, &b]).unwrap();
+        let (y_ref, _) = TestMul.forward(&[&ab, &a]).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&y_ref));
+
+        // No backward: a typed error, never zero gradients.
+        let dy = Tensor::from_fn(Shape::d1(4), |i| 0.9 - i as f32 * 0.1);
+        let err = group
+            .backward(&[Some(&a), Some(&b)], Some(&y), &saved, &dy)
+            .unwrap_err();
+        assert!(matches!(err, GraphError::Operator { .. }), "{err}");
+    }
+
+    #[test]
+    fn fused_group_declares_one_forward_launch() {
+        let group = chain();
         let s = Shape::d1(4);
         assert_eq!(group.forward_launches(&[&s, &s], &s).len(), 1);
-        assert_eq!(group.backward_launches(&[&s, &s], &s).len(), 1);
-        assert_eq!(group.saved_bytes(&[&s, &s], &s), 16);
-        assert_eq!(group.launches_saved(), 1);
-        assert!(group.stash().inputs);
-        assert!(!group.stash().output);
+        assert!(group.backward_launches(&[&s, &s], &s).is_empty());
+        assert_eq!(group.saved_bytes(&[&s, &s], &s), 0);
+        assert_eq!(group.stash(), StashNeeds::NONE);
     }
 }

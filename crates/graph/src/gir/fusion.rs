@@ -1,35 +1,22 @@
-//! Fusion passes: LSTM-cell fusion and elementwise-chain fusion.
+//! Forward-only fusion: LSTM-cell groups, then elementwise chains.
 //!
-//! Both passes share one greedy **single-escape group** formation: walking
-//! live op nodes in descending id order, an unclaimed fusible node becomes
-//! a group host, and the group repeatedly absorbs a producer `p` when `p`
-//! is itself fusible, unprotected, unclaimed, and *every* live consumer of
+//! [`fuse_forward`] forms greedy **single-escape groups**: walking live op
+//! nodes in descending id order, an unclaimed fusible node becomes a group
+//! host, and the group repeatedly absorbs a producer `p` when `p` is
+//! itself fusible, unprotected, unclaimed, and *every* live consumer of
 //! `p` is already in the group — so the host's output is the only value
 //! that escapes. The absorbed interiors keep their node definitions but
 //! fall out of every dependency cone; the host is redefined as a
 //! [`FusedGroup`] over the group's external inputs.
 //!
-//! **Bit-exactness admission.** Fusion moves the group's gradient
-//! contributions to a shared external value `v` from each constituent's
-//! schedule position to the host's, which can re-associate the float-add
-//! accumulation of `dv`. An absorb is only admitted when, for every
-//! external differentiable input `v` of the tentative group, one of these
-//! holds:
+//! Two phases share one claim table. The cell phase keeps only groups
+//! with at least two activation (sigmoid/tanh) constituents — the gate
+//! math between the recurrent GEMMs. The chain phase then keeps any group
+//! of two or more of the nodes the cell phase left.
 //!
-//! 1. every differentiable consumption of `v` is inside the group — the
-//!    group accumulates them in descending original order, exactly the
-//!    interpreter's association;
-//! 2. `v` has at most two differentiable consumptions in total — two
-//!    contributions are accumulated as one store plus one `axpy`, and IEEE
-//!    float addition of two operands is commutative bitwise;
-//! 3. every differentiable consumer of `v` is a single-input operator
-//!    whose [`grad_col_span`](crate::Operator::grad_col_span) is `Some`,
-//!    with pairwise-disjoint column ranges — the contributions scatter
-//!    into disjoint columns padded with `+0.0`, so any association order
-//!    produces identical bits (the gate-slice pattern that splits an LSTM
-//!    pre-activation).
-//!
-//! Anything else is rejected and the producer stays unfused.
+//! The result is a forward-only graph: [`FusedGroup`] has no backward, so
+//! only inference runs it. Training plans never fuse — the decision the
+//! measurements in DESIGN.md record.
 
 use super::fused::{FusedGroup, FusedInput, FusedStep};
 use super::{Gir, Rewrite};
@@ -39,16 +26,42 @@ use echo_device::KernelCategory;
 use echo_tensor::Shape;
 use std::sync::Arc;
 
-/// Fuses LSTM-style cell bodies: single-escape groups containing at least
-/// two activation (sigmoid/tanh) constituents — the gate math between the
-/// recurrent GEMMs. Returns the number of groups formed.
+/// Fuses the live cone of `gir` for forward-only execution: LSTM-cell
+/// groups first, then the remaining elementwise chains. Returns the number
+/// of groups formed.
 ///
 /// # Errors
 ///
 /// Returns an error when a formed group fails to re-infer shapes — a
 /// pass bug, never expected on well-formed graphs.
-pub fn fuse_lstm_cells(gir: &mut Gir) -> Result<usize> {
-    fuse(gir, "cell", |graph, members| {
+pub fn fuse_forward(gir: &mut Gir) -> Result<usize> {
+    let graph = Arc::clone(gir.graph());
+    let n = graph.len();
+    let mask = gir.live_mask();
+
+    // Fusibility per node: live op, fusible category, no operator-private
+    // saved state.
+    let fusible: Vec<bool> = graph
+        .nodes()
+        .iter()
+        .map(|node| match &node.kind {
+            NodeKind::Op { op, inputs } if mask[node.id.index()] => {
+                let in_shapes: Vec<&Shape> = inputs.iter().map(|&i| gir.shape(i)).collect();
+                fusible_category(op.category())
+                    && op.saved_bytes(&in_shapes, gir.shape(node.id)) == 0
+            }
+            _ => false,
+        })
+        .collect();
+    // Protected nodes may host a group but never become an interior.
+    let mut absorbable = fusible.clone();
+    for id in gir.protected() {
+        absorbable[id.index()] = false;
+    }
+    let mut claimed = vec![false; n];
+
+    let mut rewrites: Vec<Rewrite> = Vec::new();
+    let is_cell = |members: &[usize]| {
         members
             .iter()
             .filter(|&&m| {
@@ -59,20 +72,26 @@ pub fn fuse_lstm_cells(gir: &mut Gir) -> Result<usize> {
             })
             .count()
             >= 2
-    })
-}
+    };
+    for (tag, cell) in [("cell", true), ("chain", false)] {
+        for host in (0..n).rev() {
+            if claimed[host] || !fusible[host] {
+                continue;
+            }
+            let mut members = grow(&graph, &mask, &absorbable, &claimed, host);
+            if members.len() < 2 || (cell && !is_cell(&members)) {
+                continue;
+            }
+            for &m in &members {
+                claimed[m] = true;
+            }
+            rewrites.push(build_group(&graph, &mut members, host, tag));
+        }
+    }
 
-/// Fuses remaining elementwise chains: any single-escape group of two or
-/// more fusible constituents. Runs after [`fuse_lstm_cells`], which has
-/// already claimed the activation-heavy cell bodies. Returns the number
-/// of groups formed.
-///
-/// # Errors
-///
-/// Returns an error when a formed group fails to re-infer shapes — a
-/// pass bug, never expected on well-formed graphs.
-pub fn fuse_elementwise_chains(gir: &mut Gir) -> Result<usize> {
-    fuse(gir, "chain", |_, _| true)
+    let formed = rewrites.len();
+    gir.apply_rewrites(rewrites)?;
+    Ok(formed)
 }
 
 /// Categories whose ops are candidates for fusion: cheap memory-bound
@@ -84,166 +103,43 @@ fn fusible_category(c: KernelCategory) -> bool {
     )
 }
 
-/// One differentiable consumption of a value: consumer node + input slot.
-type Post = (NodeId, usize);
-
-fn fuse(gir: &mut Gir, tag: &str, keep: impl Fn(&Graph, &[usize]) -> bool) -> Result<usize> {
-    let graph = Arc::clone(gir.graph());
-    let n = graph.len();
-    let mask = gir.live_mask();
-
-    // Differentiable consumptions of each value, over the live cone.
-    let mut posts: Vec<Vec<Post>> = vec![Vec::new(); n];
-    for node in graph.nodes() {
-        if !mask[node.id.index()] {
-            continue;
-        }
-        if let NodeKind::Op { op, inputs } = &node.kind {
-            for (slot, inp) in inputs.iter().enumerate() {
-                if op.input_differentiable(slot) {
-                    posts[inp.index()].push((node.id, slot));
-                }
+/// Grows the group hosted at `host` to a fixpoint: absorb every
+/// absorbable, unclaimed producer whose live consumers are all already
+/// inside.
+fn grow(
+    graph: &Graph,
+    mask: &[bool],
+    absorbable: &[bool],
+    claimed: &[bool],
+    host: usize,
+) -> Vec<usize> {
+    let mut in_group = vec![false; graph.len()];
+    in_group[host] = true;
+    let mut members = vec![host];
+    loop {
+        let mut grew = false;
+        let candidates: Vec<usize> = members
+            .iter()
+            .flat_map(|&m| graph.nodes()[m].inputs().iter().map(|i| i.index()))
+            .collect();
+        for p in candidates {
+            if in_group[p] || claimed[p] || !absorbable[p] {
+                continue;
             }
-        }
-    }
-
-    // Fusibility per node: live op, fusible category, no operator-private
-    // saved state (which excludes already-formed FusedGroups, whose
-    // reserve space is non-empty).
-    let fusible: Vec<bool> = graph
-        .nodes()
-        .iter()
-        .map(|node| {
-            if !mask[node.id.index()] {
-                return false;
-            }
-            match &node.kind {
-                NodeKind::Op { op, inputs } => {
-                    if !fusible_category(op.category()) {
-                        return false;
-                    }
-                    let in_shapes: Vec<&Shape> = inputs.iter().map(|&i| gir.shape(i)).collect();
-                    op.saved_bytes(&in_shapes, gir.shape(node.id)) == 0
-                }
-                _ => false,
-            }
-        })
-        .collect();
-
-    let protected = {
-        let mut p = vec![false; n];
-        for id in gir.protected() {
-            p[id.index()] = true;
-        }
-        p
-    };
-
-    let mut claimed = vec![false; n];
-    let mut rewrites: Vec<Rewrite> = Vec::new();
-
-    for host in (0..n).rev() {
-        if claimed[host] || !fusible[host] {
-            continue;
-        }
-        let mut in_group = vec![false; n];
-        in_group[host] = true;
-        let mut members = vec![host];
-        let mut rejected = vec![false; n];
-        // Grow until fixpoint: absorb producers whose every live consumer
-        // is already inside, re-checking gradient safety after each step.
-        loop {
-            let mut grew = false;
-            let candidates: Vec<usize> = members
+            let escapes = graph
+                .consumers(NodeId::from_index(p))
                 .iter()
-                .flat_map(|&m| graph.nodes()[m].inputs().iter().map(|i| i.index()))
-                .collect();
-            for p in candidates {
-                if in_group[p] || rejected[p] || claimed[p] || !fusible[p] || protected[p] {
-                    continue;
-                }
-                let escapes = graph
-                    .consumers(NodeId::from_index(p))
-                    .iter()
-                    .any(|c| mask[c.index()] && !in_group[c.index()]);
-                if escapes {
-                    continue;
-                }
+                .any(|c| mask[c.index()] && !in_group[c.index()]);
+            if !escapes {
                 in_group[p] = true;
                 members.push(p);
-                if group_grads_bit_exact(&graph, &posts, &in_group, &members) {
-                    grew = true;
-                } else {
-                    in_group[p] = false;
-                    members.pop();
-                    rejected[p] = true;
-                }
-            }
-            if !grew {
-                break;
+                grew = true;
             }
         }
-        if members.len() < 2 || !keep(&graph, &members) {
-            continue;
+        if !grew {
+            return members;
         }
-        for &m in &members {
-            claimed[m] = true;
-        }
-        rewrites.push(build_group(&graph, &mut members, host, tag));
     }
-
-    let formed = rewrites.len();
-    gir.apply_rewrites(rewrites)?;
-    Ok(formed)
-}
-
-/// The admission rule from the module docs, checked for every external
-/// differentiable input of the tentative group.
-fn group_grads_bit_exact(
-    graph: &Graph,
-    posts: &[Vec<Post>],
-    in_group: &[bool],
-    members: &[usize],
-) -> bool {
-    let mut externals: Vec<usize> = members
-        .iter()
-        .flat_map(|&m| graph.nodes()[m].inputs().iter().map(|i| i.index()))
-        .filter(|&v| !in_group[v])
-        .collect();
-    externals.sort_unstable();
-    externals.dedup();
-    externals
-        .iter()
-        .all(|&v| value_accumulation_safe(graph, &posts[v], in_group))
-}
-
-fn value_accumulation_safe(graph: &Graph, posts: &[Post], in_group: &[bool]) -> bool {
-    let inside = posts.iter().filter(|(c, _)| in_group[c.index()]).count();
-    if inside == 0 || inside == posts.len() {
-        // Not differentiably consumed by the group, or consumed only by
-        // it (rule 1): the accumulation association is unchanged.
-        return true;
-    }
-    if posts.len() <= 2 {
-        // Rule 2: two contributions commute bitwise.
-        return true;
-    }
-    // Rule 3: disjoint column scatters.
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(posts.len());
-    for (c, _) in posts {
-        let node = &graph.nodes()[c.index()];
-        let NodeKind::Op { op, inputs } = &node.kind else {
-            return false;
-        };
-        if inputs.len() != 1 {
-            return false;
-        }
-        let Some(span) = op.grad_col_span() else {
-            return false;
-        };
-        spans.push(span);
-    }
-    spans.sort_unstable();
-    spans.windows(2).all(|w| w[0].1 <= w[1].0)
 }
 
 /// Assembles the [`FusedGroup`] rewrite hosted at the group's escaping

@@ -1,33 +1,28 @@
-//! The graph-level IR (GIR) and its rewrite passes.
+//! The graph-level IR (GIR): stage partitioning and forward-only fusion.
 //!
-//! Compilation runs as an explicit pass pipeline over two IR levels. The
-//! **GIR** — a [`Graph`] annotated with an inferred shape per node and the
-//! set of protected (externally observable) nodes — is where structural
-//! optimisation happens: common-subexpression elimination, LSTM-cell and
-//! elementwise-chain fusion, and layout selection are ordered rewrites,
-//! each reporting what it changed as a [`PassTrace`]. The GIR then
-//! **lowers** to the launch-level IR, the [`ExecPlan`](crate::ExecPlan)
-//! tables (schedule, launch table, slot packing, replay tables), which the
-//! executor interprets.
+//! Compilation works on two IR levels. The **GIR** is a [`Graph`]
+//! annotated with an inferred shape per node and the set of protected
+//! (externally observable) nodes. Pipeline-stage partitioning
+//! ([`partition_stages`]) and forward-only fusion ([`fuse_forward`], which
+//! serving runs on the decode graph) read it. Training plans **lower**
+//! from the graph straight to the launch-level IR, the
+//! [`ExecPlan`](crate::ExecPlan) tables (schedule, launch table, slot
+//! packing, replay tables), which the executor interprets.
 //!
-//! Every rewrite here is **id-preserving**: the rewritten graph has the
-//! same length and the same dense [`NodeId`]s as the original, so
-//! bindings, parameters, stash policies and targets held by callers stay
-//! valid across the whole pipeline. A fusion hosts its combined operator
-//! at the group's single escaping node; the absorbed interior nodes keep
-//! their original definitions but fall out of every target's dependency
-//! cone (nothing consumes them), so neither executor path ever runs them.
+//! A rewrite is **id-preserving**: the rewritten graph has the same length
+//! and the same dense [`NodeId`]s as the original, so bindings,
+//! parameters and targets held by callers stay valid. A fusion hosts its
+//! combined operator at the group's single escaping node; the absorbed
+//! interior nodes keep their original definitions but fall out of every
+//! target's dependency cone (nothing consumes them), so no execution ever
+//! runs them.
 
-pub mod cse;
 pub mod fused;
 pub mod fusion;
-pub mod layout;
 pub mod stage;
 
-pub use cse::common_subexpr_elim;
 pub use fused::FusedGroup;
-pub use fusion::{fuse_elementwise_chains, fuse_lstm_cells};
-pub use layout::select_layouts;
+pub use fusion::fuse_forward;
 pub use stage::{partition_stages, StageExecPlans, StagePartition, StageSpec};
 
 use crate::graph::{Graph, NodeId, NodeKind};
@@ -37,9 +32,9 @@ use echo_tensor::Shape;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One replacement a structural pass wants applied to the graph: node
-/// `id` becomes an application of `op` over `inputs` (all of which must
-/// have lower ids than `id`).
+/// One replacement a rewrite wants applied to the graph: node `id`
+/// becomes an application of `op` over `inputs` (all of which must have
+/// lower ids than `id`).
 #[derive(Debug, Clone)]
 pub struct Rewrite {
     /// The node being redefined.
@@ -50,44 +45,20 @@ pub struct Rewrite {
     pub inputs: Vec<NodeId>,
 }
 
-/// What one pass did, with before/after metrics over the live cone —
-/// the per-pass accounting entry of the pipeline report.
+/// One compile stage's entry in the compiler's report.
 #[derive(Debug, Clone)]
 pub struct PassTrace {
-    /// Pass name (`"cse"`, `"fuse-lstm-cell"`, …).
+    /// Stage name (`"stash-select"`, `"lower"`, …).
     pub pass: String,
-    /// Number of graph rewrites the pass applied (fused groups, merged
-    /// duplicates, swapped layouts).
+    /// What the stage produced: segments selected, launches lowered,
+    /// stages partitioned.
     pub rewrites: usize,
-    /// Live op-node count before the pass.
-    pub live_ops_before: usize,
-    /// Live op-node count after the pass.
-    pub live_ops_after: usize,
-    /// Forward launch-table length over the live cone before the pass.
-    pub fwd_launches_before: usize,
-    /// Forward launch-table length over the live cone after the pass.
-    pub fwd_launches_after: usize,
-    /// Forward FLOPs over the live cone before the pass.
-    pub fwd_flops_before: u64,
-    /// Forward FLOPs over the live cone after the pass.
-    pub fwd_flops_after: u64,
-    /// Output bytes of live nodes before the pass.
-    pub live_bytes_before: u64,
-    /// Output bytes of live nodes after the pass.
-    pub live_bytes_after: u64,
-    /// Wall time the pass took, in microseconds.
+    /// Wall time the stage took, in microseconds.
     pub wall_us: f64,
-    /// Whether the rewrite is bit-exact by construction. A pass that
-    /// cannot guarantee bit-identical loss/grads (e.g. CSE merging on a
-    /// gradient path) must flag itself here.
-    pub bit_exact: bool,
-    /// Whether the structural equivalence check between the pre- and
-    /// post-pass GIR passed.
-    pub equivalence_ok: bool,
 }
 
 /// The graph-level IR: a graph plus per-node inferred shapes and the
-/// protected node set structural passes must never absorb.
+/// protected node set fusion must never absorb.
 #[derive(Debug, Clone)]
 pub struct Gir {
     graph: Arc<Graph>,
@@ -152,55 +123,6 @@ impl Gir {
         mask
     }
 
-    /// Number of live op nodes.
-    pub fn live_ops(&self) -> usize {
-        let mask = self.live_mask();
-        self.graph
-            .nodes()
-            .iter()
-            .filter(|n| mask[n.id.index()] && matches!(n.kind, NodeKind::Op { .. }))
-            .count()
-    }
-
-    /// Forward launch-table length over the live cone: the number of
-    /// kernels one forward execution of all protected targets launches.
-    pub fn forward_launch_count(&self) -> usize {
-        self.fold_live_launches(|launches| launches.len() as u64) as usize
-    }
-
-    /// Forward FLOPs over the live cone.
-    pub fn forward_flops(&self) -> u64 {
-        self.fold_live_launches(crate::plan::launch_flops)
-    }
-
-    /// Total output bytes of live nodes.
-    pub fn live_bytes(&self) -> u64 {
-        let mask = self.live_mask();
-        self.shapes
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| mask[i])
-            .map(|(_, s)| s.num_bytes() as u64)
-            .sum()
-    }
-
-    fn fold_live_launches(&self, f: impl Fn(&[crate::op::KernelLaunch]) -> u64) -> u64 {
-        let mask = self.live_mask();
-        let mut total: u64 = 0;
-        for node in self.graph.nodes() {
-            if !mask[node.id.index()] {
-                continue;
-            }
-            if let NodeKind::Op { op, inputs } = &node.kind {
-                let in_shapes: Vec<&Shape> =
-                    inputs.iter().map(|&i| &self.shapes[i.index()]).collect();
-                let launches = op.forward_launches(&in_shapes, &self.shapes[node.id.index()]);
-                total += f(&launches);
-            }
-        }
-        total
-    }
-
     /// Applies a batch of node redefinitions, rebuilding the graph with
     /// identical ids and re-running shape inference (which doubles as a
     /// well-formedness check of the rewrite).
@@ -258,102 +180,6 @@ impl Gir {
         self.shapes = shapes;
         Ok(())
     }
-
-    /// Pretty-prints the IR, one node per line — what `ECHO_DUMP_IR`
-    /// emits before/after each pass. Dead (out-of-cone) nodes are marked.
-    pub fn dump(&self) -> String {
-        use std::fmt::Write;
-        let mask = self.live_mask();
-        let mut out = String::new();
-        for node in self.graph.nodes() {
-            let shape = &self.shapes[node.id.index()];
-            let _ = match &node.kind {
-                NodeKind::Input => writeln!(out, "  {} = input {:?} : {shape}", node.id, node.name),
-                NodeKind::Param => writeln!(out, "  {} = param {:?} : {shape}", node.id, node.name),
-                NodeKind::Op { op, inputs } => {
-                    let args: Vec<String> = inputs.iter().map(|i| i.to_string()).collect();
-                    let dead = if mask[node.id.index()] {
-                        ""
-                    } else {
-                        "  // dead"
-                    };
-                    let prot = if self.protected.contains(&node.id) {
-                        "  // protected"
-                    } else {
-                        ""
-                    };
-                    writeln!(
-                        out,
-                        "  {} = {}({}) : {shape}{dead}{prot}",
-                        node.id,
-                        op.name(),
-                        args.join(", "),
-                    )
-                }
-            };
-        }
-        out
-    }
-}
-
-/// Structural equivalence check between two pipeline stages: the rewritten
-/// GIR must preserve the external interface of the original — same node
-/// count and ids, identical input/parameter nodes, and identical shapes
-/// for every protected node. Passes that satisfy this plus their own
-/// bit-exactness argument leave every observable bit unchanged.
-///
-/// # Errors
-///
-/// Returns [`GraphError::Operator`] describing the first violation.
-pub fn check_equivalence(before: &Gir, after: &Gir) -> Result<()> {
-    let fail = |message: String| {
-        Err(GraphError::Operator {
-            op: "gir-equivalence".to_string(),
-            message,
-        })
-    };
-    if before.graph.len() != after.graph.len() {
-        return fail(format!(
-            "node count changed: {} -> {}",
-            before.graph.len(),
-            after.graph.len()
-        ));
-    }
-    for (b, a) in before.graph.nodes().iter().zip(after.graph.nodes()) {
-        if b.name != a.name {
-            return fail(format!(
-                "node {} renamed {:?} -> {:?}",
-                b.id, b.name, a.name
-            ));
-        }
-        let same_kind = matches!(
-            (&b.kind, &a.kind),
-            (NodeKind::Input, NodeKind::Input)
-                | (NodeKind::Param, NodeKind::Param)
-                | (NodeKind::Op { .. }, NodeKind::Op { .. })
-        );
-        if !same_kind {
-            return fail(format!("node {} changed kind", b.id));
-        }
-        if let NodeKind::Op { inputs, .. } = &a.kind {
-            if inputs.iter().any(|i| *i >= a.id) {
-                return fail(format!("node {} breaks topological order", a.id));
-            }
-        }
-    }
-    if before.protected != after.protected {
-        return fail("protected set changed".to_string());
-    }
-    for &p in &before.protected {
-        if before.shape(p) != after.shape(p) {
-            return fail(format!(
-                "protected node {p} changed shape: {} -> {}",
-                before.shape(p),
-                after.shape(p)
-            ));
-        }
-    }
-    Ok(())
 }
 
 fn infer_all(
@@ -440,29 +266,20 @@ mod tests {
         }
     }
 
-    fn single_op_gir() -> Gir {
+    #[test]
+    fn degenerate_single_op_graph_passes_through_untouched() {
+        // Mirrors `fell_back_to_heuristic` in the stash search: a graph
+        // with nothing to fuse must flow through as the identity, not an
+        // error.
         let mut g = Graph::new();
         let x = g.input("x", LayerKind::Other);
         let y = g.apply("y", Arc::new(Double), &[x], LayerKind::Other);
         let mut bindings = HashMap::new();
         bindings.insert(x, Shape::d2(2, 2));
-        Gir::from_graph(Arc::new(g), &bindings, &HashMap::new(), &[y]).unwrap()
-    }
-
-    #[test]
-    fn degenerate_single_op_graph_passes_through_untouched() {
-        // Mirrors `fell_back_to_heuristic` in the stash search: a graph
-        // with nothing to optimise must flow through fusion and CSE as
-        // the identity, not an error.
-        let mut gir = single_op_gir();
-        let before = gir.clone();
-        assert_eq!(fuse_lstm_cells(&mut gir).unwrap(), 0);
-        assert_eq!(fuse_elementwise_chains(&mut gir).unwrap(), 0);
-        assert_eq!(common_subexpr_elim(&mut gir, false).unwrap(), 0);
-        assert_eq!(select_layouts(&mut gir).unwrap(), 0);
-        check_equivalence(&before, &gir).unwrap();
-        assert_eq!(gir.forward_launch_count(), 1);
-        assert!(Arc::ptr_eq(before.graph(), gir.graph()));
+        let mut gir = Gir::from_graph(Arc::new(g), &bindings, &HashMap::new(), &[y]).unwrap();
+        let before = Arc::clone(gir.graph());
+        assert_eq!(fuse_forward(&mut gir).unwrap(), 0);
+        assert!(Arc::ptr_eq(&before, gir.graph()));
     }
 
     #[test]
@@ -476,49 +293,10 @@ mod tests {
         let mut params = HashMap::new();
         params.insert(_w, Shape::d1(3));
         let mut gir = Gir::from_graph(Arc::new(g), &bindings, &params, &[x]).unwrap();
-        let before = gir.clone();
-        assert_eq!(fuse_lstm_cells(&mut gir).unwrap(), 0);
-        assert_eq!(fuse_elementwise_chains(&mut gir).unwrap(), 0);
-        assert_eq!(common_subexpr_elim(&mut gir, false).unwrap(), 0);
-        check_equivalence(&before, &gir).unwrap();
-        assert_eq!(gir.forward_launch_count(), 0);
-        assert_eq!(gir.live_ops(), 0);
-    }
-
-    #[test]
-    fn dump_lists_every_node_and_marks_dead() {
-        let mut g = Graph::new();
-        let x = g.input("x", LayerKind::Other);
-        let y = g.apply("y", Arc::new(Double), &[x], LayerKind::Other);
-        let _z = g.apply("z", Arc::new(Double), &[x], LayerKind::Other);
-        let mut bindings = HashMap::new();
-        bindings.insert(x, Shape::d2(2, 2));
-        let gir = Gir::from_graph(Arc::new(g), &bindings, &HashMap::new(), &[y]).unwrap();
-        let text = gir.dump();
-        assert!(text.contains("input \"x\""));
-        assert!(text.contains("double(%0)"));
-        assert!(text.contains("// dead"), "{text}");
-        assert!(text.contains("// protected"), "{text}");
-    }
-
-    #[test]
-    fn equivalence_check_rejects_shape_and_interface_changes() {
-        let gir = single_op_gir();
-        // Different protected shape.
-        let mut g = Graph::new();
-        let x = g.input("x", LayerKind::Other);
-        let y = g.apply("y", Arc::new(Double), &[x], LayerKind::Other);
-        let mut bindings = HashMap::new();
-        bindings.insert(x, Shape::d2(4, 4));
-        let other = Gir::from_graph(Arc::new(g), &bindings, &HashMap::new(), &[y]).unwrap();
-        assert!(check_equivalence(&gir, &other).is_err());
-        // Different node count.
-        let mut g2 = Graph::new();
-        let x2 = g2.input("x", LayerKind::Other);
-        let mut b2 = HashMap::new();
-        b2.insert(x2, Shape::d2(2, 2));
-        let shorter = Gir::from_graph(Arc::new(g2), &b2, &HashMap::new(), &[x2]).unwrap();
-        assert!(check_equivalence(&gir, &shorter).is_err());
+        let before = Arc::clone(gir.graph());
+        assert_eq!(fuse_forward(&mut gir).unwrap(), 0);
+        assert!(Arc::ptr_eq(&before, gir.graph()));
+        assert_eq!(gir.live_mask(), [true, false]);
     }
 
     #[test]
@@ -540,6 +318,6 @@ mod tests {
         assert_eq!(gir.graph().nodes()[b.index()].inputs(), &[x]);
         assert_eq!(gir.shape(b), &Shape::d2(2, 3));
         // `a` is now dead: out of b's cone.
-        assert_eq!(gir.live_ops(), 1);
+        assert_eq!(gir.live_mask(), [true, false, true]);
     }
 }

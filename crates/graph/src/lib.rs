@@ -46,8 +46,7 @@ pub mod reference;
 pub use error::GraphError;
 pub use exec::{ExecOptions, Executor, IterationStats, StageStepOutput, WavefrontMode};
 pub use gir::{
-    check_equivalence, partition_stages, Gir, PassTrace, Rewrite, StageExecPlans, StagePartition,
-    StageSpec,
+    partition_stages, Gir, PassTrace, Rewrite, StageExecPlans, StagePartition, StageSpec,
 };
 pub use graph::{Graph, Node, NodeId, NodeKind};
 pub use op::{KernelLaunch, LaunchSpec, Operator, StashNeeds};

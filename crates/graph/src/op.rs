@@ -152,28 +152,6 @@ pub trait Operator: fmt::Debug {
         let _ = index;
         true
     }
-
-    /// If `Some((start, end))`, this operator has exactly one input and its
-    /// backward writes the input gradient only into columns `[start, end)`
-    /// of the last dimension, leaving `+0.0` everywhere else — the
-    /// slice-like ops that split the LSTM gate pre-activation. The fusion
-    /// pass uses this to prove that when one value feeds several such
-    /// consumers, their gradient contributions have disjoint supports, so
-    /// any association order of the accumulation produces identical bits.
-    fn grad_col_span(&self) -> Option<(usize, usize)> {
-        None
-    }
-
-    /// Alternative implementations of this operator that compute
-    /// bit-identical numerics but launch different kernels (e.g. a
-    /// row-major vs column-major weight layout for a recurrent GEMM).
-    /// The layout-selection pass scores each variant on the device
-    /// simulator and keeps the cheapest. Implementations MUST preserve
-    /// `forward`/`backward` bits exactly; only launch descriptions may
-    /// differ. Defaults to "no alternatives".
-    fn layout_variants(&self) -> Vec<std::sync::Arc<dyn Operator + Send + Sync>> {
-        Vec::new()
-    }
 }
 
 #[cfg(test)]

@@ -17,9 +17,15 @@
 //! training. Stacking B requests into one `[1, B]` step is therefore
 //! bit-identical, lane for lane, to B separate `[1, 1]` steps. The serve
 //! crate's integration tests assert this for every matmul policy.
+//!
+//! **Forward-only fusion.** [`WordLmDecoder::fused_graph`] is the decode
+//! graph with its LSTM cells and elementwise chains fused
+//! ([`echo_graph::gir::fuse_forward`]): same node ids, same bits, fewer
+//! launches per step. Serving always runs it. Nothing trains it: a
+//! training step over a fused graph is a typed error.
 
 use crate::word_lm::WordLmHyper;
-use echo_graph::gir::{common_subexpr_elim, fuse_elementwise_chains, fuse_lstm_cells, Gir};
+use echo_graph::gir::{fuse_forward, Gir};
 use echo_graph::{ExecOptions, ExecPlan, Executor, Graph, NodeId, Result};
 use echo_memory::LayerKind;
 use echo_ops::{Embedding, FullyConnected};
@@ -182,8 +188,8 @@ impl WordLmDecoder {
         bindings
     }
 
-    /// Shapes of every parameter node — what the GIR front end needs to
-    /// lift the decode graph without binding parameter values.
+    /// Shapes of every parameter node — what lifting the decode graph
+    /// into the GIR needs, without binding parameter values.
     pub fn param_shapes(&self) -> HashMap<NodeId, Shape> {
         let h = self.hyper;
         let mut out = HashMap::new();
@@ -196,9 +202,8 @@ impl WordLmDecoder {
         out
     }
 
-    /// The decode graph after the forward-only GIR pipeline: merging CSE
-    /// (safe in inference, where no gradient accumulation can be
-    /// re-associated), LSTM-cell fusion, and elementwise-chain fusion.
+    /// The decode graph with LSTM cells and elementwise chains fused for
+    /// forward-only execution — the graph the serving engine runs.
     ///
     /// Node ids survive the rewrite, so [`symbolic_bindings`]
     /// (Self::symbolic_bindings), [`bind_params`](Self::bind_params),
@@ -209,7 +214,7 @@ impl WordLmDecoder {
     ///
     /// # Errors
     ///
-    /// Propagates shape-inference or rewrite failures from the passes.
+    /// Propagates shape-inference or rewrite failures from fusion.
     pub fn fused_graph(&self) -> Result<Arc<Graph>> {
         let binding_shapes: HashMap<NodeId, Shape> = self
             .symbolic_bindings(1)
@@ -222,9 +227,7 @@ impl WordLmDecoder {
             &self.param_shapes(),
             &self.outputs,
         )?;
-        common_subexpr_elim(&mut gir, true)?;
-        fuse_lstm_cells(&mut gir)?;
-        fuse_elementwise_chains(&mut gir)?;
+        fuse_forward(&mut gir)?;
         Ok(Arc::clone(gir.graph()))
     }
 

@@ -728,21 +728,6 @@ impl<B: Clone + Send + 'static> PipelineTrainer<B> {
         })
     }
 
-    /// Pipeline depth `P`.
-    pub fn stages(&self) -> usize {
-        self.stages
-    }
-
-    /// Replica count `K`.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
-    /// The canonical reduction-tree plan.
-    pub fn plan(&self) -> &MicrobatchPlan {
-        &self.plan
-    }
-
     /// Runs one global step: fill–drain over all stages and replicas,
     /// canonical gradient fold, one optimizer update on the template,
     /// and a parameter broadcast with the next step.
@@ -854,11 +839,6 @@ impl<B: Clone + Send + 'static> PipelineTrainer<B> {
     /// original id.
     pub fn export_params(&self) -> Vec<(NodeId, Tensor)> {
         self.template.export_params()
-    }
-
-    /// The coordinator's template executor.
-    pub fn executor(&self) -> &Executor {
-        &self.template
     }
 
     /// Arms the fault-containment fixture: the next step panics inside

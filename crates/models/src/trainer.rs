@@ -383,11 +383,6 @@ impl MicrobatchTrainer {
     pub fn export_params(&self) -> Vec<(NodeId, Tensor)> {
         self.exec.export_params()
     }
-
-    /// The underlying executor (e.g. for evaluation passes).
-    pub fn executor(&self) -> &Executor {
-        &self.exec
-    }
 }
 
 /// MXNet-speedometer-style throughput meter over *simulated* device time.

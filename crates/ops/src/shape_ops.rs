@@ -100,12 +100,6 @@ impl Operator for SliceLastDim {
     fn stash(&self) -> StashNeeds {
         StashNeeds::INPUTS
     }
-    fn grad_col_span(&self) -> Option<(usize, usize)> {
-        // Backward scatters `dy` into columns [start, end) of a zeroed
-        // `dx` — the disjoint-support property the fusion pass relies on
-        // when several gate slices consume one pre-activation.
-        Some((self.start, self.end))
-    }
     fn forward_launches(&self, _i: &[&Shape], o: &Shape) -> Vec<KernelLaunch> {
         vec![KernelLaunch::kernel(
             "slice_fwd",

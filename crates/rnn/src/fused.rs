@@ -236,16 +236,6 @@ impl Operator for FusedLstmLayer {
         // gates [T,B,4H] + cells [T,B,H]
         (t * b * 5 * self.hidden * 4) as u64
     }
-    fn layout_variants(&self) -> Vec<std::sync::Arc<dyn Operator + Send + Sync>> {
-        // Standard and eco layouts compute identical bits; only the
-        // simulated GEMM geometry (and the eco transpose kernels) differ.
-        let other = if self.eco_layout {
-            FusedLstmLayer::new(self.hidden)
-        } else {
-            FusedLstmLayer::new(self.hidden).with_eco_layout()
-        };
-        vec![std::sync::Arc::new(other)]
-    }
     fn forward_launches(&self, inputs: &[&Shape], _output: &Shape) -> Vec<KernelLaunch> {
         let Ok((t, b, in_dim)) = self.seq_dims(inputs[0]) else {
             return Vec::new();

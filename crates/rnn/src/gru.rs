@@ -193,15 +193,6 @@ impl Operator for GruStep {
         };
         (4 * b * self.hidden * 4) as u64
     }
-    fn layout_variants(&self) -> Vec<std::sync::Arc<dyn Operator + Send + Sync>> {
-        // Numerics are layout-independent (the GEMM layout only changes
-        // the simulated tiling), so the other layout is a legal variant.
-        let other = match self.layout {
-            MatrixLayout::RowMajor => MatrixLayout::ColMajor,
-            MatrixLayout::ColMajor => MatrixLayout::RowMajor,
-        };
-        vec![std::sync::Arc::new(self.clone().with_layout(other))]
-    }
     fn forward_launches(&self, inputs: &[&Shape], _output: &Shape) -> Vec<KernelLaunch> {
         let Ok((b, in_dim)) = self.dims(inputs) else {
             return Vec::new();

@@ -11,9 +11,11 @@
 //! state never crosses threads. Each worker owns a parameter *replica*
 //! executor ([`Executor::clone_replica`]) whose step-persistent
 //! [`TensorPool`](echo_memory::TensorPool) recycles decode-step storage
-//! across requests; the engine pre-builds one inference-mode
-//! [`ExecPlan`] per batch size `1..=max_batch` from the prototype and all
-//! replicas share them.
+//! across requests. Every executor runs the fused decode graph
+//! ([`WordLmDecoder::fused_graph`]): the same bits as the unfused graph
+//! with fewer launches per step. The engine pre-builds one
+//! inference-mode [`ExecPlan`] per batch size `1..=max_batch` from the
+//! prototype and all replicas share them.
 //!
 //! One scheduler drives the decode loop ([`crate::scheduler`]): sessions
 //! join and leave a *running* batch between decode steps; the batch never
@@ -23,8 +25,8 @@
 //!
 //! Because the decode path is batch-invariant (see
 //! [`echo_models::infer`]), none of these mechanics change a single bit
-//! of any session's logits: batching, lane churn, eviction + re-warm, and
-//! pre-installed vs planned-on-first-use execution are all transparent.
+//! of any session's logits: batching, lane churn and eviction + re-warm
+//! are all transparent.
 
 use crate::queue::{BoundedQueue, Popped, PushError};
 use crate::scheduler::{Job, Reply};
@@ -65,14 +67,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Per-worker LRU session-state capacity.
     pub session_capacity: usize,
-    /// Pre-build an inference-mode execution plan per batch size
-    /// (`false` = the executor plans each batch signature on first use
-    /// and memoizes it; results are bit-identical either way).
-    pub plan: bool,
-    /// Serve the fused decode graph ([`WordLmDecoder::fused_graph`]):
-    /// the GIR pipeline's CSE + fusion passes shrink the per-step launch
-    /// table, bit-identically to the unfused graph.
-    pub fuse: bool,
     /// Simulated device capacity per replica.
     pub mem_bytes: u64,
     /// Ignored (see [`BatchMode`]); dropped by the next `benchmark` PR.
@@ -90,8 +84,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             workers: 1,
             session_capacity: 256,
-            plan: true,
-            fuse: false,
             mem_bytes: 4 << 30,
             mode: BatchMode::Continuous,
             tenant_inflight_limit: 0,
@@ -536,9 +528,9 @@ impl fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Builds the decode graph for `hyper`, binds parameters from `seed`
-    /// (bit-identical to a training model drawn with the same seed),
-    /// compiles inference plans for every batch size up to
+    /// Builds and fuses the decode graph for `hyper`, binds parameters
+    /// from `seed` (bit-identical to a training model drawn with the same
+    /// seed), compiles inference plans for every batch size up to
     /// `config.max_batch`, and starts the worker threads.
     ///
     /// # Errors
@@ -551,24 +543,15 @@ impl Engine {
         let decoder = Arc::new(WordLmDecoder::build(hyper));
         let mem = || DeviceMemory::with_overhead_model(config.mem_bytes, 0, 0.0);
         // Node ids survive the fusion rewrite, so every decoder node id
-        // (bindings, outputs, session state) works against either graph.
-        let graph = if config.fuse {
-            decoder.fused_graph().map_err(exec_err)?
-        } else {
-            Arc::clone(&decoder.graph)
-        };
+        // (bindings, outputs, session state) works against the fused graph.
+        let graph = decoder.fused_graph().map_err(exec_err)?;
         let mut proto = Executor::new(graph, StashPlan::stash_all(), mem());
         decoder.bind_params(&mut proto, seed).map_err(exec_err)?;
 
-        let mut plans = Vec::new();
-        if config.plan {
-            for b in 1..=config.max_batch.max(1) {
-                let plan = proto
-                    .plan_for_inference(&decoder.symbolic_bindings(b), decoder.outputs())
-                    .map_err(exec_err)?;
-                plans.push(plan);
-            }
-        }
+        let plans = (1..=config.max_batch.max(1))
+            .map(|b| proto.plan_for_inference(&decoder.symbolic_bindings(b), decoder.outputs()))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(exec_err)?;
 
         let workers = config.workers.max(1);
         let queues: Vec<BoundedQueue<Job>> = (0..workers)
@@ -625,8 +608,8 @@ impl Engine {
         &self.decoder
     }
 
-    /// The shared inference plans, one per batch size `1..=max_batch`
-    /// (empty when planning is disabled).
+    /// The shared inference plans over the fused decode graph, one per
+    /// batch size `1..=max_batch`.
     pub fn plans(&self) -> &[Arc<ExecPlan>] {
         &self.plans
     }
@@ -849,9 +832,7 @@ impl Worker {
         Ok(state)
     }
 
-    /// Installs the pre-built plan for batch size `b` (no-op when
-    /// pre-building is disabled or `b` exceeds `max_batch`: the executor
-    /// then plans that signature on first use, bit-identically).
+    /// Installs the pre-built plan for batch size `b`.
     pub(crate) fn install_plan(&mut self, b: usize) {
         if let Some(plan) = self.plans.get(b - 1) {
             let _ = self.exec.set_exec_plan(Arc::clone(plan));

@@ -1,8 +1,8 @@
 //! Acceptance: for the served model and shapes, the inference-mode plan
 //! is strictly leaner than the training plan — smaller slot arena,
-//! shorter launch table, lower planned peak — and the compiler front-end
-//! (`EchoCompiler::compile_inference`) reports the same footprint the
-//! engine's plans carry.
+//! shorter launch table, lower planned peak — and the compiler
+//! (`EchoCompiler::compile_inference` over the fused decode graph) reports
+//! the same footprint the engine's plans carry.
 
 use echo::{EchoCompiler, EchoConfig};
 use echo_graph::{ExecOptions, Executor, StashPlan};
@@ -85,7 +85,7 @@ fn compiler_front_end_reports_the_engine_plan_footprint() {
     let batch = 4;
     let compiled = EchoCompiler::new(EchoConfig::default())
         .compile_inference(
-            &dec.graph,
+            &dec.fused_graph().unwrap(),
             &dec.symbolic_bindings(batch),
             &param_shapes,
             dec.outputs(),

@@ -1,84 +1,84 @@
-//! Serving the fused decode graph changes launch counts, not bits.
+//! The engine always serves the fused decode graph; fusion changes launch
+//! counts, not bits.
 //!
-//! `ServeConfig { fuse: true }` swaps the decoder graph for its GIR
-//! pipeline rewrite (merging CSE + LSTM-cell fusion + elementwise-chain
-//! fusion) before the engine builds its plans. This must be completely
-//! transparent to clients: per-step logits (and therefore greedy argmax
-//! decodes) are bit-identical to an unfused engine with the same seed,
-//! while the per-step inference plans carry strictly fewer forward
-//! launches.
+//! The oracle is the unfused decode graph stepped through
+//! `WordLmDecoder::infer_step` one session at a time. Per-step logits (and
+//! therefore greedy argmax decodes) from the engine must be bit-identical
+//! to it, while the engine's per-step inference plans carry strictly fewer
+//! forward launches than the unfused graph's.
 
-use echo_models::WordLmHyper;
+use echo_graph::{Executor, StashPlan};
+use echo_memory::DeviceMemory;
+use echo_models::{LmState, WordLmHyper};
 use echo_rnn::LstmBackend;
-use echo_serve::{Engine, ServeConfig, ServeError, StepOutput};
+use echo_serve::{Engine, ServeConfig, ServeError};
+use std::sync::Arc;
 
 const SEED: u64 = 53;
 const VOCAB: usize = 31;
 const SESSIONS: u64 = 3;
 const TOKENS_PER_SESSION: usize = 6;
 
-fn start(fuse: bool) -> Engine {
-    Engine::start(
+fn token(session: u64, i: usize) -> u32 {
+    ((session * 7 + i as u64 * 3 + 1) % VOCAB as u64) as u32
+}
+
+#[test]
+fn fused_engine_is_bit_identical_with_fewer_launches() {
+    let mut engine = Engine::start(
         WordLmHyper::tiny(VOCAB, LstmBackend::Default),
         SEED,
         ServeConfig {
             max_batch: 2,
             workers: 1,
-            fuse,
             ..ServeConfig::default()
         },
     )
-    .unwrap()
-}
-
-fn run_sessions(engine: &Engine) -> Vec<Vec<StepOutput>> {
-    (0..SESSIONS)
-        .map(|session| {
-            (0..TOKENS_PER_SESSION)
-                .map(|i| {
-                    let token = ((session * 7 + i as u64 * 3 + 1) % VOCAB as u64) as u32;
-                    loop {
-                        match engine.submit(session, token) {
-                            Ok(ticket) => break ticket.wait().unwrap(),
-                            Err(ServeError::Overloaded { .. }) => std::thread::yield_now(),
-                            Err(e) => panic!("submit failed: {e}"),
-                        }
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-#[test]
-fn fused_engine_is_bit_identical_with_fewer_launches() {
-    let mut unfused = start(false);
-    let mut fused = start(true);
+    .unwrap();
+    let dec = engine.decoder();
+    let mut oracle = Executor::new(
+        Arc::clone(&dec.graph),
+        StashPlan::stash_all(),
+        DeviceMemory::with_overhead_model(4 << 30, 0, 0.0),
+    );
+    dec.bind_params(&mut oracle, SEED).unwrap();
 
     // Fewer launches per decode step, at every pre-built batch size.
-    assert_eq!(unfused.plans().len(), fused.plans().len());
-    for (u, f) in unfused.plans().iter().zip(fused.plans()) {
+    assert_eq!(engine.plans().len(), 2);
+    for (i, fused) in engine.plans().iter().enumerate() {
+        let unfused = oracle
+            .plan_for_inference(&dec.symbolic_bindings(i + 1), dec.outputs())
+            .unwrap();
         assert!(
-            f.forward_launch_count() < u.forward_launch_count(),
+            fused.forward_launch_count() < unfused.forward_launch_count(),
             "fused plan must shrink the launch table: {} vs {}",
-            f.forward_launch_count(),
-            u.forward_launch_count()
+            fused.forward_launch_count(),
+            unfused.forward_launch_count()
         );
     }
 
     // Identical bits for every session and step.
-    let reference = run_sessions(&unfused);
-    let outputs = run_sessions(&fused);
-    for (session, (ref_steps, fused_steps)) in reference.iter().zip(&outputs).enumerate() {
-        for (step, (r, f)) in ref_steps.iter().zip(fused_steps).enumerate() {
+    for session in 0..SESSIONS {
+        let mut state = LmState::zero(dec.hyper.layers, dec.hyper.hidden);
+        for i in 0..TOKENS_PER_SESSION {
+            let token = token(session, i);
+            let served = loop {
+                match engine.submit(session, token) {
+                    Ok(ticket) => break ticket.wait().unwrap(),
+                    Err(ServeError::Overloaded { .. }) => std::thread::yield_now(),
+                    Err(e) => panic!("submit failed: {e}"),
+                }
+            };
+            let (logits, next) = dec
+                .infer_step(&mut oracle, &[token], std::slice::from_ref(&state))
+                .unwrap();
             assert_eq!(
-                f.logits, r.logits,
-                "session {session} step {step}: fused logits diverge"
+                served.logits, logits[0],
+                "session {session} step {i}: fused logits diverge from the unfused replay"
             );
-            assert_eq!(f.argmax(), r.argmax(), "session {session} step {step}");
+            state = next.into_iter().next().unwrap();
         }
     }
 
-    unfused.shutdown();
-    fused.shutdown();
+    engine.shutdown();
 }

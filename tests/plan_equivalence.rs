@@ -13,10 +13,9 @@
 //! and so is the step after it, which runs on recycled pool storage;
 //! performs exactly `ExecPlan::planned_replays()` replays, and reports
 //! exactly the peak the deleted per-node allocator walk reported for that
-//! cell (frozen below as golden constants). A second sweep adds the fusion
-//! axis: the pass-pipeline rewritten word LM must stay bit-identical to
-//! its unfused twin across {stash-all, Echo, searched} plans and every
-//! matmul policy.
+//! cell (frozen below as golden constants). A second sweep runs the
+//! word LM on its `Default` backend, the many-op cell graph, across
+//! {stash-all, Echo, searched} plans and every matmul policy.
 //!
 //! One `#[test]`, not several: the matmul policy is process-global state
 //! and the harness runs `#[test]`s concurrently, so the sweep must iterate
@@ -293,15 +292,13 @@ const LEGACY_PEAKS: [(&str, &str, u64); 8] = [
     ("gru", "searched", 2_304),
 ];
 
-/// Same for the fusion sweep, where the walk's peak was only ever an upper
-/// bound on the plan's (it kept the recompute workspace retained).
-const LEGACY_FUSION_PEAKS: [(&str, &str, u64); 6] = [
-    ("unfused", "stash-all", 94_456),
-    ("fused", "stash-all", 94_456),
-    ("unfused", "echo", 94_456),
-    ("fused", "echo", 92_656),
-    ("unfused", "searched", 80_624),
-    ("fused", "searched", 80_376),
+/// Same for the `Default`-backend sweep, where the walk's peak was only
+/// ever an upper bound on the plan's (it kept the recompute workspace
+/// retained).
+const LEGACY_DEFAULT_BACKEND_PEAKS: [(&str, &str, u64); 3] = [
+    ("word-lm-default", "stash-all", 94_456),
+    ("word-lm-default", "echo", 94_456),
+    ("word-lm-default", "searched", 80_624),
 ];
 
 fn golden(table: &[(&str, &str, u64)], row: &str, plan: &str) -> u64 {
@@ -343,70 +340,21 @@ fn planned_execution_is_bit_identical_across_plans_and_matmul_policies() {
         }
     }
 
-    // Fusion sweep: {fusion on, fusion off} × {stash-all, Echo, searched}
-    // × every matmul policy, on the word LM's `Default` backend — the
-    // many-op cell graph the fusion passes actually rewrite. Within each
-    // cell the step must match the oracle bit-for-bit in loss and
-    // gradients and replay as planned; *across* the fusion axis loss and gradient
-    // bits must be identical too, because the fusion admission rules only
-    // absorb a producer where the gradient accumulation order is provably
-    // preserved. Node ids survive the rewrite, so params and bindings
-    // transfer unchanged. (Chen-√N stays in the main sweep above: its
-    // stride heuristic is not meaningful on a fusion-rewritten graph.)
-    let unfused = word_lm_scenario_on("word-lm-default", LstmBackend::Default);
-    let compiled = EchoCompiler::new(EchoConfig {
-        fusion: true,
-        cse: true,
-        ..EchoConfig::default()
-    })
-    .compile(
-        &unfused.graph,
-        &unfused.bindings,
-        &unfused.param_shapes(),
-        &[unfused.loss],
-    )
-    .expect("fused compile");
-    let fused = Scenario {
-        name: "word-lm-fused",
-        graph: compiled
-            .graph
-            .clone()
-            .expect("fusion rewrites the Default-backend word LM"),
-        loss: unfused.loss,
-        params: unfused.params.clone(),
-        bindings: unfused.bindings.clone(),
-    };
-    let sweep_plans = |s: &Scenario| -> Vec<(&'static str, StashPlan)> {
-        s.stash_plans()
-            .into_iter()
-            .filter(|(name, _)| *name != "chen-sqrt-n")
-            .collect()
-    };
-    let unfused_plans = sweep_plans(&unfused);
-    let fused_plans = sweep_plans(&fused);
-    for ((plan_name, u_stash), (f_name, f_stash)) in unfused_plans.iter().zip(&fused_plans) {
-        assert_eq!(
-            plan_name, f_name,
-            "plan sets aligned across the fusion axis"
-        );
+    // `Default`-backend sweep: {stash-all, Echo, searched} × every matmul
+    // policy. (Chen-√N stays in the main sweep above.)
+    let default = word_lm_scenario_on("word-lm-default", LstmBackend::Default);
+    for (plan_name, stash) in default.stash_plans() {
+        if plan_name == "chen-sqrt-n" {
+            continue;
+        }
         for &policy in &policies {
             set_matmul_policy(policy);
-            let ctx = format!("fusion-sweep/{plan_name}/{policy:?}");
-            for (variant, scenario, stash) in
-                [("unfused", &unfused, u_stash), ("fused", &fused, f_stash)]
-            {
-                let peak = check_cell(scenario, stash, &format!("{ctx}/{variant}"));
-                let legacy = golden(&LEGACY_FUSION_PEAKS, variant, plan_name);
-                assert!(
-                    peak <= legacy,
-                    "planned peak {peak} above golden legacy peak {legacy} ({ctx}/{variant})"
-                );
-            }
-            let (u_run, _, _) = run_step(&unfused, u_stash, true);
-            let (f_run, _, _) = run_step(&fused, f_stash, true);
-            assert_eq!(
-                f_run, u_run,
-                "fused loss/gradient bits diverge from unfused ({ctx})"
+            let ctx = format!("{}/{plan_name}/{policy:?}", default.name);
+            let peak = check_cell(&default, &stash, &ctx);
+            let legacy = golden(&LEGACY_DEFAULT_BACKEND_PEAKS, default.name, plan_name);
+            assert!(
+                peak <= legacy,
+                "planned peak {peak} above golden legacy peak {legacy} ({ctx})"
             );
         }
     }
