@@ -268,6 +268,26 @@ impl DeviceSim {
         &self.records
     }
 
+    /// An FNV-1a digest of the per-kernel records (name, category, start,
+    /// duration, in launch order): two simulations that launched the same
+    /// kernels at the same simulated times share it.
+    pub fn trace_digest(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for r in &self.records {
+            eat(r.name.as_bytes());
+            eat(format!("{:?}", r.category).as_bytes());
+            eat(&r.start_ns.to_le_bytes());
+            eat(&r.duration_ns.to_le_bytes());
+        }
+        h
+    }
+
     /// API accounting so far.
     pub fn api_stats(&self) -> &ApiStats {
         &self.api

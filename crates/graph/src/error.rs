@@ -36,11 +36,6 @@ pub enum GraphError {
         /// Explanation.
         message: String,
     },
-    /// Numeric values were requested from a symbolic-plane execution.
-    SymbolicPlane {
-        /// What was requested.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for GraphError {
@@ -57,9 +52,6 @@ impl fmt::Display for GraphError {
                 write!(f, "loss node must be scalar, got shape {shape}")
             }
             GraphError::Operator { op, message } => write!(f, "operator `{op}`: {message}"),
-            GraphError::SymbolicPlane { what } => {
-                write!(f, "{what} is unavailable in a symbolic-plane execution")
-            }
         }
     }
 }

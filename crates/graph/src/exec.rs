@@ -1,6 +1,5 @@
-//! The dual-plane executor: one plan-driven interpreter for forward,
-//! seeded backward, recomputation replay, memory accounting and kernel
-//! dispatch.
+//! The executor: one plan-driven interpreter for forward, seeded
+//! backward, recomputation replay and memory accounting.
 //!
 //! Every entry point — [`Executor::forward`], [`Executor::forward_many`],
 //! [`Executor::train_step`], [`Executor::stage_step`] — resolves an
@@ -14,10 +13,17 @@
 //! and memoizes it in the executor. Thread parallelism lives inside the
 //! kernels (row-banded GEMM, elementwise, softmax, layer-norm on the
 //! global worker pool), never between plan entries.
+//!
+//! The interpreter only computes. What a step costs on a simulated device
+//! is a fold over its plan ([`ExecPlan::project`]): a numeric entry point
+//! given a [`DeviceSim`] projects the plan it just ran, and
+//! [`Executor::project`] projects a step without computing it, so
+//! configurations far too large for host compute are measured on
+//! parameters bound by shape alone.
 
 use crate::graph::{Graph, NodeId, NodeKind};
-use crate::op::{KernelLaunch, LaunchSpec, Operator, Saved};
-use crate::plan::{ExecPlan, PlanKey};
+use crate::op::{Operator, Saved};
+use crate::plan::{ExecPlan, PlanKey, SegmentTable};
 use crate::policy::StashPlan;
 use crate::{GraphError, Result};
 use echo_device::DeviceSim;
@@ -34,16 +40,11 @@ use std::sync::Arc;
 pub struct ExecOptions {
     /// Training (forward + backward with stashing) vs. inference.
     pub training: bool,
-    /// Numeric plane (real tensors) vs. symbolic plane (shapes only).
-    pub numeric: bool,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            training: true,
-            numeric: true,
-        }
+        ExecOptions { training: true }
     }
 }
 
@@ -64,15 +65,12 @@ pub enum WavefrontMode {
 /// Statistics of one executed iteration.
 #[derive(Debug, Clone, Default)]
 pub struct IterationStats {
-    /// Loss value (numeric plane, when the target is scalar).
+    /// Loss value of a training step (`None` for a projection).
     pub loss: Option<f32>,
     /// Peak device bytes during this iteration.
     pub peak_bytes: u64,
     /// Number of segment replays performed by the backward pass.
     pub replays: u64,
-    /// Simulated nanoseconds this iteration took (when a device simulator
-    /// was attached).
-    pub sim_ns: Option<u64>,
 }
 
 /// What one pipelined stage step produced (see [`Executor::stage_step`]).
@@ -409,7 +407,7 @@ impl Executor {
         Ok(())
     }
 
-    /// Binds only a parameter's shape (symbolic plane).
+    /// Binds only a parameter's shape, for [`Executor::project`].
     ///
     /// # Errors
     ///
@@ -533,7 +531,7 @@ impl Executor {
         for id in self.param_ids() {
             replica.bind_param(id, self.params[&id].clone())?;
         }
-        // Symbolic-only bindings (shape, no value).
+        // Shape-only bindings (no value).
         let mut shape_only: Vec<NodeId> = self
             .param_shapes
             .keys()
@@ -558,13 +556,12 @@ impl Executor {
         }
     }
 
-    /// Runs a forward pass to `target` and returns its value.
+    /// Runs a forward pass to `target` and returns its value. With a
+    /// `device`, the plan that ran is then projected onto it.
     ///
     /// # Errors
     ///
-    /// Propagates planning, operator, binding and OOM errors; requesting
-    /// the value in a symbolic run yields [`GraphError::SymbolicPlane`]
-    /// (after the pass has been accounted and dispatched).
+    /// Propagates planning, operator, binding and OOM errors.
     pub fn forward(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -572,7 +569,7 @@ impl Executor {
         opts: ExecOptions,
         device: Option<&mut DeviceSim>,
     ) -> Result<Tensor> {
-        let mut out = self.run_forward(bindings, &[target], opts, device)?;
+        let mut out = self.forward_many(bindings, &[target], opts, device)?;
         Ok(out.pop().expect("one value per requested output"))
     }
 
@@ -583,26 +580,12 @@ impl Executor {
     /// the union cone of `outputs` with every output kept alive;
     /// `outputs` must be distinct.
     ///
+    /// With a `device`, the plan that ran is then projected onto it.
+    ///
     /// # Errors
     ///
-    /// Propagates planning, operator, binding and OOM errors; requesting
-    /// values in a symbolic run yields [`GraphError::SymbolicPlane`].
+    /// Propagates planning, operator, binding and OOM errors.
     pub fn forward_many(
-        &mut self,
-        bindings: &HashMap<NodeId, Tensor>,
-        outputs: &[NodeId],
-        opts: ExecOptions,
-        device: Option<&mut DeviceSim>,
-    ) -> Result<Vec<Tensor>> {
-        if !opts.numeric {
-            return Err(GraphError::SymbolicPlane {
-                what: "output values",
-            });
-        }
-        self.run_forward(bindings, outputs, opts, device)
-    }
-
-    fn run_forward(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
         outputs: &[NodeId],
@@ -615,27 +598,26 @@ impl Executor {
             training: opts.training,
         };
         let plan = self.resolve_plan(bindings, key)?;
-        let acc = &plan.accounting;
-        self.mem.record_planned_peak(
-            acc.fwd_delta,
-            0,
-            &acc.fwd_peak_breakdown,
-            &acc.fwd_max_breakdown,
-        )?;
-        let mut run = Run::new(self, bindings, opts, device, plan);
+        self.begin_forward(&plan)?;
+        let mut run = Run::new(self, bindings, Arc::clone(&plan));
         let result = run.forward().and_then(|()| run.take_outputs(outputs));
         run.finish();
-        result
+        let values = result?;
+        if let Some(sim) = device {
+            plan.project(&self.graph, sim);
+        }
+        Ok(values)
     }
 
     /// Runs a full training iteration (forward + backward from a scalar
     /// `loss` node), leaving parameter gradients in the executor: the
-    /// seeded step with ones at the loss and nothing captured.
+    /// seeded step with ones at the loss and nothing captured. With a
+    /// `device`, the plan that ran is then projected onto it.
     ///
     /// # Errors
     ///
-    /// Propagates planning, operator, binding and OOM errors. In the
-    /// numeric plane a non-scalar loss is rejected.
+    /// Propagates planning, operator, binding and OOM errors; rejects a
+    /// non-scalar loss and inference options.
     pub fn train_step(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -650,17 +632,14 @@ impl Executor {
             training: opts.training,
         };
         let plan = self.resolve_plan(bindings, key)?;
-        let mut seeds = Vec::new();
-        if opts.numeric {
-            let shape = plan.shape(loss.index());
-            if shape.num_elements() != 1 {
-                return Err(GraphError::NonScalarLoss {
-                    shape: shape.to_string(),
-                });
-            }
-            seeds.push((loss, Tensor::full(shape.clone(), 1.0)));
+        let shape = plan.shape(loss.index());
+        if shape.num_elements() != 1 {
+            return Err(GraphError::NonScalarLoss {
+                shape: shape.to_string(),
+            });
         }
-        let out = self.run_step(plan, bindings, &seeds, opts, device)?;
+        let seeds = [(loss, Tensor::full(shape.clone(), 1.0))];
+        let out = self.run_step(plan, bindings, &seeds, device)?;
         Ok(IterationStats {
             loss: out.outputs.first().map(|t| t.data()[0]),
             ..out.stats
@@ -685,10 +664,12 @@ impl Executor {
     /// have larger indices. Parameter gradients accumulate into the
     /// executor exactly as in a training step.
     ///
+    /// With a `device`, the plan that ran is then projected onto it.
+    ///
     /// # Errors
     ///
-    /// Rejects symbolic or inference options ([`GraphError::SymbolicPlane`])
-    /// and propagates planning, operator, binding and OOM errors.
+    /// Rejects inference options and propagates planning, operator,
+    /// binding and OOM errors.
     pub fn stage_step(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -698,19 +679,14 @@ impl Executor {
         opts: ExecOptions,
         device: Option<&mut DeviceSim>,
     ) -> Result<StageStepOutput> {
-        if !opts.numeric || !opts.training {
-            return Err(GraphError::SymbolicPlane {
-                what: "stage step (numeric training only)",
-            });
-        }
         let seed_ids: Vec<NodeId> = seeds.iter().map(|(id, _)| *id).collect();
         let key = PlanKey {
             outputs,
             backward: Some((&seed_ids, capture)),
-            training: true,
+            training: opts.training,
         };
         let plan = self.resolve_plan(bindings, key)?;
-        self.run_step(plan, bindings, seeds, opts, device)
+        self.run_step(plan, bindings, seeds, device)
     }
 
     /// One seeded step under `plan`: no per-node device bookkeeping, one
@@ -720,15 +696,88 @@ impl Executor {
         plan: Arc<ExecPlan>,
         bindings: &HashMap<NodeId, Tensor>,
         seeds: &[(NodeId, Tensor)],
-        opts: ExecOptions,
         device: Option<&mut DeviceSim>,
     ) -> Result<StageStepOutput> {
         self.zero_grads();
+        self.begin_step(&plan)?;
+        let mut run = Run::new(self, bindings, Arc::clone(&plan));
+        let result = run.step(seeds);
+        let replays = run.replays;
+        run.finish();
+        self.replays_total += replays;
+        let (outputs, input_grads) = result?;
+        if let Some(sim) = device {
+            plan.project(&self.graph, sim);
+        }
+        Ok(StageStepOutput {
+            outputs,
+            input_grads,
+            stats: IterationStats {
+                loss: None,
+                peak_bytes: self.mem.peak_bytes(),
+                replays,
+            },
+        })
+    }
+
+    /// Projects one execution without computing it: resolves the plan as
+    /// [`train_step`](Executor::train_step) (with a `loss`) or
+    /// [`forward_many`](Executor::forward_many) (without: an inference
+    /// forward to `outputs`) would, applies the memory accounting that
+    /// step applies — the plan's static timeline, plus each replay's
+    /// workspace lease at its planned size and in trigger order — and, with
+    /// a `sim`, projects the plan onto it ([`ExecPlan::project`]).
+    /// Parameters may be bound by shape alone
+    /// ([`bind_param_shape`](Executor::bind_param_shape)); bindings are
+    /// read for their shapes only.
+    ///
+    /// # Errors
+    ///
+    /// Propagates planning failures and device OOM.
+    pub fn project(
+        &mut self,
+        bindings: &HashMap<NodeId, Tensor>,
+        outputs: &[NodeId],
+        loss: Option<NodeId>,
+        sim: Option<&mut DeviceSim>,
+    ) -> Result<IterationStats> {
+        let seeds = loss.as_slice();
+        let key = PlanKey {
+            outputs,
+            backward: loss.map(|_| (seeds, &[][..])),
+            training: loss.is_some(),
+        };
+        let plan = self.resolve_plan(bindings, key)?;
+        let mut replays = 0;
+        if loss.is_some() {
+            self.begin_step(&plan)?;
+            let graph = Arc::clone(&self.graph);
+            for &seg in &plan.accounting.replayed {
+                let table = &plan.segments[&seg];
+                // Dropped at once: only the pool's growth is accounted.
+                self.segment_pool(&graph, table).lease(table.bytes)?;
+            }
+            replays = plan.planned_replays();
+            self.replays_total += replays;
+        } else {
+            self.begin_forward(&plan)?;
+        }
+        if let Some(sim) = sim {
+            plan.project(&self.graph, sim);
+        }
+        Ok(IterationStats {
+            loss: None,
+            peak_bytes: self.mem.peak_bytes(),
+            replays,
+        })
+    }
+
+    /// Opens a training step's accounting: a fresh peak window, then the
+    /// whole step up front — liveness-driven peak, breakdown snapshot,
+    /// category maxima and OOM check come from the plan's static timeline
+    /// instead of hundreds of tagged allocations.
+    fn begin_step(&mut self, plan: &ExecPlan) -> Result<()> {
         self.mem.reset_peak();
-        let peak_before = self.mem.peak_bytes();
-        // The whole step's accounting, up front: liveness-driven peak,
-        // breakdown snapshot, category maxima and OOM check come from the
-        // plan's static timeline instead of hundreds of tagged allocations.
         let acc = &plan.accounting;
         self.mem.record_planned_peak(
             acc.step_delta,
@@ -736,27 +785,35 @@ impl Executor {
             &acc.peak_breakdown,
             &acc.max_breakdown,
         )?;
-        let sim_start = device.as_ref().map(|d| d.elapsed_ns());
-        let mut run = Run::new(self, bindings, opts, device, plan);
-        let result = run.step(seeds);
-        let replays = run.replays;
-        let sim_ns = match (&run.device, sim_start) {
-            (Some(d), Some(start)) => Some(d.elapsed_ns().saturating_sub(start)),
-            _ => None,
-        };
-        run.finish();
-        self.replays_total += replays;
-        let (outputs, input_grads) = result?;
-        Ok(StageStepOutput {
-            outputs,
-            input_grads,
-            stats: IterationStats {
-                loss: None,
-                peak_bytes: self.mem.peak_bytes().max(peak_before),
-                replays,
-                sim_ns,
-            },
-        })
+        Ok(())
+    }
+
+    /// A forward pass's accounting, from the plan's static timeline.
+    fn begin_forward(&mut self, plan: &ExecPlan) -> Result<()> {
+        let acc = &plan.accounting;
+        self.mem.record_planned_peak(
+            acc.fwd_delta,
+            0,
+            &acc.fwd_peak_breakdown,
+            &acc.fwd_max_breakdown,
+        )?;
+        Ok(())
+    }
+
+    /// The workspace pool a segment's replay scratch is leased from,
+    /// created on first use under the layer of the segment's first member.
+    fn segment_pool(&mut self, graph: &Graph, table: &SegmentTable) -> WorkspacePool {
+        let mem = &self.mem;
+        self.pools
+            .entry(table.pool)
+            .or_insert_with(|| {
+                WorkspacePool::new(
+                    mem.clone(),
+                    graph.nodes()[table.members[0] as usize].layer,
+                    format!("segment_pool_{}", table.pool),
+                )
+            })
+            .clone()
     }
 }
 
@@ -764,21 +821,19 @@ impl Executor {
 struct Run<'e> {
     exec: &'e mut Executor,
     bindings: &'e HashMap<NodeId, Tensor>,
-    opts: ExecOptions,
-    device: Option<&'e mut DeviceSim>,
     plan: Arc<ExecPlan>,
     /// Tensor-storage recycler (taken from the executor for the duration
     /// of the run, like the dense tables below).
     pool: TensorPool,
-    /// Per-node numeric values (numeric plane only).
+    /// Per-node values.
     values: Vec<Option<Tensor>>,
     /// Per-node operator-private saved tensors.
     saved: Vec<Option<Saved>>,
     /// Remaining forward uses, for transient freeing.
     fwd_uses: Vec<u32>,
-    /// Gradient per node during backward (numeric).
+    /// Gradient per node during backward.
     grads: Vec<Option<Tensor>>,
-    /// Whether a gradient is present (both planes).
+    /// Whether a gradient reached the node.
     grad_present: Vec<bool>,
     /// Per-node "backward entry processed" mask — the basis of the
     /// scratch-reader refcounts.
@@ -902,8 +957,6 @@ impl<'e> Run<'e> {
     fn new(
         exec: &'e mut Executor,
         bindings: &'e HashMap<NodeId, Tensor>,
-        opts: ExecOptions,
-        device: Option<&'e mut DeviceSim>,
         plan: Arc<ExecPlan>,
     ) -> Self {
         exec.state.ensure_len(plan.graph_len);
@@ -915,8 +968,6 @@ impl<'e> Run<'e> {
         Run {
             exec,
             bindings,
-            opts,
-            device,
             plan,
             pool: state.pool,
             values: state.values,
@@ -974,38 +1025,20 @@ impl<'e> Run<'e> {
         }
     }
 
-    fn dispatch(&mut self, launches: &[KernelLaunch]) {
-        if let Some(device) = self.device.as_deref_mut() {
-            for l in launches {
-                match &l.spec {
-                    LaunchSpec::Kernel(cost) => {
-                        device.launch(&l.name, l.category, *cost);
-                    }
-                    LaunchSpec::Gemm(spec) => {
-                        device.launch_gemm(&l.name, spec);
-                    }
-                }
-            }
-        }
-    }
-
     /// Returns a freed tensor's storage to the step-persistent pool.
     fn recycle(&mut self, t: Tensor) {
         self.pool.put(t.into_vec());
     }
 
-    /// Hands the requested output values to the caller (`take`: the
-    /// storage would otherwise be recycled by `finish`).
+    /// Hands the requested output values to the caller: computed ones are
+    /// taken (the storage would otherwise be recycled by `finish`), a
+    /// bound parameter or caller binding is cloned.
     fn take_outputs(&mut self, outputs: &[NodeId]) -> Result<Vec<Tensor>> {
         outputs
             .iter()
-            .map(|&id| {
-                self.values[id.index()]
-                    .take()
-                    .or_else(|| self.bindings.get(&id).cloned())
-                    .ok_or(GraphError::SymbolicPlane {
-                        what: "output value",
-                    })
+            .map(|&id| match self.values[id.index()].take() {
+                Some(value) => Ok(value),
+                None => self.view().value(id).cloned(),
             })
             .collect()
     }
@@ -1013,13 +1046,13 @@ impl<'e> Run<'e> {
     /// One seeded training iteration: forward, output snapshot, backward.
     fn step(&mut self, seeds: &[(NodeId, Tensor)]) -> Result<(Vec<Tensor>, Vec<Option<Tensor>>)> {
         self.forward()?;
-        let mut outputs = Vec::new();
-        if self.opts.numeric {
-            let view = self.view();
-            for &id in &self.plan.outputs {
-                outputs.push(view.value(id)?.clone());
-            }
-        }
+        let view = self.view();
+        let outputs = self
+            .plan
+            .outputs
+            .iter()
+            .map(|&id| view.value(id).cloned())
+            .collect::<Result<_>>()?;
         let captured = self.backward(seeds)?;
         Ok((outputs, captured))
     }
@@ -1038,18 +1071,7 @@ impl<'e> Run<'e> {
             if plan.ops[idx].is_none() {
                 continue;
             }
-            if let Some(device) = self.device.as_deref_mut() {
-                device.dispatch_op();
-                // Launches are borrowed from the plan, not rebuilt; when
-                // no device is attached they are not touched at all.
-                let launches = &plan.ops[idx].as_ref().expect("op tables").fwd_launches;
-                self.dispatch(launches);
-            }
-            let computed = if self.opts.numeric {
-                Some(self.view().forward(idx)?)
-            } else {
-                None
-            };
+            let computed = self.view().forward(idx)?;
             self.commit_forward(&plan, &graph, idx, computed);
         }
         Ok(())
@@ -1062,12 +1084,10 @@ impl<'e> Run<'e> {
         plan: &ExecPlan,
         graph: &Graph,
         idx: usize,
-        computed: Option<(Tensor, Saved)>,
+        (out, saved): (Tensor, Saved),
     ) {
-        if let Some((out, saved)) = computed {
-            self.values[idx] = Some(out);
-            self.saved[idx] = Some(saved).filter(|s| plan.keep_saved[idx] && !s.is_empty());
-        }
+        self.values[idx] = Some(out);
+        self.saved[idx] = Some(saved).filter(|s| plan.keep_saved[idx] && !s.is_empty());
         for &input in graph.nodes()[idx].inputs() {
             let iidx = input.index();
             self.fwd_uses[iidx] -= 1;
@@ -1126,23 +1146,13 @@ impl<'e> Run<'e> {
             // flow (an op may emit no gradient for a differentiable
             // input): entries no gradient reached only retire scratches.
             if self.grad_present[idx] {
-                if let Some(tables) = &plan.ops[idx] {
-                    if let Some(device) = self.device.as_deref_mut() {
-                        device.dispatch_op();
-                    }
+                if plan.ops[idx].is_some() {
                     // Mutation first — replay what this entry reads — then
                     // the read-only kernel call over borrowed views.
                     for seg in plan.required_segments(&graph, idx) {
                         self.ensure_replayed(seg)?;
                     }
-                    let input_grads = if self.opts.numeric {
-                        Some(self.view().backward(idx)?)
-                    } else {
-                        None
-                    };
-                    if self.device.is_some() {
-                        self.dispatch(&tables.bwd_launches);
-                    }
+                    let input_grads = self.view().backward(idx)?;
                     self.commit_backward(&plan, &graph, idx, input_grads)?;
                 } else {
                     self.commit_leaf(&plan, &graph, idx, &mut captured)?;
@@ -1154,16 +1164,15 @@ impl<'e> Run<'e> {
         Ok(captured)
     }
 
-    /// Propagates op `idx`'s input gradients (`None` on the symbolic
-    /// plane, where every differentiable input is marked reached) and
-    /// frees what its backward step kills: its own gradient, its saved
-    /// state, and its stashed output unless a later replay re-reads it.
+    /// Propagates op `idx`'s input gradients and frees what its backward
+    /// step kills: its own gradient, its saved state, and its stashed
+    /// output unless a later replay re-reads it.
     fn commit_backward(
         &mut self,
         plan: &ExecPlan,
         graph: &Graph,
         idx: usize,
-        mut input_grads: Option<Vec<Option<Tensor>>>,
+        mut input_grads: Vec<Option<Tensor>>,
     ) -> Result<()> {
         let NodeKind::Op { op, inputs } = &graph.nodes()[idx].kind else {
             unreachable!("backward commits are issued for op nodes only");
@@ -1172,14 +1181,12 @@ impl<'e> Run<'e> {
             if !op.input_differentiable(slot) {
                 continue;
             }
-            if let Some(grads) = &mut input_grads {
-                let Some(g) = grads[slot].take() else {
-                    continue;
-                };
-                match &mut self.grads[input.index()] {
-                    Some(acc) => acc.axpy(1.0, &g).map_err(GraphError::from)?,
-                    slot_ref @ None => *slot_ref = Some(g),
-                }
+            let Some(g) = input_grads[slot].take() else {
+                continue;
+            };
+            match &mut self.grads[input.index()] {
+                Some(acc) => acc.axpy(1.0, &g).map_err(GraphError::from)?,
+                slot_ref @ None => *slot_ref = Some(g),
             }
             self.grad_present[input.index()] = true;
         }
@@ -1269,53 +1276,37 @@ impl<'e> Run<'e> {
                     _ => continue,
                 };
                 self.ensure_replayed(other)?;
-                if self.opts.numeric {
-                    fetched.push((slot, self.view().value(i)?.clone()));
-                }
+                fetched.push((slot, self.view().value(i)?.clone()));
             }
-            // The declared saved bytes may exceed what forward numerically
+            let (out, s) = {
+                let view = self.view();
+                let mut refs: Vec<&Tensor> = Vec::with_capacity(inputs.len());
+                for (slot, &i) in inputs.iter().enumerate() {
+                    refs.push(match fetched.iter().find(|(s, _)| *s == slot) {
+                        Some((_, v)) => v,
+                        None => match values.get(&i) {
+                            Some(v) => v,
+                            None => view.value(i)?,
+                        },
+                    });
+                }
+                op.forward(&refs)?
+            };
+            // The declared saved bytes may exceed what forward actually
             // saves (cuDNN-style conservative reserve); the lease honours
             // the larger of the two.
-            let mut saved_size = tables.saved_bytes;
-            if self.opts.numeric {
-                let (out, s) = {
-                    let view = self.view();
-                    let mut refs: Vec<&Tensor> = Vec::with_capacity(inputs.len());
-                    for (slot, &i) in inputs.iter().enumerate() {
-                        refs.push(match fetched.iter().find(|(s, _)| *s == slot) {
-                            Some((_, v)) => v,
-                            None => match values.get(&i) {
-                                Some(v) => v,
-                                None => view.value(i)?,
-                            },
-                        });
-                    }
-                    op.forward(&refs)?
-                };
-                saved_size = saved_size.max(s.iter().map(|t| t.num_bytes() as u64).sum());
-                values.insert(NodeId(idx), out);
-                if !s.is_empty() {
-                    saved.insert(NodeId(idx), s);
-                }
-            }
-            self.dispatch(&tables.fwd_launches);
+            let saved_size = tables
+                .saved_bytes
+                .max(s.iter().map(|t| t.num_bytes() as u64).sum());
             bytes += plan.shape(idx).num_bytes() as u64 + saved_size;
+            values.insert(NodeId(idx), out);
+            if !s.is_empty() {
+                saved.insert(NodeId(idx), s);
+            }
         }
         self.replaying.pop();
 
-        let layer = graph.nodes()[table.members[0] as usize].layer;
-        let pool = self
-            .exec
-            .pools
-            .entry(table.pool)
-            .or_insert_with(|| {
-                WorkspacePool::new(
-                    self.exec.mem.clone(),
-                    layer,
-                    format!("segment_pool_{}", table.pool),
-                )
-            })
-            .clone();
+        let pool = self.exec.segment_pool(&graph, table);
         // Workspaces are exclusive (paper §3.2): the Echo heuristic only
         // pools segments whose replay lifetimes are disjoint, but search-
         // produced, stage-normalized or externally authored plans may pool
@@ -1618,32 +1609,46 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_plane_matches_numeric_memory() {
+    fn projection_matches_numeric_memory() {
+        // A projection over shape-bound parameters accounts what a
+        // numeric step allocates, replay workspace included, and launches
+        // what that step projects, record for record.
         let (g, x, w, _, _, loss) = chain_graph();
         let n = 1024;
-        let run = |numeric: bool| {
-            let m = mem();
-            let mut exec = Executor::new(Arc::clone(&g), StashPlan::stash_all(), m.clone());
-            if numeric {
-                exec.bind_param(w, Tensor::full(Shape::d1(n), 0.5)).unwrap();
-            } else {
-                exec.bind_param_shape(w, Shape::d1(n)).unwrap();
-            }
-            let mut bindings = HashMap::new();
-            bindings.insert(x, Tensor::full(Shape::d1(n), 1.0));
-            exec.train_step(
-                &bindings,
-                loss,
-                ExecOptions {
-                    training: true,
-                    numeric,
-                },
-                None,
-            )
-            .unwrap();
-            m.peak_bytes()
-        };
-        assert_eq!(run(true), run(false));
+        for stash in [StashPlan::stash_all(), recompute_t1_plan()] {
+            let run = |numeric: bool| {
+                let m = mem();
+                let mut exec = Executor::new(Arc::clone(&g), stash.clone(), m.clone());
+                let bindings = HashMap::from([(x, Tensor::full(Shape::d1(n), 1.0))]);
+                let mut sim = DeviceSim::new(DeviceSpec::titan_xp());
+                sim.set_op_overhead_ns(1_000);
+                let stats = if numeric {
+                    exec.bind_param(w, Tensor::full(Shape::d1(n), 0.5)).unwrap();
+                    exec.train_step(&bindings, loss, ExecOptions::default(), Some(&mut sim))
+                } else {
+                    exec.bind_param_shape(w, Shape::d1(n)).unwrap();
+                    exec.project(&bindings, &[loss], Some(loss), Some(&mut sim))
+                }
+                .unwrap();
+                (m.peak_bytes(), stats.replays, sim.trace_digest())
+            };
+            assert_eq!(run(true), run(false));
+        }
+    }
+
+    #[test]
+    fn forward_to_a_bound_parameter_returns_its_value() {
+        let (g, x, w, _, _, _) = chain_graph();
+        let mut exec = Executor::new(g, StashPlan::stash_all(), mem());
+        let value = Tensor::from_fn(Shape::d1(4), |i| 0.25 * i as f32);
+        exec.bind_param(w, value.clone()).unwrap();
+        let bindings = HashMap::from([(x, Tensor::full(Shape::d1(4), 1.0))]);
+        let opts = ExecOptions { training: false };
+        let out = exec.forward(&bindings, w, opts, None).unwrap();
+        assert_eq!(out.data(), value.data());
+        let many = exec.forward_many(&bindings, &[w, x], opts, None).unwrap();
+        assert_eq!(many[0].data(), value.data());
+        assert_eq!(many[1].data(), bindings[&x].data());
     }
 
     #[test]
@@ -1661,28 +1666,6 @@ mod tests {
         assert_eq!(sim.api_stats().launch_calls, 8);
         let trace = sim.summary();
         assert!(trace.category_ns(KernelCategory::Activation) > 0);
-    }
-
-    #[test]
-    fn recompute_adds_replay_launches() {
-        let (g, x, w, t1, _, loss) = chain_graph();
-        let launches = |plan: StashPlan| {
-            let mut exec = Executor::new(Arc::clone(&g), plan, mem());
-            exec.bind_param(w, Tensor::full(Shape::d1(8), 0.5)).unwrap();
-            let mut bindings = HashMap::new();
-            bindings.insert(x, Tensor::full(Shape::d1(8), 1.0));
-            let mut sim = DeviceSim::new(DeviceSpec::titan_xp());
-            exec.train_step(&bindings, loss, ExecOptions::default(), Some(&mut sim))
-                .unwrap();
-            sim.api_stats().launch_calls
-        };
-        let base = launches(StashPlan::stash_all());
-        let mut plan = StashPlan::stash_all();
-        plan.set(
-            t1,
-            StashPolicy::Recompute(crate::policy::SegmentId { id: 0, pool: 0 }),
-        );
-        assert_eq!(launches(plan), base + 1, "one replayed forward kernel");
     }
 
     #[test]
@@ -2133,10 +2116,7 @@ mod tests {
         let params = HashMap::from([(w, init_w.clone())]);
         let bindings = HashMap::from([(x, init_x)]);
         let oracle = crate::reference::forward(&g, &params, &bindings, &[t2, t1]).unwrap();
-        let opts = ExecOptions {
-            training: false,
-            numeric: true,
-        };
+        let opts = ExecOptions { training: false };
         for install in [false, true] {
             let mut exec = Executor::new(Arc::clone(&g), StashPlan::stash_all(), mem());
             exec.bind_param(w, init_w.clone()).unwrap();

@@ -1,4 +1,5 @@
-//! Dataflow graph IR with reverse-mode autodiff and a dual-plane executor.
+//! Dataflow graph IR with reverse-mode autodiff, a plan-driven executor and
+//! a device projection of its plans.
 //!
 //! This crate is the substitute for MXNet's graph executor — the substrate
 //! the Echo compiler pass operates on. A [`Graph`] is a static DAG of
@@ -16,20 +17,20 @@
 //!   from a per-segment-group pool; sequential backward execution means one
 //!   lease is alive at a time, so recomputation workspace stays `O(B·T·H)`
 //!   instead of `O(B·T²·H)` (paper §4.1.2).
-//! * **Kernel accounting.** Every forward, backward and replay step emits
-//!   kernel launches into an optional `echo-device` simulator, so runtime
+//! * **Kernel accounting.** Every forward, backward and replay step's
+//!   kernel launches are in its [`ExecPlan`]'s tables, so runtime
 //!   breakdowns and the recompute overhead are measured, not asserted.
 //!
-//! The executor runs in two planes:
-//!
-//! * **numeric** — real `f32` tensors flow; used for training curves and
-//!   for property tests that recomputation is bit-exact;
-//! * **symbolic** — only shapes flow; used to measure memory footprints and
-//!   simulated runtimes of configurations far too large for host compute.
-//!
-//! Both planes share the same graph, schedule, policies and allocator, so a
-//! memory or timing number always corresponds to the kernel sequence the
-//! numeric plane would execute.
+//! The executor only computes: real `f32` tensors flow, for training
+//! curves and for the property tests that recomputation is bit-exact. A
+//! device-sim projection is one fold over the plan ([`ExecPlan::project`]),
+//! applied after a numeric step that is given a simulator, or without
+//! computing anything by [`Executor::project`] on parameters bound by
+//! shape alone — how memory footprints and simulated runtimes of
+//! configurations far too large for host compute are measured. Both read
+//! the same schedule, policies and accounting timeline, so a memory or
+//! timing number always corresponds to the kernel sequence a numeric step
+//! executes.
 
 #![warn(missing_docs)]
 

@@ -140,8 +140,9 @@ pub trait Operator: fmt::Debug {
     /// Kernels launched by the backward pass, for the device plane.
     fn backward_launches(&self, inputs: &[&Shape], output: &Shape) -> Vec<KernelLaunch>;
 
-    /// Bytes of operator-private saved state per forward call, for the
-    /// symbolic plane (must match what `forward` actually saves).
+    /// Bytes of operator-private saved state per forward call, for plan
+    /// accounting and projections (must match what `forward` actually
+    /// saves).
     fn saved_bytes(&self, inputs: &[&Shape], output: &Shape) -> u64 {
         let _ = (inputs, output);
         0

@@ -55,9 +55,10 @@
 //! per replica or per step.
 
 use crate::graph::{Graph, NodeId, NodeKind};
-use crate::op::{KernelLaunch, StashNeeds};
+use crate::op::{KernelLaunch, LaunchSpec, StashNeeds};
 use crate::policy::{StashPlan, StashPolicy};
 use crate::{ExecOptions, GraphError, Result};
+use echo_device::DeviceSim;
 use echo_memory::{DataStructureKind, LayerKind};
 use echo_tensor::{Shape, Tensor};
 use std::collections::HashMap;
@@ -233,9 +234,7 @@ impl ExecPlan {
     /// to `target` and, when `opts.training`, a backward walk seeded with
     /// ones at `target`.
     ///
-    /// `opts.numeric` is ignored: a plan drives both the numeric and the
-    /// symbolic plane (they share schedule, policies and accounting by
-    /// design). `opts.training` is part of the plan's identity — it decides
+    /// `opts.training` is part of the plan's identity — it decides
     /// stashing, the backward schedule and gradient liveness.
     ///
     /// # Errors
@@ -764,7 +763,7 @@ impl ExecPlan {
 
     /// Segment replays one training step performs.
     pub fn planned_replays(&self) -> u64 {
-        self.accounting.planned_replays
+        self.accounting.replayed.len() as u64
     }
 
     /// Flops of one step's scheduled forward + backward launches,
@@ -780,6 +779,55 @@ impl ExecPlan {
     /// optimizes under a budget.
     pub fn planned_recompute_flops(&self) -> u64 {
         self.accounting.planned_recompute_flops
+    }
+
+    /// Projects one execution of this plan onto a device simulator and
+    /// returns the number of segment replays in it. It is a fold over the static
+    /// tables and computes nothing, so a plan built from shapes alone
+    /// projects the kernels a numeric run of it executes:
+    ///
+    /// * forward: per op entry, one operator dispatch and its forward
+    ///   launches;
+    /// * backward: per op entry, one operator dispatch, the replays the
+    ///   replay discipline triggers there — a nested boundary replay's
+    ///   launches right before the member that reads it — and then the
+    ///   entry's backward launches.
+    ///
+    /// Replays are priced as Chen et al. price a recompute: the forward
+    /// launches of the replayed members, once per replay.
+    pub fn project(&self, graph: &Graph, sim: &mut DeviceSim) -> u64 {
+        fn launch_all(sim: &mut DeviceSim, launches: &[KernelLaunch]) {
+            for l in launches {
+                match &l.spec {
+                    LaunchSpec::Kernel(cost) => {
+                        sim.launch(&l.name, l.category, *cost);
+                    }
+                    LaunchSpec::Gemm(spec) => {
+                        sim.launch_gemm(&l.name, spec);
+                    }
+                }
+            }
+        }
+        let tables = |idx: usize| self.ops[idx].as_ref().expect("op tables");
+        for &id in &self.schedule {
+            if let Some(t) = &self.ops[id.index()] {
+                sim.dispatch_op();
+                launch_all(sim, &t.fwd_launches);
+            }
+        }
+        let mut machine = ReplayMachine::new(graph, self);
+        for &id in &self.bwd_schedule {
+            let idx = id.index();
+            if let Some(t) = &self.ops[idx] {
+                sim.dispatch_op();
+                for seg in self.required_segments(graph, idx) {
+                    machine.ensure(seg, &mut |m| launch_all(sim, &tables(m).fwd_launches));
+                }
+                launch_all(sim, &t.bwd_launches);
+            }
+            machine.finish(idx);
+        }
+        machine.replayed.len() as u64
     }
 
     /// The full live set at the planned peak moment, per (layer, kind).
@@ -822,9 +870,9 @@ impl ExecPlan {
 
 /// The replay discipline of the backward pass, run over a plan's static
 /// tables: which scratches are live, how many readers each still has, and
-/// when a replay has to evict. The accounting timeline runs it in schedule
-/// order; the interpreter in `exec.rs` applies the same rules to real
-/// tensors in the same order.
+/// when a replay has to evict. The accounting timeline and the device
+/// projection run it in schedule order; the interpreter in `exec.rs`
+/// applies the same rules to real tensors in the same order.
 struct ReplayMachine<'a> {
     graph: &'a Graph,
     plan: &'a ExecPlan,
@@ -854,10 +902,12 @@ impl<'a> ReplayMachine<'a> {
         self.active.iter().any(|&(s, _)| s == seg)
     }
 
-    /// Replays `seg` unless its scratch is live: boundary segments first
-    /// (a boundary input may itself be recomputed), then evict whatever
-    /// holds the pool, then count the readers still to come.
-    fn ensure(&mut self, seg: usize) {
+    /// Replays `seg` unless its scratch is live: per member, its boundary
+    /// segments first (a boundary input may itself be recomputed), then
+    /// `on_member` with the member's index — the interpreter's launch
+    /// order — and finally evict whatever holds the pool and count the
+    /// readers still to come.
+    fn ensure(&mut self, seg: usize, on_member: &mut impl FnMut(usize)) {
         let plan = self.plan;
         if self.is_active(seg) || self.replaying.contains(&seg) {
             return;
@@ -871,10 +921,11 @@ impl<'a> ReplayMachine<'a> {
                 let idx = i.index();
                 if let Some(other) = plan.seg_of[idx] {
                     if other as usize != seg && plan.dropped(idx) {
-                        self.ensure(other as usize);
+                        self.ensure(other as usize, on_member);
                     }
                 }
             }
+            on_member(m as usize);
         }
         self.replaying.pop();
         self.active
@@ -1068,7 +1119,7 @@ impl<'a> AccountingSim<'a> {
                     // Replay triggers: workspace pools grow to the largest
                     // scratch they ever serve.
                     for seg in plan.required_segments(self.graph, idx) {
-                        self.machine.ensure(seg);
+                        self.machine.ensure(seg, &mut |_| {});
                     }
                     for seg in std::mem::take(&mut self.machine.replayed) {
                         let table = &plan.segments[&seg];
@@ -1079,7 +1130,7 @@ impl<'a> AccountingSim<'a> {
                             entry.1 = table.bytes;
                             self.add(pool_layer, DataStructureKind::Workspace, table.bytes - high);
                         }
-                        results.planned_replays += 1;
+                        results.replayed.push(seg);
                         results.planned_recompute_flops += table.flops;
                     }
                     // Gradient births at first propagation.
@@ -1150,8 +1201,9 @@ pub(crate) struct Accounting {
     pub max_breakdown: PlannedBreakdown,
     /// Same, over the forward pass alone.
     pub fwd_max_breakdown: PlannedBreakdown,
-    /// Segment replays one training step performs.
-    pub planned_replays: u64,
+    /// The segments one training step replays, in trigger order — the
+    /// order the executor leases their workspaces in.
+    pub replayed: Vec<usize>,
     /// Extra flops the step spends replaying recompute segments.
     pub planned_recompute_flops: u64,
 }

@@ -117,10 +117,7 @@ fn shape_mismatch_is_counted_once_and_replanned_once() {
     );
     // A signature nothing cached serves (inference mode) observes the
     // fallback the same way: once.
-    let infer = ExecOptions {
-        training: false,
-        numeric: true,
-    };
+    let infer = ExecOptions { training: false };
     for _ in 0..2 {
         exec.forward(&mismatched, loss, infer, None).unwrap();
         assert_eq!(

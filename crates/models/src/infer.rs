@@ -309,10 +309,7 @@ impl WordLmDecoder {
             bindings.insert(io.c0, Tensor::from_vec(Shape::d2(b, hidden), c)?);
         }
 
-        let opts = ExecOptions {
-            training: false,
-            numeric: true,
-        };
+        let opts = ExecOptions { training: false };
         let results = exec.forward_many(&bindings, &self.outputs, opts, None);
         for (_, t) in bindings.drain() {
             exec.pool_recycle(t);
@@ -374,10 +371,7 @@ mod tests {
         for io in &lm_state_nodes(&lm) {
             bindings.insert(*io, Tensor::zeros(Shape::d2(1, lm.hyper.hidden)));
         }
-        let opts = ExecOptions {
-            training: false,
-            numeric: true,
-        };
+        let opts = ExecOptions { training: false };
         let unrolled = lexec.forward(&bindings, lm.logits, opts, None).unwrap();
 
         let mut state = LmState::zero(dec.hyper.layers, dec.hyper.hidden);

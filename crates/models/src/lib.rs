@@ -7,8 +7,8 @@
 //! the same definition can
 //!
 //! * train numerically on the CPU (training/validation curves, Figure 12),
-//! * execute symbolically against the device model (throughput and memory
-//!   figures), and
+//! * be projected onto the device model with shape-only bindings
+//!   (throughput and memory figures), and
 //! * be recompiled by the Echo pass (recomputation + layout plans).
 
 #![warn(missing_docs)]

@@ -448,7 +448,7 @@ impl NmtModel {
         Ok(())
     }
 
-    /// Binds parameter shapes only (symbolic plane).
+    /// Binds parameter shapes only, for [`Executor::project`].
     ///
     /// # Errors
     ///
@@ -498,7 +498,8 @@ impl NmtModel {
         bindings
     }
 
-    /// Shape-only bindings for a given batch size (symbolic plane).
+    /// Shape-only bindings for a given batch size (zero-filled inputs), for
+    /// [`Executor::project`].
     pub fn symbolic_bindings(&self, batch: usize) -> HashMap<NodeId, Tensor> {
         let mut bindings = HashMap::new();
         bindings.insert(
@@ -595,10 +596,7 @@ impl NmtModel {
         let logits = exec.forward(
             &bindings,
             self.logits,
-            ExecOptions {
-                training: false,
-                numeric: true,
-            },
+            ExecOptions { training: false },
             None,
         )?;
         let ids = reduce::argmax_rows(&logits)?; // T_tgt * B rows
@@ -714,16 +712,9 @@ mod tests {
         let m = mem();
         let mut exec = Executor::new(Arc::clone(&model.graph), StashPlan::stash_all(), m.clone());
         model.bind_param_shapes(&mut exec).unwrap();
-        exec.train_step(
-            &model.symbolic_bindings(32),
-            model.loss,
-            ExecOptions {
-                training: true,
-                numeric: false,
-            },
-            None,
-        )
-        .unwrap();
+        let bindings = model.symbolic_bindings(32);
+        exec.project(&bindings, &[model.loss], Some(model.loss), None)
+            .unwrap();
         let breakdown = echo_memory::MemoryBreakdown::at_peak(&m);
         let attn = breakdown.layer_fraction(echo_memory::LayerKind::Attention);
         assert!(attn > 0.3, "attention share {attn}");

@@ -376,10 +376,7 @@ impl<B> StageWorker<B> {
 
         // Fill: forward every micro-batch in order, sending interface
         // activations downstream as soon as they exist.
-        let fwd_opts = ExecOptions {
-            training: false,
-            numeric: true,
-        };
+        let fwd_opts = ExecOptions { training: false };
         let mut stage_bindings: Vec<HashMap<NodeId, Tensor>> = Vec::with_capacity(micros.len());
         for (m, micro) in micros.iter().enumerate() {
             let full = (self.bind)(micro);

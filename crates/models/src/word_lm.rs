@@ -153,7 +153,7 @@ impl WordLm {
         Ok(())
     }
 
-    /// Binds parameter shapes only (symbolic plane).
+    /// Binds parameter shapes only, for [`Executor::project`].
     ///
     /// # Errors
     ///
@@ -232,7 +232,8 @@ impl WordLm {
         partition_stages(&gir, stages)
     }
 
-    /// Builds shape-only bindings for a given batch size (symbolic plane).
+    /// Builds shape-only bindings for a given batch size (zero-filled
+    /// inputs), for [`Executor::project`].
     pub fn symbolic_bindings(&self, batch: usize) -> HashMap<NodeId, Tensor> {
         let mut bindings = HashMap::new();
         bindings.insert(
@@ -343,25 +344,22 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_run_reports_memory_and_time() {
+    fn projected_run_reports_memory_and_time() {
         let lm = WordLm::build(WordLmHyper::mxnet_example(10_000, 650, LstmBackend::CuDnn));
         let m = mem();
         let mut exec = Executor::new(Arc::clone(&lm.graph), StashPlan::stash_all(), m.clone());
         lm.bind_param_shapes(&mut exec).unwrap();
         let mut sim = echo_device::DeviceSim::new(echo_device::DeviceSpec::titan_xp());
         let stats = exec
-            .train_step(
+            .project(
                 &lm.symbolic_bindings(32),
-                lm.loss,
-                ExecOptions {
-                    training: true,
-                    numeric: false,
-                },
+                &[lm.loss],
+                Some(lm.loss),
                 Some(&mut sim),
             )
             .unwrap();
         assert!(stats.loss.is_none());
         assert!(m.peak_bytes() > 100 << 20, "peak {}", m.peak_bytes());
-        assert!(stats.sim_ns.unwrap() > 0);
+        assert!(sim.elapsed_ns() > 0);
     }
 }

@@ -9,7 +9,7 @@
 
 use echo::{analysis::infer_shapes, chen_sqrt_plan, sqrt_stride, EchoCompiler, EchoConfig};
 use echo_device::DeviceSim;
-use echo_graph::{ExecOptions, Executor, StashPlan};
+use echo_graph::{Executor, StashPlan};
 use echo_memory::DeviceMemory;
 use echo_models::{NmtHyper, NmtModel};
 use echo_repro::{gib, print_table, save_json, FRAMEWORK_OP_OVERHEAD_NS, NMT_HOST_OVERHEAD_NS};
@@ -26,15 +26,7 @@ fn measure(model: &NmtModel, plan: StashPlan, batch: usize) -> (u64, u64, u64) {
     sim.set_record_trace(false);
     sim.set_op_overhead_ns(FRAMEWORK_OP_OVERHEAD_NS);
     let stats = exec
-        .train_step(
-            &bindings,
-            model.loss,
-            ExecOptions {
-                training: true,
-                numeric: false,
-            },
-            Some(&mut sim),
-        )
+        .project(&bindings, &[model.loss], Some(model.loss), Some(&mut sim))
         .expect("run");
     sim.synchronize();
     (

@@ -8,7 +8,7 @@
 //! paper warns would cancel the optimization.
 
 use echo::{EchoCompiler, EchoConfig};
-use echo_graph::{ExecOptions, Executor};
+use echo_graph::Executor;
 use echo_memory::{DataStructureKind, DeviceMemory, MemoryBreakdown};
 use echo_models::{NmtHyper, NmtModel};
 use echo_repro::{print_table, save_json};
@@ -39,16 +39,8 @@ fn run(share: bool, tgt_len: usize) -> (u64, u64) {
     let mem = DeviceMemory::with_overhead_model(1 << 40, 0, 0.0);
     let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem.clone());
     model.bind_param_shapes(&mut exec).expect("bind");
-    exec.train_step(
-        &bindings,
-        model.loss,
-        ExecOptions {
-            training: true,
-            numeric: false,
-        },
-        None,
-    )
-    .expect("run");
+    exec.project(&bindings, &[model.loss], Some(model.loss), None)
+        .expect("run");
     let ws = MemoryBreakdown::at_category_maxima(&mem).kind_bytes(DataStructureKind::Workspace);
     (mem.peak_bytes(), ws)
 }

@@ -4,7 +4,7 @@
 //! breakdown, dominated by `sgemm`.
 
 use echo_device::{DeviceSim, DeviceSpec};
-use echo_graph::{ExecOptions, Executor, StashPlan};
+use echo_graph::{Executor, StashPlan};
 use echo_memory::{DeviceMemory, LayerKind};
 use echo_ops::MeanAll;
 use echo_repro::{print_table, save_json};
@@ -29,16 +29,8 @@ fn profile(backend: LstmBackend) -> echo_device::TraceSummary {
     stack.add_zero_state_bindings(b, &mut bindings);
     let mut sim = DeviceSim::new(DeviceSpec::titan_xp());
     sim.set_op_overhead_ns(CPP_OP_OVERHEAD_NS);
-    exec.train_step(
-        &bindings,
-        loss,
-        ExecOptions {
-            training: true,
-            numeric: false,
-        },
-        Some(&mut sim),
-    )
-    .expect("run");
+    exec.project(&bindings, &[loss], Some(loss), Some(&mut sim))
+        .expect("run");
     sim.synchronize();
     sim.summary()
 }

@@ -2,7 +2,7 @@
 //! unchanged, so the energy to reach the same quality shrinks by exactly
 //! the wall-clock speedup (paper: ~1.5x more energy-efficient).
 
-use echo_repro::{print_table, run_nmt, save_json, NmtRunConfig};
+use echo_repro::{print_table, results_dir, run_nmt, save_json, NmtRunConfig};
 use echo_rnn::LstmBackend;
 use serde_json::json;
 
@@ -48,15 +48,10 @@ fn main() {
     // (Figure 12) reaches target quality 1.19x faster in wall-clock but
     // shows no sample-efficiency bonus, so we report the fixed-budget
     // number and cite Figure 12's wall-clock result alongside.
-    let time_speedup = std::fs::read_to_string(
-        std::path::Path::new(
-            &std::env::var("ECHO_RESULTS_DIR").unwrap_or_else(|_| "results".into()),
-        )
-        .join("fig12.json"),
-    )
-    .ok()
-    .and_then(|text| serde_json::from_str::<serde_json::Value>(&text).ok())
-    .and_then(|v| v.get("time_to_quality_speedup").and_then(|b| b.as_f64()));
+    let time_speedup = std::fs::read_to_string(results_dir().join("fig12.json"))
+        .ok()
+        .and_then(|text| serde_json::from_str::<serde_json::Value>(&text).ok())
+        .and_then(|v| v.get("time_to_quality_speedup").and_then(|b| b.as_f64()));
     println!(
         "\npower difference: {:.1}% (paper: negligible); energy for a fixed sample\n\
          budget: {e_ratio:.2}x less for EcoRNN B=256 (paper: ~1.5x including a\n\

@@ -12,7 +12,7 @@
 
 use echo::{EchoCompiler, EchoConfig};
 use echo_device::{DeviceSim, DeviceSpec, TraceSummary};
-use echo_graph::{ExecOptions, Executor, GraphError, StashPlan};
+use echo_graph::{Executor, GraphError, StashPlan};
 use echo_memory::{DeviceMemory, MemoryBreakdown};
 use echo_models::{NmtHyper, NmtModel, WordLm, WordLmHyper};
 use serde::Serialize;
@@ -44,7 +44,7 @@ pub const LM_HOST_OVERHEAD_NS: u64 = 5_000_000;
 /// 100 in the Zhu et al. setting).
 pub const RUNTIME_SEQ_LEN: usize = 50;
 
-/// One symbolic NMT measurement.
+/// One projected NMT measurement.
 #[derive(Debug, Clone, Serialize)]
 pub struct NmtRunResult {
     /// Configuration label.
@@ -113,9 +113,9 @@ impl NmtRunConfig {
     }
 }
 
-/// Runs one NMT training iteration on each plane and measures everything.
+/// Projects NMT training iterations and measures everything.
 ///
-/// Two symbolic runs are combined, mirroring how training statistics arise
+/// Two projected runs are combined, mirroring how training statistics arise
 /// in practice with bucketed batching:
 ///
 /// * a **memory run** at the full unrolled lengths (`hyper.src_len` /
@@ -184,7 +184,7 @@ pub fn run_nmt(cfg: &NmtRunConfig) -> Result<NmtRunResult, GraphError> {
     }
 }
 
-/// One symbolic pass over the model at the given lengths.
+/// One projected training step of the model at the given lengths.
 struct PhaseResult {
     peak_bytes: u64,
     nvidia_smi_bytes: u64,
@@ -225,11 +225,7 @@ fn run_phase(
     model.bind_param_shapes(&mut exec)?;
     let mut sim = DeviceSim::new(cfg.spec.clone());
     sim.set_op_overhead_ns(FRAMEWORK_OP_OVERHEAD_NS);
-    let opts = ExecOptions {
-        training: true,
-        numeric: false,
-    };
-    let stats = exec.train_step(&bindings, model.loss, opts, Some(&mut sim))?;
+    let stats = exec.project(&bindings, &[model.loss], Some(model.loss), Some(&mut sim))?;
     sim.synchronize();
     // The Sockeye training loop's per-iteration host work extends the
     // wall clock with the GPU idling.
@@ -272,7 +268,7 @@ fn run_nmt_once(cfg: &NmtRunConfig, batch: usize) -> Result<NmtRunResult, GraphE
     })
 }
 
-/// One symbolic word-LM measurement.
+/// One projected word-LM measurement.
 #[derive(Debug, Clone, Serialize)]
 pub struct LmRunResult {
     /// Display label.
@@ -283,7 +279,7 @@ pub struct LmRunResult {
     pub throughput: f64,
 }
 
-/// Runs one symbolic word-LM training iteration.
+/// Projects one word-LM training iteration.
 ///
 /// # Errors
 ///
@@ -301,13 +297,10 @@ pub fn run_lm(
     let mut sim = DeviceSim::new(spec.clone());
     sim.set_record_trace(false);
     sim.set_op_overhead_ns(FRAMEWORK_OP_OVERHEAD_NS);
-    exec.train_step(
+    exec.project(
         &lm.symbolic_bindings(batch),
-        lm.loss,
-        ExecOptions {
-            training: true,
-            numeric: false,
-        },
+        &[lm.loss],
+        Some(lm.loss),
         Some(&mut sim),
     )?;
     sim.synchronize();
@@ -348,11 +341,16 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes a JSON record for one experiment under `$ECHO_RESULTS_DIR`
-/// (default `./results`). I/O errors are reported but not fatal.
+/// The directory experiment records go to: `$ECHO_RESULTS_DIR`, default
+/// `./results`.
+pub fn results_dir() -> PathBuf {
+    PathBuf::from(std::env::var("ECHO_RESULTS_DIR").unwrap_or_else(|_| "results".to_string()))
+}
+
+/// Writes a JSON record for one experiment under [`results_dir`]. I/O
+/// errors are reported but not fatal.
 pub fn save_json(id: &str, value: &impl Serialize) {
-    let dir = std::env::var("ECHO_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let dir = PathBuf::from(dir);
+    let dir = results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;

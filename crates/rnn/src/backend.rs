@@ -235,7 +235,8 @@ impl LstmStack {
         Ok(())
     }
 
-    /// Binds only parameter shapes (symbolic plane).
+    /// Binds only parameter shapes, for
+    /// [`Executor::project`](echo_graph::Executor::project).
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@
 
 use crate::backend::{LstmBackend, LstmStack};
 use echo_device::{DeviceSim, DeviceSpec};
-use echo_graph::{ExecOptions, Executor, Graph, Result, StashPlan};
+use echo_graph::{Executor, Graph, Result, StashPlan};
 use echo_memory::{DeviceMemory, LayerKind};
 use echo_ops::MeanAll;
 use echo_tensor::{Shape, Tensor};
@@ -49,8 +49,8 @@ impl PureLstmConfig {
 ///
 /// The model is a bare LSTM stack with a trivial scalar loss (no
 /// embedding/attention/output layers), matching the paper's §6.3
-/// microbenchmark. Execution is on the symbolic plane — only kernel
-/// launches are simulated, so a full sweep runs in milliseconds.
+/// microbenchmark. Nothing is computed: each pass is a projection of its
+/// plan onto the simulated device, so a full sweep runs in milliseconds.
 ///
 /// # Errors
 ///
@@ -72,10 +72,6 @@ pub fn pure_lstm_times(cfg: &PureLstmConfig, spec: &DeviceSpec) -> Result<(u64, 
     let loss = g.apply("loss", Arc::new(MeanAll), &[stack.output], LayerKind::Other);
     let graph = Arc::new(g);
 
-    let opts = ExecOptions {
-        training: true,
-        numeric: false,
-    };
     let mut bindings = HashMap::new();
     bindings.insert(
         x,
@@ -83,27 +79,18 @@ pub fn pure_lstm_times(cfg: &PureLstmConfig, spec: &DeviceSpec) -> Result<(u64, 
     );
     stack.add_zero_state_bindings(cfg.batch, &mut bindings);
 
-    // Forward-only pass.
     let mem = DeviceMemory::with_overhead_model(64 << 30, 0, 0.0);
-    let mut exec = Executor::new(Arc::clone(&graph), StashPlan::stash_all(), mem);
+    let mut exec = Executor::new(graph, StashPlan::stash_all(), mem);
     stack.bind_param_shapes(&mut exec)?;
     let mut sim = DeviceSim::new(spec.clone());
     sim.set_record_trace(false);
     sim.set_op_overhead_ns(CPP_OP_OVERHEAD_NS);
-    // `forward` returns the value only on the numeric plane; we only need
-    // the simulated clock.
-    let _ = exec.forward(&bindings, stack.output, opts, Some(&mut sim));
+    // Forward-only pass, then a full training iteration on a reset clock.
+    exec.project(&bindings, &[stack.output], None, Some(&mut sim))?;
     sim.synchronize();
     let fwd_ns = sim.elapsed_ns();
-
-    // Full training iteration.
-    let mem = DeviceMemory::with_overhead_model(64 << 30, 0, 0.0);
-    let mut exec = Executor::new(Arc::clone(&graph), StashPlan::stash_all(), mem);
-    stack.bind_param_shapes(&mut exec)?;
-    let mut sim = DeviceSim::new(spec.clone());
-    sim.set_record_trace(false);
-    sim.set_op_overhead_ns(CPP_OP_OVERHEAD_NS);
-    exec.train_step(&bindings, loss, opts, Some(&mut sim))?;
+    sim.reset();
+    exec.project(&bindings, &[loss], Some(loss), Some(&mut sim))?;
     sim.synchronize();
     let total_ns = sim.elapsed_ns();
 
@@ -120,11 +107,19 @@ mod tests {
         pure_lstm_times(&cfg, &DeviceSpec::titan_xp()).unwrap()
     }
 
+    /// `(forward_ns, backward_ns)` of the two configurations below, frozen
+    /// at the last commit that walked the interpreter without values to
+    /// drive the simulator; the plan projection must reproduce them.
+    const WALKED_DEFAULT_TIMES: (u64, u64) = (2_279_263, 2_774_345);
+    const WALKED_ECORNN_TIMES: (u64, u64) = (801_282, 1_455_959);
+
     #[test]
     fn ecornn_beats_default_substantially() {
         // Paper: up to 3x over Default on pure LSTM.
         let (d_fwd, d_bwd) = times(LstmBackend::Default, 64, 512, 1);
         let (e_fwd, e_bwd) = times(LstmBackend::EcoRnn, 64, 512, 1);
+        assert_eq!((d_fwd, d_bwd), WALKED_DEFAULT_TIMES);
+        assert_eq!((e_fwd, e_bwd), WALKED_ECORNN_TIMES);
         let speedup = (d_fwd + d_bwd) as f64 / (e_fwd + e_bwd) as f64;
         assert!(
             speedup > 1.5,

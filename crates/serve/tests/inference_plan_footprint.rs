@@ -32,14 +32,7 @@ fn inference_plans_are_strictly_leaner_than_training() {
         // The training plan for the same graph, same shapes, same target
         // cone root (the logits).
         let training = exec
-            .plan_for(
-                &bindings,
-                dec.logits,
-                ExecOptions {
-                    training: true,
-                    numeric: true,
-                },
-            )
+            .plan_for(&bindings, dec.logits, ExecOptions { training: true })
             .unwrap();
         assert!(training.training());
         assert!(!inference.training());

@@ -55,13 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut sim = DeviceSim::new(DeviceSpec::titan_xp());
         sim.set_record_trace(false);
         let mut meter = Speedometer::new();
-        exec.train_step(
+        exec.project(
             &big.symbolic_bindings(32),
-            big.loss,
-            ExecOptions {
-                training: true,
-                numeric: false,
-            },
+            &[big.loss],
+            Some(big.loss),
             Some(&mut sim),
         )?;
         sim.synchronize();

@@ -1,5 +1,5 @@
 //! Memory profiling walkthrough (paper §3.2): run the full-scale NMT
-//! model on the symbolic plane against the simulated 12 GB Titan Xp and
+//! model as a projection against the simulated 12 GB Titan Xp and
 //! print the two-axis memory breakdown — then recompile with Echo and
 //! watch the attention share collapse.
 //!
@@ -8,7 +8,7 @@
 //! ```
 
 use echo::{EchoCompiler, EchoConfig};
-use echo_graph::{ExecOptions, Executor, StashPlan};
+use echo_graph::{Executor, StashPlan};
 use echo_memory::{DeviceMemory, MemoryBreakdown};
 use echo_models::{NmtHyper, NmtModel};
 use echo_rnn::LstmBackend;
@@ -33,15 +33,7 @@ fn profile(echo: bool) -> Result<MemoryBreakdown, Box<dyn std::error::Error>> {
     let mem = DeviceMemory::titan_xp();
     let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem.clone());
     model.bind_param_shapes(&mut exec)?;
-    exec.train_step(
-        &bindings,
-        model.loss,
-        ExecOptions {
-            training: true,
-            numeric: false,
-        },
-        None,
-    )?;
+    exec.project(&bindings, &[model.loss], Some(model.loss), None)?;
     Ok(MemoryBreakdown::at_peak(&mem))
 }
 
@@ -52,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- after the Echo recomputation pass ---");
     println!("{}", profile(true)?);
     println!(
-        "The symbolic plane executed no arithmetic: these byte-exact numbers come\n\
+        "The projection executed no arithmetic: these byte-exact numbers come\n\
          from the allocator observing the exact tensor lifetimes the plan implies."
     );
     Ok(())

@@ -74,8 +74,8 @@ proptest! {
         }
     }
 
-    /// The symbolic plane reproduces the numeric plane's peak memory for
-    /// arbitrary shapes and plans.
+    /// A projection over shape-bound parameters reproduces a numeric
+    /// step's peak memory for arbitrary shapes and plans.
     #[test]
     fn planes_always_agree_on_memory(
         hidden in 8usize..32,
@@ -105,15 +105,11 @@ proptest! {
             let mut exec = Executor::new(Arc::clone(&model.graph), plan.clone(), m.clone());
             if numeric {
                 model.bind_params(&mut exec, seed).expect("bind");
+                exec.train_step(&bindings, model.loss, ExecOptions::default(), None)
             } else {
                 model.bind_param_shapes(&mut exec).expect("bind");
+                exec.project(&bindings, &[model.loss], Some(model.loss), None)
             }
-            exec.train_step(
-                &bindings,
-                model.loss,
-                ExecOptions { training: true, numeric },
-                None,
-            )
             .expect("step");
             m.peak_bytes()
         };

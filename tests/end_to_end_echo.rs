@@ -1,9 +1,10 @@
 //! Cross-crate integration: the full Echo pipeline from corpus to
-//! compiled, trained model — data → graph → compiler pass → dual-plane
-//! executor → optimizer → metrics.
+//! compiled, trained model — data → graph → compiler pass → executor and
+//! its device projection → optimizer → metrics.
 
 use echo::{EchoCompiler, EchoConfig, StashSelection};
 use echo_data::{BpttBatches, LmCorpus, NmtBatch, ParallelCorpus, Vocab};
+use echo_device::{DeviceSim, DeviceSpec};
 use echo_graph::{ExecOptions, Executor, StashPlan};
 use echo_memory::DeviceMemory;
 use echo_models::{perplexity, NmtHyper, NmtModel, Sgd, WordLm, WordLmHyper};
@@ -185,7 +186,55 @@ fn echo_pass_leaves_pure_lstm_alone() {
     );
 }
 
-/// Symbolic and numeric planes agree on the memory story.
+/// `(trace digest, elapsed ns, replays, peak bytes)` of one training step
+/// of fig12's NMT model (B = 16) on a simulated Titan Xp, per
+/// (backend variant, stash plan). Frozen at the last commit that drove
+/// the simulator by walking the interpreter without values; a numeric step
+/// with the device attached and a shape-only projection must both
+/// reproduce them.
+#[rustfmt::skip]
+const WALKED_NMT_STEPS: [(&str, &str, u64, u64, u64, u64); 8] = [
+    ("default", "stash-all", 0x052b_f176_3480_600b, 4_488_068, 0, 2_654_872),
+    ("default", "echo", 0x5d10_6f11_e2f3_181f, 4_555_568, 9, 1_838_352),
+    ("default-par", "stash-all", 0x8828_bb6f_4e28_f13c, 4_464_149, 0, 2_654_872),
+    ("default-par", "echo", 0xd038_5615_db2d_c8f3, 4_531_649, 9, 1_838_352),
+    ("ecornn-par", "stash-all", 0xfa30_c05b_b9a9_3956, 2_431_649, 0, 2_140_824),
+    ("ecornn-par", "echo", 0xbe2b_b2d8_c5f5_b2f5, 2_499_149, 9, 1_324_304),
+    ("cudnn", "stash-all", 0x7d0d_b7fd_4323_def1, 2_453_068, 0, 3_123_864),
+    ("cudnn", "echo", 0xa7d6_a083_7e51_fb28, 2_520_568, 9, 2_307_344),
+];
+
+/// One NMT training step with a simulated device attached — numerically
+/// (`numeric`) or as a projection over shape-bound parameters — as
+/// `(trace digest, elapsed ns, replays, peak bytes)`.
+fn nmt_device_step(
+    model: &NmtModel,
+    plan: &StashPlan,
+    bindings: &std::collections::HashMap<echo_graph::NodeId, echo_tensor::Tensor>,
+    numeric: bool,
+) -> (u64, u64, u64, u64) {
+    let mut exec = Executor::new(Arc::clone(&model.graph), plan.clone(), mem());
+    let mut sim = DeviceSim::new(DeviceSpec::titan_xp());
+    sim.set_op_overhead_ns(5_000);
+    let stats = if numeric {
+        model.bind_params(&mut exec, 2).expect("bind");
+        exec.train_step(bindings, model.loss, ExecOptions::default(), Some(&mut sim))
+    } else {
+        model.bind_param_shapes(&mut exec).expect("bind");
+        exec.project(bindings, &[model.loss], Some(model.loss), Some(&mut sim))
+    }
+    .expect("step");
+    (
+        sim.trace_digest(),
+        sim.elapsed_ns(),
+        stats.replays,
+        stats.peak_bytes,
+    )
+}
+
+/// A projection over shape-bound parameters and a numeric step agree on
+/// the memory story, and on fig12's configurations both reproduce the
+/// device traces the value-free interpreter walk produced.
 #[test]
 fn planes_agree_on_peak_memory() {
     let model = NmtModel::build(NmtHyper::tiny(80, 70));
@@ -197,22 +246,57 @@ fn planes_agree_on_peak_memory() {
         let mut exec = Executor::new(Arc::clone(&model.graph), StashPlan::stash_all(), m.clone());
         if numeric {
             model.bind_params(&mut exec, 1).expect("bind");
+            exec.train_step(&bindings, model.loss, ExecOptions::default(), None)
         } else {
             model.bind_param_shapes(&mut exec).expect("bind");
+            exec.project(&bindings, &[model.loss], Some(model.loss), None)
         }
-        exec.train_step(
-            &bindings,
-            model.loss,
-            ExecOptions {
-                training: true,
-                numeric,
-            },
-            None,
-        )
         .expect("step");
         m.peak_bytes()
     };
     assert_eq!(peak(true), peak(false));
+
+    let corpus = ParallelCorpus::synthetic(Vocab::new(60), Vocab::new(50), 64, 3..=8, 5);
+    let batch = NmtBatch::bucketed(corpus.pairs(), 16).remove(0);
+    let variants = [
+        ("default", LstmBackend::Default, false),
+        ("default-par", LstmBackend::Default, true),
+        ("ecornn-par", LstmBackend::EcoRnn, true),
+        ("cudnn", LstmBackend::CuDnn, false),
+    ];
+    for (variant, backend, parallel_reverse) in variants {
+        let mut hyper = NmtHyper::tiny(60, 50);
+        hyper.hidden = 48;
+        hyper.embed = 32;
+        hyper.src_len = 8;
+        hyper.tgt_len = 9;
+        hyper.backend = backend;
+        hyper.parallel_reverse = parallel_reverse;
+        let model = NmtModel::build(hyper);
+        let bindings = model.bindings(&batch);
+        let echo = EchoCompiler::new(EchoConfig::default())
+            .compile(
+                &model.graph,
+                &bindings,
+                &model.param_shapes(),
+                &[model.loss, model.logits],
+            )
+            .expect("compile")
+            .plan;
+        for (plan_name, plan) in [("stash-all", StashPlan::stash_all()), ("echo", echo)] {
+            let &(_, _, digest, elapsed, replays, peak) = WALKED_NMT_STEPS
+                .iter()
+                .find(|row| row.0 == variant && row.1 == plan_name)
+                .expect("every configuration has a golden row");
+            for numeric in [true, false] {
+                assert_eq!(
+                    nmt_device_step(&model, &plan, &bindings, numeric),
+                    (digest, elapsed, replays, peak),
+                    "{variant}/{plan_name} (numeric: {numeric})"
+                );
+            }
+        }
+    }
 }
 
 /// Inference keeps no feature maps at all: its footprint is far below
@@ -236,10 +320,7 @@ fn inference_footprint_is_far_below_training() {
             exec.forward(
                 &bindings,
                 model.logits,
-                ExecOptions {
-                    training: false,
-                    numeric: true,
-                },
+                ExecOptions { training: false },
                 None,
             )
             .expect("forward");

@@ -9,7 +9,7 @@ use echo_models::WordLmHyper;
 use echo_repro::{pearson, run_lm, run_nmt, NmtRunConfig};
 use echo_rnn::{autotune, pure_lstm_times, LstmBackend, PureLstmConfig};
 
-/// Scaled-down Zhu setting so debug-mode symbolic runs stay quick.
+/// Scaled-down Zhu setting so debug-mode projections stay quick.
 fn small_zhu(backend: LstmBackend, batch: usize, echo: bool) -> NmtRunConfig {
     let mut cfg = NmtRunConfig::zhu("t", backend, batch, echo);
     cfg.hyper.src_len = 40;

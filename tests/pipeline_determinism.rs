@@ -22,6 +22,7 @@
 use echo::analysis::infer_shapes;
 use echo::{chen_sqrt_plan, sqrt_stride, EchoCompiler, EchoConfig, StashSelection};
 use echo_data::{BpttBatches, LmBatch, LmCorpus, MicrobatchPlan, NmtBatch, ParallelCorpus, Vocab};
+use echo_device::DeviceSpec;
 use echo_graph::{partition_stages, ExecOptions, Executor, Gir, NodeId, StagePartition, StashPlan};
 use echo_memory::DeviceMemory;
 use echo_models::{
@@ -160,6 +161,13 @@ fn param_bits(params: &[(NodeId, Tensor)]) -> Vec<Vec<u32>> {
         .collect()
 }
 
+/// `(simulated ns, replays, peak bytes)` of each stage's first step under
+/// the Chen plan at P = 2, K = 1 on a simulated Titan Xp, frozen at the
+/// last commit whose executor drove the simulator from inside the
+/// interpreter loops; projecting each stage's plans must reproduce them.
+const WALKED_CHEN_P2_STAGES: [(u64, u64, u64); 2] =
+    [(7_391_502, 40, 38_040), (5_561_500, 40, 41_240)];
+
 /// Trains `lm` with `replicas` replicas of `partition` and asserts every
 /// step's loss and grad-norm bits, replay count and plan reuse, and the
 /// final parameter bits, against the serial references. Returns the
@@ -173,13 +181,19 @@ fn check_lm_pipeline(
     normalized: &SerialRef,
 ) -> u64 {
     let stages = partition.stage_count();
+    let walked =
+        (plan_name == "chen-sqrt" && stages == 2 && replicas == 1).then_some(WALKED_CHEN_P2_STAGES);
+    let mut options = PipelineOptions::new(replicas, MICRO);
+    if walked.is_some() {
+        options = options.with_sim(DeviceSpec::titan_xp());
+    }
     let mut trainer = PipelineTrainer::for_word_lm(
         lm,
         template(lm, plan),
         partition,
         plan,
         LANES,
-        &PipelineOptions::new(replicas, MICRO),
+        &options,
         Box::new(optimizer()),
     )
     .expect("pipeline trainer");
@@ -211,6 +225,14 @@ fn check_lm_pipeline(
                  replica {} planned at step time",
                 stage.stage, stage.replica
             );
+        }
+        if let (0, Some(walked)) = (step, walked) {
+            let projected: Vec<(u64, u64, u64)> = report
+                .stages
+                .iter()
+                .map(|s| (s.sim_ns, s.replays, s.peak_bytes))
+                .collect();
+            assert_eq!(projected, walked, "{plan_name}: P=2 stage projections");
         }
         replays += report.total_replays();
     }
