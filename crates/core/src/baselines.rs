@@ -165,13 +165,12 @@ mod tests {
         );
 
         let run = |plan: StashPlan| {
-            let m = mem();
-            let mut exec = Executor::new(Arc::clone(&model.graph), plan, m.clone());
+            let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem());
             model.bind_params(&mut exec, 5).unwrap();
             let stats = exec
                 .train_step(&bindings, model.loss, ExecOptions::default(), None)
                 .unwrap();
-            (stats, m.peak_bytes())
+            (stats, exec.memory_report().peak_bytes)
         };
         let (base, peak_base) = run(StashPlan::stash_all());
         let (chen, peak_chen) = run(plan);

@@ -703,8 +703,7 @@ mod tests {
             .unwrap();
 
         let run = |plan: StashPlan| {
-            let m = mem();
-            let mut exec = Executor::new(Arc::clone(&model.graph), plan, m.clone());
+            let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem());
             model.bind_params(&mut exec, 9).unwrap();
             let stats = exec
                 .train_step(
@@ -714,7 +713,7 @@ mod tests {
                     None,
                 )
                 .unwrap();
-            (stats, m.peak_bytes())
+            (stats, exec.memory_report().peak_bytes)
         };
         let (base, peak_base) = run(StashPlan::stash_all());
         let (opt, peak_opt) = run(compiled.plan.clone());

@@ -1,6 +1,6 @@
 //! Error type for graph construction and execution.
 
-use echo_memory::OomError;
+use echo_memory::WontFit;
 use echo_tensor::TensorError;
 use std::fmt;
 
@@ -10,8 +10,8 @@ use std::fmt;
 pub enum GraphError {
     /// A tensor kernel failed (shape mismatch etc.).
     Tensor(TensorError),
-    /// The simulated device ran out of memory.
-    Oom(OomError),
+    /// A plan or the parameter set does not fit on the simulated device.
+    WontFit(WontFit),
     /// A node id did not belong to the graph.
     UnknownNode {
         /// The offending node id value.
@@ -42,7 +42,7 @@ impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphError::Tensor(e) => write!(f, "tensor error: {e}"),
-            GraphError::Oom(e) => write!(f, "device OOM: {e}"),
+            GraphError::WontFit(e) => write!(f, "{e}"),
             GraphError::UnknownNode { id } => write!(f, "unknown node id {id}"),
             GraphError::MissingBinding { name } => {
                 write!(f, "no value bound for input/parameter `{name}`")
@@ -60,7 +60,7 @@ impl std::error::Error for GraphError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             GraphError::Tensor(e) => Some(e),
-            GraphError::Oom(e) => Some(e),
+            GraphError::WontFit(e) => Some(e),
             _ => None,
         }
     }
@@ -72,9 +72,9 @@ impl From<TensorError> for GraphError {
     }
 }
 
-impl From<OomError> for GraphError {
-    fn from(e: OomError) -> Self {
-        GraphError::Oom(e)
+impl From<WontFit> for GraphError {
+    fn from(e: WontFit) -> Self {
+        GraphError::WontFit(e)
     }
 }
 

@@ -1,5 +1,6 @@
 //! The executor: one plan-driven interpreter for forward, seeded
-//! backward, recomputation replay and memory accounting.
+//! backward and recomputation replay, plus a memory report folded from
+//! the plans it runs.
 //!
 //! Every entry point — [`Executor::forward`], [`Executor::forward_many`],
 //! [`Executor::train_step`], [`Executor::stage_step`] — resolves an
@@ -19,18 +20,22 @@
 //! given a [`DeviceSim`] projects the plan it just ran, and
 //! [`Executor::project`] projects a step without computing it, so
 //! configurations far too large for host compute are measured on
-//! parameters bound by shape alone.
+//! parameters bound by shape alone. Device memory is a fold too: each
+//! step, forward and projection folds its plan's static peak, peak
+//! breakdown and category maxima into the [`MemoryReport`]
+//! ([`Executor::memory_report`]), with the weights of the parameters the
+//! plan reads replaced by those of every bound parameter. That peak is
+//! checked against the device capacity once, when the plan is memoized,
+//! installed or inherited, and when a parameter is bound — never per
+//! step.
 
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::op::{Operator, Saved};
-use crate::plan::{ExecPlan, PlanKey, SegmentTable};
+use crate::plan::{ExecPlan, PlanKey};
 use crate::policy::StashPlan;
 use crate::{GraphError, Result};
 use echo_device::DeviceSim;
-use echo_memory::{
-    Allocation, AllocationTag, DataStructureKind, DeviceMemory, TensorPool, WorkspaceLease,
-    WorkspacePool,
-};
+use echo_memory::{Breakdown, DataStructureKind, DeviceMemory, MemoryReport, TensorPool};
 use echo_tensor::{Shape, Tensor, WorkerPool};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -95,19 +100,25 @@ const PLAN_CACHE_SLOTS: usize = 8;
 
 /// Runs a [`Graph`] under a [`StashPlan`] against a simulated device.
 ///
-/// The executor owns the parameter values, their gradient buffers, and the
-/// workspace pools used by recomputation segments. See the
-/// [crate documentation](crate) for the execution disciplines it maintains.
+/// The executor owns the parameter values and their gradient buffers. See
+/// the [crate documentation](crate) for the execution disciplines it
+/// maintains.
 pub struct Executor {
     graph: Arc<Graph>,
     plan: StashPlan,
     mem: DeviceMemory,
-    pools: HashMap<usize, WorkspacePool>,
     params: HashMap<NodeId, Tensor>,
     param_shapes: HashMap<NodeId, Shape>,
     grads: HashMap<NodeId, Tensor>,
-    /// Persistent value + gradient space per bound parameter.
-    param_allocs: HashMap<NodeId, Allocation>,
+    /// Device bytes of the bound parameters (value + gradient), per
+    /// `(layer, Weight)` category.
+    weights: Breakdown,
+    /// The sum of `weights`.
+    weights_total: u64,
+    /// The memory report folded so far: the last step's peak — raised by
+    /// any later forward or binding that went higher — the live set at
+    /// it, and every category's maximum over the executor's life.
+    memory: MemoryReport,
     /// Memoized execution plans, most recently used first; at most
     /// [`PLAN_CACHE_SLOTS`]. Every execution runs one of these.
     plans: Vec<Arc<ExecPlan>>,
@@ -171,17 +182,18 @@ fn shapes_of(bindings: &HashMap<NodeId, Tensor>) -> HashMap<NodeId, Shape> {
 
 impl Executor {
     /// Creates an executor for `graph` with stashing decisions `plan`,
-    /// allocating from `mem`.
+    /// checking its plans against the device `mem`.
     pub fn new(graph: Arc<Graph>, plan: StashPlan, mem: DeviceMemory) -> Self {
         Executor {
             graph,
             plan,
             mem,
-            pools: HashMap::new(),
             params: HashMap::new(),
             param_shapes: HashMap::new(),
             grads: HashMap::new(),
-            param_allocs: HashMap::new(),
+            weights: Breakdown::new(),
+            weights_total: 0,
+            memory: MemoryReport::default(),
             plans: Vec::new(),
             plan_installed: false,
             plans_memoized: 0,
@@ -207,9 +219,42 @@ impl Executor {
         &self.graph
     }
 
-    /// The device memory this executor allocates from.
-    pub fn memory(&self) -> &DeviceMemory {
-        &self.mem
+    /// The device-memory report of every step, forward, projection and
+    /// binding this executor ran (see [`MemoryReport`]).
+    pub fn memory_report(&self) -> MemoryReport {
+        MemoryReport {
+            nvidia_smi_bytes: self.mem.nvidia_smi_bytes(self.memory.peak_bytes),
+            ..self.memory.clone()
+        }
+    }
+
+    /// A step's peak under `plan` on this device: the plan's planned peak
+    /// with the weights of the parameters it reads replaced by those of
+    /// every bound parameter.
+    fn device_peak(&self, plan: &ExecPlan) -> u64 {
+        plan.planned_peak_bytes() - plan.accounting.param_bytes + self.weights_total
+    }
+
+    /// `phase`, one of `plan`'s static figures, as the device holds it:
+    /// the plan counts the weights of the parameters it reads, the device
+    /// holds every bound parameter's.
+    fn on_device(&self, plan: &ExecPlan, phase: &MemoryReport) -> MemoryReport {
+        let with_weights = |breakdown: &Breakdown| {
+            let mut out: Breakdown = breakdown
+                .iter()
+                .filter(|((_, kind), _)| *kind != DataStructureKind::Weight)
+                .chain(&self.weights)
+                .copied()
+                .collect();
+            out.sort_unstable();
+            out
+        };
+        MemoryReport {
+            peak_bytes: phase.peak_bytes - plan.accounting.param_bytes + self.weights_total,
+            nvidia_smi_bytes: 0,
+            peak_breakdown: with_weights(&phase.peak_breakdown),
+            max_breakdown: with_weights(&phase.max_breakdown),
+        }
     }
 
     /// Counters of the step-persistent [`TensorPool`] backing the hot
@@ -238,7 +283,6 @@ impl Executor {
     /// old stashing decisions.
     pub fn set_plan(&mut self, plan: StashPlan) {
         self.plan = plan;
-        self.pools.clear();
         self.clear_exec_plan();
     }
 
@@ -258,7 +302,9 @@ impl Executor {
     /// # Errors
     ///
     /// Rejects a plan built for a different graph or with parameter shapes
-    /// that disagree with this executor's bound parameters.
+    /// that disagree with this executor's bound parameters, and returns
+    /// [`GraphError::WontFit`] when its planned peak does not fit the
+    /// device.
     pub fn set_exec_plan(&mut self, plan: Arc<ExecPlan>) -> Result<()> {
         if plan.graph_len != self.graph.len() {
             return Err(GraphError::Operator {
@@ -283,7 +329,7 @@ impl Executor {
                 }
             }
         }
-        self.remember_plan(plan);
+        self.remember_plan(plan)?;
         self.plan_installed = true;
         Ok(())
     }
@@ -307,20 +353,24 @@ impl Executor {
     }
 
     /// Moves `plan` to the front of the cache, inserting it (and dropping
-    /// the least recently used entry beyond the cap) when it is new.
-    fn remember_plan(&mut self, plan: Arc<ExecPlan>) {
+    /// the least recently used entry beyond the cap) when it is new. A new
+    /// plan's peak is checked against the device capacity here, once:
+    /// every plan in the cache fits beside the bound parameters.
+    fn remember_plan(&mut self, plan: Arc<ExecPlan>) -> Result<()> {
         match self.plans.iter().position(|p| Arc::ptr_eq(p, &plan)) {
             Some(pos) => self.plans[..=pos].rotate_right(1),
             None => {
+                self.mem.check(self.device_peak(&plan))?;
                 self.plans.insert(0, plan);
                 self.plans.truncate(PLAN_CACHE_SLOTS);
             }
         }
+        Ok(())
     }
 
     /// The plan that drives the execution `key` describes: a cached one
-    /// when any serves it, otherwise one built for exactly this signature
-    /// and memoized.
+    /// when any serves it, otherwise one built for exactly this signature,
+    /// checked against the device capacity and memoized.
     fn resolve_plan(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -341,8 +391,8 @@ impl Executor {
             &shapes_of(bindings),
             &self.param_shapes,
         )?);
+        self.remember_plan(Arc::clone(&plan))?;
         self.plans_memoized += 1;
-        self.remember_plan(Arc::clone(&plan));
         Ok(plan)
     }
 
@@ -391,15 +441,17 @@ impl Executor {
         )?))
     }
 
-    /// Binds a parameter's value, allocating persistent device space for
-    /// the value and its gradient (both tagged as weights, matching the
-    /// paper's "Weights" category which includes gradients and optimizer
-    /// state). Binding an already-bound parameter replaces its value,
-    /// zeroes its gradient and re-uses its device space.
+    /// Binds a parameter's value, holding device space for the value and
+    /// its gradient (both counted as weights, matching the paper's
+    /// "Weights" category which includes gradients and optimizer state).
+    /// Binding an already-bound parameter replaces its value, zeroes its
+    /// gradient and re-uses its device space.
     ///
     /// # Errors
     ///
-    /// Returns an error for a foreign id, a non-param node, or device OOM.
+    /// Returns an error for a foreign id or a non-param node, and
+    /// [`GraphError::WontFit`] when the bound parameters would not fit the
+    /// device beside the largest cached plan's non-parameter bytes.
     pub fn bind_param(&mut self, id: NodeId, value: Tensor) -> Result<()> {
         self.bind_param_shape(id, value.shape().clone())?;
         self.grads.insert(id, Tensor::zeros(value.shape().clone()));
@@ -411,7 +463,7 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Returns an error for a foreign id, a non-param node, or device OOM.
+    /// As [`bind_param`](Executor::bind_param).
     pub fn bind_param_shape(&mut self, id: NodeId, shape: Shape) -> Result<()> {
         let node = self.graph.node(id)?;
         if !matches!(node.kind, NodeKind::Param) {
@@ -420,17 +472,41 @@ impl Executor {
                 message: "binding a non-parameter node".to_string(),
             });
         }
-        // Value + gradient. A re-bind releases the previous allocation
-        // first, so the parameter never occupies the device twice.
-        self.param_allocs.remove(&id);
-        let tag = AllocationTag::new(node.layer, DataStructureKind::Weight, node.name.clone());
-        let alloc = self.mem.alloc(shape.num_bytes() as u64 * 2, tag)?;
-        self.param_allocs.insert(id, alloc);
-        if let Some(old) = self.param_shapes.insert(id, shape.clone()) {
-            if old != shape {
-                // Cached plans were specialized to the old shape.
-                self.clear_exec_plan();
-            }
+        // Value + gradient. A re-bind replaces the previous shape's bytes,
+        // so the parameter never occupies the device twice.
+        let bytes = 2 * shape.num_bytes() as u64;
+        let old_shape = self.param_shapes.get(&id);
+        let old = old_shape.map_or(0, |s| 2 * s.num_bytes() as u64);
+        let total = self.weights_total - old + bytes;
+        // A re-shape drops the cached plans (they were specialized to the
+        // old shape); any other binding must fit beside each of them.
+        let reshaped = old_shape.is_some_and(|s| *s != shape);
+        let largest_plan = if reshaped {
+            0
+        } else {
+            self.plans
+                .iter()
+                .map(|p| p.planned_peak_bytes() - p.accounting.param_bytes)
+                .max()
+                .unwrap_or(0)
+        };
+        self.mem.check(total + largest_plan)?;
+        let key = (node.layer, DataStructureKind::Weight);
+        match self.weights.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.weights[i].1 = self.weights[i].1 - old + bytes,
+            Err(i) => self.weights.insert(i, (key, bytes)),
+        }
+        self.weights_total = total;
+        let bound = MemoryReport {
+            peak_bytes: total,
+            nvidia_smi_bytes: 0,
+            peak_breakdown: self.weights.clone(),
+            max_breakdown: self.weights.clone(),
+        };
+        self.memory.fold(&bound, false);
+        self.param_shapes.insert(id, shape);
+        if reshaped {
+            self.clear_exec_plan();
         }
         Ok(())
     }
@@ -518,14 +594,15 @@ impl Executor {
         }
     }
 
-    /// Clones this executor into its own [`DeviceMemory`]: same graph
-    /// (shared), same stash plan, and a deep copy of every bound
-    /// parameter (values and zeroed gradients re-allocated in `mem`).
-    /// This is how data-parallel replicas are born.
+    /// Clones this executor onto its own [`DeviceMemory`]: same graph
+    /// (shared), same stash plan, a deep copy of every bound parameter
+    /// (values and zeroed gradients) and the cached plans. This is how
+    /// data-parallel replicas are born.
     ///
     /// # Errors
     ///
-    /// Returns an error if `mem` cannot hold the parameter set.
+    /// Returns [`GraphError::WontFit`] if `mem` cannot hold the parameter
+    /// set or a step of an inherited plan beside it.
     pub fn clone_replica(&self, mem: DeviceMemory) -> Result<Executor> {
         let mut replica = Executor::new(self.graph.clone(), self.plan.clone(), mem);
         for id in self.param_ids() {
@@ -544,6 +621,9 @@ impl Executor {
         }
         // Execution plans are immutable and shape-derived, so replicas
         // share them: K replicas cost one planning pass.
+        for plan in &self.plans {
+            mem.check(replica.device_peak(plan))?;
+        }
         replica.plans = self.plans.clone();
         replica.plan_installed = self.plan_installed;
         Ok(replica)
@@ -561,7 +641,7 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Propagates planning, operator, binding and OOM errors.
+    /// Propagates planning, operator, binding and capacity errors.
     pub fn forward(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -584,7 +664,7 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Propagates planning, operator, binding and OOM errors.
+    /// Propagates planning, operator, binding and capacity errors.
     pub fn forward_many(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -598,7 +678,8 @@ impl Executor {
             training: opts.training,
         };
         let plan = self.resolve_plan(bindings, key)?;
-        self.begin_forward(&plan)?;
+        self.memory
+            .fold(&self.on_device(&plan, &plan.accounting.forward), false);
         let mut run = Run::new(self, bindings, Arc::clone(&plan));
         let result = run.forward().and_then(|()| run.take_outputs(outputs));
         run.finish();
@@ -616,8 +697,8 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Propagates planning, operator, binding and OOM errors; rejects a
-    /// non-scalar loss and inference options.
+    /// Propagates planning, operator, binding and capacity errors; rejects
+    /// a non-scalar loss and inference options.
     pub fn train_step(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -669,7 +750,7 @@ impl Executor {
     /// # Errors
     ///
     /// Rejects inference options and propagates planning, operator,
-    /// binding and OOM errors.
+    /// binding and capacity errors.
     pub fn stage_step(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -689,8 +770,8 @@ impl Executor {
         self.run_step(plan, bindings, seeds, device)
     }
 
-    /// One seeded step under `plan`: no per-node device bookkeeping, one
-    /// accounting call for the whole iteration.
+    /// One seeded step under `plan`: no per-node device bookkeeping, the
+    /// plan's static figures folded into the memory report.
     fn run_step(
         &mut self,
         plan: Arc<ExecPlan>,
@@ -699,7 +780,8 @@ impl Executor {
         device: Option<&mut DeviceSim>,
     ) -> Result<StageStepOutput> {
         self.zero_grads();
-        self.begin_step(&plan)?;
+        self.memory
+            .fold(&self.on_device(&plan, &plan.accounting.step), true);
         let mut run = Run::new(self, bindings, Arc::clone(&plan));
         let result = run.step(seeds);
         let replays = run.replays;
@@ -714,7 +796,7 @@ impl Executor {
             input_grads,
             stats: IterationStats {
                 loss: None,
-                peak_bytes: self.mem.peak_bytes(),
+                peak_bytes: self.memory.peak_bytes,
                 replays,
             },
         })
@@ -723,17 +805,16 @@ impl Executor {
     /// Projects one execution without computing it: resolves the plan as
     /// [`train_step`](Executor::train_step) (with a `loss`) or
     /// [`forward_many`](Executor::forward_many) (without: an inference
-    /// forward to `outputs`) would, applies the memory accounting that
-    /// step applies — the plan's static timeline, plus each replay's
-    /// workspace lease at its planned size and in trigger order — and, with
-    /// a `sim`, projects the plan onto it ([`ExecPlan::project`]).
+    /// forward to `outputs`) would, folds the plan's static memory figures
+    /// into the report as that execution does and, with a `sim`, projects
+    /// the plan onto it ([`ExecPlan::project`]).
     /// Parameters may be bound by shape alone
     /// ([`bind_param_shape`](Executor::bind_param_shape)); bindings are
     /// read for their shapes only.
     ///
     /// # Errors
     ///
-    /// Propagates planning failures and device OOM.
+    /// Propagates planning failures and capacity errors.
     pub fn project(
         &mut self,
         bindings: &HashMap<NodeId, Tensor>,
@@ -750,70 +831,22 @@ impl Executor {
         let plan = self.resolve_plan(bindings, key)?;
         let mut replays = 0;
         if loss.is_some() {
-            self.begin_step(&plan)?;
-            let graph = Arc::clone(&self.graph);
-            for &seg in &plan.accounting.replayed {
-                let table = &plan.segments[&seg];
-                // Dropped at once: only the pool's growth is accounted.
-                self.segment_pool(&graph, table).lease(table.bytes)?;
-            }
+            self.memory
+                .fold(&self.on_device(&plan, &plan.accounting.step), true);
             replays = plan.planned_replays();
             self.replays_total += replays;
         } else {
-            self.begin_forward(&plan)?;
+            self.memory
+                .fold(&self.on_device(&plan, &plan.accounting.forward), false);
         }
         if let Some(sim) = sim {
             plan.project(&self.graph, sim);
         }
         Ok(IterationStats {
             loss: None,
-            peak_bytes: self.mem.peak_bytes(),
+            peak_bytes: self.memory.peak_bytes,
             replays,
         })
-    }
-
-    /// Opens a training step's accounting: a fresh peak window, then the
-    /// whole step up front — liveness-driven peak, breakdown snapshot,
-    /// category maxima and OOM check come from the plan's static timeline
-    /// instead of hundreds of tagged allocations.
-    fn begin_step(&mut self, plan: &ExecPlan) -> Result<()> {
-        self.mem.reset_peak();
-        let acc = &plan.accounting;
-        self.mem.record_planned_peak(
-            acc.step_delta,
-            acc.assumed_workspace,
-            &acc.peak_breakdown,
-            &acc.max_breakdown,
-        )?;
-        Ok(())
-    }
-
-    /// A forward pass's accounting, from the plan's static timeline.
-    fn begin_forward(&mut self, plan: &ExecPlan) -> Result<()> {
-        let acc = &plan.accounting;
-        self.mem.record_planned_peak(
-            acc.fwd_delta,
-            0,
-            &acc.fwd_peak_breakdown,
-            &acc.fwd_max_breakdown,
-        )?;
-        Ok(())
-    }
-
-    /// The workspace pool a segment's replay scratch is leased from,
-    /// created on first use under the layer of the segment's first member.
-    fn segment_pool(&mut self, graph: &Graph, table: &SegmentTable) -> WorkspacePool {
-        let mem = &self.mem;
-        self.pools
-            .entry(table.pool)
-            .or_insert_with(|| {
-                WorkspacePool::new(
-                    mem.clone(),
-                    graph.nodes()[table.members[0] as usize].layer,
-                    format!("segment_pool_{}", table.pool),
-                )
-            })
-            .clone()
     }
 }
 
@@ -848,10 +881,9 @@ struct Run<'e> {
 struct SegmentScratch {
     values: HashMap<NodeId, Tensor>,
     saved: HashMap<NodeId, Saved>,
-    /// Workspace pool the lease below came from. Exclusive access is the
+    /// Workspace pool this scratch occupies. Exclusive access is the
     /// sharing contract; a new same-pool replay evicts this scratch first.
     pool: usize,
-    _lease: WorkspaceLease,
     /// Backward entries that will still read this scratch (burn-autodiff's
     /// `n_required` refcount idiom): counted at replay time over the
     /// plan's reader table minus the entries already processed,
@@ -1239,7 +1271,8 @@ impl<'e> Run<'e> {
     // ------------------------------------------------------------------
 
     /// Replays segment `seg` unless its scratch is live: forward from
-    /// stashed boundary values into a workspace-leased scratch.
+    /// stashed boundary values into a scratch on the segment's workspace
+    /// pool.
     fn ensure_replayed(&mut self, seg: usize) -> Result<()> {
         if self.scratch.contains_key(&seg) || self.replaying.contains(&seg) {
             return Ok(());
@@ -1251,6 +1284,8 @@ impl<'e> Run<'e> {
         let graph = self.graph();
         let mut values: HashMap<NodeId, Tensor> = HashMap::new();
         let mut saved: HashMap<NodeId, Saved> = HashMap::new();
+        // What the replay materializes: each member's output plus the
+        // larger of its declared and its actual saved state.
         let mut bytes = 0u64;
         self.replaying.push(seg);
         for &member in &table.members {
@@ -1258,7 +1293,6 @@ impl<'e> Run<'e> {
             let NodeKind::Op { op, inputs } = &graph.nodes()[idx].kind else {
                 unreachable!("segment members are ops");
             };
-            let tables = plan.ops[idx].as_ref().expect("op tables");
             // Boundary inputs are normally stashed values/params/bindings;
             // under generic checkpointing plans (Chen et al.) a boundary
             // input may itself belong to another recompute segment, which
@@ -1292,21 +1326,23 @@ impl<'e> Run<'e> {
                 }
                 op.forward(&refs)?
             };
-            // The declared saved bytes may exceed what forward actually
-            // saves (cuDNN-style conservative reserve); the lease honours
-            // the larger of the two.
-            let saved_size = tables
-                .saved_bytes
-                .max(s.iter().map(|t| t.num_bytes() as u64).sum());
-            bytes += plan.shape(idx).num_bytes() as u64 + saved_size;
+            let declared = plan.ops[idx].as_ref().map_or(0, |t| t.saved_bytes);
+            let actual = s.iter().map(|t| t.num_bytes() as u64).sum();
+            bytes += out.num_bytes() as u64 + declared.max(actual);
             values.insert(NodeId(idx), out);
             if !s.is_empty() {
                 saved.insert(NodeId(idx), s);
             }
         }
         self.replaying.pop();
+        // The plan accounts this scratch at `table.bytes`; a replay that
+        // builds more would hold more than the memory report says.
+        debug_assert!(
+            bytes <= table.bytes,
+            "segment {seg}'s replay materializes {bytes} bytes, its plan accounts {}",
+            table.bytes
+        );
 
-        let pool = self.exec.segment_pool(&graph, table);
         // Workspaces are exclusive (paper §3.2): the Echo heuristic only
         // pools segments whose replay lifetimes are disjoint, but search-
         // produced, stage-normalized or externally authored plans may pool
@@ -1318,7 +1354,6 @@ impl<'e> Run<'e> {
         // refcount cannot make this unnecessary: an overlap is a property
         // of the stash plan, not of retirement timing.
         self.scratch.retain(|_, s| s.pool != table.pool);
-        let lease = pool.lease(bytes)?;
         self.replays += 1;
         let n_required = table
             .readers
@@ -1331,7 +1366,6 @@ impl<'e> Run<'e> {
                 values,
                 saved,
                 pool: table.pool,
-                _lease: lease,
                 n_required,
             },
         );
@@ -1586,14 +1620,13 @@ mod tests {
         let (g, x, w, t1, _, loss) = chain_graph();
         let n = 64 * 1024;
         let run = |plan: StashPlan| {
-            let m = mem();
-            let mut exec = Executor::new(Arc::clone(&g), plan, m.clone());
+            let mut exec = Executor::new(Arc::clone(&g), plan, mem());
             exec.bind_param(w, Tensor::full(Shape::d1(n), 0.5)).unwrap();
             let mut bindings = HashMap::new();
             bindings.insert(x, Tensor::full(Shape::d1(n), 1.0));
             exec.train_step(&bindings, loss, ExecOptions::default(), None)
                 .unwrap();
-            m.peak_bytes()
+            exec.memory_report().peak_bytes
         };
         let peak_stash = run(StashPlan::stash_all());
         let mut plan = StashPlan::stash_all();
@@ -1610,15 +1643,14 @@ mod tests {
 
     #[test]
     fn projection_matches_numeric_memory() {
-        // A projection over shape-bound parameters accounts what a
-        // numeric step allocates, replay workspace included, and launches
+        // A projection over shape-bound parameters reports the memory a
+        // numeric step reports, replay workspace included, and launches
         // what that step projects, record for record.
         let (g, x, w, _, _, loss) = chain_graph();
         let n = 1024;
         for stash in [StashPlan::stash_all(), recompute_t1_plan()] {
             let run = |numeric: bool| {
-                let m = mem();
-                let mut exec = Executor::new(Arc::clone(&g), stash.clone(), m.clone());
+                let mut exec = Executor::new(Arc::clone(&g), stash.clone(), mem());
                 let bindings = HashMap::from([(x, Tensor::full(Shape::d1(n), 1.0))]);
                 let mut sim = DeviceSim::new(DeviceSpec::titan_xp());
                 sim.set_op_overhead_ns(1_000);
@@ -1630,7 +1662,11 @@ mod tests {
                     exec.project(&bindings, &[loss], Some(loss), Some(&mut sim))
                 }
                 .unwrap();
-                (m.peak_bytes(), stats.replays, sim.trace_digest())
+                (
+                    exec.memory_report().peak_bytes,
+                    stats.replays,
+                    sim.trace_digest(),
+                )
             };
             assert_eq!(run(true), run(false));
         }
@@ -1765,8 +1801,8 @@ mod tests {
 
     #[test]
     fn planned_peak_equals_legacy_peak() {
-        // The plan's static accounting timeline replays the allocator
-        // events of a step exactly, and slot packing is size-exact — so
+        // The plan's static accounting timeline replays the memory events
+        // of a step exactly, and slot packing is size-exact — so
         // the planned peak is not merely a bound on what the per-node
         // allocator walk used to report, it is the same number.
         for (stash, golden) in [
@@ -1781,11 +1817,9 @@ mod tests {
 
     #[test]
     fn planned_steps_are_stable_across_iterations() {
-        // Pools and step-persistent tables must not drift the numbers: the
-        // loss is the oracle's on every step (nothing updates the
-        // parameter), one replay per step, and the peak holds steady at
-        // the step-1 figure — the retained recompute workspace buffer is
-        // reused, not double-counted, on steps >= 2.
+        // Step-persistent tables must not drift the numbers: the loss is
+        // the oracle's on every step (nothing updates the parameter), one
+        // replay per step, and the peak holds steady at the step-1 figure.
         let (oracle_loss, _) = chain_oracle();
         let (g, x, w, _, _, loss) = chain_graph();
         let (init_w, init_x) = chain_values();
@@ -1898,15 +1932,23 @@ mod tests {
     #[test]
     fn rebinding_a_parameter_replaces_its_allocation() {
         let (g, x, w, _, _, loss) = chain_graph();
-        let m = mem();
-        let mut exec = Executor::new(g, StashPlan::stash_all(), m.clone());
+        let mut exec = Executor::new(g, StashPlan::stash_all(), mem());
+        let weights = |exec: &Executor| {
+            echo_memory::MemoryBreakdown::at_category_maxima(&exec.memory_report())
+                .kind_bytes(DataStructureKind::Weight)
+        };
         exec.bind_param(w, Tensor::full(Shape::d1(4), 0.5)).unwrap();
-        let live = m.live_bytes();
+        let bound = weights(&exec);
+        assert_eq!(bound, 32, "value + gradient");
         for _ in 0..20 {
             exec.bind_param(w, Tensor::full(Shape::d1(4), 0.25))
                 .unwrap();
         }
-        assert_eq!(m.live_bytes(), live, "a re-bind must not leak device space");
+        assert_eq!(
+            weights(&exec),
+            bound,
+            "a re-bind must not leak device space"
+        );
         // A re-bind under a new shape drops the plans built for the old one.
         let bindings = HashMap::from([(x, Tensor::full(Shape::d1(4), 1.0))]);
         exec.train_step(&bindings, loss, ExecOptions::default(), None)
@@ -1914,7 +1956,45 @@ mod tests {
         exec.bind_param(w, Tensor::full(Shape::d1(8), 0.25))
             .unwrap();
         assert!(exec.exec_plan().is_none());
-        assert_eq!(m.live_bytes(), 2 * live);
+        assert_eq!(weights(&exec), 2 * bound);
+    }
+
+    #[test]
+    fn memory_report_folds_steps_and_forwards() {
+        // One executor runs a step, an evaluation forward at a larger
+        // width, then a step under a smaller plan. The peak and the live
+        // set at it come from the last step alone; each category's
+        // maximum is taken over all three.
+        let (g, x, w, _, t2, loss) = chain_graph();
+        let mut exec = Executor::new(g, StashPlan::stash_all(), mem());
+        let mut run = |n: usize, training: bool| {
+            exec.bind_param(w, Tensor::full(Shape::d1(n), 0.5)).unwrap();
+            let bindings = HashMap::from([(x, Tensor::full(Shape::d1(n), 1.0))]);
+            if training {
+                exec.train_step(&bindings, loss, ExecOptions::default(), None)
+                    .unwrap();
+            } else {
+                let eval = ExecOptions { training: false };
+                exec.forward(&bindings, t2, eval, None).unwrap();
+            }
+            Arc::clone(exec.exec_plan().unwrap())
+        };
+        let (big, forward, small) = (run(64, true), run(128, false), run(4, true));
+        let report = exec.memory_report();
+        let last = &small.accounting.step;
+        assert_eq!(report.peak_bytes, last.peak_bytes);
+        assert_eq!(report.peak_breakdown, last.peak_breakdown);
+        assert!(report.peak_bytes < forward.accounting.forward.peak_bytes);
+        let mut maxima = MemoryReport::default();
+        for phase in [&big.accounting.step, &forward.accounting.forward, last] {
+            maxima.fold(phase, false);
+        }
+        assert_eq!(report.max_breakdown, maxima.max_breakdown);
+        assert_ne!(report.max_breakdown, big.accounting.step.max_breakdown);
+        assert_ne!(
+            report.max_breakdown,
+            forward.accounting.forward.max_breakdown
+        );
     }
 
     #[test]
@@ -2138,18 +2218,22 @@ mod tests {
     #[test]
     fn oom_surfaces_from_execution() {
         let (g, x, w, _, _, loss) = chain_graph();
-        let tiny = DeviceMemory::with_overhead_model(256, 0, 0.0);
+        // The chain's step plan peaks at 2048 bytes with a 64-wide input;
+        // the parameter alone (value + gradient) needs 512, so it binds.
+        let tiny = DeviceMemory::with_overhead_model(2000, 0, 0.0);
         let mut exec = Executor::new(g, StashPlan::stash_all(), tiny);
-        match exec.bind_param(w, Tensor::full(Shape::d1(64), 0.5)) {
-            Ok(()) => {
-                let mut bindings = HashMap::new();
-                bindings.insert(x, Tensor::full(Shape::d1(64), 1.0));
-                let err = exec
-                    .train_step(&bindings, loss, ExecOptions::default(), None)
-                    .unwrap_err();
-                assert!(matches!(err, GraphError::Oom(_)));
-            }
-            Err(err) => assert!(matches!(err, GraphError::Oom(_))),
-        }
+        exec.bind_param(w, Tensor::full(Shape::d1(64), 0.5))
+            .unwrap();
+        let bindings = HashMap::from([(x, Tensor::full(Shape::d1(64), 1.0))]);
+        let err = exec
+            .train_step(&bindings, loss, ExecOptions::default(), None)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            GraphError::WontFit(echo_memory::WontFit {
+                needed: 2048,
+                capacity: 2000
+            })
+        ));
     }
 }

@@ -13,10 +13,10 @@
 //!   `Recompute`, in which case the value is dropped after its last forward
 //!   use and *regenerated by replaying its segment* when backward needs it
 //!   (partial forward propagation, paper §4.1/Figure 8).
-//! * **Workspace exclusivity.** Replayed values live in a workspace leased
-//!   from a per-segment-group pool; sequential backward execution means one
-//!   lease is alive at a time, so recomputation workspace stays `O(B·T·H)`
-//!   instead of `O(B·T²·H)` (paper §4.1.2).
+//! * **Workspace exclusivity.** Replayed values live in a workspace on a
+//!   per-segment-group pool; sequential backward execution means one
+//!   scratch per pool is alive at a time, so recomputation workspace stays
+//!   `O(B·T·H)` instead of `O(B·T²·H)` (paper §4.1.2).
 //! * **Kernel accounting.** Every forward, backward and replay step's
 //!   kernel launches are in its [`ExecPlan`]'s tables, so runtime
 //!   breakdowns and the recompute overhead are measured, not asserted.

@@ -36,15 +36,17 @@
 //!   stashed values a late replay re-reads. Workspace sharing across
 //!   segments is exact for one backward order, the schedule's, which is
 //!   the only order the interpreter runs;
-//! * a static **accounting timeline** that replays the allocator events of
+//! * a static **accounting timeline** that replays the memory events of
 //!   one step (input placeholders, stashed feature maps + saved state,
 //!   transient placeholders, gradient placeholders, workspace-pool growth
 //!   at the replay trigger points) and records the peak, its
 //!   per-(layer, kind) breakdown, and every category's own high-water
-//!   mark over the step. The executor feeds this to
-//!   [`DeviceMemory::record_planned_peak`](echo_memory::DeviceMemory::record_planned_peak)
-//!   in one call per step instead of issuing hundreds of tagged
-//!   allocations.
+//!   mark over the step. The executor checks the peak against the
+//!   device's capacity once, when the plan is memoized, installed or
+//!   inherited, and folds these figures into its
+//!   [`MemoryReport`](echo_memory::MemoryReport) on every step, counting
+//!   every bound parameter's weights where the plan counts only those it
+//!   reads — nothing is allocated.
 //!
 //! Plans are built by `EchoCompiler::compile`/`attach`,
 //! [`Executor::plan_for`](crate::Executor::plan_for),
@@ -59,7 +61,7 @@ use crate::op::{KernelLaunch, LaunchSpec, StashNeeds};
 use crate::policy::{StashPlan, StashPolicy};
 use crate::{ExecOptions, GraphError, Result};
 use echo_device::DeviceSim;
-use echo_memory::{DataStructureKind, LayerKind};
+use echo_memory::{Breakdown, DataStructureKind, LayerKind, MemoryReport};
 use echo_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,9 +101,6 @@ pub(crate) fn record_plan_fallback() {
     PLAN_FALLBACKS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A per-(layer, data-structure) byte total in a planned breakdown.
-pub type PlannedBreakdown = Vec<((LayerKind, DataStructureKind), u64)>;
-
 /// Total floating-point operations of a launch list. Roofline kernels
 /// declare their flops directly; a GEMM's are derived from its geometry
 /// (`2·m·n·k` multiply-adds).
@@ -136,7 +135,7 @@ pub(crate) struct OpTables {
 pub(crate) struct SegmentTable {
     /// In-cone member ops, ascending (= replay order).
     pub members: Vec<u32>,
-    /// Workspace pool the replayed scratch is leased from.
+    /// Workspace pool the replayed scratch occupies.
     pub pool: usize,
     /// Backward-schedule entries that read the scratch (a member's own
     /// backward, or a consumer that declares it needs its inputs),
@@ -210,10 +209,6 @@ pub struct ExecPlan {
     /// (scattered segments: a reader may sit below one of the segment's
     /// stashed boundary inputs).
     pub(crate) retain_value: Vec<bool>,
-    /// Slot id for each transient value (dense node index -> slot).
-    pub(crate) value_slots: Vec<Option<u32>>,
-    /// Slot id for each transient gradient.
-    pub(crate) grad_slots: Vec<Option<u32>>,
     /// Byte size of each slot.
     pub(crate) slot_sizes: Vec<u64>,
     /// Input binding shapes the plan was specialized to.
@@ -487,7 +482,6 @@ impl ExecPlan {
             .collect();
         struct Interval {
             node: usize,
-            grad: bool,
             birth: usize,
             death: usize,
             bytes: u64,
@@ -503,7 +497,6 @@ impl ExecPlan {
                 };
                 intervals.push(Interval {
                     node: idx,
-                    grad: false,
                     birth: idx,
                     death,
                     bytes: bytes_of(id),
@@ -531,7 +524,6 @@ impl ExecPlan {
             };
             intervals.push(Interval {
                 node: idx,
-                grad: true,
                 birth,
                 death: 2 * n - idx,
                 bytes: bytes_of(id),
@@ -540,8 +532,6 @@ impl ExecPlan {
         intervals.sort_by_key(|iv| (iv.birth, iv.node));
 
         // Greedy size-exact interval packing.
-        let mut value_slots: Vec<Option<u32>> = vec![None; n];
-        let mut grad_slots: Vec<Option<u32>> = vec![None; n];
         let mut slot_sizes: Vec<u64> = Vec::new();
         let mut slot_expiry: Vec<usize> = Vec::new();
         for iv in &intervals {
@@ -556,12 +546,6 @@ impl ExecPlan {
                 }
             };
             slot_expiry[slot] = iv.death;
-            let table = if iv.grad {
-                &mut grad_slots
-            } else {
-                &mut value_slots
-            };
-            table[iv.node] = Some(slot as u32);
         }
 
         let mut plan = ExecPlan {
@@ -581,8 +565,6 @@ impl ExecPlan {
             seg_of,
             segments,
             retain_value: vec![false; n],
-            value_slots,
-            grad_slots,
             slot_sizes,
             input_shapes,
             param_shapes: used_params,
@@ -732,10 +714,11 @@ impl ExecPlan {
         self.training
     }
 
-    /// Absolute planned peak footprint of one step, parameters included —
-    /// what a step of the executor reports as `peak_bytes`.
+    /// Absolute planned peak footprint of one step, the parameters it
+    /// reads included — what a step of an executor with no other
+    /// parameters bound reports as `peak_bytes`.
     pub fn planned_peak_bytes(&self) -> u64 {
-        self.accounting.planned_peak_bytes
+        self.accounting.step.peak_bytes
     }
 
     /// Number of reusable transient buffers the plan packs values and
@@ -749,21 +732,9 @@ impl ExecPlan {
         self.slot_sizes.iter().sum()
     }
 
-    /// The reuse slot a transient node output was packed into, when the
-    /// node is transient (stashed outputs live outside the slot arena by
-    /// design — their lifetime spans forward to backward).
-    pub fn value_slot(&self, id: NodeId) -> Option<u32> {
-        self.value_slots.get(id.index()).copied().flatten()
-    }
-
-    /// The reuse slot a node's transient gradient was packed into.
-    pub fn grad_slot(&self, id: NodeId) -> Option<u32> {
-        self.grad_slots.get(id.index()).copied().flatten()
-    }
-
     /// Segment replays one training step performs.
     pub fn planned_replays(&self) -> u64 {
-        self.accounting.replayed.len() as u64
+        self.accounting.planned_replays
     }
 
     /// Flops of one step's scheduled forward + backward launches,
@@ -828,11 +799,6 @@ impl ExecPlan {
             machine.finish(idx);
         }
         machine.replayed.len() as u64
-    }
-
-    /// The full live set at the planned peak moment, per (layer, kind).
-    pub fn peak_breakdown(&self) -> &PlannedBreakdown {
-        &self.accounting.peak_breakdown
     }
 
     /// Parameter shapes the plan was built against.
@@ -957,7 +923,7 @@ impl<'a> ReplayMachine<'a> {
     }
 }
 
-/// Replays one step's allocator event sequence statically.
+/// Replays one step's memory event sequence statically.
 ///
 /// Every event is one accounting action of a step: input placeholder
 /// allocs, op output (+ stashed saved) allocs, transient frees after the
@@ -1029,17 +995,14 @@ impl<'a> AccountingSim<'a> {
         let plan = self.plan;
         let n = plan.graph_len;
         let mut results = Accounting::default();
-        // Persistent base: every parameter's value + gradient, allocated
-        // at bind time.
+        // Persistent base: every parameter's value + gradient, held from
+        // bind time on.
         for (id, shape) in &plan.param_shapes {
             let layer = self.graph.nodes()[id.index()].layer;
-            self.add(
-                layer,
-                DataStructureKind::Weight,
-                2 * shape.num_bytes() as u64,
-            );
+            let bytes = 2 * shape.num_bytes() as u64;
+            self.add(layer, DataStructureKind::Weight, bytes);
+            results.param_bytes += bytes;
         }
-        let persistent = self.live;
 
         // Forward.
         let mut uses = plan.fwd_uses.clone();
@@ -1083,9 +1046,7 @@ impl<'a> AccountingSim<'a> {
                 }
             }
         }
-        results.fwd_delta = self.peak - persistent;
-        results.fwd_peak_breakdown = breakdown_vec(&self.peak_by_tag);
-        results.fwd_max_breakdown = breakdown_vec(&self.max_by_tag);
+        results.forward = self.phase();
 
         // Backward: the seeds first, then the descending walk.
         let mut grad_born = vec![false; n];
@@ -1130,7 +1091,7 @@ impl<'a> AccountingSim<'a> {
                             entry.1 = table.bytes;
                             self.add(pool_layer, DataStructureKind::Workspace, table.bytes - high);
                         }
-                        results.replayed.push(seg);
+                        results.planned_replays += 1;
                         results.planned_recompute_flops += table.flops;
                     }
                     // Gradient births at first propagation.
@@ -1170,46 +1131,40 @@ impl<'a> AccountingSim<'a> {
             self.machine.finish(idx);
         }
 
-        results.planned_peak_bytes = self.peak;
-        results.step_delta = self.peak - persistent;
-        results.assumed_workspace = self.pools.values().map(|&(_, high)| high).sum();
-        results.peak_breakdown = breakdown_vec(&self.peak_by_tag);
-        results.max_breakdown = breakdown_vec(&self.max_by_tag);
+        results.step = self.phase();
         results
+    }
+
+    /// The figures recorded so far, as one phase.
+    fn phase(&self) -> MemoryReport {
+        MemoryReport {
+            peak_bytes: self.peak,
+            nvidia_smi_bytes: 0,
+            peak_breakdown: breakdown_vec(&self.peak_by_tag),
+            max_breakdown: breakdown_vec(&self.max_by_tag),
+        }
     }
 }
 
 /// What the static accounting timeline produces.
 #[derive(Debug, Default)]
 pub(crate) struct Accounting {
-    /// Absolute planned peak (parameters + gradients included).
-    pub planned_peak_bytes: u64,
-    /// Peak minus the persistent parameter base: what one training step
-    /// transiently adds on top of what is live between steps.
-    pub step_delta: u64,
-    /// Same, for a forward-only execution.
-    pub fwd_delta: u64,
-    /// Workspace bytes contained in `step_delta` that the executor serves
-    /// through real pool leases (pools retain their buffers across steps).
-    pub assumed_workspace: u64,
-    /// Full live set at the planned peak moment, per (layer, kind).
-    pub peak_breakdown: PlannedBreakdown,
-    /// Live set at the forward-only peak moment.
-    pub fwd_peak_breakdown: PlannedBreakdown,
-    /// Every (layer, kind)'s own high-water mark over the step — the
-    /// category-by-category profiler view; the maxima need not coincide.
-    pub max_breakdown: PlannedBreakdown,
-    /// Same, over the forward pass alone.
-    pub fwd_max_breakdown: PlannedBreakdown,
-    /// The segments one training step replays, in trigger order — the
-    /// order the executor leases their workspaces in.
-    pub replayed: Vec<usize>,
+    /// The whole step, the read parameters and their gradients included.
+    pub step: MemoryReport,
+    /// The forward pass alone.
+    pub forward: MemoryReport,
+    /// Weight bytes (value + gradient) of the parameters the plan reads —
+    /// the part of each phase's peak an executor replaces with its own
+    /// bound-parameter total.
+    pub param_bytes: u64,
+    /// Segment replays one training step performs.
+    pub planned_replays: u64,
     /// Extra flops the step spends replaying recompute segments.
     pub planned_recompute_flops: u64,
 }
 
-fn breakdown_vec(map: &HashMap<(LayerKind, DataStructureKind), u64>) -> PlannedBreakdown {
-    let mut v: PlannedBreakdown = map
+fn breakdown_vec(map: &HashMap<(LayerKind, DataStructureKind), u64>) -> Breakdown {
+    let mut v: Breakdown = map
         .iter()
         .filter(|(_, &bytes)| bytes > 0)
         .map(|(&k, &bytes)| (k, bytes))

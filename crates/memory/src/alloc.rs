@@ -1,12 +1,14 @@
-//! The tagged device-memory allocator.
+//! The two axes device memory is classified along, and the device's
+//! capacity model.
+//!
+//! Nothing here allocates: every byte figure comes from an execution
+//! plan's static accounting timeline, and [`DeviceMemory`] only says
+//! whether a figure fits.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
-/// Which part of the model an allocation belongs to — the paper's
+/// Which part of the model a byte belongs to — the paper's
 /// "by layer type" breakdown axis (Figure 5, left bar).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -47,7 +49,7 @@ impl fmt::Display for LayerKind {
     }
 }
 
-/// What role an allocation plays — the paper's "by data structure" axis
+/// What role a byte plays — the paper's "by data structure" axis
 /// (Figure 5, right bar; §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -85,82 +87,40 @@ impl fmt::Display for DataStructureKind {
     }
 }
 
-/// Full tag attached to every allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct AllocationTag {
-    /// Layer-type axis.
-    pub layer: LayerKind,
-    /// Data-structure axis.
-    pub kind: DataStructureKind,
-    /// Free-form label for debugging ("scores", "lstm_l0_h", …).
-    pub label: String,
-}
-
-impl AllocationTag {
-    /// Creates a tag.
-    pub fn new(layer: LayerKind, kind: DataStructureKind, label: impl Into<String>) -> Self {
-        AllocationTag {
-            layer,
-            kind,
-            label: label.into(),
-        }
-    }
-}
-
-/// Error returned when an allocation would exceed device capacity.
-///
-/// This is the simulator's `cudaErrorMemoryAllocation`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OomError {
-    /// Bytes requested.
-    pub requested: u64,
-    /// Bytes live at the time of the request.
-    pub live: u64,
+/// Error returned when a plan or a parameter set does not fit on the
+/// device: the simulator's `cudaErrorMemoryAllocation`, raised once when
+/// the plan is memoized, installed or inherited, before anything runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WontFit {
+    /// Bytes the device would have to hold: the planned peak plus the
+    /// context and fragmentation overheads (the `nvidia-smi` view).
+    pub needed: u64,
     /// Device capacity.
     pub capacity: u64,
-    /// Tag of the failing request.
-    pub tag: AllocationTag,
 }
 
-impl fmt::Display for OomError {
+impl fmt::Display for WontFit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "out of device memory: requested {} bytes for {}/{} `{}` with {} of {} bytes live",
-            self.requested, self.tag.layer, self.tag.kind, self.tag.label, self.live, self.capacity
+            "out of device memory: needs {} bytes, device holds {}",
+            self.needed, self.capacity
         )
     }
 }
 
-impl std::error::Error for OomError {}
+impl std::error::Error for WontFit {}
 
-#[derive(Debug, Default)]
-struct Inner {
-    next_id: u64,
-    live: HashMap<u64, (u64, AllocationTag)>,
-    live_bytes: u64,
-    live_by_tag: HashMap<(LayerKind, DataStructureKind), u64>,
-    peak_bytes: u64,
-    /// Per-(layer, kind) live bytes captured at the moment of peak.
-    peak_breakdown: HashMap<(LayerKind, DataStructureKind), u64>,
-    /// Independent per-(layer, kind) maxima over the whole run — what a
-    /// category-by-category profiler (like MXNet's) reports.
-    max_by_tag: HashMap<(LayerKind, DataStructureKind), u64>,
-    total_allocs: u64,
-}
-
-/// The simulated device memory.
-///
-/// Cheap to clone and share: the handle is an `Arc` around the accounting
-/// state, so the graph executor, workspace pools and profiler can all hold
+/// The simulated device: a capacity and the overhead model that separates
+/// what the profiler sees from what `nvidia-smi` reports (the striped bar
+/// of Figure 5). A plain value; the executor folds plan figures against
 /// it. See the [crate documentation](crate) for the role it plays.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceMemory {
-    inner: Arc<Mutex<Inner>>,
     capacity: u64,
-    /// Bytes the CUDA context + fragmentation would add on top of what the
-    /// profiler sees (the striped bar of Figure 5).
+    /// Bytes the CUDA context adds on top of what the profiler sees.
     context_overhead: u64,
+    /// Share of the profiled bytes lost to fragmentation.
     fragmentation: f64,
 }
 
@@ -169,12 +129,7 @@ impl DeviceMemory {
     /// overhead model (600 MiB context, 4% fragmentation), calibrated to the
     /// profiler-vs-`nvidia-smi` gap the paper reports.
     pub fn with_capacity(capacity: u64) -> Self {
-        DeviceMemory {
-            inner: Arc::new(Mutex::new(Inner::default())),
-            capacity,
-            context_overhead: 600 << 20,
-            fragmentation: 0.04,
-        }
+        DeviceMemory::with_overhead_model(capacity, 600 << 20, 0.04)
     }
 
     /// A 12 GiB device (Titan Xp / Titan V class).
@@ -185,7 +140,6 @@ impl DeviceMemory {
     /// Creates a device with an explicit overhead model.
     pub fn with_overhead_model(capacity: u64, context_overhead: u64, fragmentation: f64) -> Self {
         DeviceMemory {
-            inner: Arc::new(Mutex::new(Inner::default())),
             capacity,
             context_overhead,
             fragmentation,
@@ -197,311 +151,110 @@ impl DeviceMemory {
         self.capacity
     }
 
-    /// Allocates `bytes` with `tag`, returning an RAII handle that frees on
-    /// drop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OomError`] when the allocation (plus the context-overhead
-    /// model) would exceed capacity.
-    pub fn alloc(&self, bytes: u64, tag: AllocationTag) -> Result<Allocation, OomError> {
-        let mut inner = self.inner.lock();
-        let projected = self.overheads(inner.live_bytes + bytes) + inner.live_bytes + bytes;
-        if projected > self.capacity {
-            return Err(OomError {
-                requested: bytes,
-                live: inner.live_bytes,
-                capacity: self.capacity,
-                tag,
-            });
-        }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.live.insert(id, (bytes, tag.clone()));
-        inner.live_bytes += bytes;
-        *inner.live_by_tag.entry((tag.layer, tag.kind)).or_default() += bytes;
-        let live_now = inner.live_by_tag[&(tag.layer, tag.kind)];
-        let entry = inner.max_by_tag.entry((tag.layer, tag.kind)).or_default();
-        *entry = (*entry).max(live_now);
-        inner.total_allocs += 1;
-        if inner.live_bytes > inner.peak_bytes {
-            inner.peak_bytes = inner.live_bytes;
-            inner.peak_breakdown = inner.live_by_tag.clone();
-        }
-        Ok(Allocation {
-            id,
-            bytes,
-            mem: self.clone(),
-        })
+    /// Context and fragmentation bytes on top of `bytes` of profiled
+    /// memory.
+    pub fn overheads(&self, bytes: u64) -> u64 {
+        self.context_overhead + (bytes as f64 * self.fragmentation) as u64
     }
 
-    fn overheads(&self, live: u64) -> u64 {
-        self.context_overhead + (live as f64 * self.fragmentation) as u64
-    }
-
-    fn free(&self, id: u64) {
-        let mut inner = self.inner.lock();
-        if let Some((bytes, tag)) = inner.live.remove(&id) {
-            inner.live_bytes -= bytes;
-            if let Some(v) = inner.live_by_tag.get_mut(&(tag.layer, tag.kind)) {
-                *v -= bytes;
-            }
-        }
-    }
-
-    /// Bytes currently live (profiler view, excludes context overhead).
-    pub fn live_bytes(&self) -> u64 {
-        self.inner.lock().live_bytes
-    }
-
-    /// Peak live bytes observed so far (profiler view).
-    pub fn peak_bytes(&self) -> u64 {
-        self.inner.lock().peak_bytes
-    }
-
-    /// What `nvidia-smi` would report at the peak: profiler bytes plus the
-    /// CUDA-context and fragmentation overheads.
-    pub fn nvidia_smi_peak_bytes(&self) -> u64 {
-        let peak = self.peak_bytes();
+    /// What `nvidia-smi` would report at a profiled `peak`.
+    pub fn nvidia_smi_bytes(&self, peak: u64) -> u64 {
         peak + self.overheads(peak)
     }
 
-    /// Number of allocations performed over the device's lifetime.
-    pub fn total_allocs(&self) -> u64 {
-        self.inner.lock().total_allocs
-    }
-
-    /// Per-(layer, kind) live bytes captured at the moment of peak.
-    pub fn peak_breakdown(&self) -> HashMap<(LayerKind, DataStructureKind), u64> {
-        self.inner.lock().peak_breakdown.clone()
-    }
-
-    /// Independent per-(layer, kind) maxima over the whole run. This is
-    /// the MXNet-profiler view: each category's own high-water mark, even
-    /// if the maxima did not occur simultaneously (so the sum can exceed
-    /// [`DeviceMemory::peak_bytes`]).
-    pub fn max_breakdown(&self) -> HashMap<(LayerKind, DataStructureKind), u64> {
-        self.inner.lock().max_by_tag.clone()
-    }
-
-    /// Current per-(layer, kind) live bytes.
-    pub fn live_breakdown(&self) -> HashMap<(LayerKind, DataStructureKind), u64> {
-        self.inner.lock().live_by_tag.clone()
-    }
-
-    /// Forgets the recorded peak (live allocations are kept), so a fresh
-    /// peak can be measured for a new phase.
-    pub fn reset_peak(&self) {
-        let mut inner = self.inner.lock();
-        inner.peak_bytes = inner.live_bytes;
-        inner.peak_breakdown = inner.live_by_tag.clone();
-    }
-
-    /// Records one *planned* execution phase in a single call: the caller
-    /// has statically computed that the phase will transiently hold
-    /// `delta` bytes on top of what is live now, with the given
-    /// per-(layer, kind) breakdown at the phase's peak moment and the
-    /// given per-(layer, kind) high-water marks over the whole phase.
-    ///
-    /// A plan-driven executor uses this instead of issuing one `alloc` per
-    /// node per step. `assumed_workspace` names the portion of `delta`
-    /// that the phase serves through real (per-lease) workspace
-    /// allocations; whatever part of it is *already* live — pools retain
-    /// their high-water buffers across steps — is subtracted so repeated
-    /// phases do not double-count it.
-    ///
-    /// The peak breakdown snapshot is replaced by `breakdown` when the
-    /// planned phase sets a new peak; `breakdown` must therefore describe
-    /// the full live set at the phase peak (persistent allocations
-    /// included), not just the delta. `maxima` is folded into
-    /// [`max_breakdown`](DeviceMemory::max_breakdown): each category's own
-    /// maximum over the phase, which need not occur at the peak moment —
-    /// exactly what per-allocation accounting would have recorded.
+    /// Checks that `bytes` of profiled memory, plus overheads, fit.
     ///
     /// # Errors
     ///
-    /// Returns [`OomError`] when the projected phase peak (plus the
-    /// context-overhead model) would exceed capacity, before any compute
-    /// runs — the planned counterpart of failing mid-iteration.
-    pub fn record_planned_peak(
-        &self,
-        delta: u64,
-        assumed_workspace: u64,
-        breakdown: &[((LayerKind, DataStructureKind), u64)],
-        maxima: &[((LayerKind, DataStructureKind), u64)],
-    ) -> Result<(), OomError> {
-        let mut inner = self.inner.lock();
-        let live_workspace: u64 = inner
-            .live_by_tag
-            .iter()
-            .filter(|((_, kind), _)| *kind == DataStructureKind::Workspace)
-            .map(|(_, &bytes)| bytes)
-            .sum();
-        let overlap = assumed_workspace.min(live_workspace).min(delta);
-        let candidate = inner.live_bytes + (delta - overlap);
-        if candidate + self.overheads(candidate) > self.capacity {
-            return Err(OomError {
-                requested: delta,
-                live: inner.live_bytes,
-                capacity: self.capacity,
-                tag: AllocationTag::new(
-                    LayerKind::Other,
-                    DataStructureKind::Placeholder,
-                    "planned_step",
-                ),
-            });
-        }
-        for &(key, bytes) in maxima {
-            let e = inner.max_by_tag.entry(key).or_default();
-            *e = (*e).max(bytes);
-        }
-        if candidate > inner.peak_bytes {
-            inner.peak_bytes = candidate;
-            inner.peak_breakdown = breakdown.iter().copied().collect();
-        }
-        Ok(())
-    }
-}
-
-/// RAII handle to a device allocation; frees its bytes on drop.
-#[derive(Debug)]
-pub struct Allocation {
-    id: u64,
-    bytes: u64,
-    mem: DeviceMemory,
-}
-
-impl Allocation {
-    /// Size of this allocation.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl Drop for Allocation {
-    fn drop(&mut self) {
-        self.mem.free(self.id);
+    /// Returns [`WontFit`] with the overhead-inclusive figure when they do
+    /// not.
+    pub fn check(&self, bytes: u64) -> Result<(), WontFit> {
+        let (needed, capacity) = (self.nvidia_smi_bytes(bytes), self.capacity);
+        (needed <= capacity)
+            .then_some(())
+            .ok_or(WontFit { needed, capacity })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tag(layer: LayerKind, kind: DataStructureKind) -> AllocationTag {
-        AllocationTag::new(layer, kind, "t")
-    }
-
-    fn plain_device(capacity: u64) -> DeviceMemory {
-        DeviceMemory::with_overhead_model(capacity, 0, 0.0)
-    }
-
-    #[test]
-    fn alloc_free_accounting() {
-        let mem = plain_device(1000);
-        let a = mem
-            .alloc(400, tag(LayerKind::Rnn, DataStructureKind::FeatureMap))
-            .unwrap();
-        let b = mem
-            .alloc(300, tag(LayerKind::Attention, DataStructureKind::Workspace))
-            .unwrap();
-        assert_eq!(mem.live_bytes(), 700);
-        drop(a);
-        assert_eq!(mem.live_bytes(), 300);
-        drop(b);
-        assert_eq!(mem.live_bytes(), 0);
-        assert_eq!(mem.peak_bytes(), 700);
-        assert_eq!(mem.total_allocs(), 2);
-    }
+    use crate::{Breakdown, MemoryReport};
 
     #[test]
     fn oom_at_capacity() {
-        let mem = plain_device(1000);
-        let _a = mem
-            .alloc(900, tag(LayerKind::Rnn, DataStructureKind::Weight))
-            .unwrap();
-        let err = mem
-            .alloc(200, tag(LayerKind::Rnn, DataStructureKind::Weight))
-            .unwrap_err();
-        assert_eq!(err.requested, 200);
-        assert_eq!(err.live, 900);
+        let mem = DeviceMemory::with_overhead_model(1000, 0, 0.0);
+        assert_eq!(mem.check(1000), Ok(()));
+        let err = mem.check(1001).unwrap_err();
+        assert_eq!((err.needed, err.capacity), (1001, 1000));
         assert!(err.to_string().contains("out of device memory"));
     }
 
     #[test]
     fn context_overhead_counts_against_capacity() {
         let mem = DeviceMemory::with_overhead_model(1000, 500, 0.0);
-        assert!(mem
-            .alloc(600, tag(LayerKind::Other, DataStructureKind::Placeholder))
-            .is_err());
-        assert!(mem
-            .alloc(400, tag(LayerKind::Other, DataStructureKind::Placeholder))
-            .is_ok());
-    }
-
-    #[test]
-    fn peak_breakdown_snapshot_is_taken_at_peak() {
-        let mem = plain_device(10_000);
-        let a = mem
-            .alloc(
-                100,
-                tag(LayerKind::Attention, DataStructureKind::FeatureMap),
-            )
-            .unwrap();
-        {
-            let _b = mem
-                .alloc(900, tag(LayerKind::Rnn, DataStructureKind::Workspace))
-                .unwrap();
-        } // drops: peak was 1000 with both live
-        let _c = mem
-            .alloc(200, tag(LayerKind::Output, DataStructureKind::Weight))
-            .unwrap();
-        let bd = mem.peak_breakdown();
-        assert_eq!(
-            bd.get(&(LayerKind::Rnn, DataStructureKind::Workspace)),
-            Some(&900)
-        );
-        assert_eq!(
-            bd.get(&(LayerKind::Attention, DataStructureKind::FeatureMap)),
-            Some(&100)
-        );
-        assert!(!bd.contains_key(&(LayerKind::Output, DataStructureKind::Weight)));
-        drop(a);
+        assert!(mem.check(600).is_err());
+        assert!(mem.check(400).is_ok());
+        let frag = DeviceMemory::with_overhead_model(1000, 0, 0.25);
+        assert_eq!(frag.overheads(800), 200);
+        assert!(frag.check(800).is_ok());
+        assert_eq!(frag.check(801).unwrap_err().needed, 1001);
     }
 
     #[test]
     fn nvidia_smi_exceeds_profiler_view() {
-        let mem = DeviceMemory::with_capacity(12 << 30);
-        let _a = mem
-            .alloc(1 << 30, tag(LayerKind::Rnn, DataStructureKind::FeatureMap))
-            .unwrap();
-        assert!(mem.nvidia_smi_peak_bytes() > mem.peak_bytes());
+        let mem = DeviceMemory::titan_xp();
+        assert!(mem.nvidia_smi_bytes(1 << 30) > 1 << 30);
+        assert_eq!(mem.nvidia_smi_bytes(0), 600 << 20);
+    }
+
+    // How successive phases fold into a device's running report
+    // (`MemoryReport::fold`).
+
+    fn phase(peak: u64, at_peak: Breakdown, maxima: Breakdown) -> MemoryReport {
+        MemoryReport {
+            peak_bytes: peak,
+            nvidia_smi_bytes: 0,
+            peak_breakdown: at_peak,
+            max_breakdown: maxima,
+        }
+    }
+
+    #[test]
+    fn peak_breakdown_snapshot_is_taken_at_peak() {
+        // A phase peaking at 1000 with attention feature maps and RNN
+        // workspace live, then a lower phase holding output weights: the
+        // snapshot stays the one taken at the peak.
+        let fm = (LayerKind::Attention, DataStructureKind::FeatureMap);
+        let ws = (LayerKind::Rnn, DataStructureKind::Workspace);
+        let w = (LayerKind::Output, DataStructureKind::Weight);
+        let mut report = MemoryReport::default();
+        report.fold(&phase(1000, vec![(fm, 100), (ws, 900)], vec![]), false);
+        report.fold(&phase(300, vec![(fm, 100), (w, 200)], vec![]), false);
+        assert_eq!(report.peak_bytes, 1000);
+        assert_eq!(report.peak_breakdown, vec![(fm, 100), (ws, 900)]);
+        assert!(!report.peak_breakdown.iter().any(|&(k, _)| k == w));
+        // A higher phase replaces the snapshot.
+        report.fold(&phase(1200, vec![(w, 1200)], vec![]), false);
+        assert_eq!(
+            (report.peak_bytes, report.peak_breakdown),
+            (1200, vec![(w, 1200)])
+        );
     }
 
     #[test]
     fn reset_peak_rebases_on_live() {
-        let mem = plain_device(10_000);
-        {
-            let _a = mem
-                .alloc(5000, tag(LayerKind::Rnn, DataStructureKind::FeatureMap))
-                .unwrap();
-        }
-        let _b = mem
-            .alloc(100, tag(LayerKind::Rnn, DataStructureKind::Weight))
-            .unwrap();
-        assert_eq!(mem.peak_bytes(), 5000);
-        mem.reset_peak();
-        assert_eq!(mem.peak_bytes(), 100);
-    }
-
-    #[test]
-    fn shared_handles_see_same_state() {
-        let mem = plain_device(1000);
-        let clone = mem.clone();
-        let _a = mem
-            .alloc(500, tag(LayerKind::Rnn, DataStructureKind::Weight))
-            .unwrap();
-        assert_eq!(clone.live_bytes(), 500);
+        // A rebasing fold (a training step) opens a fresh peak window at
+        // the new phase's peak, even when it is lower than the old one.
+        let fm = (LayerKind::Rnn, DataStructureKind::FeatureMap);
+        let w = (LayerKind::Rnn, DataStructureKind::Weight);
+        let mut report = MemoryReport::default();
+        report.fold(&phase(5000, vec![(fm, 5000)], vec![(fm, 5000)]), true);
+        report.fold(&phase(100, vec![(w, 100)], vec![(w, 100)]), true);
+        assert_eq!(report.peak_bytes, 100);
+        assert_eq!(report.peak_breakdown, vec![(w, 100)]);
+        // The window rebases; the category maxima do not.
+        assert_eq!(report.max_breakdown, vec![(w, 100), (fm, 5000)]);
     }
 
     #[test]
@@ -509,29 +262,30 @@ mod tests {
         // A phase whose feature maps peak early and whose placeholders
         // peak late: the snapshot at the peak moment understates the
         // placeholder category, the maxima do not.
-        let mem = plain_device(10_000);
-        let _w = mem
-            .alloc(100, tag(LayerKind::Rnn, DataStructureKind::Weight))
-            .unwrap();
         let fm = (LayerKind::Rnn, DataStructureKind::FeatureMap);
         let ph = (LayerKind::Rnn, DataStructureKind::Placeholder);
         let w = (LayerKind::Rnn, DataStructureKind::Weight);
-        mem.record_planned_peak(
-            900,
-            0,
-            &[(fm, 800), (ph, 100), (w, 100)],
-            &[(fm, 800), (ph, 300), (w, 100)],
-        )
-        .unwrap();
-        assert_eq!(mem.peak_bytes(), 1000);
-        assert_eq!(mem.peak_breakdown()[&ph], 100);
-        assert_eq!(mem.max_breakdown()[&ph], 300);
-        assert_eq!(mem.max_breakdown()[&fm], 800);
-        assert_eq!(mem.live_bytes(), 100, "a planned phase allocates nothing");
-        // Over capacity: rejected up front, nothing recorded.
-        assert!(mem
-            .record_planned_peak(10_000, 0, &[], &[(ph, 9_999)])
-            .is_err());
-        assert_eq!(mem.max_breakdown()[&ph], 300);
+        let mut report = MemoryReport::default();
+        report.fold(
+            &phase(
+                1000,
+                vec![(ph, 100), (w, 100), (fm, 800)],
+                vec![(ph, 300), (w, 100), (fm, 800)],
+            ),
+            true,
+        );
+        assert_eq!(report.peak_bytes, 1000);
+        let at_peak = |r: &MemoryReport, k| r.peak_breakdown.iter().find(|e| e.0 == k).unwrap().1;
+        let max = |r: &MemoryReport, k| r.max_breakdown.iter().find(|e| e.0 == k).unwrap().1;
+        assert_eq!(at_peak(&report, ph), 100);
+        assert_eq!(max(&report, ph), 300);
+        assert_eq!(max(&report, fm), 800);
+        // A later, lower phase leaves the snapshot but still raises the
+        // maxima of the categories it holds more of.
+        report.fold(&phase(600, vec![(ph, 600)], vec![(ph, 600)]), false);
+        assert_eq!((report.peak_bytes, at_peak(&report, ph)), (1000, 100));
+        assert_eq!(max(&report, ph), 600);
+        assert_eq!(max(&report, fm), 800);
+        assert!(report.max_breakdown.windows(2).all(|p| p[0].0 < p[1].0));
     }
 }

@@ -1,37 +1,36 @@
-//! Simulated GPU device memory with byte-exact, tag-aware accounting.
+//! Simulated GPU device memory: the categories bytes are classified by,
+//! the capacity model, and the profiler's reports.
 //!
 //! The paper's memory claims (2× footprint reduction, the 59% → 6% collapse
 //! of the attention layers' share, the workspace staying `O(B·T·H)`) are all
-//! statements about *what the framework allocates and when*. This crate is
-//! the substitute for the 12 GB GDDR5X of a Titan Xp plus the MXNet memory
-//! profiler: every tensor the graph executor materializes is registered
-//! here, tagged with
+//! statements about *what the framework holds and when*. This crate is the
+//! substitute for the 12 GB GDDR5X of a Titan Xp plus the MXNet memory
+//! profiler. Every byte figure comes from an execution plan's static
+//! accounting timeline, tagged with
 //!
 //! * the [`LayerKind`] it belongs to (RNN, attention, output, …) and
 //! * its [`DataStructureKind`] (placeholder, weight, feature map, workspace),
 //!
-//! matching the two axes of the paper's Figure 5 breakdown. The allocator
-//! enforces a capacity and fails with [`OomError`] exactly where the real
-//! GPU would, which is what produces the "memory capacity wall" of
-//! Figure 4(b) and the dashed regions of Figure 16.
-//!
-//! Allocation is *accounting-only*: the numeric plane keeps real data in
-//! host `Tensor`s; this crate tracks the bytes a GPU-resident copy would
-//! occupy.
+//! matching the two axes of the paper's Figure 5 breakdown. Nothing is
+//! allocated: an executor folds its plans' figures into a [`MemoryReport`],
+//! and [`DeviceMemory`] is a plain capacity model that rejects a plan whose
+//! peak does not fit with [`WontFit`], once, before it runs. That check is
+//! what produces the "memory capacity wall" of Figure 4(b) and the dashed
+//! regions of Figure 16.
 //!
 //! # Example
 //!
 //! ```
-//! use echo_memory::{AllocationTag, DataStructureKind, DeviceMemory, LayerKind};
+//! use echo_memory::{DeviceMemory, WontFit};
 //!
-//! let mem = DeviceMemory::with_capacity(2 << 30);
-//! let tag = AllocationTag::new(LayerKind::Attention, DataStructureKind::FeatureMap, "scores");
-//! let buf = mem.alloc(4096, tag)?;
-//! assert_eq!(mem.live_bytes(), 4096);
-//! drop(buf);
-//! assert_eq!(mem.live_bytes(), 0);
-//! assert_eq!(mem.peak_bytes(), 4096);
-//! # Ok::<(), echo_memory::OomError>(())
+//! // 1 GiB with a 100 MiB context and no fragmentation.
+//! let mem = DeviceMemory::with_overhead_model(1 << 30, 100 << 20, 0.0);
+//! assert_eq!(mem.nvidia_smi_bytes(512 << 20), 612 << 20);
+//! assert!(mem.check(924 << 20).is_ok());
+//! assert_eq!(
+//!     mem.check(925 << 20),
+//!     Err(WontFit { needed: 1025 << 20, capacity: 1 << 30 })
+//! );
 //! ```
 
 #![warn(missing_docs)]
@@ -40,10 +39,8 @@ pub mod alloc;
 pub mod profiler;
 pub mod scratch;
 pub mod tensor_pool;
-pub mod workspace;
 
-pub use alloc::{Allocation, AllocationTag, DataStructureKind, DeviceMemory, LayerKind, OomError};
-pub use profiler::{BreakdownRow, MemoryBreakdown};
+pub use alloc::{DataStructureKind, DeviceMemory, LayerKind, WontFit};
+pub use profiler::{Breakdown, BreakdownRow, MemoryBreakdown, MemoryReport};
 pub use scratch::ScratchArena;
 pub use tensor_pool::{TensorPool, TensorPoolStats};
-pub use workspace::{WorkspaceLease, WorkspacePool};

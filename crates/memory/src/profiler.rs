@@ -1,14 +1,59 @@
-//! The memory profiler: breakdown reports over allocator snapshots.
+//! The memory profiler: an executor's [`MemoryReport`] and the breakdown
+//! tables rendered from it.
 //!
 //! This is the substitute for the MXNet GPU memory profiler the paper uses
 //! to produce Figures 5 and 14: the same peak snapshot is classified along
 //! two axes — layer type and data structure — and rendered as percentage
 //! rows.
 
-use crate::alloc::{DataStructureKind, DeviceMemory, LayerKind};
+use crate::alloc::{DataStructureKind, LayerKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+
+/// Bytes per (layer, kind) category, sorted by category; categories
+/// holding no bytes are absent.
+pub type Breakdown = Vec<((LayerKind, DataStructureKind), u64)>;
+
+/// Device memory figures: a peak, the full live set at the peak moment,
+/// and every (layer, kind)'s own high-water mark — the category-by-category
+/// profiler view, whose maxima need not coincide. A plan's accounting
+/// timeline yields one per phase; an executor's report is a
+/// [`fold`](MemoryReport::fold) of those over the steps it ran.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MemoryReport {
+    /// Peak profiled bytes. In an executor's report: the last training
+    /// step's peak, raised by any later forward pass or parameter binding
+    /// that went higher.
+    pub peak_bytes: u64,
+    /// What `nvidia-smi` would report at that peak. Only the executor
+    /// knows the device's overhead model, so it fills this in when it
+    /// hands out its report; a plan's own figures leave it 0.
+    pub nvidia_smi_bytes: u64,
+    /// The full live set at the peak moment.
+    pub peak_breakdown: Breakdown,
+    /// Every category's own maximum, sorted by category; they can sum
+    /// past `peak_bytes`.
+    pub max_breakdown: Breakdown,
+}
+
+impl MemoryReport {
+    /// Folds `phase`'s figures into this running report. A training step
+    /// opens a fresh peak window (`rebase`); a forward or a binding only
+    /// raises the peak. The category maxima are a running maximum.
+    pub fn fold(&mut self, phase: &MemoryReport, rebase: bool) {
+        if rebase || phase.peak_bytes > self.peak_bytes {
+            self.peak_bytes = phase.peak_bytes;
+            self.peak_breakdown.clone_from(&phase.peak_breakdown);
+        }
+        for &(key, bytes) in &phase.max_breakdown {
+            match self.max_breakdown.binary_search_by_key(&key, |&(k, _)| k) {
+                Ok(i) => self.max_breakdown[i].1 = self.max_breakdown[i].1.max(bytes),
+                Err(i) => self.max_breakdown.insert(i, (key, bytes)),
+            }
+        }
+    }
+}
 
 /// One row of a breakdown table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -26,21 +71,20 @@ pub struct BreakdownRow {
 /// # Example
 ///
 /// ```
-/// use echo_memory::{AllocationTag, DataStructureKind, DeviceMemory, LayerKind, MemoryBreakdown};
+/// use echo_memory::{DataStructureKind, LayerKind, MemoryBreakdown, MemoryReport};
 ///
-/// let mem = DeviceMemory::with_capacity(1 << 30);
-/// let _a = mem.alloc(
-///     3000,
-///     AllocationTag::new(LayerKind::Attention, DataStructureKind::FeatureMap, "scores"),
-/// )?;
-/// let _b = mem.alloc(
-///     1000,
-///     AllocationTag::new(LayerKind::Rnn, DataStructureKind::Weight, "w"),
-/// )?;
-/// let report = MemoryBreakdown::at_peak(&mem);
-/// assert_eq!(report.layer_fraction(LayerKind::Attention), 0.75);
-/// assert_eq!(report.kind_fraction(DataStructureKind::FeatureMap), 0.75);
-/// # Ok::<(), echo_memory::OomError>(())
+/// let report = MemoryReport {
+///     peak_bytes: 4000,
+///     nvidia_smi_bytes: 4000,
+///     peak_breakdown: vec![
+///         ((LayerKind::Rnn, DataStructureKind::Weight), 1000),
+///         ((LayerKind::Attention, DataStructureKind::FeatureMap), 3000),
+///     ],
+///     max_breakdown: Vec::new(),
+/// };
+/// let breakdown = MemoryBreakdown::at_peak(&report);
+/// assert_eq!(breakdown.layer_fraction(LayerKind::Attention), 0.75);
+/// assert_eq!(breakdown.kind_fraction(DataStructureKind::FeatureMap), 0.75);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemoryBreakdown {
@@ -53,33 +97,30 @@ pub struct MemoryBreakdown {
 }
 
 impl MemoryBreakdown {
-    /// Builds a breakdown from the device's peak snapshot.
-    pub fn at_peak(mem: &DeviceMemory) -> Self {
-        Self::from_snapshot(mem, mem.peak_breakdown())
+    /// Builds a breakdown from the report's peak snapshot.
+    pub fn at_peak(report: &MemoryReport) -> Self {
+        Self::from_snapshot(report, &report.peak_breakdown)
     }
 
     /// Builds a breakdown from per-category maxima (the MXNet-profiler
     /// view): each category's own high-water mark, which surfaces
     /// short-lived categories such as the recomputation workspace.
-    pub fn at_category_maxima(mem: &DeviceMemory) -> Self {
-        Self::from_snapshot(mem, mem.max_breakdown())
+    pub fn at_category_maxima(report: &MemoryReport) -> Self {
+        Self::from_snapshot(report, &report.max_breakdown)
     }
 
-    fn from_snapshot(
-        mem: &DeviceMemory,
-        snapshot: std::collections::HashMap<(LayerKind, DataStructureKind), u64>,
-    ) -> Self {
+    fn from_snapshot(report: &MemoryReport, snapshot: &Breakdown) -> Self {
         let mut by_layer: HashMap<LayerKind, u64> = HashMap::new();
         let mut by_kind: HashMap<DataStructureKind, u64> = HashMap::new();
         let mut total = 0u64;
-        for ((layer, kind), bytes) in snapshot {
+        for &((layer, kind), bytes) in snapshot {
             *by_layer.entry(layer).or_default() += bytes;
             *by_kind.entry(kind).or_default() += bytes;
             total += bytes;
         }
         MemoryBreakdown {
             total_bytes: total,
-            nvidia_smi_bytes: mem.nvidia_smi_peak_bytes(),
+            nvidia_smi_bytes: report.nvidia_smi_bytes,
             by_layer,
             by_kind,
         }
@@ -182,52 +223,41 @@ impl fmt::Display for MemoryBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alloc::AllocationTag;
+    use DataStructureKind as K;
+    use LayerKind as L;
 
-    fn tagged(
-        mem: &DeviceMemory,
-        layer: LayerKind,
-        kind: DataStructureKind,
-        bytes: u64,
-    ) -> crate::Allocation {
-        mem.alloc(bytes, AllocationTag::new(layer, kind, "x"))
-            .unwrap()
+    /// A report whose peak holds `rows`, with no overheads.
+    fn report(rows: &[(L, K, u64)]) -> MemoryReport {
+        let mut peak_breakdown: Breakdown = rows.iter().map(|&(l, k, b)| ((l, k), b)).collect();
+        peak_breakdown.sort_unstable();
+        let peak_bytes = rows.iter().map(|r| r.2).sum();
+        MemoryReport {
+            peak_bytes,
+            nvidia_smi_bytes: peak_bytes,
+            max_breakdown: peak_breakdown.clone(),
+            peak_breakdown,
+        }
     }
 
     #[test]
     fn two_axis_totals_agree() {
-        let mem = DeviceMemory::with_overhead_model(1 << 30, 0, 0.0);
-        let _a = tagged(
-            &mem,
-            LayerKind::Attention,
-            DataStructureKind::FeatureMap,
-            600,
-        );
-        let _b = tagged(&mem, LayerKind::Rnn, DataStructureKind::FeatureMap, 300);
-        let _c = tagged(&mem, LayerKind::Output, DataStructureKind::Weight, 100);
-        let bd = MemoryBreakdown::at_peak(&mem);
+        let bd = MemoryBreakdown::at_peak(&report(&[
+            (L::Attention, K::FeatureMap, 600),
+            (L::Rnn, K::FeatureMap, 300),
+            (L::Output, K::Weight, 100),
+        ]));
         assert_eq!(bd.total_bytes, 1000);
-        let layer_sum: u64 = LayerKind::ALL.iter().map(|&l| bd.layer_bytes(l)).sum();
-        let kind_sum: u64 = DataStructureKind::ALL
-            .iter()
-            .map(|&k| bd.kind_bytes(k))
-            .sum();
-        assert_eq!(layer_sum, 1000);
-        assert_eq!(kind_sum, 1000);
-        assert_eq!(bd.kind_fraction(DataStructureKind::FeatureMap), 0.9);
+        assert_eq!(L::ALL.iter().map(|&l| bd.layer_bytes(l)).sum::<u64>(), 1000);
+        assert_eq!(K::ALL.iter().map(|&k| bd.kind_bytes(k)).sum::<u64>(), 1000);
+        assert_eq!(bd.kind_fraction(K::FeatureMap), 0.9);
     }
 
     #[test]
     fn rows_sorted_descending() {
-        let mem = DeviceMemory::with_overhead_model(1 << 30, 0, 0.0);
-        let _a = tagged(&mem, LayerKind::Rnn, DataStructureKind::Weight, 10);
-        let _b = tagged(
-            &mem,
-            LayerKind::Attention,
-            DataStructureKind::FeatureMap,
-            90,
-        );
-        let bd = MemoryBreakdown::at_peak(&mem);
+        let bd = MemoryBreakdown::at_peak(&report(&[
+            (L::Rnn, K::Weight, 10),
+            (L::Attention, K::FeatureMap, 90),
+        ]));
         let rows = bd.layer_rows();
         assert_eq!(rows[0].category, "attention");
         assert!(rows[0].bytes >= rows[1].bytes);
@@ -235,31 +265,21 @@ mod tests {
 
     #[test]
     fn breakdown_reflects_peak_not_current() {
-        let mem = DeviceMemory::with_overhead_model(1 << 30, 0, 0.0);
-        {
-            let _big = tagged(
-                &mem,
-                LayerKind::Attention,
-                DataStructureKind::FeatureMap,
-                5000,
-            );
-        }
-        let _small = tagged(&mem, LayerKind::Rnn, DataStructureKind::Weight, 10);
-        let bd = MemoryBreakdown::at_peak(&mem);
+        // The maxima see a category the peak snapshot does not hold.
+        let mut r = report(&[(L::Attention, K::FeatureMap, 5000)]);
+        r.max_breakdown.push(((L::Other, K::Workspace), 10));
+        let bd = MemoryBreakdown::at_peak(&r);
         assert_eq!(bd.total_bytes, 5000);
-        assert_eq!(bd.layer_bytes(LayerKind::Attention), 5000);
+        assert_eq!(bd.layer_bytes(L::Attention), 5000);
+        assert_eq!(bd.kind_bytes(K::Workspace), 0);
+        let maxima = MemoryBreakdown::at_category_maxima(&r);
+        assert_eq!(maxima.kind_bytes(K::Workspace), 10);
     }
 
     #[test]
     fn display_renders_percentages() {
-        let mem = DeviceMemory::with_capacity(1 << 30);
-        let _a = tagged(
-            &mem,
-            LayerKind::Attention,
-            DataStructureKind::FeatureMap,
-            1 << 20,
-        );
-        let text = MemoryBreakdown::at_peak(&mem).to_string();
+        let r = report(&[(L::Attention, K::FeatureMap, 1 << 20)]);
+        let text = MemoryBreakdown::at_peak(&r).to_string();
         assert!(text.contains("attention"));
         assert!(text.contains("feature maps"));
         assert!(text.contains('%'));
@@ -267,9 +287,9 @@ mod tests {
 
     #[test]
     fn unattributed_gap_is_overhead() {
-        let mem = DeviceMemory::with_overhead_model(1 << 30, 1000, 0.0);
-        let _a = tagged(&mem, LayerKind::Rnn, DataStructureKind::Weight, 500);
-        let bd = MemoryBreakdown::at_peak(&mem);
-        assert_eq!(bd.unattributed_bytes(), 1000);
+        let mem = crate::DeviceMemory::with_overhead_model(1 << 30, 1000, 0.0);
+        let mut r = report(&[(L::Rnn, K::Weight, 500)]);
+        r.nvidia_smi_bytes = mem.nvidia_smi_bytes(r.peak_bytes);
+        assert_eq!(MemoryBreakdown::at_peak(&r).unattributed_bytes(), 1000);
     }
 }

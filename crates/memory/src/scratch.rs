@@ -3,10 +3,9 @@
 //! The packed GEMM backend needs per-call pack buffers (contiguous copies
 //! of A/B panels). Allocating them with `Vec::new` on every call would put
 //! a pair of multi-hundred-kilobyte allocations on the hottest path of
-//! training; the [`WorkspacePool`](crate::WorkspacePool) already solves the
-//! identical problem for the simulated device plane (one high-water buffer,
-//! leased to one consumer at a time). [`ScratchArena`] is the host-plane
-//! twin: a small free-list of real `Vec<f32>` buffers that grow to their
+//! training; the plan's workspace pools already solve the identical
+//! problem for the simulated device plane (one high-water buffer, leased
+//! to one consumer at a time). [`ScratchArena`] is the host-plane twin: a small free-list of real `Vec<f32>` buffers that grow to their
 //! high-water sizes once and are then reused for the remainder of the
 //! process. Kernels keep one arena per thread (`thread_local!`), so leases
 //! never contend and never need locking — the arena is deliberately

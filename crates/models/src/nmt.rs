@@ -709,13 +709,12 @@ mod tests {
         // The paper's core observation (Figure 5): with a long source
         // sequence the attention layers' feature maps dominate.
         let (model, _corpus) = tiny_model();
-        let m = mem();
-        let mut exec = Executor::new(Arc::clone(&model.graph), StashPlan::stash_all(), m.clone());
+        let mut exec = Executor::new(Arc::clone(&model.graph), StashPlan::stash_all(), mem());
         model.bind_param_shapes(&mut exec).unwrap();
         let bindings = model.symbolic_bindings(32);
         exec.project(&bindings, &[model.loss], Some(model.loss), None)
             .unwrap();
-        let breakdown = echo_memory::MemoryBreakdown::at_peak(&m);
+        let breakdown = echo_memory::MemoryBreakdown::at_peak(&exec.memory_report());
         let attn = breakdown.layer_fraction(echo_memory::LayerKind::Attention);
         assert!(attn > 0.3, "attention share {attn}");
     }
@@ -800,13 +799,12 @@ mod tests {
             plan
         };
         let run = |plan: StashPlan| {
-            let m = mem();
-            let mut exec = Executor::new(Arc::clone(&model.graph), plan, m.clone());
+            let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem());
             model.bind_params(&mut exec, 6).unwrap();
             let stats = exec
                 .train_step(&bindings, model.loss, ExecOptions::default(), None)
                 .unwrap();
-            (stats.loss.unwrap(), m.peak_bytes())
+            (stats.loss.unwrap(), exec.memory_report().peak_bytes)
         };
         let (l_base, p_base) = run(StashPlan::stash_all());
         let (l_echo, p_echo) = run(plan);
@@ -820,8 +818,7 @@ mod tests {
         let batches = NmtBatch::bucketed(corpus.pairs(), 8);
 
         let run = |plan: StashPlan| {
-            let m = mem();
-            let mut exec = Executor::new(Arc::clone(&model.graph), plan, m.clone());
+            let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem());
             model.bind_params(&mut exec, 3).unwrap();
             let stats = exec
                 .train_step(
@@ -831,7 +828,7 @@ mod tests {
                     None,
                 )
                 .unwrap();
-            (stats, m.peak_bytes())
+            (stats, exec.memory_report().peak_bytes)
         };
 
         let (base, peak_base) = run(StashPlan::stash_all());

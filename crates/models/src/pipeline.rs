@@ -76,7 +76,7 @@ use echo_device::{DeviceSim, DeviceSpec};
 use echo_graph::{
     ExecOptions, Executor, NodeId, StageExecPlans, StagePartition, StageSpec, StashPlan,
 };
-use echo_memory::DeviceMemory;
+use echo_memory::{DeviceMemory, MemoryReport};
 use echo_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -136,10 +136,9 @@ pub struct StageStepStats {
     pub sim_ns: u64,
     /// Peak device bytes across this worker's micro-batches.
     pub peak_bytes: u64,
-    /// Device bytes still live in this worker's executor memory after
-    /// the step: its parameters, their gradients and retained workspace
-    /// buffers. Constant from step to step.
-    pub live_bytes: u64,
+    /// This worker's executor memory report after the step
+    /// ([`Executor::memory_report`]). Constant from step to step.
+    pub memory: MemoryReport,
     /// Segment replays performed by this worker's backwards.
     pub replays: u64,
     /// Host wall-clock nanoseconds the worker spent in the step, before
@@ -527,7 +526,7 @@ impl<B> StageWorker<B> {
                 replica: self.replica,
                 sim_ns,
                 peak_bytes,
-                live_bytes: self.exec.memory().live_bytes(),
+                memory: self.exec.memory_report(),
                 replays,
                 compute_host_ns,
                 plans_built: self.exec.plans_memoized(),
@@ -893,6 +892,7 @@ mod tests {
     use super::*;
     use crate::trainer::Sgd;
     use crate::word_lm::{WordLm, WordLmHyper};
+    use echo_memory::{DataStructureKind, MemoryBreakdown};
     use echo_rnn::LstmBackend;
 
     const LANES: usize = 4;
@@ -949,18 +949,18 @@ mod tests {
     /// parameter each step, and every re-bind leaked the previous
     /// allocation (~1.3 MB of simulated device memory per step on the
     /// benchmark model). Workers now `import_params`, and a re-bind
-    /// replaces its allocation — so what a stage holds between steps is
-    /// the same after step 2 and after step 20.
+    /// replaces its bytes — so a stage's peak and memory report are the
+    /// same after step 2 and after step 20.
     #[test]
     fn stage_memory_does_not_grow_across_steps() {
         let lm = tiny_lm();
         let mut trainer = trainer(&lm, 2, 1);
         let batch = synth_batch(&lm);
-        let footprint = |report: &StepReport| -> Vec<(u64, u64)> {
+        let footprint = |report: &StepReport| -> Vec<(u64, MemoryReport)> {
             report
                 .stages
                 .iter()
-                .map(|s| (s.live_bytes, s.peak_bytes))
+                .map(|s| (s.peak_bytes, s.memory.clone()))
                 .collect()
         };
         let mut after_step_2 = Vec::new();
@@ -973,9 +973,10 @@ mod tests {
                 assert_eq!(footprint(&report), after_step_2, "stage memory drifted");
             }
         }
-        assert!(after_step_2
-            .iter()
-            .all(|&(live, peak)| 0 < live && live < peak));
+        assert!(after_step_2.iter().all(|(peak, memory)| {
+            let weights = MemoryBreakdown::at_peak(memory).kind_bytes(DataStructureKind::Weight);
+            memory.peak_bytes == *peak && 0 < weights && weights < *peak
+        }));
     }
 
     /// A panicking worker must poison the trainer — `train_step` returns

@@ -8,7 +8,7 @@ use crate::word_lm::WordLm;
 use echo_data::{LmBatch, MicrobatchPlan};
 use echo_device::{DeviceSim, DeviceSpec};
 use echo_graph::{ExecOptions, Executor, NodeId};
-use echo_tensor::{kernels, Tensor};
+use echo_tensor::Tensor;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -371,7 +371,7 @@ impl MicrobatchTrainer {
                 replica: 0,
                 sim_ns,
                 peak_bytes,
-                live_bytes: self.exec.memory().live_bytes(),
+                memory: self.exec.memory_report(),
                 replays,
                 compute_host_ns,
                 plans_built: self.exec.plans_memoized(),
@@ -476,12 +476,6 @@ impl TrainLog {
             .find(|&&(_, _, v)| v >= target)
             .map(|&(_, t, _)| t)
     }
-}
-
-/// Clips a free-standing set of gradients by global norm (re-export of the
-/// tensor kernel for callers holding raw tensors).
-pub fn clip_gradients(grads: &mut [&mut Tensor], max_norm: f64) -> f64 {
-    kernels::clip_global_norm(grads, max_norm)
 }
 
 #[cfg(test)]

@@ -346,8 +346,7 @@ mod tests {
     #[test]
     fn projected_run_reports_memory_and_time() {
         let lm = WordLm::build(WordLmHyper::mxnet_example(10_000, 650, LstmBackend::CuDnn));
-        let m = mem();
-        let mut exec = Executor::new(Arc::clone(&lm.graph), StashPlan::stash_all(), m.clone());
+        let mut exec = Executor::new(Arc::clone(&lm.graph), StashPlan::stash_all(), mem());
         lm.bind_param_shapes(&mut exec).unwrap();
         let mut sim = echo_device::DeviceSim::new(echo_device::DeviceSpec::titan_xp());
         let stats = exec
@@ -359,7 +358,11 @@ mod tests {
             )
             .unwrap();
         assert!(stats.loss.is_none());
-        assert!(m.peak_bytes() > 100 << 20, "peak {}", m.peak_bytes());
+        assert!(
+            exec.memory_report().peak_bytes > 100 << 20,
+            "peak {}",
+            exec.memory_report().peak_bytes
+        );
         assert!(sim.elapsed_ns() > 0);
     }
 }

@@ -165,7 +165,7 @@ fn recomputed_attention_matches_stashed_exactly() {
             .iter()
             .map(|&p| exec.grad(p).unwrap().clone())
             .collect();
-        (stats, grads, exec.memory().peak_bytes())
+        (stats, grads, exec.memory_report().peak_bytes)
     };
 
     let (s_base, g_base, peak_base) = run(StashPlan::stash_all());
@@ -270,8 +270,7 @@ fn multi_step_recompute_shares_workspace() {
     let graph = Arc::new(g);
 
     let run = |plan: StashPlan| {
-        let m = mem();
-        let mut exec = Executor::new(Arc::clone(&graph), plan, m.clone());
+        let mut exec = Executor::new(Arc::clone(&graph), plan, mem());
         let mut rng = seeded_rng(13);
         exec.bind_param(gamma, Tensor::full(Shape::d1(h), 1.0))
             .unwrap();
@@ -294,7 +293,11 @@ fn multi_step_recompute_shares_workspace() {
         let stats = exec
             .train_step(&bindings, loss, Default::default(), None)
             .unwrap();
-        (stats, exec.grad(v).unwrap().clone(), m.peak_bytes())
+        (
+            stats,
+            exec.grad(v).unwrap().clone(),
+            exec.memory_report().peak_bytes,
+        )
     };
 
     let (s_base, g_base, peak_base) = run(StashPlan::stash_all());

@@ -20,7 +20,7 @@ use std::sync::Arc;
 fn measure(model: &NmtModel, plan: StashPlan, batch: usize) -> (u64, u64, u64) {
     let bindings = model.symbolic_bindings(batch);
     let mem = DeviceMemory::with_overhead_model(1 << 40, 600 << 20, 0.04);
-    let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem.clone());
+    let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem);
     model.bind_param_shapes(&mut exec).expect("bind");
     let mut sim = DeviceSim::new(echo_device::DeviceSpec::titan_xp());
     sim.set_record_trace(false);
@@ -30,7 +30,7 @@ fn measure(model: &NmtModel, plan: StashPlan, batch: usize) -> (u64, u64, u64) {
         .expect("run");
     sim.synchronize();
     (
-        mem.nvidia_smi_peak_bytes(),
+        exec.memory_report().nvidia_smi_bytes,
         sim.elapsed_ns() + NMT_HOST_OVERHEAD_NS,
         stats.replays,
     )

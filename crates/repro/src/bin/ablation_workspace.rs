@@ -37,12 +37,13 @@ fn run(share: bool, tgt_len: usize) -> (u64, u64) {
         .expect("compile")
         .plan;
     let mem = DeviceMemory::with_overhead_model(1 << 40, 0, 0.0);
-    let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem.clone());
+    let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem);
     model.bind_param_shapes(&mut exec).expect("bind");
     exec.project(&bindings, &[model.loss], Some(model.loss), None)
         .expect("run");
-    let ws = MemoryBreakdown::at_category_maxima(&mem).kind_bytes(DataStructureKind::Workspace);
-    (mem.peak_bytes(), ws)
+    let report = exec.memory_report();
+    let ws = MemoryBreakdown::at_category_maxima(&report).kind_bytes(DataStructureKind::Workspace);
+    (report.peak_bytes, ws)
 }
 
 fn main() {

@@ -62,8 +62,11 @@ fn train(
         StashPlan::stash_all()
     };
 
-    let mem = DeviceMemory::with_capacity(4 << 30);
-    let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem.clone());
+    let mut exec = Executor::new(
+        Arc::clone(&model.graph),
+        plan,
+        DeviceMemory::with_capacity(4 << 30),
+    );
     model.bind_params(&mut exec, 2).expect("bind");
     let mut sim = DeviceSim::new(DeviceSpec::titan_xp());
     sim.set_record_trace(false);
@@ -99,7 +102,7 @@ fn train(
         label: label.to_string(),
         loss_by_step,
         bleu_log,
-        peak_bytes: mem.peak_bytes(),
+        peak_bytes: exec.memory_report().peak_bytes,
     }
 }
 

@@ -138,23 +138,11 @@ pub fn run_nmt(cfg: &NmtRunConfig) -> Result<NmtRunResult, GraphError> {
             r.label = cfg.label.clone();
             Ok(r)
         }
-        Err(GraphError::Oom(_)) => {
+        Err(GraphError::WontFit(mut wont_fit)) => {
             // Halve until it fits, per the paper's estimation method.
             let mut batch = cfg.batch / 2;
             let mut factor = 2u64;
-            loop {
-                if batch == 0 {
-                    return Err(GraphError::Oom(echo_memory::OomError {
-                        requested: 0,
-                        live: 0,
-                        capacity: cfg.spec.memory_bytes,
-                        tag: echo_memory::AllocationTag::new(
-                            echo_memory::LayerKind::Other,
-                            echo_memory::DataStructureKind::FeatureMap,
-                            "estimation",
-                        ),
-                    }));
-                }
+            while batch > 0 {
                 match run_nmt_once(cfg, batch) {
                     Ok(r) => {
                         return Ok(NmtRunResult {
@@ -172,13 +160,15 @@ pub fn run_nmt(cfg: &NmtRunConfig) -> Result<NmtRunResult, GraphError> {
                             trace: None,
                         });
                     }
-                    Err(GraphError::Oom(_)) => {
+                    Err(GraphError::WontFit(e)) => {
+                        wont_fit = e;
                         batch /= 2;
                         factor *= 2;
                     }
                     Err(e) => return Err(e),
                 }
             }
+            Err(GraphError::WontFit(wont_fit))
         }
         Err(e) => Err(e),
     }
@@ -221,7 +211,7 @@ fn run_phase(
     } else {
         DeviceMemory::with_overhead_model(1 << 40, 600 << 20, 0.04)
     };
-    let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem.clone());
+    let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem);
     model.bind_param_shapes(&mut exec)?;
     let mut sim = DeviceSim::new(cfg.spec.clone());
     sim.set_op_overhead_ns(FRAMEWORK_OP_OVERHEAD_NS);
@@ -233,13 +223,14 @@ fn run_phase(
     let iteration_ns = device_ns + NMT_HOST_OVERHEAD_NS;
     let energy = sim.energy_joules() + cfg.spec.idle_power_w * NMT_HOST_OVERHEAD_NS as f64 * 1e-9;
     let power_w = energy / (iteration_ns as f64 * 1e-9);
+    let report = exec.memory_report();
     Ok(PhaseResult {
-        peak_bytes: mem.peak_bytes(),
-        nvidia_smi_bytes: mem.nvidia_smi_peak_bytes(),
+        peak_bytes: report.peak_bytes,
+        nvidia_smi_bytes: report.nvidia_smi_bytes,
         iteration_ns,
         replays: stats.replays,
         power_w,
-        breakdown: MemoryBreakdown::at_category_maxima(&mem),
+        breakdown: MemoryBreakdown::at_category_maxima(&report),
         trace: sim.summary(),
     })
 }

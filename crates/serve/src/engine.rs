@@ -541,11 +541,11 @@ impl Engine {
     pub fn start(hyper: WordLmHyper, seed: u64, config: ServeConfig) -> Result<Engine, ServeError> {
         let exec_err = |e: echo_graph::GraphError| ServeError::Exec(e.to_string());
         let decoder = Arc::new(WordLmDecoder::build(hyper));
-        let mem = || DeviceMemory::with_overhead_model(config.mem_bytes, 0, 0.0);
+        let mem = DeviceMemory::with_overhead_model(config.mem_bytes, 0, 0.0);
         // Node ids survive the fusion rewrite, so every decoder node id
         // (bindings, outputs, session state) works against the fused graph.
         let graph = decoder.fused_graph().map_err(exec_err)?;
-        let mut proto = Executor::new(graph, StashPlan::stash_all(), mem());
+        let mut proto = Executor::new(graph, StashPlan::stash_all(), mem);
         decoder.bind_params(&mut proto, seed).map_err(exec_err)?;
 
         let plans = (1..=config.max_batch.max(1))
@@ -566,7 +566,7 @@ impl Engine {
         let latency = Arc::new(LatencyRecorder::new());
         let mut handles = Vec::new();
         for (i, queue) in queues.iter().enumerate() {
-            let exec = proto.clone_replica(mem()).map_err(exec_err)?;
+            let exec = proto.clone_replica(mem).map_err(exec_err)?;
             let worker = Worker {
                 decoder: Arc::clone(&decoder),
                 plans: plans.clone(),

@@ -30,11 +30,10 @@ fn profile(echo: bool) -> Result<MemoryBreakdown, Box<dyn std::error::Error>> {
     } else {
         StashPlan::stash_all()
     };
-    let mem = DeviceMemory::titan_xp();
-    let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem.clone());
+    let mut exec = Executor::new(Arc::clone(&model.graph), plan, DeviceMemory::titan_xp());
     model.bind_param_shapes(&mut exec)?;
     exec.project(&bindings, &[model.loss], Some(model.loss), None)?;
-    Ok(MemoryBreakdown::at_peak(&mem))
+    Ok(MemoryBreakdown::at_peak(&exec.memory_report()))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,8 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- after the Echo recomputation pass ---");
     println!("{}", profile(true)?);
     println!(
-        "The projection executed no arithmetic: these byte-exact numbers come\n\
-         from the allocator observing the exact tensor lifetimes the plan implies."
+        "The projection executed no arithmetic and allocated nothing: these\n\
+         byte-exact numbers come from the plan's accounting timeline, which\n\
+         walks the exact tensor lifetimes the schedule implies."
     );
     Ok(())
 }

@@ -41,8 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("baseline", StashPlan::stash_all()),
         ("echo    ", compiled.plan.clone()),
     ] {
-        let mem = DeviceMemory::with_capacity(2 << 30);
-        let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem.clone());
+        let mut exec = Executor::new(
+            Arc::clone(&model.graph),
+            plan,
+            DeviceMemory::with_capacity(2 << 30),
+        );
         model.bind_params(&mut exec, 2)?;
         let mut sgd = Sgd::new(1.0).with_clip_norm(5.0);
         let mut loss = 0.0;
@@ -63,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let bleu = model.validation_bleu(&mut exec, valid, 8)?;
                 println!(
                     "{name} epoch {epoch:>2}: loss {loss:.3}  valid BLEU {bleu:5.1}  peak mem {:.1} MiB",
-                    mem.peak_bytes() as f64 / (1 << 20) as f64
+                    exec.memory_report().peak_bytes as f64 / (1 << 20) as f64
                 );
             }
         }

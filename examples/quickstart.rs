@@ -36,8 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("baseline (stash everything)", StashPlan::stash_all()),
         ("echo (partial forward propagation)", compiled.plan.clone()),
     ] {
-        let mem = DeviceMemory::with_capacity(2 << 30);
-        let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem.clone());
+        let mut exec = Executor::new(
+            Arc::clone(&model.graph),
+            plan,
+            DeviceMemory::with_capacity(2 << 30),
+        );
         model.bind_params(&mut exec, 42)?;
         let stats = exec.train_step(
             &model.bindings(&batch),
@@ -48,10 +51,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{name}: loss = {:.6}, peak device memory = {:.2} MiB, replays = {}",
             stats.loss.unwrap(),
-            mem.peak_bytes() as f64 / (1 << 20) as f64,
+            stats.peak_bytes as f64 / (1 << 20) as f64,
             stats.replays,
         );
-        results.push((stats.loss.unwrap(), mem.peak_bytes()));
+        results.push((stats.loss.unwrap(), stats.peak_bytes));
     }
 
     assert_eq!(results[0].0, results[1].0, "loss must be bit-exact");

@@ -48,8 +48,7 @@ proptest! {
             .expect("compile");
 
         let run = |plan: StashPlan| {
-            let m = mem();
-            let mut exec = Executor::new(Arc::clone(&model.graph), plan, m.clone());
+            let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem());
             model.bind_params(&mut exec, seed).expect("bind");
             let stats = exec
                 .train_step(&bindings, model.loss, ExecOptions::default(), None)
@@ -60,7 +59,7 @@ proptest! {
                 .iter()
                 .map(|&p| exec.grad(p).expect("grad").data().to_vec())
                 .collect();
-            (stats.loss.unwrap(), grads, m.peak_bytes())
+            (stats.loss.unwrap(), grads, exec.memory_report().peak_bytes)
         };
         let (loss_a, grads_a, peak_a) = run(StashPlan::stash_all());
         let (loss_b, grads_b, peak_b) = run(compiled.plan.clone());
@@ -101,8 +100,7 @@ proptest! {
             StashPlan::stash_all()
         };
         let peak = |numeric: bool| {
-            let m = mem();
-            let mut exec = Executor::new(Arc::clone(&model.graph), plan.clone(), m.clone());
+            let mut exec = Executor::new(Arc::clone(&model.graph), plan.clone(), mem());
             if numeric {
                 model.bind_params(&mut exec, seed).expect("bind");
                 exec.train_step(&bindings, model.loss, ExecOptions::default(), None)
@@ -111,7 +109,7 @@ proptest! {
                 exec.project(&bindings, &[model.loss], Some(model.loss), None)
             }
             .expect("step");
-            m.peak_bytes()
+            exec.memory_report().peak_bytes
         };
         prop_assert_eq!(peak(true), peak(false));
     }
@@ -130,13 +128,12 @@ fn chen_plans_are_bit_exact_for_any_stride() {
         echo::analysis::infer_shapes(&model.graph, &bindings, &model.param_shapes()).unwrap();
 
     let run = |plan: StashPlan| {
-        let m = mem();
-        let mut exec = Executor::new(Arc::clone(&model.graph), plan, m.clone());
+        let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem());
         model.bind_params(&mut exec, 13).unwrap();
         let stats = exec
             .train_step(&bindings, model.loss, ExecOptions::default(), None)
             .unwrap();
-        (stats.loss.unwrap(), m.peak_bytes())
+        (stats.loss.unwrap(), exec.memory_report().peak_bytes)
     };
     let (base_loss, base_peak) = run(StashPlan::stash_all());
     for stride in [3usize, 7, 20, 60] {

@@ -37,8 +37,7 @@ fn compiled_nmt_trains_bit_exactly_with_smaller_footprint() {
     );
 
     let run = |plan: StashPlan| {
-        let m = mem();
-        let mut exec = Executor::new(Arc::clone(&model.graph), plan, m.clone());
+        let mut exec = Executor::new(Arc::clone(&model.graph), plan, mem());
         model.bind_params(&mut exec, 31).expect("bind");
         let mut sgd = Sgd::new(0.5).with_clip_norm(5.0);
         let mut losses = Vec::new();
@@ -56,7 +55,7 @@ fn compiled_nmt_trains_bit_exactly_with_smaller_footprint() {
                 sgd.step(&mut exec);
             }
         }
-        (losses, m.peak_bytes())
+        (losses, exec.memory_report().peak_bytes)
     };
 
     let (loss_base, peak_base) = run(StashPlan::stash_all());
@@ -242,8 +241,7 @@ fn planes_agree_on_peak_memory() {
     let batch = NmtBatch::bucketed(corpus.pairs(), 8).remove(0);
     let bindings = model.bindings(&batch);
     let peak = |numeric: bool| {
-        let m = mem();
-        let mut exec = Executor::new(Arc::clone(&model.graph), StashPlan::stash_all(), m.clone());
+        let mut exec = Executor::new(Arc::clone(&model.graph), StashPlan::stash_all(), mem());
         if numeric {
             model.bind_params(&mut exec, 1).expect("bind");
             exec.train_step(&bindings, model.loss, ExecOptions::default(), None)
@@ -252,7 +250,7 @@ fn planes_agree_on_peak_memory() {
             exec.project(&bindings, &[model.loss], Some(model.loss), None)
         }
         .expect("step");
-        m.peak_bytes()
+        exec.memory_report().peak_bytes
     };
     assert_eq!(peak(true), peak(false));
 
@@ -310,8 +308,7 @@ fn inference_footprint_is_far_below_training() {
     let bindings = model.bindings(&batch);
 
     let peak = |training: bool| {
-        let m = mem();
-        let mut exec = Executor::new(Arc::clone(&model.graph), StashPlan::stash_all(), m.clone());
+        let mut exec = Executor::new(Arc::clone(&model.graph), StashPlan::stash_all(), mem());
         model.bind_params(&mut exec, 4).expect("bind");
         if training {
             exec.train_step(&bindings, model.loss, ExecOptions::default(), None)
@@ -325,7 +322,7 @@ fn inference_footprint_is_far_below_training() {
             )
             .expect("forward");
         }
-        m.peak_bytes()
+        exec.memory_report().peak_bytes
     };
     let train_peak = peak(true);
     let infer_peak = peak(false);
