@@ -26,16 +26,6 @@ pub struct CoalesceStats {
 }
 
 impl CoalesceStats {
-    /// Average transactions per warp request (1 is impossible for `f32`
-    /// loads; 4 is fully coalesced; 32 is fully scattered).
-    pub fn transactions_per_request(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.transactions as f64 / self.requests as f64
-        }
-    }
-
     /// Efficiency in `[0, 1]`: ideal transaction count over actual.
     ///
     /// Overlapping lane addresses (broadcast reads) can need *fewer*

@@ -123,11 +123,6 @@ impl TiledGemmSpec {
     pub fn flops(&self) -> u64 {
         2 * self.m as u64 * self.n as u64 * self.k as u64
     }
-
-    /// Number of output block tiles.
-    pub fn num_blocks(&self) -> usize {
-        self.m.div_ceil(TILE_M) * self.n.div_ceil(TILE_N)
-    }
 }
 
 /// Memory-system summary of one simulated GEMM.

@@ -15,12 +15,12 @@
 
 use echo::analysis::infer_shapes;
 use echo::{EchoCompiler, EchoConfig, OshapeConfig, SearchConfig, SearchReport, StashSearch};
+use echo_check::{check, Gen};
 use echo_graph::{ExecOptions, ExecPlan, Graph, NodeId};
 use echo_memory::LayerKind;
 use echo_ops::{Activation, Add, BroadcastAddQuery, MeanAll, ScoreReduce};
 use echo_rnn::GruStep;
 use echo_tensor::{Shape, Tensor};
-use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -147,7 +147,7 @@ fn chain_case(len: usize, b: usize, h: usize) -> Case {
 }
 
 /// Runs the search and checks every decidable dominance/budget property.
-fn check(case: &Case, flop_budget: f64) -> Result<SearchReport, TestCaseError> {
+fn check_dominance(case: &Case, flop_budget: f64) -> SearchReport {
     let shapes =
         infer_shapes(&case.graph, &case.bindings, &case.param_shapes).expect("shape inference");
     let binding_shapes: HashMap<NodeId, Shape> = case
@@ -173,21 +173,21 @@ fn check(case: &Case, flop_budget: f64) -> Result<SearchReport, TestCaseError> {
     let r = outcome.report.clone();
 
     // Budget admissibility, on the exact (plan-derived) replay FLOPs.
-    prop_assert!(
+    assert!(
         r.recompute_flops <= r.budget_flops,
         "budget violated: {} > {}",
         r.recompute_flops,
         r.budget_flops
     );
     // Stash-all is always a scored candidate, so the winner never exceeds it.
-    prop_assert!(
+    assert!(
         r.searched_peak_bytes <= r.stash_all_peak_bytes,
         "searched {} above stash-all {}",
         r.searched_peak_bytes,
         r.stash_all_peak_bytes
     );
     // The heuristic never *worsens* the footprint on these graph families.
-    prop_assert!(
+    assert!(
         r.heuristic_peak_bytes <= r.stash_all_peak_bytes,
         "heuristic {} above stash-all {}",
         r.heuristic_peak_bytes,
@@ -207,13 +207,13 @@ fn check(case: &Case, flop_budget: f64) -> Result<SearchReport, TestCaseError> {
         case.loss,
     )
     .expect("heuristic plan builds");
-    prop_assert_eq!(
+    assert_eq!(
         r.heuristic_peak_bytes,
         heuristic_ep.planned_peak_bytes(),
         "report's heuristic peak disagrees with the compiler's"
     );
     if heuristic_ep.planned_recompute_flops() <= r.budget_flops {
-        prop_assert!(
+        assert!(
             r.searched_peak_bytes <= r.heuristic_peak_bytes,
             "searched {} above admissible heuristic {}",
             r.searched_peak_bytes,
@@ -221,60 +221,64 @@ fn check(case: &Case, flop_budget: f64) -> Result<SearchReport, TestCaseError> {
         );
     }
     // The chosen plan's own exec plan agrees with the reported score.
-    prop_assert_eq!(
+    assert_eq!(
         outcome.exec_plan.planned_peak_bytes(),
         r.searched_peak_bytes
     );
-    Ok(r)
+    r
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Randomized attention unrolls: real O-shape candidates at several
-    /// granularities; the search must dominate the heuristic and respect
-    /// the budget at every sampled multiplier.
-    #[test]
-    fn attention_unrolls_dominate(
-        steps in 1usize..6,
-        seq in 6usize..16,
-        b in 1usize..4,
-        h in 8usize..24,
-        flop_budget in 0.5f64..2.0,
-    ) {
+/// Randomized attention unrolls: real O-shape candidates at several
+/// granularities; the search must dominate the heuristic and respect
+/// the budget at every sampled multiplier.
+#[test]
+fn attention_unrolls_dominate() {
+    let path = concat!(module_path!(), "::attention_unrolls_dominate");
+    let gen = |g: &mut Gen| {
+        let (steps, seq, b) = (g.range(1usize..6), g.range(6usize..16), g.range(1usize..4));
+        (steps, seq, b, g.range(8usize..24), g.range(0.5f64..2.0))
+    };
+    check(path, 12, gen, |(steps, seq, b, h, flop_budget)| {
         let case = attention_case(steps, seq, b, h);
-        let r = check(&case, flop_budget)?;
-        prop_assert!(!r.fell_back_to_heuristic || r.candidates_explored >= 2);
-    }
+        let r = check_dominance(&case, flop_budget);
+        assert!(!r.fell_back_to_heuristic || r.candidates_explored >= 2);
+        true
+    });
+}
 
-    /// GRU chains have no GEMM-free interior — the search must fall back
-    /// to the heuristic plan (never an empty candidate set) and report
-    /// identical peaks.
-    #[test]
-    fn gru_chains_fall_back_to_heuristic(
-        steps in 1usize..7,
-        b in 1usize..4,
-        h in 4usize..12,
-        flop_budget in 0.5f64..2.0,
-    ) {
+/// GRU chains have no GEMM-free interior — the search must fall back
+/// to the heuristic plan (never an empty candidate set) and report
+/// identical peaks.
+#[test]
+fn gru_chains_fall_back_to_heuristic() {
+    let path = concat!(module_path!(), "::gru_chains_fall_back_to_heuristic");
+    let gen = |g: &mut Gen| {
+        let (steps, b) = (g.range(1usize..7), g.range(1usize..4));
+        (steps, b, g.range(4usize..12), g.range(0.5f64..2.0))
+    };
+    check(path, 12, gen, |(steps, b, h, flop_budget)| {
         let case = gru_case(steps, b, h);
-        let r = check(&case, flop_budget)?;
-        prop_assert!(r.fell_back_to_heuristic);
-        prop_assert_eq!(r.searched_peak_bytes, r.heuristic_peak_bytes);
-        prop_assert_eq!(r.recompute_flops, 0);
-    }
+        let r = check_dominance(&case, flop_budget);
+        assert!(r.fell_back_to_heuristic);
+        assert_eq!(r.searched_peak_bytes, r.heuristic_peak_bytes);
+        assert_eq!(r.recompute_flops, 0);
+        true
+    });
+}
 
-    /// Plain activation chains, including degenerate lengths (T ≤ 2): the
-    /// search never crashes, never returns an empty choice, and dominance
-    /// holds whether or not the heuristic's ratio test accepted the chain.
-    #[test]
-    fn activation_chains_dominate(
-        len in 1usize..8,
-        b in 1usize..5,
-        h in 8usize..32,
-        flop_budget in 0.5f64..2.0,
-    ) {
+/// Plain activation chains, including degenerate lengths (T ≤ 2): the
+/// search never crashes, never returns an empty choice, and dominance
+/// holds whether or not the heuristic's ratio test accepted the chain.
+#[test]
+fn activation_chains_dominate() {
+    let path = concat!(module_path!(), "::activation_chains_dominate");
+    let gen = |g: &mut Gen| {
+        let (len, b) = (g.range(1usize..8), g.range(1usize..5));
+        (len, b, g.range(8usize..32), g.range(0.5f64..2.0))
+    };
+    check(path, 12, gen, |(len, b, h, flop_budget)| {
         let case = chain_case(len, b, h);
-        check(&case, flop_budget)?;
-    }
+        check_dominance(&case, flop_budget);
+        true
+    });
 }

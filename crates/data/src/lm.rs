@@ -58,12 +58,6 @@ impl LmCorpus {
         LmCorpus::synthetic(Vocab::ptb(), n, 0.6, seed)
     }
 
-    /// A Wikitext-2-sized corpus (33k vocabulary, 2.1M tokens scaled).
-    pub fn wikitext2_like(scale: f64, seed: u64) -> Self {
-        let n = ((2_089_000f64 * scale) as usize).max(1_000);
-        LmCorpus::synthetic(Vocab::wikitext2(), n, 0.6, seed)
-    }
-
     /// The corpus vocabulary.
     pub fn vocab(&self) -> Vocab {
         self.vocab

@@ -43,16 +43,6 @@ impl Vocab {
         Vocab::new(33_278)
     }
 
-    /// IWSLT15 English-side vocabulary size used by Sockeye (~17 000).
-    pub fn iwslt_en() -> Self {
-        Vocab::new(17_000)
-    }
-
-    /// IWSLT15 Vietnamese-side vocabulary size (~7 700).
-    pub fn iwslt_vi() -> Self {
-        Vocab::new(7_700)
-    }
-
     /// Total number of ids.
     pub fn size(&self) -> usize {
         self.size

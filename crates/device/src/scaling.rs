@@ -41,14 +41,6 @@ impl CommModel {
         }
     }
 
-    /// NVLink-class interconnect: ~150 GB/s effective, ~5 µs.
-    pub fn nvlink() -> Self {
-        CommModel {
-            link_bandwidth: 150.0e9,
-            latency_ns: 5_000,
-        }
-    }
-
     /// One point-to-point transfer of `bytes`.
     pub fn transfer_ns(&self, bytes: u64) -> u64 {
         self.latency_ns + (bytes as f64 / self.link_bandwidth * 1e9).ceil() as u64

@@ -293,20 +293,21 @@ impl DeviceSim {
         &self.api
     }
 
-    /// Builds the aggregate summary of everything launched so far.
+    /// Builds the aggregate summary of everything launched so far. Rows
+    /// are ordered by time, longest first, and equal times by name.
     pub fn summary(&self) -> TraceSummary {
         let mut by_category: Vec<(KernelCategory, u64)> = self
             .kernel_ns_by_cat
             .iter()
             .map(|(&c, &ns)| (c, ns))
             .collect();
-        by_category.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
+        by_category.sort_by_cached_key(|&(c, ns)| (std::cmp::Reverse(ns), c.to_string()));
         let mut by_name: Vec<(String, u64)> = self
             .kernel_ns_by_name
             .iter()
             .map(|(n, &ns)| (n.clone(), ns))
             .collect();
-        by_name.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
+        by_name.sort_by(|(a, a_ns), (b, b_ns)| b_ns.cmp(a_ns).then_with(|| a.cmp(b)));
         TraceSummary {
             elapsed_ns: self.elapsed_ns(),
             kernel_ns: self.kernel_ns_total,
@@ -463,6 +464,35 @@ mod tests {
         assert_eq!(s.elapsed_ns(), 0);
         assert_eq!(s.api_stats().launch_calls, 0);
         assert_eq!(s.gemm_cache.len(), 1);
+    }
+
+    #[test]
+    fn summary_orders_equal_times_by_name() {
+        let kernels = [
+            ("d", KernelCategory::Softmax),
+            ("b", KernelCategory::Attention),
+            ("c", KernelCategory::Transpose),
+            ("a", KernelCategory::Reduction),
+        ];
+        let summary = |kernels: &[(&str, KernelCategory)]| {
+            let mut s = sim();
+            for &(name, cat) in kernels {
+                s.launch(name, cat, KernelCost::elementwise(1024, 2));
+            }
+            s.summary()
+        };
+        let forward = summary(&kernels);
+        let mut reversed = kernels;
+        reversed.reverse();
+        assert_eq!(forward, summary(&reversed));
+        let names: Vec<&str> = forward.by_name.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c", "d"]);
+        let cats: Vec<String> = forward
+            .by_category
+            .iter()
+            .map(|(c, _)| c.to_string())
+            .collect();
+        assert_eq!(cats, ["attention", "reduction", "softmax", "transpose"]);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl StageSpec {
         self.to_orig[local.index()]
     }
 
-    /// All original ids carried by this stage, ascending by local id.
-    pub fn orig_ids(&self) -> &[NodeId] {
-        &self.to_orig
-    }
-
     /// `send_interface` mapped to local ids.
     pub fn local_send(&self) -> Vec<NodeId> {
         self.send_interface
@@ -110,11 +105,6 @@ impl StageSpec {
             .iter()
             .map(|&id| self.to_local[&id])
             .collect()
-    }
-
-    /// `targets` mapped to local ids.
-    pub fn local_targets(&self) -> Vec<NodeId> {
-        self.targets.iter().map(|&id| self.to_local[&id]).collect()
     }
 
     /// Owned op count (local ops, excluding interface inputs).
@@ -361,7 +351,7 @@ impl StagePartition {
     /// parameters uniquely owned, protected shapes preserved, and the
     /// cross-stage edge set fully represented by interface chains
     /// (`recv(s+1) == send(s)`, with pass-through for edges skipping
-    /// stages). The partition proptests drive this.
+    /// stages). The partition property tests drive this.
     ///
     /// # Errors
     ///

@@ -4,6 +4,7 @@
 //! activations), cuts never split a parameter's consumer span, and plan
 //! normalization keeps recompute segments strictly inside one stage.
 
+use echo_check::{check, Gen};
 use echo_graph::gir::{partition_stages, Gir};
 use echo_graph::op::Saved;
 use echo_graph::{
@@ -12,7 +13,6 @@ use echo_graph::{
 };
 use echo_memory::LayerKind;
 use echo_tensor::{Shape, Tensor};
-use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -110,36 +110,38 @@ fn layered_graph(
     (graph, gir, all_ops)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn partitions_preserve_structure(
-        layers in 2usize..6,
-        widths in proptest::collection::vec(1usize..4, 6),
-        skip_seed in 0usize..8,
-        stages in 1usize..5,
-    ) {
+#[test]
+fn partitions_preserve_structure() {
+    let path = concat!(module_path!(), "::partitions_preserve_structure");
+    let gen = |g: &mut Gen| {
+        let (layers, widths) = (g.range(2usize..6), g.vec(6..=6, |g| g.range(1usize..4)));
+        (layers, widths, g.range(0usize..8), g.range(1usize..5))
+    };
+    check(path, 64, gen, |(layers, widths, skip_seed, stages)| {
         let widths = &widths[..layers];
         let skips: Vec<(usize, usize)> = (1..layers)
             .filter(|&l| (l + skip_seed) % 3 == 0 && l >= 2)
             .map(|l| (l - 2, l))
             .collect();
         let (graph, gir, all_ops) = layered_graph(layers, widths, &skips);
-        prop_assume!(stages <= layers); // enough layer boundaries for the cuts
+        if stages > layers {
+            return false; // not enough layer boundaries for the cuts
+        }
         let part = partition_stages(&gir, stages).unwrap();
 
         // The structural contract: op partition, protected shapes,
         // cross-stage edge coverage, interface chaining.
         part.validate().unwrap();
-        prop_assert_eq!(part.stage_count(), stages);
-        prop_assert_eq!(part.live_op_count(), all_ops.len());
+        assert_eq!(part.stage_count(), stages);
+        assert_eq!(part.live_op_count(), all_ops.len());
 
         // Stages are contiguous, monotone index ranges covering all ops.
-        let stage_seq: Vec<usize> =
-            all_ops.iter().map(|&id| part.stage_of(id).unwrap()).collect();
+        let stage_seq: Vec<usize> = all_ops
+            .iter()
+            .map(|&id| part.stage_of(id).unwrap())
+            .collect();
         for w in stage_seq.windows(2) {
-            prop_assert!(w[0] <= w[1], "non-monotone stages {stage_seq:?}");
+            assert!(w[0] <= w[1], "non-monotone stages {stage_seq:?}");
         }
 
         // No cut splits a parameter's consumer span: all consumers of a
@@ -153,7 +155,7 @@ proptest! {
                 .iter()
                 .filter_map(|&c| part.stage_of(c))
                 .collect();
-            prop_assert!(
+            assert!(
                 stages_used.windows(2).all(|w| w[0] == w[1]),
                 "param {} split across stages {stages_used:?}",
                 node.name
@@ -164,11 +166,13 @@ proptest! {
         // intermediate interface (checked by validate, re-checked here
         // for the specific skip edges we injected).
         for node in graph.nodes() {
-            let Some(su) = part.stage_of(node.id) else { continue };
+            let Some(su) = part.stage_of(node.id) else {
+                continue;
+            };
             for &c in graph.consumers(node.id) {
                 let Some(sc) = part.stage_of(c) else { continue };
                 for mid in su + 1..=sc {
-                    prop_assert!(
+                    assert!(
                         part.stage(mid).recv_interface.contains(&node.id),
                         "activation {} dropped between stages {su} and {sc}",
                         node.id
@@ -176,18 +180,23 @@ proptest! {
                 }
             }
         }
-    }
+        true
+    });
+}
 
-    #[test]
-    fn normalized_plans_never_straddle_cuts(
-        layers in 2usize..6,
-        widths in proptest::collection::vec(2usize..4, 6),
-        stages in 2usize..4,
-        seg_stride in 1usize..4,
-    ) {
+#[test]
+fn normalized_plans_never_straddle_cuts() {
+    let path = concat!(module_path!(), "::normalized_plans_never_straddle_cuts");
+    let gen = |g: &mut Gen| {
+        let (layers, widths) = (g.range(2usize..6), g.vec(6..=6, |g| g.range(2usize..4)));
+        (layers, widths, g.range(2usize..4), g.range(1usize..4))
+    };
+    check(path, 64, gen, |(layers, widths, stages, seg_stride)| {
         let widths = &widths[..layers];
         let (graph, gir, all_ops) = layered_graph(layers, widths, &[]);
-        prop_assume!(stages <= layers);
+        if stages > layers {
+            return false;
+        }
         let part = partition_stages(&gir, stages).unwrap();
 
         // A plan with segments laid down in fixed strides across the op
@@ -199,7 +208,10 @@ proptest! {
             }
             plan.set(
                 id,
-                StashPolicy::Recompute(SegmentId { id: i / seg_stride, pool: 0 }),
+                StashPolicy::Recompute(SegmentId {
+                    id: i / seg_stride,
+                    pool: 0,
+                }),
             );
         }
         let norm = part.normalized_plan(&plan);
@@ -207,17 +219,14 @@ proptest! {
         // Interface and protected nodes are forced to Stash.
         for sp in part.stages() {
             for &id in &sp.send_interface {
-                prop_assert_eq!(norm.policy(id), StashPolicy::Stash);
+                assert_eq!(norm.policy(id), StashPolicy::Stash);
             }
         }
         // Every surviving segment lies inside exactly one stage.
         for seg in 0..norm.segment_count() {
             let nodes = norm.segment_nodes(seg);
-            let seg_stages: Vec<usize> = nodes
-                .iter()
-                .filter_map(|&id| part.stage_of(id))
-                .collect();
-            prop_assert!(
+            let seg_stages: Vec<usize> = nodes.iter().filter_map(|&id| part.stage_of(id)).collect();
+            assert!(
                 seg_stages.windows(2).all(|w| w[0] == w[1]),
                 "segment {seg} straddles stages {seg_stages:?}"
             );
@@ -225,7 +234,8 @@ proptest! {
         // Stage-local plans name exactly the owned recompute nodes.
         let locals = part.stage_plans(&plan);
         let local_recompute: usize = locals.iter().map(StashPlan::recompute_count).sum();
-        prop_assert_eq!(local_recompute, norm.recompute_count());
+        assert_eq!(local_recompute, norm.recompute_count());
         let _ = graph;
-    }
+        true
+    });
 }

@@ -413,11 +413,6 @@ impl Speedometer {
             self.samples as f64 / (self.sim_ns as f64 * 1e-9)
         }
     }
-
-    /// Total simulated time recorded.
-    pub fn total_sim_ns(&self) -> u64 {
-        self.sim_ns
-    }
 }
 
 /// A training log: `(global_step, simulated_seconds, value)` triples, used

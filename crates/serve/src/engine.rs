@@ -307,15 +307,6 @@ impl Ticket {
             Popped::TimedOut => Err(ServeError::Timeout),
         }
     }
-
-    /// Non-blocking poll: `Some` once the engine has answered.
-    pub fn try_wait(&self) -> Option<Result<StepOutput, ServeError>> {
-        match self.rx.try_pop() {
-            Popped::Item(result) => Some(result),
-            Popped::Closed => Some(Err(ServeError::ShuttingDown)),
-            Popped::TimedOut => None,
-        }
-    }
 }
 
 /// Per-tenant in-flight accounting behind [`Engine::generate`]'s

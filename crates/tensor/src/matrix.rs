@@ -147,39 +147,12 @@ impl<'a> MatViewMut<'a> {
         self.data[self.layout.offset(row, col, self.rows, self.cols)] = value;
     }
 
-    /// Adds `value` to element `(row, col)`.
-    #[inline(always)]
-    pub fn add_assign(&mut self, row: usize, col: usize, value: f32) {
-        self.data[self.layout.offset(row, col, self.rows, self.cols)] += value;
-    }
-
     /// The underlying storage, mutably.
     ///
     /// Kernels that write linearly (GEMM) index this buffer directly via the
     /// layout's strides.
     pub fn data_mut(&mut self) -> &mut [f32] {
         self.data
-    }
-
-    /// Immutable re-borrow of this view.
-    pub fn as_view(&self) -> MatView<'_> {
-        MatView {
-            data: self.data,
-            rows: self.rows,
-            cols: self.cols,
-            layout: self.layout,
-        }
-    }
-
-    /// Mutable reinterpretation as the transposed matrix.
-    #[must_use]
-    pub fn t_mut(self) -> MatViewMut<'a> {
-        MatViewMut {
-            rows: self.cols,
-            cols: self.rows,
-            layout: self.layout.flip(),
-            data: self.data,
-        }
     }
 
     /// Scales every element by `beta` (used by GEMM's `beta` parameter; a

@@ -47,11 +47,6 @@ impl Shape {
         Shape(vec![a, b, c])
     }
 
-    /// Convenience constructor for a rank-4 shape.
-    pub fn d4(a: usize, b: usize, c: usize, d: usize) -> Self {
-        Shape(vec![a, b, c, d])
-    }
-
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
         self.0.len()
