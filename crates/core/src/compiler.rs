@@ -1,12 +1,8 @@
 //! The Echo compiler front-end.
 
 use crate::analysis::{infer_shapes_from, ShapeTable};
-use crate::oshape::{build_plan, find_segments, OshapeConfig, SegmentInfo};
-use crate::search::{SearchConfig, SearchReport, StashSearch};
-use echo_graph::{
-    partition_stages, ExecOptions, ExecPlan, Gir, Graph, GraphError, NodeId, PassTrace,
-    StagePartition, StashPlan,
-};
+use crate::oshape::{build_plan, find_segments, SegmentInfo};
+use echo_graph::{ExecOptions, ExecPlan, Graph, GraphError, NodeId, PassTrace, StashPlan};
 use echo_tensor::{Shape, Tensor};
 use std::collections::HashMap;
 use std::fmt;
@@ -53,52 +49,23 @@ impl EchoError {
     }
 }
 
-/// How the recomputation set is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum StashSelection {
-    /// The paper's O-shape heuristic alone (ratio and size thresholds).
-    #[default]
-    Heuristic,
-    /// Cost-model search over candidate stash sets
-    /// ([`StashSearch`](crate::StashSearch)): every candidate is scored by
-    /// its execution plan's exact planned peak, and the minimum wins
-    /// subject to a recompute-FLOP budget. Needs concrete binding shapes
-    /// and a target; without them compilation falls back to the heuristic.
-    Search {
-        /// Replay-FLOP budget as a multiplier over the FLOPs of one
-        /// no-recompute training step.
-        flop_budget: f64,
-    },
-}
-
 /// Compiler configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EchoConfig {
-    /// Enable the recomputation (partial-forward-propagation) pass.
+    /// Enable the recomputation (partial-forward-propagation) pass: the
+    /// O-shape heuristic selects what to recompute. Off, everything is
+    /// stashed.
     pub recompute: bool,
-    /// O-shape detector tunables.
-    pub oshape: OshapeConfig,
     /// Share one workspace pool between structurally identical segments
     /// (§4.1.2). Disable only for the ablation study.
     pub share_workspace: bool,
-    /// Heuristic stash selection, or exact-cost search over stash sets.
-    pub selection: StashSelection,
-    /// Partition the graph into this many pipeline stages before stash
-    /// selection (GPipe-style model parallelism; `1` disables).
-    /// The partition is returned in [`CompiledPlan::partition`] and
-    /// summarized in [`PassReport::stages`]; cuts never split a
-    /// parameter's consumer span or a protected interface.
-    pub pipeline_stages: usize,
 }
 
 impl Default for EchoConfig {
     fn default() -> Self {
         EchoConfig {
             recompute: true,
-            oshape: OshapeConfig::default(),
             share_workspace: true,
-            selection: StashSelection::Heuristic,
-            pipeline_stages: 1,
         }
     }
 }
@@ -127,21 +94,6 @@ pub struct SegmentReport {
     pub pool: usize,
 }
 
-/// Per-pipeline-stage metrics recorded when
-/// [`EchoConfig::pipeline_stages`] > 1.
-#[derive(Debug, Clone)]
-pub struct StageSummary {
-    /// Stage index in `0..P`.
-    pub index: usize,
-    /// Operator nodes owned by the stage.
-    pub ops: usize,
-    /// Parameters owned by the stage.
-    pub params: usize,
-    /// Activation bytes sent across the cut to the next stage (0 for the
-    /// last stage).
-    pub send_bytes: u64,
-}
-
 /// What the pass did, with enough detail for EXPERIMENTS.md tables.
 #[derive(Debug, Clone, Default)]
 pub struct PassReport {
@@ -152,16 +104,9 @@ pub struct PassReport {
     pub planned_peak_bytes: Option<u64>,
     /// Number of reusable transient buffer slots in the execution plan.
     pub slot_count: Option<usize>,
-    /// Stash-set search statistics (candidates explored, searched vs
-    /// heuristic peak, recompute FLOPs), when
-    /// [`StashSelection::Search`] ran.
-    pub search: Option<SearchReport>,
-    /// One trace per compile stage that ran, in execution order: stage
-    /// partitioning (when requested), stash selection and lowering.
+    /// One trace per compile stage that ran, in execution order: stash
+    /// selection and lowering.
     pub passes: Vec<PassTrace>,
-    /// Per-stage metrics of the pipeline partition, when one was
-    /// requested ([`EchoConfig::pipeline_stages`] > 1).
-    pub stages: Vec<StageSummary>,
 }
 
 impl PassReport {
@@ -204,18 +149,6 @@ impl fmt::Display for PassReport {
                 peak as f64 / (1 << 20) as f64,
             )?;
         }
-        if let Some(s) = &self.search {
-            writeln!(
-                f,
-                "  search: {} candidates, {:.1} MiB searched vs {:.1} MiB heuristic, \
-                 {:.3} GFLOP replays (budget {:.3})",
-                s.candidates_explored,
-                s.searched_peak_bytes as f64 / (1 << 20) as f64,
-                s.heuristic_peak_bytes as f64 / (1 << 20) as f64,
-                s.recompute_flops as f64 / 1e9,
-                s.budget_flops as f64 / 1e9,
-            )?;
-        }
         for (i, s) in self.segments.iter().enumerate() {
             writeln!(
                 f,
@@ -224,16 +157,6 @@ impl fmt::Display for PassReport {
                 s.node_names,
                 s.intermediate_bytes >> 10,
                 s.boundary_bytes >> 10
-            )?;
-        }
-        for s in &self.stages {
-            writeln!(
-                f,
-                "  stage {}: {} ops, {} params, {} KiB cut",
-                s.index,
-                s.ops,
-                s.params,
-                s.send_bytes >> 10,
             )?;
         }
         for p in &self.passes {
@@ -259,9 +182,6 @@ pub struct CompiledPlan {
     /// had no target or ran from a bare shape table
     /// ([`EchoCompiler::compile_with_shapes`]). Shareable across replicas.
     pub exec_plan: Option<Arc<ExecPlan>>,
-    /// The pipeline-stage partition, when [`EchoConfig::pipeline_stages`]
-    /// exceeds 1 and compilation ran a training pipeline.
-    pub partition: Option<StagePartition>,
 }
 
 /// The Echo compiler.
@@ -298,17 +218,16 @@ impl EchoCompiler {
         &self.config
     }
 
-    /// Compiles for training: partitions into pipeline stages when
-    /// asked, runs the O-shape (or searched) stash selection, then lowers
-    /// to an execution plan when a target is given.
+    /// Compiles for training: runs the O-shape stash selection (or
+    /// stash-all when recomputation is off), then lowers to an execution
+    /// plan when a target is given.
     ///
     /// `protected` nodes (execution targets such as the loss or logits)
     /// are never recomputed.
     ///
     /// # Errors
     ///
-    /// Propagates shape-inference, partitioning and plan-validation
-    /// failures.
+    /// Propagates shape-inference and plan-validation failures.
     pub fn compile(
         &self,
         graph: &Graph,
@@ -322,79 +241,6 @@ impl EchoCompiler {
             .collect();
         let shapes = infer_shapes_from(graph, &binding_shapes, param_shapes)?;
         let mut passes = Vec::new();
-
-        // Pipeline-stage partitioning runs before stash selection: the
-        // partition depends only on the graph structure, and the
-        // per-stage stash plans are later derived from whatever plan this
-        // compilation produces ([`StagePartition::stage_plans`]).
-        let mut partition = None;
-        let mut stage_summaries = Vec::new();
-        if self.config.pipeline_stages > 1 {
-            let start = Instant::now();
-            let gir = Gir::from_graph(
-                Arc::new(graph.clone()),
-                &binding_shapes,
-                param_shapes,
-                protected,
-            )?;
-            let part = partition_stages(&gir, self.config.pipeline_stages)?;
-            let cut_bytes = part.cut_bytes();
-            stage_summaries = part
-                .stages()
-                .iter()
-                .map(|sp| StageSummary {
-                    index: sp.index,
-                    ops: sp.owned_ops(),
-                    params: sp.params.len(),
-                    send_bytes: cut_bytes.get(sp.index).copied().unwrap_or(0),
-                })
-                .collect();
-            passes.push(trace("stage-partition", self.config.pipeline_stages, start));
-            partition = Some(part);
-        }
-
-        // Stash-selection stage. The exact-cost search needs a target (it
-        // scores candidates by their lowered plans, so selection and
-        // lowering run together inside it); without one it falls back to
-        // the heuristic below.
-        let start = Instant::now();
-        if let (true, StashSelection::Search { flop_budget }, Some(_)) = (
-            self.config.recompute,
-            self.config.selection,
-            protected.first(),
-        ) {
-            let outcome = StashSearch::new(SearchConfig {
-                flop_budget,
-                ..SearchConfig::default()
-            })
-            .run(
-                graph,
-                &shapes,
-                &binding_shapes,
-                param_shapes,
-                protected,
-                &self.config.oshape,
-                self.config.share_workspace,
-                ExecOptions::default(),
-            )?;
-            let mut report = self.report(graph, &outcome.segments);
-            report.planned_peak_bytes = Some(outcome.exec_plan.planned_peak_bytes());
-            report.slot_count = Some(outcome.exec_plan.slot_count());
-            report.search = Some(outcome.report);
-            passes.push(trace(
-                "stash-select(search)+lower",
-                report.segments.len(),
-                start,
-            ));
-            report.passes = passes;
-            report.stages = stage_summaries;
-            return Ok(CompiledPlan {
-                plan: outcome.plan,
-                report,
-                exec_plan: Some(outcome.exec_plan),
-                partition,
-            });
-        }
         let (plan, mut report) = self.select_stash(graph, &shapes, protected, &mut passes);
 
         // Lowering stage: graph -> launch-level ExecPlan tables.
@@ -415,12 +261,10 @@ impl EchoCompiler {
             exec_plan = Some(Arc::new(lowered));
         }
         report.passes = passes;
-        report.stages = stage_summaries;
         Ok(CompiledPlan {
             plan,
             report,
             exec_plan,
-            partition,
         })
     }
 
@@ -507,7 +351,6 @@ impl EchoCompiler {
             plan: StashPlan::stash_all(),
             report,
             exec_plan: Some(Arc::new(exec_plan)),
-            partition: None,
         })
     }
 
@@ -534,7 +377,7 @@ impl EchoCompiler {
     }
 
     /// Like [`EchoCompiler::compile`] but reusing an existing shape table
-    /// and never lowering or partitioning (no execution plan is built).
+    /// and never lowering (no execution plan is built).
     pub fn compile_with_shapes(
         &self,
         graph: &Graph,
@@ -548,12 +391,10 @@ impl EchoCompiler {
             plan,
             report,
             exec_plan: None,
-            partition: None,
         }
     }
 
-    /// The heuristic stash-selection stage both training entry points
-    /// share: O-shape segments become a stash plan and its report (or
+    /// The stash-selection stage both training entry points share: O-shape segments become a stash plan and its report (or
     /// stash-all when recomputation is off), traced into `passes`.
     fn select_stash(
         &self,
@@ -564,7 +405,7 @@ impl EchoCompiler {
     ) -> (StashPlan, PassReport) {
         let start = Instant::now();
         let (plan, report) = if self.config.recompute {
-            let segments = find_segments(graph, shapes, &self.config.oshape, protected);
+            let segments = find_segments(graph, shapes, protected);
             let plan = build_plan(&segments, self.config.share_workspace);
             (plan, self.report(graph, &segments))
         } else {
@@ -589,11 +430,7 @@ impl EchoCompiler {
                     pool: s.pool,
                 })
                 .collect(),
-            planned_peak_bytes: None,
-            slot_count: None,
-            search: None,
-            passes: Vec::new(),
-            stages: Vec::new(),
+            ..PassReport::default()
         }
     }
 }

@@ -45,16 +45,11 @@ pub mod analysis;
 pub mod baselines;
 pub mod compiler;
 pub mod oshape;
-pub mod search;
 
 pub use analysis::ShapeTable;
 pub use baselines::{chen_sqrt_plan, sqrt_stride, ChenReport};
-pub use compiler::{
-    CompiledPlan, EchoCompiler, EchoConfig, EchoError, PassReport, SegmentReport, StageSummary,
-    StashSelection,
-};
-pub use oshape::{OshapeConfig, SegmentInfo};
-pub use search::{segments_from_plan, SearchConfig, SearchOutcome, SearchReport, StashSearch};
+pub use compiler::{CompiledPlan, EchoCompiler, EchoConfig, EchoError, PassReport, SegmentReport};
+pub use oshape::SegmentInfo;
 
 /// Re-export of the autotuning microbenchmark (paper §5.4).
 pub use echo_rnn::autotune;
@@ -62,6 +57,5 @@ pub use echo_rnn::autotune;
 /// Re-export of the executor the compiled plans run on.
 pub use echo_graph::Executor;
 
-/// Re-exports of the graph-level IR stage partitioning reads and the
-/// per-stage compile trace.
-pub use echo_graph::{Gir, PassTrace};
+/// Re-export of the per-stage compile trace [`PassReport`] records.
+pub use echo_graph::PassTrace;

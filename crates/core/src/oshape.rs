@@ -6,14 +6,13 @@
 //!
 //! 1. marks **candidate nodes**: GEMM-free operator categories
 //!    (element-wise, activation, attention, transpose) whose output (plus
-//!    operator-private saved tensors) is large — at least
-//!    `size_fraction` of the largest op output in the graph, so cheap glue
-//!    ops (gate slices, score vectors) never merge segments across time
-//!    steps;
+//!    operator-private saved tensors) is large — at least `SIZE_FRACTION`
+//!    (½) of the largest op output in the graph, so cheap glue ops (gate
+//!    slices, score vectors) never merge segments across time steps;
 //! 2. groups connected candidates into **segments** (union-find over graph
 //!    edges);
 //! 3. keeps a segment only when its intermediate bytes exceed
-//!    `ratio_threshold ×` its boundary-input bytes — the O-shape test;
+//!    `RATIO_THRESHOLD ×` (2×) its boundary-input bytes — the O-shape test;
 //! 4. assigns segments with identical structural **signatures** (same op
 //!    sequence and shapes — i.e. the same computation at different time
 //!    steps) to one workspace pool, which is what keeps the recomputation
@@ -25,39 +24,12 @@ use echo_graph::{Graph, NodeId, NodeKind, SegmentId, StashPlan, StashPolicy};
 use echo_tensor::Shape;
 use std::collections::{HashMap, HashSet};
 
-/// Tunables of the detector.
-#[derive(Debug, Clone, Copy)]
-pub struct OshapeConfig {
-    /// A node is a candidate only if its intermediate bytes are at least
-    /// this fraction of the graph's largest op output.
-    pub size_fraction: f64,
-    /// A segment is kept only if `intermediate / boundary ≥` this ratio.
-    pub ratio_threshold: f64,
-}
+/// A node is a candidate only if its intermediate bytes are at least this
+/// fraction of the graph's largest eligible op output.
+const SIZE_FRACTION: f64 = 0.5;
 
-impl Default for OshapeConfig {
-    fn default() -> Self {
-        OshapeConfig {
-            size_fraction: 0.5,
-            ratio_threshold: 2.0,
-        }
-    }
-}
-
-impl OshapeConfig {
-    /// A permissive configuration for candidate *generation* rather than
-    /// final judgement: the ratio test is disabled entirely. Used by the
-    /// stash-set search ([`crate::StashSearch`]), where the exact plan
-    /// cost model replaces the proxy the ratio threshold implements — a
-    /// segment the heuristic would reject can still be pure savings once
-    /// its workspace is pool-shared with its siblings.
-    pub fn relaxed(size_fraction: f64) -> Self {
-        OshapeConfig {
-            size_fraction,
-            ratio_threshold: 0.0,
-        }
-    }
-}
+/// A segment is kept only if `intermediate / boundary ≥` this ratio.
+const RATIO_THRESHOLD: f64 = 2.0;
 
 /// One discovered O-shape segment.
 #[derive(Debug, Clone)]
@@ -130,12 +102,7 @@ fn intermediate_bytes(graph: &Graph, shapes: &ShapeTable, id: NodeId) -> u64 {
 
 /// Runs the detector over `graph` with `protected` nodes never recomputed
 /// (execution targets such as the loss and logits).
-pub fn find_segments(
-    graph: &Graph,
-    shapes: &ShapeTable,
-    config: &OshapeConfig,
-    protected: &[NodeId],
-) -> Vec<SegmentInfo> {
+pub fn find_segments(graph: &Graph, shapes: &ShapeTable, protected: &[NodeId]) -> Vec<SegmentInfo> {
     let protected: HashSet<NodeId> = protected.iter().copied().collect();
     // Size reference: the largest output among *eligible-category* ops, so
     // huge GEMM products (logits, hidden sequences) don't skew the filter.
@@ -145,7 +112,7 @@ pub fn find_segments(
                 .op()
                 .is_some_and(|op| eligible(op.category()))
     });
-    let threshold = (max_out as f64 * config.size_fraction) as u64;
+    let threshold = (max_out as f64 * SIZE_FRACTION) as u64;
 
     // 1. Candidates.
     let candidate: Vec<bool> = graph
@@ -225,7 +192,7 @@ pub fn find_segments(
             .iter()
             .map(|&b| shapes.bytes(b) / boundary_uses[&b].max(1))
             .sum();
-        if (inter as f64) < config.ratio_threshold * boundary_bytes.max(1) as f64 {
+        if (inter as f64) < RATIO_THRESHOLD * boundary_bytes.max(1) as f64 {
             continue;
         }
         let signature: Vec<(String, Shape)> = nodes
@@ -333,7 +300,7 @@ mod tests {
     fn detects_the_attention_scoring_segments() {
         let (g, bindings, params, expected) = oshape_graph();
         let shapes = infer_shapes(&g, &bindings, &params).unwrap();
-        let segments = find_segments(&g, &shapes, &OshapeConfig::default(), &[]);
+        let segments = find_segments(&g, &shapes, &[]);
         assert_eq!(segments.len(), 2);
         for (seg, exp) in segments.iter().zip(&expected) {
             // e and th are large candidates; score [B,T] is small and
@@ -361,7 +328,7 @@ mod tests {
         let mut params = HashMap::new();
         params.insert(w, Shape::d2(2048, 512));
         let shapes = infer_shapes(&g, &bindings, &params).unwrap();
-        let segments = find_segments(&g, &shapes, &OshapeConfig::default(), &[]);
+        let segments = find_segments(&g, &shapes, &[]);
         // {th} alone: intermediate [64x2048] vs boundary fc output
         // [64x2048] → ratio 1 → rejected.
         assert!(segments.is_empty(), "{segments:?}");
@@ -374,7 +341,7 @@ mod tests {
         let (g, bindings, params, expected) = oshape_graph();
         let shapes = infer_shapes(&g, &bindings, &params).unwrap();
         let protect: Vec<NodeId> = expected.iter().map(|s| s[0]).collect();
-        let segments = find_segments(&g, &shapes, &OshapeConfig::default(), &protect);
+        let segments = find_segments(&g, &shapes, &protect);
         // With each `e` protected only `th` remains per step; its boundary
         // is e's same-sized output, so the ratio test rejects everything.
         assert!(segments.is_empty());
@@ -407,7 +374,7 @@ mod tests {
             bindings.insert(q, Tensor::zeros(Shape::d2(4, 64)));
         }
         let shapes = infer_shapes(&g, &bindings, &HashMap::new()).unwrap();
-        let segments = find_segments(&g, &shapes, &OshapeConfig::default(), &[]);
+        let segments = find_segments(&g, &shapes, &[]);
         assert_eq!(segments.len(), 3);
         let pools: HashSet<usize> = segments.iter().map(|s| s.pool).collect();
         assert_eq!(pools.len(), 1, "identical segments must share one pool");

@@ -38,11 +38,6 @@ impl Vocab {
         Vocab::new(10_000)
     }
 
-    /// Wikitext-2's vocabulary size (33 278 words).
-    pub fn wikitext2() -> Self {
-        Vocab::new(33_278)
-    }
-
     /// Total number of ids.
     pub fn size(&self) -> usize {
         self.size
@@ -86,7 +81,6 @@ mod tests {
     #[test]
     fn presets_have_paper_sizes() {
         assert_eq!(Vocab::ptb().size(), 10_000);
-        assert_eq!(Vocab::wikitext2().size(), 33_278);
     }
 
     #[test]

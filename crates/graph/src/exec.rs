@@ -1344,8 +1344,8 @@ impl<'e> Run<'e> {
         );
 
         // Workspaces are exclusive (paper §3.2): the Echo heuristic only
-        // pools segments whose replay lifetimes are disjoint, but search-
-        // produced, stage-normalized or externally authored plans may pool
+        // pools segments whose replay lifetimes are disjoint, but
+        // stage-normalized or externally authored plans may pool
         // segments whose reader intervals overlap. Honour the contract by
         // evicting any still-live scratch on this pool — its values are
         // re-replayable on demand, so dropping early trades

@@ -268,9 +268,8 @@ mod tests {
 
     #[test]
     fn degenerate_single_op_graph_passes_through_untouched() {
-        // Mirrors `fell_back_to_heuristic` in the stash search: a graph
-        // with nothing to fuse must flow through as the identity, not an
-        // error.
+        // A graph with nothing to fuse must flow through as the identity,
+        // not an error.
         let mut g = Graph::new();
         let x = g.input("x", LayerKind::Other);
         let y = g.apply("y", Arc::new(Double), &[x], LayerKind::Other);

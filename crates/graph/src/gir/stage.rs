@@ -62,8 +62,6 @@ pub struct StageSpec {
     /// Original ids of activations sent to the next stage (ascending).
     /// Equals the next stage's `recv_interface`.
     pub send_interface: Vec<NodeId>,
-    /// Protected nodes owned by this stage (ascending original ids).
-    pub targets: Vec<NodeId>,
     /// Local id → original id.
     to_orig: Vec<NodeId>,
     /// Original id → local id.
@@ -584,7 +582,6 @@ pub fn partition_stages(gir: &Gir, stages: usize) -> Result<StagePartition> {
         let mut shapes: Vec<Shape> = Vec::new();
         let mut batch_inputs: Vec<NodeId> = Vec::new();
         let mut params: Vec<NodeId> = Vec::new();
-        let mut targets: Vec<NodeId> = Vec::new();
         for node in graph.nodes() {
             let idx = node.id.index();
             let local = if recv[s].contains(&node.id) {
@@ -628,9 +625,6 @@ pub fn partition_stages(gir: &Gir, stages: usize) -> Result<StagePartition> {
                     _ => continue,
                 }
             };
-            if gir.protected().contains(&node.id) && stage_of[idx] == Some(s) {
-                targets.push(node.id);
-            }
             to_local.insert(node.id, local);
             to_orig.push(node.id);
             shapes.push(gir.shape(node.id).clone());
@@ -648,7 +642,6 @@ pub fn partition_stages(gir: &Gir, stages: usize) -> Result<StagePartition> {
             params,
             recv_interface: recv[s].iter().copied().collect(),
             send_interface,
-            targets,
             to_orig,
             to_local,
         });

@@ -746,8 +746,7 @@ impl ExecPlan {
     }
 
     /// Extra forward flops one step spends replaying recompute segments —
-    /// the cost side of the memory/recompute trade a stash-set search
-    /// optimizes under a budget.
+    /// the cost side of the memory/recompute trade.
     pub fn planned_recompute_flops(&self) -> u64 {
         self.accounting.planned_recompute_flops
     }

@@ -7,7 +7,9 @@
 //!   L2 trace simulator and the device timing model (the paper's actual
 //!   mechanism);
 //! * a **real CPU cross-check**: the same products run with the naive
-//!   GEMM under both layouts on this machine.
+//!   GEMM under both layouts on the host. Wall-clock times vary from run
+//!   to run, so they go to `results/fig09_host.json`, marked as a host
+//!   measurement, and stdout and `fig09.json` stay deterministic.
 
 use echo_cachesim::{simulate_gemm, CacheConfig, TiledGemmSpec};
 use echo_device::{DeviceSim, DeviceSpec};
@@ -75,6 +77,7 @@ fn cpu_time_us(b: usize, h: usize, o: usize, col_major: bool, reps: usize) -> f6
 
 fn main() {
     let mut all = Vec::new();
+    let mut host = Vec::new();
     for (panel, b, h, o) in [
         ("(a) LSTM", 64usize, 512usize, 2048usize),
         ("(b) GRU", 64, 1024, 3072),
@@ -100,17 +103,19 @@ fn main() {
             &[row_rm, row_cm],
         );
 
-        let cpu_rm = cpu_time_us(b, h, o, false, 5);
-        let cpu_cm = cpu_time_us(b, h, o, true, 5);
-        println!(
-            "real CPU cross-check (naive GEMM): row-major {cpu_rm:.0} µs, col-major {cpu_cm:.0} µs"
-        );
-        all.push(json!({"panel": panel, "row_major": j_rm, "col_major": j_cm,
-                        "cpu_row_major_us": cpu_rm, "cpu_col_major_us": cpu_cm}));
+        all.push(json!({"panel": panel, "row_major": j_rm, "col_major": j_cm}));
+        host.push(json!({"panel": panel,
+                         "cpu_row_major_us": cpu_time_us(b, h, o, false, 5),
+                         "cpu_col_major_us": cpu_time_us(b, h, o, true, 5)}));
     }
     println!(
         "\nPaper's claim: Y^T = WX^T is up to ~2x faster (LSTM shape) / ~1.3x (GRU shape)\n\
          with better cache behaviour, despite identical FLOPs."
     );
     save_json("fig09", &all);
+    save_json(
+        "fig09_host",
+        &json!({"measurement": "host wall-clock, naive GEMM, median of 5 runs; varies run to run",
+                "panels": host}),
+    );
 }

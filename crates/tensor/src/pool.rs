@@ -13,14 +13,12 @@
 //!
 //! # Dispatch without allocation
 //!
-//! The original dispatch path boxed every band as a `Box<dyn FnOnce>` and
-//! collected them into a fresh `Vec` per call — several heap allocations on
-//! every GEMM of every LSTM time step. [`WorkerPool::run_indexed`] replaces
-//! that for the hot paths: the caller hands over one `&dyn Fn(usize)` plus a
-//! count, a single stack-allocated [`IndexedBatch`] travels through the
-//! channel as a raw pointer, and workers *claim indices* from an atomic
-//! cursor instead of receiving one boxed closure each. Steady-state plan
-//! execution therefore launches kernels with zero dispatch allocations.
+//! [`WorkerPool::run_indexed`] is the pool's one dispatch path: the caller
+//! hands over one `&dyn Fn(usize)` plus a count, a single stack-allocated
+//! [`IndexedBatch`] travels through the channel as a raw pointer, and
+//! workers *claim indices* from an atomic cursor instead of receiving one
+//! boxed closure each. Steady-state plan execution therefore launches
+//! kernels with zero dispatch allocations.
 //!
 //! # Determinism
 //!
@@ -35,20 +33,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// A unit of work queued on the pool. Tasks are `'static` internally; the
-/// scoped-lifetime APIs ([`WorkerPool::run`], [`WorkerPool::run_indexed`])
-/// guarantee completion before borrowed data can die.
-enum Task {
-    /// A boxed one-shot closure ([`WorkerPool::run`]).
-    Owned(Box<dyn FnOnce() + Send + 'static>),
-    /// A ticket pointing at a caller-stack [`IndexedBatch`]
-    /// ([`WorkerPool::run_indexed`]); the receiving worker claims indices
-    /// from the batch's cursor until it is exhausted.
-    Shared(SharedBatch),
-}
-
 /// Raw pointer to a stack-allocated [`IndexedBatch`], made `Send` so it can
-/// travel through the channel.
+/// travel through the channel: the one kind of task the pool runs. The
+/// receiving worker claims indices from the batch's cursor until it is
+/// exhausted.
 ///
 /// SAFETY: `run_indexed` blocks on the batch latch until every ticket it
 /// sent has been consumed *and completed*, so the pointee strictly outlives
@@ -91,7 +79,7 @@ impl IndexedBatch {
     }
 }
 
-/// Completion latch for one [`WorkerPool::run`] batch.
+/// Completion latch for one [`WorkerPool::run_indexed`] batch.
 struct Latch {
     remaining: Mutex<usize>,
     done: Condvar,
@@ -107,10 +95,7 @@ impl Latch {
         }
     }
 
-    fn complete(&self, panicked: bool) {
-        if panicked {
-            self.poisoned.store(true, Ordering::Relaxed);
-        }
+    fn complete(&self) {
         let mut remaining = self.remaining.lock().expect("latch mutex");
         *remaining -= 1;
         if *remaining == 0 {
@@ -132,8 +117,8 @@ impl Latch {
 
 thread_local! {
     /// Set inside pool workers (and while a caller is helping drain the
-    /// queue) so nested `run` calls degrade to inline execution instead of
-    /// blocking a worker on a latch.
+    /// queue) so nested `run_indexed` calls degrade to inline execution
+    /// instead of blocking a worker on a latch.
     static IN_POOL_TASK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -149,8 +134,8 @@ unsafe impl Sync for SendPtr {}
 /// See [`global`] for the process-wide instance every kernel uses; direct
 /// construction ([`WorkerPool::with_threads`]) exists for tests.
 pub struct WorkerPool {
-    tx: Sender<Task>,
-    rx: Receiver<Task>,
+    tx: Sender<SharedBatch>,
+    rx: Receiver<SharedBatch>,
     /// Total parallelism: spawned workers + the calling thread.
     threads: usize,
     /// Jobs executed since the pool was built (workers + helping callers).
@@ -165,19 +150,14 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// Runs one received task (worker loop and help-drain share this).
-fn execute(task: Task) {
-    match task {
-        Task::Owned(f) => f(),
-        Task::Shared(batch) => {
-            // SAFETY: the submitting `run_indexed` frame waits on this
-            // batch's latch for exactly as many completions as tickets it
-            // sent, so the pointee is alive until we call `complete`.
-            let batch = unsafe { &*batch.0 };
-            batch.claim();
-            batch.latch.complete(false);
-        }
-    }
+/// Runs one received ticket (worker loop and help-drain share this).
+fn execute(ticket: SharedBatch) {
+    // SAFETY: the submitting `run_indexed` frame waits on this batch's
+    // latch for exactly as many completions as tickets it sent, so the
+    // pointee is alive until we call `complete`.
+    let batch = unsafe { &*ticket.0 };
+    batch.claim();
+    batch.latch.complete();
 }
 
 impl WorkerPool {
@@ -185,7 +165,7 @@ impl WorkerPool {
     /// calling thread counts as one; `threads - 1` workers are spawned).
     pub fn with_threads(threads: usize) -> Self {
         let threads = threads.max(1);
-        let (tx, rx) = unbounded::<Task>();
+        let (tx, rx) = unbounded::<SharedBatch>();
         let executed = Arc::new(AtomicUsize::new(0));
         for i in 1..threads {
             let worker_rx = rx.clone();
@@ -222,62 +202,6 @@ impl WorkerPool {
         self.executed.load(Ordering::Relaxed)
     }
 
-    /// Runs every job to completion, using the pool's workers plus the
-    /// calling thread, and returns once all of them have finished.
-    ///
-    /// Jobs may borrow from the caller's stack: completion is awaited
-    /// before returning, so no job can outlive the borrowed data. Nested
-    /// calls (a job that itself calls `run`) execute inline rather than
-    /// re-entering the queue.
-    ///
-    /// Prefer [`WorkerPool::run_indexed`] on hot paths — this entry point
-    /// boxes every job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job panicked (after all jobs have finished).
-    pub fn run<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        let count = jobs.len();
-        if count == 0 {
-            return;
-        }
-        if count == 1 || self.threads == 1 || IN_POOL_TASK.with(|f| f.get()) {
-            for job in jobs {
-                job();
-            }
-            return;
-        }
-
-        let latch = Arc::new(Latch::new(count));
-        for job in jobs {
-            let latch = Arc::clone(&latch);
-            let wrapped: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(job));
-                latch.complete(outcome.is_err());
-            });
-            // SAFETY: the task is only extended to `'static` so it can
-            // travel through the channel; `latch.wait()` below blocks this
-            // function until every submitted task has run to completion,
-            // so no borrow inside `job` outlives `'scope`. The wrapper
-            // catches panics, so a panicking job still completes the latch
-            // instead of poisoning a worker.
-            let wrapped: Box<dyn FnOnce() + Send + 'static> = unsafe {
-                std::mem::transmute::<
-                    Box<dyn FnOnce() + Send + 'scope>,
-                    Box<dyn FnOnce() + Send + 'static>,
-                >(wrapped)
-            };
-            self.tx
-                .send(Task::Owned(wrapped))
-                .expect("pool receiver alive");
-        }
-        self.drain_until(&latch);
-        assert!(
-            !latch.poisoned.load(Ordering::Relaxed),
-            "worker-pool job panicked"
-        );
-    }
-
     /// Runs `f(0), f(1), …, f(count - 1)`, each index exactly once, using
     /// the pool's workers plus the calling thread — without allocating.
     ///
@@ -290,7 +214,7 @@ impl WorkerPool {
     ///
     /// Indices are claimed in arbitrary order across lanes — callers must
     /// partition work so each output element is written by exactly one
-    /// index (the same contract as [`WorkerPool::run`]).
+    /// index.
     ///
     /// # Panics
     ///
@@ -325,7 +249,7 @@ impl WorkerPool {
         };
         for _ in 0..tickets {
             self.tx
-                .send(Task::Shared(SharedBatch(&batch)))
+                .send(SharedBatch(&batch))
                 .expect("pool receiver alive");
         }
         // The caller is a lane too: claim indices alongside the workers.
@@ -346,8 +270,8 @@ impl WorkerPool {
         IN_POOL_TASK.with(|f| f.set(true));
         while !latch.is_done() {
             match self.rx.try_recv() {
-                Ok(task) => {
-                    execute(task);
+                Ok(ticket) => {
+                    execute(ticket);
                     self.executed.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
@@ -355,36 +279,6 @@ impl WorkerPool {
         }
         IN_POOL_TASK.with(|f| f.set(false));
         latch.wait();
-    }
-
-    /// Splits `0..total` into at most `max_bands` contiguous ranges of at
-    /// least `min_per_band` items each and runs `f(start, end)` on the
-    /// pool for every range.
-    ///
-    /// Each index lands in exactly one range, so element-wise kernels
-    /// parallelized this way are bit-identical to their serial form for
-    /// every band count.
-    pub fn for_each_band(
-        &self,
-        total: usize,
-        min_per_band: usize,
-        f: impl Fn(usize, usize) + Sync,
-    ) {
-        let bands = band_count(total, min_per_band, self.threads);
-        if bands <= 1 {
-            if total > 0 {
-                f(0, total);
-            }
-            return;
-        }
-        let per = total.div_ceil(bands);
-        self.run_indexed(bands, &|b| {
-            let start = b * per;
-            let end = ((b + 1) * per).min(total);
-            if start < end {
-                f(start, end);
-            }
-        });
     }
 }
 
@@ -418,24 +312,6 @@ pub fn global() -> &'static WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn runs_every_job_exactly_once() {
-        let pool = WorkerPool::with_threads(4);
-        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = hits
-            .iter()
-            .map(|h| {
-                Box::new(move || {
-                    h.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(jobs);
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 1);
-        }
-    }
 
     #[test]
     fn run_indexed_hits_every_index_once() {
@@ -476,67 +352,10 @@ mod tests {
     }
 
     #[test]
-    fn bands_cover_range_disjointly() {
-        let pool = WorkerPool::with_threads(3);
-        let total = 1000;
-        let marks: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
-        pool.for_each_band(total, 10, |start, end| {
-            for m in &marks[start..end] {
-                m.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(marks.iter().all(|m| m.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn nested_run_degrades_to_inline() {
-        let pool = WorkerPool::with_threads(2);
-        let outer_done = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-            .map(|_| {
-                let counter = &outer_done;
-                Box::new(move || {
-                    // A nested batch must not deadlock the pool.
-                    let inner = AtomicUsize::new(0);
-                    let inner_jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..3)
-                        .map(|_| {
-                            let inner = &inner;
-                            Box::new(move || {
-                                inner.fetch_add(1, Ordering::Relaxed);
-                            }) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    global().run(inner_jobs);
-                    assert_eq!(inner.load(Ordering::Relaxed), 3);
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(jobs);
-        assert_eq!(outer_done.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
     fn band_count_respects_bounds() {
         assert_eq!(band_count(0, 8, 4), 1);
         assert_eq!(band_count(7, 8, 4), 1);
         assert_eq!(band_count(16, 8, 4), 2);
         assert_eq!(band_count(1000, 8, 4), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker-pool job panicked")]
-    fn job_panic_is_propagated_not_deadlocked() {
-        let pool = WorkerPool::with_threads(2);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 2 {
-                        panic!("boom");
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(jobs);
     }
 }

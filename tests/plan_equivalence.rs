@@ -5,7 +5,7 @@
 //! The ahead-of-time `ExecPlan` (`echo_graph::plan`) precomputes the
 //! schedule, shapes, liveness intervals, replay tables and buffer slots,
 //! and the executor interprets it. This sweep pins the contract: across
-//! {stash-all, Echo, Chen-√N, searched} stash plans and all `MatmulPolicy`
+//! {stash-all, Echo, Chen-√N} stash plans and all `MatmulPolicy`
 //! backends, on both a tiny word-level LM and a hand-built GRU chain, a
 //! step — under a plan installed up front or one the executor plans on
 //! demand — is **bit-identical** in loss and every exported gradient to
@@ -17,7 +17,10 @@
 //! word LM on its `Default` backend, the many-op cell graph, across
 //! {stash-all, Echo, searched} plans and every matmul policy; a third
 //! runs a vocabulary-40 LM, one and four layers deep, on every LSTM
-//! backend under every plan family.
+//! backend under every plan family. "Searched" is the plan a cost-model
+//! stash search (since removed) chose for the `Default`-backend LMs, where
+//! it recomputes what no other family does; it is pinned as data under
+//! `tests/pinned_plans/` so the replay paths it drives stay covered.
 //!
 //! Every cell also attaches a simulated device: a numeric step with the
 //! device and a shape-only `Executor::project` must both reproduce the
@@ -30,10 +33,7 @@
 //! policies sequentially inside a single test (this file is its own
 //! integration-test binary, i.e. its own process).
 
-use echo::{
-    analysis::infer_shapes, chen_sqrt_plan, sqrt_stride, EchoCompiler, EchoConfig, OshapeConfig,
-    SearchConfig, StashSearch,
-};
+use echo::{analysis::infer_shapes, chen_sqrt_plan, sqrt_stride, EchoCompiler, EchoConfig};
 use echo_data::{BpttBatches, LmCorpus, Vocab};
 use echo_device::{DeviceSim, DeviceSpec};
 use echo_graph::{ExecOptions, ExecPlan, Executor, Graph, IterationStats, NodeId, StashPlan};
@@ -45,6 +45,9 @@ use echo_tensor::init::{seeded_rng, uniform};
 use echo_tensor::{set_matmul_policy, MatmulBackend, MatmulPolicy, Shape, Tensor};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+#[path = "pinned_plans/mod.rs"]
+mod pinned_plans;
 
 const LANES: usize = 4;
 const PARAM_SEED: u64 = 11;
@@ -67,9 +70,9 @@ impl Scenario {
             .collect()
     }
 
-    /// The four stash plans of the sweep: the framework baseline, the
-    /// Echo pass's output, Chen et al.'s generic √N checkpointing, and the
-    /// cost-model search's winner.
+    /// The stash plans of the sweep: the framework baseline, the Echo
+    /// pass's output, Chen et al.'s generic √N checkpointing and, where
+    /// one is pinned for this scenario, the searched plan.
     fn stash_plans(&self) -> Vec<(&'static str, StashPlan)> {
         let shapes = infer_shapes(&self.graph, &self.bindings, &self.param_shapes())
             .expect("shape inference");
@@ -79,33 +82,22 @@ impl Scenario {
         let (chen, _) = chen_sqrt_plan(&self.graph, &shapes, &[self.loss], {
             sqrt_stride(&self.graph)
         });
-        let binding_shapes: HashMap<NodeId, Shape> = self
-            .bindings
-            .iter()
-            .map(|(&id, t)| (id, t.shape().clone()))
-            .collect();
-        let searched = StashSearch::new(SearchConfig {
-            flop_budget: 1.0,
-            ..SearchConfig::default()
-        })
-        .run(
-            &self.graph,
-            &shapes,
-            &binding_shapes,
-            &self.param_shapes(),
-            &[self.loss],
-            &OshapeConfig::default(),
-            true,
-            ExecOptions::default(),
-        )
-        .expect("stash search")
-        .plan;
-        vec![
+        let mut plans = vec![
             ("stash-all", StashPlan::stash_all()),
             ("echo", echo),
             ("chen-sqrt-n", chen),
-            ("searched", searched),
-        ]
+        ];
+        let searched = match self.name.as_str() {
+            "word-lm-default" | "lm40-Default" => {
+                Some(include_str!("pinned_plans/lm_default_1layer.txt"))
+            }
+            "lm40x4-Default" => Some(include_str!("pinned_plans/lm_default_4layer.txt")),
+            _ => None,
+        };
+        if let Some(text) = searched {
+            plans.push(("searched", pinned_plans::load(&self.graph, text)));
+        }
+        plans
     }
 }
 
@@ -332,15 +324,13 @@ fn check_cell(scenario: &Scenario, plan_name: &str, stash: &StashPlan, ctx: &str
 /// each cell (identical across matmul policies), captured at the last
 /// commit that had it. `planned == legacy` used to be checked live; it
 /// survives as `planned == golden`.
-const LEGACY_PEAKS: [(&str, &str, u64); 8] = [
+const LEGACY_PEAKS: [(&str, &str, u64); 6] = [
     ("word-lm", "stash-all", 132_856),
     ("word-lm", "echo", 132_856),
     ("word-lm", "chen-sqrt-n", 130_808),
-    ("word-lm", "searched", 132_856),
     ("gru", "stash-all", 2_304),
     ("gru", "echo", 2_304),
     ("gru", "chen-sqrt-n", 2_304),
-    ("gru", "searched", 2_304),
 ];
 
 /// Same for the `Default`-backend sweep, where the walk's peak was only
@@ -358,15 +348,13 @@ const LEGACY_DEFAULT_BACKEND_PEAKS: [(&str, &str, u64); 3] = [
 /// to drive the simulator — and whose numeric steps with the device
 /// attached agreed with that walk on every row.
 #[rustfmt::skip]
-const WALKED_DEVICE_STEPS: [(&str, &str, u64, u64, u64, u64); 35] = [
+const WALKED_DEVICE_STEPS: [(&str, &str, u64, u64, u64, u64); 29] = [
     ("word-lm", "stash-all", 0x6769_8dd1_ada8_d37d, 154_018, 0, 132_856),
     ("word-lm", "echo", 0x6769_8dd1_ada8_d37d, 154_018, 0, 132_856),
     ("word-lm", "chen-sqrt-n", 0xacc3_ea28_a8b4_128c, 161_518, 2, 130_808),
-    ("word-lm", "searched", 0x6769_8dd1_ada8_d37d, 154_018, 0, 132_856),
     ("gru", "stash-all", 0x9a74_5aa0_df58_f6e6, 126_501, 0, 2_304),
     ("gru", "echo", 0x9a74_5aa0_df58_f6e6, 126_501, 0, 2_304),
     ("gru", "chen-sqrt-n", 0x7b6c_0391_f101_6dbe, 149_001, 2, 2_304),
-    ("gru", "searched", 0x9a74_5aa0_df58_f6e6, 126_501, 0, 2_304),
     ("word-lm-default", "stash-all", 0x8db4_27d8_2ef0_e6cb, 2_189_018, 0, 94_456),
     ("word-lm-default", "echo", 0x8db4_27d8_2ef0_e6cb, 2_189_018, 0, 94_456),
     ("word-lm-default", "searched", 0xfe49_17c5_aad8_eeb6, 2_469_018, 24, 80_624),
@@ -381,19 +369,15 @@ const WALKED_DEVICE_STEPS: [(&str, &str, u64, u64, u64, u64); 35] = [
     ("lm40-CuDNN", "stash-all", 0x45ce_179d_8dbf_4a06, 154_018, 0, 139_336),
     ("lm40-CuDNN", "echo", 0x45ce_179d_8dbf_4a06, 154_018, 0, 139_336),
     ("lm40-CuDNN", "chen-sqrt-n", 0xaf17_2dc8_98c7_7acd, 161_518, 2, 137_288),
-    ("lm40-CuDNN", "searched", 0x45ce_179d_8dbf_4a06, 154_018, 0, 139_336),
     ("lm40x4-CuDNN", "stash-all", 0x3ae4_716c_0c55_8f1c, 199_018, 0, 472_648),
     ("lm40x4-CuDNN", "echo", 0x3ae4_716c_0c55_8f1c, 199_018, 0, 472_648),
     ("lm40x4-CuDNN", "chen-sqrt-n", 0x28bd_189e_1de3_d544, 204_018, 1, 472_648),
-    ("lm40x4-CuDNN", "searched", 0x3ae4_716c_0c55_8f1c, 199_018, 0, 472_648),
     ("lm40-EcoRNN", "stash-all", 0x8137_7cf3_3ce6_549b, 156_518, 0, 57_416),
     ("lm40-EcoRNN", "echo", 0x8137_7cf3_3ce6_549b, 156_518, 0, 57_416),
     ("lm40-EcoRNN", "chen-sqrt-n", 0x7e0d_5940_8da6_73e8, 164_018, 2, 55_368),
-    ("lm40-EcoRNN", "searched", 0x8137_7cf3_3ce6_549b, 156_518, 0, 57_416),
     ("lm40x4-EcoRNN", "stash-all", 0xe227_9de7_3082_37af, 464_018, 0, 144_968),
     ("lm40x4-EcoRNN", "echo", 0xe227_9de7_3082_37af, 464_018, 0, 144_968),
     ("lm40x4-EcoRNN", "chen-sqrt-n", 0x082c_4b54_6749_2257, 601_518, 2, 133_696),
-    ("lm40x4-EcoRNN", "searched", 0xe227_9de7_3082_37af, 464_018, 0, 144_968),
 ];
 
 fn golden(table: &[(&str, &str, u64)], row: &str, plan: &str) -> u64 {
@@ -407,6 +391,8 @@ fn golden(table: &[(&str, &str, u64)], row: &str, plan: &str) -> u64 {
 #[test]
 fn planned_execution_is_bit_identical_across_plans_and_matmul_policies() {
     let scenarios = [word_lm_scenario(), gru_scenario()];
+    // Every walked row must be a cell the sweep runs.
+    let mut cells = std::collections::BTreeSet::new();
     let policies = [
         MatmulPolicy::Fixed(MatmulBackend::Naive),
         MatmulPolicy::Fixed(MatmulBackend::PackedParallel),
@@ -414,6 +400,7 @@ fn planned_execution_is_bit_identical_across_plans_and_matmul_policies() {
     ];
     for scenario in &scenarios {
         for (plan_name, stash) in scenario.stash_plans() {
+            cells.insert((scenario.name.clone(), plan_name));
             for &policy in &policies {
                 set_matmul_policy(policy);
                 let ctx = format!("{}/{plan_name}/{policy:?}", scenario.name);
@@ -445,6 +432,7 @@ fn planned_execution_is_bit_identical_across_plans_and_matmul_policies() {
         if plan_name == "chen-sqrt-n" {
             continue;
         }
+        cells.insert((default.name.clone(), plan_name));
         for &policy in &policies {
             set_matmul_policy(policy);
             let ctx = format!("{}/{plan_name}/{policy:?}", default.name);
@@ -472,7 +460,9 @@ fn planned_execution_is_bit_identical_across_plans_and_matmul_policies() {
             for (plan_name, stash) in scenario.stash_plans() {
                 let ctx = format!("{}/{plan_name}", scenario.name);
                 check_cell(&scenario, plan_name, &stash, &ctx);
+                cells.insert((scenario.name.clone(), plan_name));
             }
         }
     }
+    assert_eq!(cells.len(), WALKED_DEVICE_STEPS.len(), "cells run");
 }
