@@ -36,7 +36,7 @@ use crate::policy::StashPlan;
 use crate::{GraphError, Result};
 use echo_device::DeviceSim;
 use echo_memory::{Breakdown, DataStructureKind, DeviceMemory, MemoryReport, TensorPool};
-use echo_tensor::{Shape, Tensor, WorkerPool};
+use echo_tensor::{PanelCache, PanelStats, Shape, Tensor, WorkerPool};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -131,6 +131,9 @@ pub struct Executor {
     state: PlanState,
     /// Cumulative segment replays across every step this executor ran.
     replays_total: u64,
+    /// Packed GEMM panels of the bound parameters, lent to the calling
+    /// thread for the duration of each run (see [`Executor::panel_stats`]).
+    panels: PanelCache,
 }
 
 /// Dense per-node tables the interpreter reuses across steps instead of
@@ -199,7 +202,31 @@ impl Executor {
             plans_memoized: 0,
             state: PlanState::default(),
             replays_total: 0,
+            panels: PanelCache::new(),
         }
+    }
+
+    /// Counters of the executor's packed weight panels. A GEMM whose `B`
+    /// operand is a bound parameter — `W` or `Wᵀ`, one panel each — runs
+    /// on a panel packed at the parameter's first use in a run and kept
+    /// until a mutating path (`bind_param`, `param_mut`,
+    /// `for_each_param_grad`, `import_params`) marks it stale; the next
+    /// use re-packs it in place. Panels are host memory outside the
+    /// plan's device accounting: they appear in no [`MemoryReport`].
+    pub fn panel_stats(&self) -> PanelStats {
+        self.panels.stats()
+    }
+
+    /// Runs `f` with the panel cache lent to the calling thread, every
+    /// bound parameter's storage registered in it.
+    fn with_panels<R>(&mut self, f: impl FnOnce(&mut Executor) -> R) -> R {
+        let mut panels = std::mem::take(&mut self.panels);
+        for (id, value) in &self.params {
+            panels.bind(id.index() as u64, value.data());
+        }
+        let out = panels.lend(|| f(self));
+        self.panels = panels;
+        out
     }
 
     /// Does nothing (see [`WavefrontMode`]); dropped by the next
@@ -456,6 +483,7 @@ impl Executor {
         self.bind_param_shape(id, value.shape().clone())?;
         self.grads.insert(id, Tensor::zeros(value.shape().clone()));
         self.params.insert(id, value);
+        self.panels.invalidate(id.index() as u64);
         Ok(())
     }
 
@@ -516,8 +544,10 @@ impl Executor {
         self.params.get(&id)
     }
 
-    /// Mutable access to a bound parameter (for optimizer updates).
+    /// Mutable access to a bound parameter (for optimizer updates). Its
+    /// packed panels are marked stale.
     pub fn param_mut(&mut self, id: NodeId) -> Option<&mut Tensor> {
+        self.panels.invalidate(id.index() as u64);
         self.params.get_mut(&id)
     }
 
@@ -532,7 +562,8 @@ impl Executor {
     }
 
     /// Visits every `(param_id, value, grad)` triple mutably, for
-    /// optimizers.
+    /// optimizers. Every visited parameter's packed panels are marked
+    /// stale.
     ///
     /// Visit order is ascending [`NodeId`], not hash order: optimizers
     /// accumulate reductions (e.g. the clip-norm sum) while visiting, and
@@ -546,6 +577,7 @@ impl Executor {
         for id in ids {
             if let (Some(value), Some(grad)) = (self.params.get_mut(&id), grads.get_mut(&id)) {
                 f(id, value, grad);
+                self.panels.invalidate(id.index() as u64);
             }
         }
     }
@@ -566,12 +598,18 @@ impl Executor {
     }
 
     /// Overwrites bound parameter values from a snapshot (ids that are
-    /// not bound here are ignored). Used to broadcast updated weights to
-    /// data-parallel replicas.
+    /// not bound here are ignored), in place when the shapes agree. Used
+    /// to broadcast updated weights to data-parallel replicas and
+    /// pipeline stages.
     pub fn import_params(&mut self, snapshot: &[(NodeId, Tensor)]) {
         for (id, tensor) in snapshot {
             if let Some(value) = self.params.get_mut(id) {
-                *value = tensor.clone();
+                if value.shape() == tensor.shape() {
+                    value.data_mut().copy_from_slice(tensor.data());
+                } else {
+                    *value = tensor.clone();
+                }
+                self.panels.invalidate(id.index() as u64);
             }
         }
     }
@@ -596,8 +634,8 @@ impl Executor {
 
     /// Clones this executor onto its own [`DeviceMemory`]: same graph
     /// (shared), same stash plan, a deep copy of every bound parameter
-    /// (values and zeroed gradients) and the cached plans. This is how
-    /// data-parallel replicas are born.
+    /// (values and zeroed gradients) and the cached plans, and an empty
+    /// panel cache. This is how data-parallel replicas are born.
     ///
     /// # Errors
     ///
@@ -680,10 +718,12 @@ impl Executor {
         let plan = self.resolve_plan(bindings, key)?;
         self.memory
             .fold(&self.on_device(&plan, &plan.accounting.forward), false);
-        let mut run = Run::new(self, bindings, Arc::clone(&plan));
-        let result = run.forward().and_then(|()| run.take_outputs(outputs));
-        run.finish();
-        let values = result?;
+        let values = self.with_panels(|exec| {
+            let mut run = Run::new(exec, bindings, Arc::clone(&plan));
+            let result = run.forward().and_then(|()| run.take_outputs(outputs));
+            run.finish();
+            result
+        })?;
         if let Some(sim) = device {
             plan.project(&self.graph, sim);
         }
@@ -782,10 +822,13 @@ impl Executor {
         self.zero_grads();
         self.memory
             .fold(&self.on_device(&plan, &plan.accounting.step), true);
-        let mut run = Run::new(self, bindings, Arc::clone(&plan));
-        let result = run.step(seeds);
-        let replays = run.replays;
-        run.finish();
+        let (result, replays) = self.with_panels(|exec| {
+            let mut run = Run::new(exec, bindings, Arc::clone(&plan));
+            let result = run.step(seeds);
+            let replays = run.replays;
+            run.finish();
+            (result, replays)
+        });
         self.replays_total += replays;
         let (outputs, input_grads) = result?;
         if let Some(sim) = device {
@@ -2235,5 +2278,146 @@ mod tests {
                 capacity: 2000
             })
         ));
+    }
+
+    /// y = x · wᵀ, with w a parameter: the weight is the GEMM's `B`
+    /// operand, read as `Wᵀ` forward and as `W` backward.
+    #[derive(Debug)]
+    struct MatMulWt;
+
+    impl crate::op::Operator for MatMulWt {
+        fn name(&self) -> &str {
+            "matmul_wt"
+        }
+        fn category(&self) -> KernelCategory {
+            KernelCategory::FullyConnected
+        }
+        fn infer_shape(&self, inputs: &[&Shape]) -> Result<Shape> {
+            Ok(Shape::d2(inputs[0].as_matrix().0, inputs[1].as_matrix().0))
+        }
+        fn forward(&self, inputs: &[&Tensor]) -> Result<(Tensor, Saved)> {
+            Ok((inputs[0].matmul(inputs[1], false, true)?, Vec::new()))
+        }
+        fn backward(
+            &self,
+            inputs: &[Option<&Tensor>],
+            _output: Option<&Tensor>,
+            _saved: &[Tensor],
+            dy: &Tensor,
+        ) -> Result<Vec<Option<Tensor>>> {
+            let x = inputs[0].expect("stash inputs");
+            let w = inputs[1].expect("stash inputs");
+            Ok(vec![
+                Some(dy.matmul(w, false, false)?),
+                Some(dy.matmul(x, true, false)?),
+            ])
+        }
+        fn stash(&self) -> StashNeeds {
+            StashNeeds::INPUTS
+        }
+        fn forward_launches(&self, _i: &[&Shape], o: &Shape) -> Vec<KernelLaunch> {
+            vec![KernelLaunch::kernel(
+                "matmul_fwd",
+                KernelCategory::FullyConnected,
+                KernelCost::elementwise(o.num_elements(), 2),
+            )]
+        }
+        fn backward_launches(&self, _i: &[&Shape], o: &Shape) -> Vec<KernelLaunch> {
+            vec![KernelLaunch::kernel(
+                "matmul_bwd",
+                KernelCategory::FullyConnected,
+                KernelCost::elementwise(o.num_elements(), 4),
+            )]
+        }
+    }
+
+    fn ramp(shape: Shape, scale: f32) -> Tensor {
+        let n = shape.num_elements();
+        let data = (0..n)
+            .map(|i| ((i * 37 % 23) as f32 - 11.0) * scale)
+            .collect();
+        Tensor::from_vec(shape, data).unwrap()
+    }
+
+    /// Runs a forward of `tanh(x · wᵀ)`, changes `w` through `mutate`,
+    /// runs it again, and checks both against the reference interpreter
+    /// on the weights the executor then holds, bit for bit. The second
+    /// forward must re-pack the changed weight's panel: a path that
+    /// forgot to mark it stale multiplies by the old weight.
+    fn check_stale_panel(mutate: impl FnOnce(&mut Executor, NodeId)) {
+        let mut g = Graph::new();
+        let x = g.input("x", LayerKind::Other);
+        let w = g.param("w", LayerKind::Output);
+        let y = g.apply("y", Arc::new(MatMulWt), &[x, w], LayerKind::Output);
+        let t = g.apply("t", Arc::new(Tanh), &[y], LayerKind::Output);
+        let g = Arc::new(g);
+        let bindings = HashMap::from([(x, ramp(Shape::d2(3, 20), 0.05))]);
+        let mut exec = Executor::new(Arc::clone(&g), StashPlan::stash_all(), mem());
+        exec.bind_param(w, ramp(Shape::d2(11, 20), 0.01)).unwrap();
+        let opts = ExecOptions { training: false };
+        let oracle = |exec: &Executor| {
+            let params = HashMap::from([(w, exec.param(w).unwrap().clone())]);
+            crate::reference::forward(&g, &params, &bindings, &[t]).unwrap()
+        };
+        let before = exec.forward(&bindings, t, opts, None).unwrap();
+        assert_eq!(before.data(), oracle(&exec)[0].data());
+        mutate(&mut exec, w);
+        let after = exec.forward(&bindings, t, opts, None).unwrap();
+        assert_eq!(
+            after.data(),
+            oracle(&exec)[0].data(),
+            "a stale panel was used"
+        );
+        assert_ne!(after.data(), before.data(), "the weight did not change");
+        let stats = exec.panel_stats();
+        assert_eq!((stats.panels, stats.packs), (1, 2), "{stats:?}");
+    }
+
+    #[test]
+    fn bind_param_marks_panels_stale() {
+        check_stale_panel(|exec, w| {
+            exec.bind_param(w, ramp(Shape::d2(11, 20), -0.02)).unwrap();
+        });
+    }
+
+    #[test]
+    fn param_mut_marks_panels_stale() {
+        check_stale_panel(|exec, w| exec.param_mut(w).unwrap().scale_inplace(-2.0));
+    }
+
+    #[test]
+    fn for_each_param_grad_marks_panels_stale() {
+        check_stale_panel(|exec, _| {
+            exec.for_each_param_grad(|_, value, _| value.scale_inplace(3.0))
+        });
+    }
+
+    #[test]
+    fn import_params_marks_panels_stale() {
+        check_stale_panel(|exec, w| exec.import_params(&[(w, ramp(Shape::d2(11, 20), 0.03))]));
+    }
+
+    /// A training step packs each weight once per orientation (`Wᵀ`
+    /// forward, `W` backward), an unchanged weight is never re-packed,
+    /// and a replica starts with no panels.
+    #[test]
+    fn training_packs_each_orientation_once_per_weight_value() {
+        let mut g = Graph::new();
+        let x = g.input("x", LayerKind::Other);
+        let w = g.param("w", LayerKind::Output);
+        let y = g.apply("y", Arc::new(MatMulWt), &[x, w], LayerKind::Output);
+        let loss = g.apply("loss", Arc::new(SumAll), &[y], LayerKind::Output);
+        let mut exec = Executor::new(Arc::new(g), StashPlan::stash_all(), mem());
+        exec.bind_param(w, ramp(Shape::d2(9, 16), 0.01)).unwrap();
+        let bindings = HashMap::from([(x, ramp(Shape::d2(5, 16), 0.1))]);
+        for _ in 0..3 {
+            exec.train_step(&bindings, loss, ExecOptions::default(), None)
+                .unwrap();
+        }
+        let stats = exec.panel_stats();
+        assert_eq!((stats.panels, stats.packs), (2, 2), "{stats:?}");
+        assert_eq!(stats.panel_bytes, stats.packed_bytes);
+        let replica = exec.clone_replica(mem()).unwrap();
+        assert_eq!(replica.panel_stats(), PanelStats::default());
     }
 }

@@ -397,6 +397,34 @@ mod tests {
             .collect()
     }
 
+    /// A decoder reads each weight as `Wᵀ` only, packs it on the first
+    /// step, and never again: 50 decode steps at lane counts cycling
+    /// through 1..=8 pack nothing and hold the same panels.
+    #[test]
+    fn decode_steps_after_warm_up_pack_nothing() {
+        let vocab = 29;
+        let hyper = WordLmHyper {
+            layers: 2,
+            ..WordLmHyper::tiny(vocab, LstmBackend::CuDnn)
+        };
+        let dec = WordLmDecoder::build(hyper);
+        let mut exec = Executor::new(Arc::clone(&dec.graph), StashPlan::stash_all(), mem());
+        dec.bind_params(&mut exec, 8).unwrap();
+        let zero = LmState::zero(hyper.layers, hyper.hidden);
+        dec.infer_step(&mut exec, &[1], std::slice::from_ref(&zero))
+            .unwrap();
+        let warm = exec.panel_stats();
+        assert_eq!(warm.panels, 2 * hyper.layers + 1);
+        assert_eq!(warm.packs, warm.panels as u64);
+        for step in 0..50 {
+            let lanes = 1 + step % 8;
+            let tokens: Vec<u32> = (0..lanes).map(|l| ((step + l) % vocab) as u32).collect();
+            dec.infer_step(&mut exec, &tokens, &vec![zero.clone(); lanes])
+                .unwrap();
+        }
+        assert_eq!(exec.panel_stats(), warm);
+    }
+
     #[test]
     fn batched_step_is_bit_identical_per_lane() {
         let vocab = 31;

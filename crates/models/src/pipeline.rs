@@ -77,7 +77,7 @@ use echo_graph::{
     ExecOptions, Executor, NodeId, StageExecPlans, StagePartition, StageSpec, StashPlan,
 };
 use echo_memory::{DeviceMemory, MemoryReport};
-use echo_tensor::{Shape, Tensor};
+use echo_tensor::{PanelStats, Shape, Tensor};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -150,6 +150,9 @@ pub struct StageStepStats {
     /// signature they do not serve; a serial executor nobody installed a
     /// plan on counts the one it built on its first step.
     pub plans_built: u64,
+    /// This worker's executor's packed-panel counters after the step
+    /// ([`Executor::panel_stats`]); `packs` is cumulative.
+    pub panels: PanelStats,
 }
 
 /// The outcome of one global training step.
@@ -530,6 +533,7 @@ impl<B> StageWorker<B> {
                 replays,
                 compute_host_ns,
                 plans_built: self.exec.plans_memoized(),
+                panels: self.exec.panel_stats(),
             },
             folded,
         })
@@ -977,6 +981,43 @@ mod tests {
             let weights = MemoryBreakdown::at_peak(memory).kind_bytes(DataStructureKind::Weight);
             memory.peak_bytes == *peak && 0 < weights && weights < *peak
         }));
+    }
+
+    /// Each stage executor re-packs exactly the weight panels it read the
+    /// step before, once each, after `import_params` hands it the
+    /// updated weights: the count is the same every step and equals the
+    /// panels it holds, and panel bytes do not grow.
+    #[test]
+    fn stage_executors_repack_the_same_panels_every_step() {
+        let lm = tiny_lm();
+        let mut trainer = trainer(&lm, 2, 1);
+        let batch = synth_batch(&lm);
+        let mut before: Vec<PanelStats> = Vec::new();
+        let mut after_step_2: Vec<PanelStats> = Vec::new();
+        for step in 1..=6 {
+            let report = trainer.train_step(&batch).expect("step");
+            let now: Vec<PanelStats> = report.stages.iter().map(|s| s.panels).collect();
+            assert_eq!(now.len(), 2);
+            if step >= 2 {
+                for (stage, (was, is)) in before.iter().zip(&now).enumerate() {
+                    assert!(is.panels > 0, "stage {stage} holds no panels");
+                    assert_eq!(
+                        is.packs - was.packs,
+                        is.panels as u64,
+                        "stage {stage} step {step}"
+                    );
+                }
+            }
+            if step == 2 {
+                after_step_2 = now.clone();
+            }
+            if step > 2 {
+                for (was, is) in after_step_2.iter().zip(&now) {
+                    assert_eq!((was.panels, was.panel_bytes), (is.panels, is.panel_bytes));
+                }
+            }
+            before = now;
+        }
     }
 
     /// A panicking worker must poison the trainer — `train_step` returns

@@ -375,6 +375,7 @@ impl MicrobatchTrainer {
                 replays,
                 compute_host_ns,
                 plans_built: self.exec.plans_memoized(),
+                panels: self.exec.panel_stats(),
             }],
         })
     }

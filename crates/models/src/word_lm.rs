@@ -319,6 +319,50 @@ mod tests {
         );
     }
 
+    /// A training step reads each LSTM layer's `Wx` and `Wh` and the
+    /// output projection as GEMM `B` operands, as `Wᵀ` forward and `W`
+    /// backward: `4·layers + 2` panels. The optimizer changes every
+    /// weight, so each step re-packs each panel exactly once, in place.
+    #[test]
+    fn training_packs_each_weight_orientation_once_per_step() {
+        for backend in [LstmBackend::Default, LstmBackend::CuDnn] {
+            let hyper = WordLmHyper {
+                layers: 2,
+                ..WordLmHyper::tiny(30, backend)
+            };
+            let pairs = 4 * hyper.layers + 2;
+            let lm = WordLm::build(hyper);
+            let mut exec = Executor::new(Arc::clone(&lm.graph), StashPlan::stash_all(), mem());
+            lm.bind_params(&mut exec, 4).unwrap();
+            let corpus = LmCorpus::synthetic(Vocab::new(30), 2000, 0.8, 3);
+            let mut batches = BpttBatches::new(corpus.tokens(), 4, lm.hyper.seq_len);
+            let mut sgd = Sgd::new(0.5).with_clip_norm(5.0);
+            let mut before = exec.panel_stats();
+            let mut after_step_1 = before;
+            for step in 1..=5 {
+                let batch = batches.next().unwrap();
+                exec.train_step(&lm.bindings(&batch), lm.loss, ExecOptions::default(), None)
+                    .unwrap();
+                sgd.step(&mut exec);
+                let now = exec.panel_stats();
+                assert_eq!(
+                    now.packs - before.packs,
+                    pairs as u64,
+                    "{backend} step {step}"
+                );
+                assert_eq!(now.panels, pairs, "{backend} step {step}");
+                if step == 1 {
+                    after_step_1 = now;
+                }
+                assert_eq!(
+                    now.panel_bytes, after_step_1.panel_bytes,
+                    "{backend} step {step}"
+                );
+                before = now;
+            }
+        }
+    }
+
     #[test]
     fn backends_share_the_same_loss_surface() {
         let vocab = 30usize;

@@ -61,8 +61,8 @@ pub(crate) enum Reply {
 }
 
 impl Reply {
-    /// Emits generated token `index` with its logits.
-    pub(crate) fn token(&self, index: usize, logits: Vec<f32>, batch: usize) {
+    /// Emits generated token `index`, the argmax `token` of its `logits`.
+    pub(crate) fn token(&self, index: usize, token: u32, logits: Vec<f32>, batch: usize) {
         match self {
             Reply::Step(q) => {
                 let _ = q.try_push(Ok(StepOutput {
@@ -71,7 +71,6 @@ impl Reply {
                 }));
             }
             Reply::Stream(q) => {
-                let token = argmax(&logits);
                 let _ = q.try_push(StreamEvent::Token {
                     index,
                     token,
@@ -212,7 +211,7 @@ impl Worker {
                             continue;
                         }
                         let token = argmax(&lane_logits);
-                        lane.job.reply.token(lane.emitted, lane_logits, b);
+                        lane.job.reply.token(lane.emitted, token, lane_logits, b);
                         lane.emitted += 1;
                         lane.next = token;
                     }

@@ -17,14 +17,24 @@
 //! `MR = 4, NR = 8` maps one C row of the tile onto a single 8-lane f32
 //! vector register (`ymm` on AVX2; a `float32x4` pair on NEON), with the
 //! portable scalar kernel computing the identical `[[f32; NR]; MR]`
-//! accumulator block. The micro-kernel variant is what
-//! [`MicroKernel::detect`] finds on the host ([`set_micro_kernel`] pins
-//! another for tests and benchmarks) and `KC`/`MC` are the constants
-//! [`DEFAULT_KC`]/[`DEFAULT_MC`]: the candidates a tile race could try sit
-//! within run-to-run noise of each other on every shape the stack issues,
-//! so nothing is tuned at run time. Pack buffers are leased from a
-//! thread-local [`ScratchArena`](echo_memory::ScratchArena), so
-//! steady-state training performs **zero** heap allocation per GEMM call.
+//! accumulator block. AVX2 also has variants for full-width tiles of 1, 2
+//! and 3 rows, so a product with few output rows (a decode step's `m` =
+//! lanes) stays in SIMD; only column-edge tiles, and short-row tiles on
+//! the other variants, run the scalar edge kernel. The micro-kernel
+//! variant is what [`MicroKernel::detect`] finds on the host
+//! ([`set_micro_kernel`] pins another for tests and benchmarks) and
+//! `KC`/`MC` are the constants [`DEFAULT_KC`]/[`DEFAULT_MC`]: the
+//! candidates a tile race could try sit within run-to-run noise of each
+//! other on every shape the stack issues, so nothing is tuned at run time.
+//!
+//! There is one band loop, and it runs on a packed `B`. Step 2's `B` pack
+//! is either built per call in a thread-local
+//! [`ScratchArena`](echo_memory::ScratchArena) ([`gemm_packed_parallel`])
+//! or kept from an earlier call as a [`PackedPanel`] ([`gemm_with_panel`]):
+//! the graph executor keeps one per weight and orientation
+//! ([`PanelCache`](crate::PanelCache)), so a weight read at every timestep
+//! or decode step is packed once per value. Either way steady-state
+//! training performs **zero** heap allocation per GEMM call.
 //!
 //! # Bit-exactness
 //!
@@ -40,8 +50,9 @@
 //! instead of twice), so scalar, AVX2 and NEON kernels are bit-identical,
 //! as are all tile sizes (the C tile round-trips exactly through memory
 //! at every `KC`/`MC` boundary). Naive, packed, and packed-parallel at any
-//! `ways` are therefore **bit-identical**, which is what lets the dispatch
-//! layer route by shape without perturbing training.
+//! `ways` — on a fresh pack or a kept panel, which holds the same bytes —
+//! are therefore **bit-identical**, which is what lets the dispatch layer
+//! route by shape and by panel without perturbing training.
 
 use crate::error::TensorError;
 use crate::layout::MatrixLayout;
@@ -75,12 +86,14 @@ pub fn pack_arena_stats() -> (u64, u64, usize) {
     PACK_ARENA.with(|a| (a.lease_count(), a.reuse_hits(), a.high_water_elems()))
 }
 
-/// The inner-tile implementation used for full `MR × NR` tiles.
+/// The inner-tile implementation used for full-width (`NR`-column) tiles.
 ///
 /// All variants compute the identical per-lane FP sequence (separate
 /// multiply and add — no FMA contraction), so they are bit-identical and
-/// the choice is purely a speed knob. Edge tiles always use the scalar
-/// path.
+/// the choice is purely a speed knob. AVX2 runs every full-width tile, at
+/// any row count `1..=MR`; scalar and NEON run the full `MR × NR` tile.
+/// Every other tile — column edges, and short rows without a variant —
+/// takes the scalar edge path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicroKernel {
     /// Portable scalar accumulator block (always available).
@@ -125,15 +138,22 @@ impl MicroKernel {
         }
     }
 
-    fn micro_fn(self) -> MicroFn {
+    /// The kernel for a full-width tile of `mr` rows, at index `mr - 1`;
+    /// `None` sends that tile to [`micro_edge`].
+    fn tile_fns(self) -> TileFns {
         match self {
             #[cfg(target_arch = "x86_64")]
-            MicroKernel::Avx2 if self.is_available() => micro_full_avx2,
+            MicroKernel::Avx2 if self.is_available() => [
+                Some(micro_rows_avx2::<1>),
+                Some(micro_rows_avx2::<2>),
+                Some(micro_rows_avx2::<3>),
+                Some(micro_rows_avx2::<MR>),
+            ],
             #[cfg(target_arch = "aarch64")]
-            MicroKernel::Neon if self.is_available() => micro_full_neon,
+            MicroKernel::Neon if self.is_available() => [None, None, None, Some(micro_full_neon)],
             // Unavailable variants silently fall back to scalar: the
             // result is bit-identical either way.
-            _ => micro_full_scalar,
+            _ => [None, None, None, Some(micro_full_scalar)],
         }
     }
 }
@@ -250,6 +270,9 @@ pub fn gemm_packed_parallel(
 /// variants without touching the process-global kernel. An unavailable
 /// `kernel` silently falls back to scalar (bit-identical result).
 ///
+/// `B` is packed into the thread's arena and the product runs on that
+/// panel exactly as [`gemm_with_panel`] runs on a kept one.
+///
 /// # Errors
 ///
 /// Returns [`TensorError::GemmDimension`] when the operand shapes do not
@@ -267,72 +290,187 @@ pub fn gemm_packed_parallel_with(
     mc_tile: usize,
 ) -> Result<()> {
     crate::gemm::check_dims(&a, &b, c)?;
-    if c.layout() != MatrixLayout::RowMajor {
-        return Err(TensorError::GemmDimension {
-            a: (a.rows(), a.cols()),
-            b: (b.rows(), b.cols()),
-            c: (c.rows(), c.cols()),
-        });
+    let (k, n) = (b.rows(), b.cols());
+    if !prepare_c(a.rows(), k, n, beta, c)? {
+        return Ok(());
     }
-    c.scale(beta);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    if m == 0 || n == 0 || k == 0 {
-        return Ok(()); // beta-scale already applied; no products contribute
-    }
-    let kc_tile = kc_tile.max(1);
-    let mc_tile = mc_tile.max(MR);
-    let micro = kernel.micro_fn();
-
-    let n_strips = n.div_ceil(NR);
-    // Panel starting at p0 lives at offset p0 * n_strips * NR: panels are
-    // stored back to back and each holds kc * n_strips * NR values.
+    let kc = kc_tile.max(1);
     PACK_ARENA.with(|arena| {
-        arena.with_f32(k * n_strips * NR, |bpack| {
-            pack_b(b, k, n, n_strips, kc_tile, ways, bpack);
-
-            let bands = band_count(m, MR, ways);
-            let cd = c.data_mut();
-            if bands <= 1 {
-                packed_band(
-                    alpha, a, 0, m, bpack, k, n, n_strips, cd, micro, kc_tile, mc_tile,
-                );
-                return;
-            }
-            let rows_per = m.div_ceil(bands);
-            let bpack: &[f32] = bpack;
-            let cbase = SendPtr(cd.as_mut_ptr());
-            let cbase = &cbase;
-            pool::global().run_indexed(bands, &move |band_idx| {
-                let row0 = band_idx * rows_per;
-                if row0 >= m {
-                    return; // rounding can leave a trailing empty band
-                }
-                let band_rows = rows_per.min(m - row0);
-                // SAFETY: bands partition C's rows disjointly, so each
-                // index writes a non-overlapping `band_rows × n` slice.
-                let band =
-                    unsafe { std::slice::from_raw_parts_mut(cbase.0.add(row0 * n), band_rows * n) };
-                packed_band(
-                    alpha, a, row0, band_rows, bpack, k, n, n_strips, band, micro, kc_tile, mc_tile,
-                );
-            });
-        });
+        arena.with_f32(panel_len(k, n), |bpack| {
+            pack_b(b, kc, ways, bpack);
+            let panel = PanelRef {
+                data: bpack,
+                k,
+                n,
+                kc,
+            };
+            gemm_on_panel(alpha, a, panel, c.data_mut(), ways, kernel, mc_tile);
+        })
     });
     Ok(())
 }
 
-/// Packs all of `B` into `kc_tile`-deep panels of `NR`-column strips —
-/// in parallel `(panel, strip)` items on the pool for large operands,
-/// unless the caller asked for a serial GEMM (`ways <= 1`).
-fn pack_b(
-    b: MatView<'_>,
+/// A `B` operand packed once for the packed kernel: `DEFAULT_KC`-deep
+/// panels of `NR`-column strips, byte for byte the buffer
+/// [`gemm_packed_parallel`] builds in its arena on every call. Keeping it
+/// lets every later product with the same `B` — a weight read at each
+/// timestep or decode step — skip the pack ([`gemm_with_panel`]).
+#[derive(Debug, Default)]
+pub struct PackedPanel {
+    data: Vec<f32>,
     k: usize,
     n: usize,
-    n_strips: usize,
-    kc_tile: usize,
+}
+
+impl PackedPanel {
+    /// Packs `b` (`k × n`, either layout) on the calling thread.
+    pub fn pack(b: MatView<'_>) -> PackedPanel {
+        let mut panel = PackedPanel::default();
+        panel.repack(b, 1);
+        panel
+    }
+
+    /// Re-packs `b` into this panel's storage, which is reused when it is
+    /// large enough. `ways > 1` lets a large operand pack in parallel on
+    /// the worker pool; `ways == 1` never touches it.
+    pub fn repack(&mut self, b: MatView<'_>, ways: usize) {
+        let (k, n) = (b.rows(), b.cols());
+        self.data.clear();
+        self.data.resize(panel_len(k, n), 0.0);
+        pack_b(b, DEFAULT_KC, ways, &mut self.data);
+        self.k = k;
+        self.n = n;
+    }
+
+    /// Rows of the packed `B` (the product's `k`).
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of the packed `B` (the product's `n`).
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+
+    /// Host bytes the packed values occupy.
+    pub fn bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f32>()
+    }
+}
+
+/// `C = alpha*A*B + beta*C` with `B` given as a [`PackedPanel`]: the
+/// packed kernel without its pack step, bit-identical to
+/// [`gemm_packed_parallel_with`] on the `B` the panel was packed from.
+/// Row bands (at most `ways`, on the worker pool) share the panel
+/// read-only; `ways == 1` never touches the pool.
+///
+/// # Errors
+///
+/// Returns [`TensorError::GemmDimension`] when the operand shapes do not
+/// line up or `C` is not row-major.
+pub fn gemm_with_panel(
+    alpha: f32,
+    a: MatView<'_>,
+    panel: &PackedPanel,
+    beta: f32,
+    c: &mut MatViewMut<'_>,
     ways: usize,
-    bpack: &mut [f32],
+    kernel: MicroKernel,
+) -> Result<()> {
+    let (k, n) = (panel.k, panel.n);
+    if a.cols() != k || c.rows() != a.rows() || c.cols() != n {
+        return Err(TensorError::GemmDimension {
+            a: (a.rows(), a.cols()),
+            b: (k, n),
+            c: (c.rows(), c.cols()),
+        });
+    }
+    if prepare_c(a.rows(), k, n, beta, c)? {
+        let panel = PanelRef {
+            data: &panel.data,
+            k,
+            n,
+            kc: DEFAULT_KC,
+        };
+        gemm_on_panel(alpha, a, panel, c.data_mut(), ways, kernel, DEFAULT_MC);
+    }
+    Ok(())
+}
+
+/// Rejects a column-major `C`, applies `beta`, and says whether any
+/// product remains to add (`false` for an empty `m`, `k` or `n`).
+fn prepare_c(m: usize, k: usize, n: usize, beta: f32, c: &mut MatViewMut<'_>) -> Result<bool> {
+    if c.layout() != MatrixLayout::RowMajor {
+        return Err(TensorError::GemmDimension {
+            a: (m, k),
+            b: (k, n),
+            c: (c.rows(), c.cols()),
+        });
+    }
+    c.scale(beta);
+    Ok(m > 0 && n > 0 && k > 0)
+}
+
+/// Values in a packed `k × n` operand: every strip is padded to `NR`.
+fn panel_len(k: usize, n: usize) -> usize {
+    k * n.div_ceil(NR) * NR
+}
+
+/// A packed `B`, borrowed: `kc`-deep panels stored back to back, the
+/// panel starting at `p0` at offset `p0 * n_strips * NR`.
+#[derive(Clone, Copy)]
+struct PanelRef<'a> {
+    data: &'a [f32],
+    k: usize,
+    n: usize,
+    kc: usize,
+}
+
+/// The one band loop: computes `C += (alpha·A)·B` for the packed `B`
+/// over at most `ways` row bands, each band packing its own rows of `A`
+/// into its thread-local arena. Bands partition **output rows only**, so
+/// the per-element accumulation order is independent of `ways` (see the
+/// module docs).
+fn gemm_on_panel(
+    alpha: f32,
+    a: MatView<'_>,
+    panel: PanelRef<'_>,
+    cd: &mut [f32],
+    ways: usize,
+    kernel: MicroKernel,
+    mc_tile: usize,
 ) {
+    let (m, n) = (a.rows(), panel.n);
+    let mc_tile = mc_tile.max(MR);
+    let tiles = kernel.tile_fns();
+    let bands = band_count(m, MR, ways);
+    if bands <= 1 {
+        packed_band(alpha, a, 0, m, panel, cd, &tiles, mc_tile);
+        return;
+    }
+    let rows_per = m.div_ceil(bands);
+    let cbase = SendPtr(cd.as_mut_ptr());
+    let cbase = &cbase;
+    let tiles = &tiles;
+    pool::global().run_indexed(bands, &move |band_idx| {
+        let row0 = band_idx * rows_per;
+        if row0 >= m {
+            return; // rounding can leave a trailing empty band
+        }
+        let band_rows = rows_per.min(m - row0);
+        // SAFETY: bands partition C's rows disjointly, so each
+        // index writes a non-overlapping `band_rows × n` slice.
+        let band = unsafe { std::slice::from_raw_parts_mut(cbase.0.add(row0 * n), band_rows * n) };
+        packed_band(alpha, a, row0, band_rows, panel, band, tiles, mc_tile);
+    });
+}
+
+/// Packs all of `B` (`k × n`) into `kc_tile`-deep panels of `NR`-column
+/// strips — in parallel `(panel, strip)` items on the pool for large
+/// operands, unless the caller asked for a serial GEMM (`ways <= 1`).
+fn pack_b(b: MatView<'_>, kc_tile: usize, ways: usize, bpack: &mut [f32]) {
+    let (k, n) = (b.rows(), b.cols());
+    let n_strips = n.div_ceil(NR);
     let n_panels = k.div_ceil(kc_tile);
     let items = n_panels * n_strips;
     if ways > 1 && items > 1 && k * n >= PAR_PACK_MIN_ELEMS {
@@ -363,27 +501,30 @@ fn pack_b(
 }
 
 /// Computes rows `row0 .. row0 + rows` of `C` (a row-major `rows × n`
-/// slice) against the fully packed `B`. `alpha` is folded into the A pack.
+/// slice) against the packed `B`. `alpha` is folded into the A pack.
 #[allow(clippy::too_many_arguments)]
 fn packed_band(
     alpha: f32,
     a: MatView<'_>,
     row0: usize,
     rows: usize,
-    bpack: &[f32],
-    k: usize,
-    n: usize,
-    n_strips: usize,
+    panel: PanelRef<'_>,
     cband: &mut [f32],
-    micro: MicroFn,
-    kc_tile: usize,
+    tiles: &TileFns,
     mc_tile: usize,
 ) {
+    let PanelRef {
+        data,
+        k,
+        n,
+        kc: kc_tile,
+    } = panel;
+    let n_strips = n.div_ceil(NR);
     PACK_ARENA.with(|arena| {
         let mut p0 = 0;
         while p0 < k {
             let kc = kc_tile.min(k - p0);
-            let bpanel = &bpack[p0 * n_strips * NR..][..kc * n_strips * NR];
+            let bpanel = &data[p0 * n_strips * NR..][..kc * n_strips * NR];
             let mut i0 = 0;
             while i0 < rows {
                 let ic = mc_tile.min(rows - i0);
@@ -399,13 +540,14 @@ fn packed_band(
                             let mr = MR.min(ic - ii);
                             let astrip = &apack[is * kc * MR..][..kc * MR];
                             let coff = (i0 + ii) * n + j0;
-                            if mr == MR && nr == NR {
-                                // SAFETY: the variant behind `micro` was
-                                // availability-checked in `micro_fn`, and
-                                // the C slice holds the full MR×NR tile.
-                                unsafe { micro(kc, astrip, bstrip, &mut cband[coff..], n) };
-                            } else {
-                                micro_edge(kc, astrip, bstrip, cband, coff, n, mr, nr);
+                            match tiles[mr - 1] {
+                                // SAFETY: the variant was availability-
+                                // checked in `tile_fns`, and the C slice
+                                // holds the full `mr × NR` tile.
+                                Some(micro) if nr == NR => unsafe {
+                                    micro(kc, astrip, bstrip, &mut cband[coff..], n)
+                                },
+                                _ => micro_edge(kc, astrip, bstrip, cband, coff, n, mr, nr),
                             }
                         }
                     }
@@ -476,10 +618,14 @@ fn pack_a_block(
     }
 }
 
-/// Signature shared by every full-tile micro-kernel variant. `unsafe`
+/// Signature shared by every tile micro-kernel variant. `unsafe`
 /// because the SIMD variants require their target feature (checked once
 /// at selection time) and index `c` through raw pointers.
 type MicroFn = unsafe fn(usize, &[f32], &[f32], &mut [f32], usize);
+
+/// A variant's kernels for full-width tiles of `1..=MR` rows, at index
+/// `rows - 1` (see [`MicroKernel::tile_fns`]).
+type TileFns = [Option<MicroFn>; MR];
 
 /// Full `MR × NR` scalar micro-kernel: loads the C tile into register
 /// accumulators, adds `kc` rank-1 updates in ascending `p`, stores back.
@@ -508,43 +654,49 @@ unsafe fn micro_full_scalar(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ld
     }
 }
 
-/// Full-tile AVX2 micro-kernel: one 8-lane `ymm` accumulator per C row.
-/// Uses a separate `_mm256_mul_ps` + `_mm256_add_ps` per update — *not*
-/// FMA — so each lane's rounding sequence matches the scalar kernel
-/// exactly (see the module docs on bit-exactness).
+/// AVX2 micro-kernel for a full-width tile of `R ≤ MR` rows: one 8-lane
+/// `ymm` accumulator per C row, reading the first `R` values of each
+/// `MR`-wide A step (the rest are the pack's zero padding). Uses a
+/// separate `_mm256_mul_ps` + `_mm256_add_ps` per update — *not* FMA — so
+/// each lane's rounding sequence matches the scalar kernel exactly (see
+/// the module docs on bit-exactness).
 ///
 /// # Safety
 ///
-/// Requires AVX2 (callers go through [`MicroKernel::micro_fn`], which
-/// checks availability) and a `c` slice covering the full `MR × NR` tile
-/// at row stride `ldc`.
+/// Requires AVX2 (callers go through [`MicroKernel::tile_fns`], which
+/// checks availability) and a `c` slice covering the `R × NR` tile at row
+/// stride `ldc`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn micro_full_avx2(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize) {
+unsafe fn micro_rows_avx2<const R: usize>(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+) {
     use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    debug_assert!(c.len() >= (MR - 1) * ldc + NR);
+    debug_assert!(R <= MR && ap.len() >= kc * MR && bp.len() >= kc * NR);
+    debug_assert!(c.len() >= (R - 1) * ldc + NR);
     unsafe {
         let cp = c.as_mut_ptr();
-        let mut acc0 = _mm256_loadu_ps(cp);
-        let mut acc1 = _mm256_loadu_ps(cp.add(ldc));
-        let mut acc2 = _mm256_loadu_ps(cp.add(2 * ldc));
-        let mut acc3 = _mm256_loadu_ps(cp.add(3 * ldc));
+        let mut acc = [_mm256_setzero_ps(); R];
+        for (i, acc_i) in acc.iter_mut().enumerate() {
+            *acc_i = _mm256_loadu_ps(cp.add(i * ldc));
+        }
         let mut a = ap.as_ptr();
         let mut b = bp.as_ptr();
         for _ in 0..kc {
             let bv = _mm256_loadu_ps(b);
-            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_set1_ps(*a), bv));
-            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_set1_ps(*a.add(1)), bv));
-            acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_set1_ps(*a.add(2)), bv));
-            acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_set1_ps(*a.add(3)), bv));
+            for (i, acc_i) in acc.iter_mut().enumerate() {
+                *acc_i = _mm256_add_ps(*acc_i, _mm256_mul_ps(_mm256_set1_ps(*a.add(i)), bv));
+            }
             a = a.add(MR);
             b = b.add(NR);
         }
-        _mm256_storeu_ps(cp, acc0);
-        _mm256_storeu_ps(cp.add(ldc), acc1);
-        _mm256_storeu_ps(cp.add(2 * ldc), acc2);
-        _mm256_storeu_ps(cp.add(3 * ldc), acc3);
+        for (i, acc_i) in acc.iter().enumerate() {
+            _mm256_storeu_ps(cp.add(i * ldc), *acc_i);
+        }
     }
 }
 
@@ -555,7 +707,7 @@ unsafe fn micro_full_avx2(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc:
 /// # Safety
 ///
 /// Requires NEON (baseline on aarch64; callers go through
-/// [`MicroKernel::micro_fn`]) and a `c` slice covering the full `MR × NR`
+/// [`MicroKernel::tile_fns`]) and a `c` slice covering the full `MR × NR`
 /// tile at row stride `ldc`.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
@@ -593,8 +745,10 @@ unsafe fn micro_full_neon(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc:
 
 /// Edge micro-kernel for partial tiles (`mr ≤ MR`, `nr ≤ NR`): valid
 /// lanes are loaded from C and stored back; padded lanes accumulate only
-/// products of physical zeros and are discarded. Always scalar — partial
-/// tiles are rare and the scalar block is bit-identical to SIMD anyway.
+/// products of physical zeros and are discarded. Always scalar. It runs
+/// column-edge tiles (`nr < NR`), which are rare, and short-row tiles on
+/// variants with no kernel for that row count; the scalar block is
+/// bit-identical to SIMD anyway.
 #[allow(clippy::too_many_arguments)]
 fn micro_edge(
     kc: usize,

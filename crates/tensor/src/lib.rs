@@ -37,6 +37,7 @@ pub mod init;
 pub mod kernels;
 pub mod layout;
 pub mod matrix;
+pub mod panel;
 pub mod policy;
 pub mod pool;
 pub mod reduce;
@@ -47,10 +48,11 @@ pub use error::TensorError;
 pub use gemm::{gemm, Transpose};
 pub use gemm_packed::{
     active_micro_kernel, available_micro_kernels, gemm_packed, gemm_packed_parallel,
-    gemm_packed_parallel_with, set_micro_kernel, MicroKernel,
+    gemm_packed_parallel_with, gemm_with_panel, set_micro_kernel, MicroKernel, PackedPanel,
 };
 pub use layout::MatrixLayout;
 pub use matrix::{MatView, MatViewMut};
+pub use panel::{PanelCache, PanelStats};
 pub use policy::{
     dispatch_gemm, matmul_policy, set_matmul_policy, AutotuneOutcome, MatmulBackend, MatmulPolicy,
 };

@@ -1,4 +1,4 @@
-//! GEMM dispatch: one rule, two kernels.
+//! GEMM dispatch: one rule, two kernels, and kept weight panels.
 //!
 //! Every matmul in the training stack funnels through [`dispatch_gemm`].
 //! The crate has two kernels — the naive strided [`gemm`] (also the
@@ -6,30 +6,38 @@
 //! packed register-blocked kernel — and the choice between them is
 //! computed from the operands, not measured:
 //!
-//! * `m == 1`, or a column-major `C` → naive. A single output row cannot
-//!   amortise packing `B` (the packed kernel fills one of its `MR = 4`
-//!   tile rows and is ~2× slower there), and the packed kernel only
-//!   writes row-major outputs.
-//! * everything else → packed, row-banded on the worker pool only at or
-//!   above 2²² FLOPs (`PARALLEL_FLOPS`); below that the call stays on the
-//!   calling thread and never touches the pool.
+//! * a column-major `C` → naive: the packed kernel only writes row-major
+//!   outputs.
+//! * a `B` that is a weight of the [`PanelCache`](crate::PanelCache) lent
+//!   to this thread → packed, on the kept panel, at any `m`: the pack is
+//!   paid once per weight value, and tiles of fewer than `MR` rows run in
+//!   SIMD, so even one output row beats the naive kernel.
+//! * `m == 1` → naive: without a kept panel a single output row cannot
+//!   amortise packing `B`.
+//! * everything else → packed.
+//!
+//! The packed kernel is row-banded on the worker pool only at or above
+//! 2²² FLOPs (`PARALLEL_FLOPS`); below that the call stays on the calling
+//! thread and never touches the pool.
 //!
 //! Because both kernels are bit-identical (see
-//! [`gemm_packed`](crate::gemm_packed)), the rule is numerically
-//! transparent: losses and gradients do not depend on it, on the
-//! [`MatmulPolicy`] override, or on the worker count — a property the
-//! policy-determinism integration test enforces end to end.
+//! [`gemm_packed`](crate::gemm_packed)), and a panel is byte for byte the
+//! pack the kernel would build, the rule is numerically transparent:
+//! losses and gradients do not depend on it, on the [`MatmulPolicy`]
+//! override, on whether a panel was kept, or on the worker count — a
+//! property the policy-determinism integration test enforces end to end.
 //! [`set_matmul_policy`] pins one kernel for every shape; it exists so
 //! that test (and the kernel benchmark) can hold the kernel fixed.
+//! `Fixed(Naive)` never reads a panel: it stays the oracle.
 
 use crate::gemm::gemm;
 use crate::gemm_packed::{
-    active_micro_kernel, gemm_packed_parallel, MicroKernel, DEFAULT_KC, DEFAULT_MC,
+    active_micro_kernel, gemm_packed_parallel, gemm_with_panel, MicroKernel, DEFAULT_KC, DEFAULT_MC,
 };
 use crate::layout::MatrixLayout;
 use crate::matrix::{MatView, MatViewMut};
-use crate::pool;
 use crate::Result;
+use crate::{panel, pool};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A concrete GEMM kernel.
@@ -134,8 +142,10 @@ pub fn autotune_outcome() -> Option<AutotuneOutcome> {
 }
 
 /// The backend [`dispatch_gemm`] uses for an `m × k × n` product into a
-/// row-major `C` under the current policy. Only `m` enters the rule; the
-/// signature takes the whole shape so callers name the product they mean.
+/// row-major `C` under the current policy when `B` has no kept panel (a
+/// kept panel is used under every policy but `Fixed(Naive)`). Only `m`
+/// enters the rule; the signature takes the whole shape so callers name
+/// the product they mean.
 pub fn backend_for(m: usize, _k: usize, _n: usize) -> MatmulBackend {
     match matmul_policy() {
         MatmulPolicy::Fixed(b) => b,
@@ -162,15 +172,27 @@ pub fn dispatch_gemm(
     c: &mut MatViewMut<'_>,
 ) -> Result<()> {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    if backend_for(m, k, n) == MatmulBackend::Naive || c.layout() != MatrixLayout::RowMajor {
+    let policy = matmul_policy();
+    if policy == MatmulPolicy::Fixed(MatmulBackend::Naive) || c.layout() != MatrixLayout::RowMajor {
         return gemm(alpha, a, b, beta, c);
     }
+    crate::gemm::check_dims(&a, &b, c)?;
     let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n);
-    let ways = if flops >= PARALLEL_FLOPS || matmul_policy() != MatmulPolicy::Auto {
+    let ways = if flops >= PARALLEL_FLOPS || policy != MatmulPolicy::Auto {
         pool::global().num_threads()
     } else {
         1
     };
+    let kernel = active_micro_kernel();
+    let kept = panel::with_panel(b, ways, |panel| {
+        gemm_with_panel(alpha, a, panel, beta, c, ways, kernel)
+    });
+    if let Some(result) = kept {
+        return result;
+    }
+    if backend_for(m, k, n) == MatmulBackend::Naive {
+        return gemm(alpha, a, b, beta, c);
+    }
     gemm_packed_parallel(alpha, a, b, beta, c, ways)
 }
 

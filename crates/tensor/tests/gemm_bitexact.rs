@@ -10,8 +10,9 @@
 use echo_check::{check, default_cases, Gen};
 use echo_tensor::init::{seeded_rng, uniform};
 use echo_tensor::{
-    available_micro_kernels, gemm, gemm_packed, gemm_packed_parallel, gemm_packed_parallel_with,
-    MatViewMut, MatrixLayout, Shape,
+    available_micro_kernels, dispatch_gemm, gemm, gemm_packed, gemm_packed_parallel,
+    gemm_packed_parallel_with, gemm_with_panel, MatView, MatViewMut, MatrixLayout, PackedPanel,
+    PanelCache, Shape,
 };
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -173,4 +174,131 @@ fn lstm_shaped_product_bit_identical() {
             );
         }
     }
+}
+
+/// The panel path — a `B` packed once into a [`PackedPanel`], then
+/// multiplied by [`gemm_with_panel`] — is bit-identical to the naive
+/// kernel on every short-`m` tile (`m` 1..=9 covers one and two row
+/// strips, every SIMD row count), on column edges and full strips
+/// (`n`), across the `KC = 256` panel boundary (`k`), for both `B`
+/// orientations, with `alpha ≠ 1` and `beta ∉ {0, 1}`, for every
+/// available micro-kernel at one and three bands. The same product
+/// through `dispatch_gemm` with a lent [`PanelCache`] that holds `B`
+/// matches too.
+#[test]
+fn panel_path_bit_identical_sweep() {
+    let (alpha, beta) = (-0.75f32, 0.5f32);
+    for k in [1usize, 255, 256, 257] {
+        for n in [1usize, 7, 8, 9, 17] {
+            let mut rng = seeded_rng((k * 31 + n) as u64);
+            let a_all = uniform(Shape::d2(9, k), 2.0, &mut rng);
+            let b = uniform(Shape::d2(k, n), 2.0, &mut rng);
+            let c_all = uniform(Shape::d2(9, n), 1.0, &mut rng);
+            for lb in [MatrixLayout::RowMajor, MatrixLayout::ColMajor] {
+                let bv = b.view_as(k, n, lb);
+                let panel = PackedPanel::pack(bv);
+                let mut cache = PanelCache::new();
+                cache.bind(0, b.data());
+                for m in 1..=9 {
+                    let av = MatView::new(&a_all.data()[..m * k], m, k, MatrixLayout::RowMajor);
+                    let c0 = &c_all.data()[..m * n];
+                    let mut reference = c0.to_vec();
+                    gemm::gemm(alpha, av, bv, beta, &mut row_major(&mut reference, m, n)).unwrap();
+                    let reference = bits(&reference);
+                    for kernel in available_micro_kernels() {
+                        for ways in [1usize, 3] {
+                            let mut c = c0.to_vec();
+                            let mut cv = row_major(&mut c, m, n);
+                            gemm_with_panel(alpha, av, &panel, beta, &mut cv, ways, kernel)
+                                .unwrap();
+                            let name = kernel.name();
+                            assert_eq!(
+                                bits(&c),
+                                reference,
+                                "m={m} k={k} n={n} {lb:?} kernel={name} ways={ways}"
+                            );
+                        }
+                    }
+                    let mut c = c0.to_vec();
+                    cache.lend(|| {
+                        dispatch_gemm(alpha, av, bv, beta, &mut row_major(&mut c, m, n)).unwrap()
+                    });
+                    assert_eq!(bits(&c), reference, "dispatch m={m} k={k} n={n} {lb:?}");
+                }
+                // One pack per orientation, however many products read it.
+                assert_eq!(cache.stats().packs, 1, "k={k} n={n} {lb:?}");
+            }
+        }
+    }
+}
+
+/// A NaN in `B` reaches every output row through a panel, at one
+/// output row (the SIMD short tile) and at a full tile, banded or not.
+#[test]
+fn panel_path_propagates_nan_from_b() {
+    let mut b = vec![1.0f32; 2 * 8];
+    b[0] = f32::NAN;
+    let panel = PackedPanel::pack(MatView::new(&b, 2, 8, MatrixLayout::RowMajor));
+    for kernel in available_micro_kernels() {
+        for (m, ways) in [(1usize, 1usize), (8, 1), (8, 4)] {
+            let a = vec![0.0f32; m * 2];
+            let mut c = vec![0.0f32; m * 8];
+            let av = MatView::new(&a, m, 2, MatrixLayout::RowMajor);
+            gemm_with_panel(
+                1.0,
+                av,
+                &panel,
+                0.0,
+                &mut row_major(&mut c, m, 8),
+                ways,
+                kernel,
+            )
+            .unwrap();
+            for row in 0..m {
+                assert!(c[row * 8].is_nan(), "0 × NaN must propagate ({m} rows)");
+                assert_eq!(c[row * 8 + 1], 0.0);
+            }
+        }
+    }
+}
+
+/// Empty products through a panel: `k == 0` leaves `beta·C`, `n == 0`
+/// writes nothing, and a panel of the wrong depth is rejected.
+#[test]
+fn panel_path_handles_degenerate_shapes() {
+    let kernel = echo_tensor::active_micro_kernel();
+    let empty_k = PackedPanel::pack(MatView::new(&[], 0, 3, MatrixLayout::RowMajor));
+    assert_eq!(empty_k.bytes(), 0);
+    let mut c = vec![3.0f32; 6];
+    let av = MatView::new(&[], 2, 0, MatrixLayout::RowMajor);
+    gemm_with_panel(
+        1.0,
+        av,
+        &empty_k,
+        0.5,
+        &mut row_major(&mut c, 2, 3),
+        1,
+        kernel,
+    )
+    .unwrap();
+    assert_eq!(c, vec![1.5f32; 6]);
+
+    let empty_n = PackedPanel::pack(MatView::new(&[], 1, 0, MatrixLayout::ColMajor));
+    let mut none: Vec<f32> = vec![];
+    let av = MatView::new(&[1.0; 8], 8, 1, MatrixLayout::RowMajor);
+    gemm_with_panel(
+        1.0,
+        av,
+        &empty_n,
+        0.0,
+        &mut row_major(&mut none, 8, 0),
+        4,
+        kernel,
+    )
+    .unwrap();
+
+    let deep = PackedPanel::pack(MatView::new(&[1.0; 6], 2, 3, MatrixLayout::RowMajor));
+    let mut c = vec![0.0f32; 3];
+    let av = MatView::new(&[1.0; 3], 1, 3, MatrixLayout::RowMajor);
+    assert!(gemm_with_panel(1.0, av, &deep, 0.0, &mut row_major(&mut c, 1, 3), 1, kernel).is_err());
 }
